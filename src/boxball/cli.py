@@ -96,9 +96,26 @@ def _emit(doc: dict, out: str | None) -> None:
         click.echo(data)
 
 
+def _excursions_with_bases(cfg: BallConfig):
+    """``(records, i_lo, excursions, bases)``: each excursion's left record.
+
+    ``excursions_of`` prepends the implicit records ``0 .. recs[0] - 1`` when
+    the window starts right of box 1, so the first base is ``min(recs[0], 0)``
+    and each next one follows the previous excursion's ``2n`` boxes.
+    """
+    recs = record_positions(cfg)
+    i_lo, excs = excursions_of(cfg)
+    bases = []
+    base = min(recs[0], 0)
+    for exc in excs:
+        bases.append(base)
+        base += 2 * exc.n + 1
+    return recs, i_lo, excs, bases
+
+
 def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> SolitonWeights:
     if params:
-        with click.open_file(params) as fh:
+        with click.open_file(params, "rb") as fh:  # json.loads decodes, so bad bytes exit 3
             return weights_from_params_json(fh.read())
     if measure == "bernoulli":
         if lam is None:
@@ -107,11 +124,18 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> SolitonWeights
     if measure == "markov":
         if q_matrix is None:
             raise ValidationError("--Q is required for the markov measure")
-        return markov_weights(json.loads(q_matrix))
+        try:
+            return markov_weights(json.loads(q_matrix))
+        except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+            raise ValidationError(f"bad --Q matrix: {exc}") from exc
     if measure == "explicit":
         if alpha is None:
             raise ValidationError("--alpha is required for the explicit measure")
-        return explicit_weights([float(v) for v in alpha.split(",")])
+        try:
+            values = [float(v) for v in alpha.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"bad --alpha weights: {exc}") from exc
+        return explicit_weights(values)
     raise ValidationError(f"unknown measure {measure!r}")
 
 
@@ -192,14 +216,12 @@ def decompose_cmd(config, path, origin, fmt, out):
     """Solitons, slot diagrams, and components of a ball string."""
     try:
         cfg = _read_config(config, path, origin)
-        i_lo, excs = excursions_of(cfg)
+        recs, i_lo, excs, bases = _excursions_with_bases(cfg)
         diagrams = [diagram_from_excursion(e) for e in excs]
         components = concat_diagrams(diagrams, i_lo)
         solitons = []
         slots = []
-        recs = record_positions(cfg)
-        for i, exc in enumerate(excs):
-            base = recs[0] + sum(2 * e.n + 1 for e in excs[:i])
+        for exc, base, diagram in zip(excs, bases, diagrams):
             for sol in soliton_decompose(exc):
                 solitons.append(
                     {
@@ -211,7 +233,7 @@ def decompose_cmd(config, path, origin, fmt, out):
             slots.append(
                 {
                     str(k): [base + p for p in slot_positions(exc, k)]
-                    for k in range(1, diagrams[i].max_size + 1)
+                    for k in range(1, diagram.max_size + 1)
                 }
             )
         doc = {
@@ -281,11 +303,9 @@ def render_cmd(config, path, origin, color):
     """
     try:
         cfg = _read_config(config, path, origin)
-        i_lo, excs = excursions_of(cfg)
-        recs = record_positions(cfg)
+        recs, _, excs, bases = _excursions_with_bases(cfg)
         class_of: dict[int, int] = {}
-        for i, exc in enumerate(excs):
-            base = recs[0] + sum(2 * e.n + 1 for e in excs[:i])
+        for exc, base in zip(excs, bases):
             for sol in soliton_decompose(exc):
                 for box in sol.support():
                     class_of[base + box] = sol.k
@@ -293,7 +313,7 @@ def render_cmd(config, path, origin, color):
             color = sys.stdout.isatty()
         chars = []
         classes = []
-        for z in range(recs[0], recs[-1] + 1):
+        for z in range(min(recs[0], 0), recs[-1] + 1):
             k = class_of.get(z)
             ch = str(cfg.occupied(z))
             if k is None:

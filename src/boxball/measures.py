@@ -165,14 +165,16 @@ def weights_from_params_json(text: str | bytes) -> SolitonWeights:
     try:
         doc = json.loads(text)
         family = doc["family"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        if family == "bernoulli":
+            return bernoulli_weights(float(doc["lambda"]))
+        if family == "markov":
+            return markov_weights(doc["Q"])
+        if family == "explicit":
+            return explicit_weights(doc["alpha"])
+    except KeyError as exc:
+        raise ValidationError(f"bad parameter JSON: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"bad parameter JSON: {exc}") from exc
-    if family == "bernoulli":
-        return bernoulli_weights(float(doc["lambda"]))
-    if family == "markov":
-        return markov_weights(doc["Q"])
-    if family == "explicit":
-        return explicit_weights(doc["alpha"])
     raise ValidationError(f"unknown family {family!r}")
 
 

@@ -4,6 +4,10 @@ Chi-square machinery is deliberately plain: observed/expected bins with tails
 merged until every expected count reaches the standard validity threshold,
 p-values from the chi-square survival function.  All tests are deterministic
 given their seed and parameters.
+
+scipy is imported only when a chi-square p-value is computed (the chi-square
+``verify`` commands and the statistics tests); importing the package, and
+every other ``bbs`` command, never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .core import BallConfig, config_soliton_counts, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError
@@ -52,6 +55,13 @@ class GofReport:
         return out
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square survival function; the same kernel ``scipy.stats.chi2.sf`` calls."""
+    from scipy.special import chdtrc
+
+    return float(chdtrc(dof, stat))
+
+
 def _chi_square(observed: Sequence[float], expected: Sequence[float], labels) -> GofReport:
     """Merge trailing bins until all expected counts clear the threshold."""
     obs = list(observed)
@@ -68,7 +78,7 @@ def _chi_square(observed: Sequence[float], expected: Sequence[float], labels) ->
         raise InsufficientDataError("fewer than two usable bins")
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = len(obs) - 1
-    p = float(sps.chi2.sf(stat, dof))
+    p = _chi2_sf(stat, dof)
     return GofReport(stat, dof, p, tuple(zip(labs, obs, exp)))
 
 
@@ -160,7 +170,7 @@ def independence_test(
         dof = (table.shape[0] - 1) * (table.shape[1] - 1)
         if dof < 1:
             raise InsufficientDataError(f"pair {pair}: degenerate table")
-        p = float(sps.chi2.sf(stat, dof))
+        p = _chi2_sf(stat, dof)
         bins = tuple(
             (f"({i},{j})", float(table[i, j]), float(expected[i, j]))
             for i in range(table.shape[0])
@@ -248,7 +258,7 @@ def t_invariance_test(
             dof += 1
         bins.append(("".join(map(str, pat)), float(o_a), float(o_b)))
     dof = max(dof - 1, 1)
-    p = float(sps.chi2.sf(stat, dof))
+    p = _chi2_sf(stat, dof)
     return GofReport(stat, dof, p, tuple(bins), max_dev_se=max_dev)
 
 

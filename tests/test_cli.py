@@ -78,6 +78,41 @@ def test_render_plain_classes(runner):
     assert lines[1] == ".4441142211224444."
 
 
+def test_decompose_and_render_independent_of_window_padding(runner):
+    # the same configuration, once with its window starting right of box 1
+    shifted = ["--origin", "3", "110100"]
+    padded = ["--origin", "1", "00110100"]
+    docs = [json.loads(runner.invoke(main, ["decompose", *a]).output) for a in (shifted, padded)]
+    for key in ("solitons", "slots", "diagrams", "components"):
+        assert docs[0][key] == docs[1][key], key
+    assert docs[0]["solitons"] == [
+        {"k": 2, "head": [3, 4], "tail": [7, 8]},
+        {"k": 1, "head": [6], "tail": [5]},
+    ]
+    renders = [runner.invoke(main, ["render", "--no-color", *a]).output for a in (shifted, padded)]
+    assert renders[0] == renders[1] == "...110100.\n...221122.\n"
+
+
+@pytest.mark.parametrize(
+    "flags, params_file",
+    [
+        (["--measure", "markov", "--Q", "[[0.8"], None),
+        (["--measure", "markov", "--Q", "[1,2]"], None),
+        (["--measure", "explicit", "--alpha", "a,b"], None),
+        ([], b'{"family":"bernoulli"}'),
+        ([], b"\xff\xfe{"),
+    ],
+)
+def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
+    if params_file is not None:
+        path = tmp_path / "measure.json"
+        path.write_bytes(params_file)
+        flags = ["--params", str(path)]
+    result = runner.invoke(main, ["params", *flags])
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+
+
 def test_params_bernoulli(runner):
     result = runner.invoke(
         main, ["params", "--measure", "bernoulli", "--lambda", "0.25", "--format", "json"]
