@@ -48,12 +48,13 @@ from .measures import (
 )
 from .slots import (
     ComponentArray,
+    _diagram_from_slots,
+    _slot_levels,
     concat_diagrams,
     decompose,
     diagram_from_excursion,
     excursion_from_diagram,
     reconstruct,
-    slot_positions,
 )
 from .stats import (
     component_shift_check,
@@ -172,6 +173,8 @@ def main() -> None:
 def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     """Apply the carrier sweep STEPS times to a ball string."""
     try:
+        if steps < 0:
+            raise PreconditionError("--steps must be >= 0")
         cfg = _read_config(config, path, origin)
         states = [cfg]
         traces = []
@@ -217,12 +220,15 @@ def decompose_cmd(config, path, origin, fmt, out):
     try:
         cfg = _read_config(config, path, origin)
         recs, i_lo, excs, bases = _excursions_with_bases(cfg)
-        diagrams = [diagram_from_excursion(e) for e in excs]
-        components = concat_diagrams(diagrams, i_lo)
+        diagrams = []
         solitons = []
         slots = []
-        for exc, base, diagram in zip(excs, bases, diagrams):
-            for sol in soliton_decompose(exc):
+        for exc, base in zip(excs, bases):
+            # one Takahashi-Satsuma pass feeds the solitons, slots and diagram
+            excursion_solitons = soliton_decompose(exc)
+            levels = list(_slot_levels(excursion_solitons))
+            diagrams.append(_diagram_from_slots(levels, exc.n))
+            for sol in excursion_solitons:
                 solitons.append(
                     {
                         "k": sol.k,
@@ -231,11 +237,9 @@ def decompose_cmd(config, path, origin, fmt, out):
                     }
                 )
             slots.append(
-                {
-                    str(k): [base + p for p in slot_positions(exc, k)]
-                    for k in range(1, diagram.max_size + 1)
-                }
+                {str(k): [base + p for p in pos] for k, pos, _ in reversed(levels)}
             )
+        components = concat_diagrams(diagrams, i_lo)
         doc = {
             "origin": cfg.origin,
             "balls": cfg.to_string(),
@@ -418,7 +422,7 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, see
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         if anti_palm:
             rng = np.random.default_rng(seed)
-            cfg = sample_anti_palm(weights, boxes or 1000, rng)
+            cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, rng)
             anchored = None
         else:
             if params or measure == "explicit":
@@ -557,6 +561,8 @@ def verify_shift(configs, max_boxes, seed, out):
     try:
         from .core import config_soliton_counts
 
+        if max_boxes < 1:
+            raise PreconditionError("--max-boxes must be >= 1")
         rng = np.random.default_rng(seed)
         failures = 0
         for _ in range(configs):

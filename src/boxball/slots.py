@@ -5,6 +5,15 @@ least k inside a strictly larger soliton.  The slot diagram of an excursion
 records, per size k, how many k-solitons are appended to (lie strictly
 between) consecutive k-slots.  Diagrams of consecutive excursions concatenate
 row-wise into the component array of a full configuration.
+
+Both directions of the bijection work top-down over the levels k = M .. 1,
+because the k-slots are the (k+1)-slots plus the depth-k boxes of the
+solitons larger than k.  Excursion -> diagram runs Takahashi-Satsuma once
+and derives every slot level from its solitons (O(n + sum_k s_k log s_k) on
+top of the decomposition).  Diagram -> excursion walks the tree of
+insertions (slot box -> solitons inserted right after it) depth first,
+reading each box's insertions off the rows as the walk reaches it, and emits
+the bits in that one traversal (O(n + sum_k s_k)).
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     BallConfig,
@@ -129,15 +138,45 @@ EMPTY_DIAGRAM = SlotDiagram()
 # slots of an excursion
 # ---------------------------------------------------------------------------
 
-def _slots_from_solitons(solitons: Iterable[Soliton], k: int) -> list[int]:
-    """Positions of the k-slots: the left record at 0 plus deep boxes."""
-    out = [0]
+def _slot_levels(
+    solitons: Sequence[Soliton],
+) -> Iterator[tuple[int, list[int], Sequence[Soliton]]]:
+    """Yield ``(k, sorted k-slot positions, the k-solitons)`` for k = M .. 1.
+
+    Built top-down: the M-slots are the left record alone, and the k-slots
+    are the (k+1)-slots plus ``head[k]`` and ``tail[k]`` of every soliton
+    larger than k.  Each level is one merge of the level above with its new
+    boxes, so all levels together cost O(n + sum_k s_k log s_k) with no
+    rescan of the solitons per level, and only the level in use is held.
+    """
+    if not solitons:
+        return
+    M = max(sol.k for sol in solitons)
+    if M == 1:  # the common tiny excursion: skip the grouping
+        yield 1, [0], solitons
+        return
+    by_size: list[list[Soliton]] = [[] for _ in range(M + 1)]
     for sol in solitons:
-        if sol.k > k:
-            out.extend(sol.head[k:])
-            out.extend(sol.tail[k:])
-    out.sort()
-    return out
+        by_size[sol.k].append(sol)
+    pos = [0]
+    larger: list[Soliton] = []
+    yield M, pos, by_size[M]
+    for k in range(M - 1, 0, -1):
+        larger += by_size[k + 1]
+        pos = pos[:]
+        for sol in larger:
+            pos.append(sol.head[k])
+            pos.append(sol.tail[k])
+        pos.sort()
+        yield k, pos, by_size[k]
+
+
+def _slots_from_solitons(solitons: Sequence[Soliton], k: int) -> list[int]:
+    """Positions of the k-slots: the left record at 0 plus deep boxes."""
+    for level, pos, _ in _slot_levels(solitons):
+        if level == k:
+            return pos
+    return [0]
 
 
 def slot_positions(excursion: Excursion, k: int) -> tuple[int, ...]:
@@ -147,20 +186,16 @@ def slot_positions(excursion: Excursion, k: int) -> tuple[int, ...]:
     return tuple(_slots_from_solitons(soliton_decompose(excursion), k))
 
 
-def diagram_from_excursion(excursion: Excursion) -> SlotDiagram:
-    """Slot diagram encoding an excursion: top-down count of appended solitons."""
-    solitons = soliton_decompose(excursion)
-    if not solitons:
-        return EMPTY_DIAGRAM
-    M = max(s.k for s in solitons)
-    right_record = 2 * excursion.n + 1
-    rows: list[tuple[int, ...]] = [()] * M
-    for k in range(M, 0, -1):
-        pos = _slots_from_solitons(solitons, k)
+def _diagram_from_slots(
+    levels: Iterable[tuple[int, Sequence[int], Sequence[Soliton]]], n: int
+) -> SlotDiagram:
+    """Slot diagram of an excursion of half-length n from its
+    :func:`_slot_levels`: each k-soliton counts at the k-slot left of it."""
+    right_record = 2 * n + 1
+    rows = []
+    for k, pos, solitons in levels:
         row = [0] * len(pos)
         for sol in solitons:
-            if sol.k != k:
-                continue
             lo = min(sol.head[0], sol.tail[0])
             hi = max(sol.head[-1], sol.tail[-1])
             j = bisect.bisect_left(pos, lo) - 1
@@ -170,73 +205,63 @@ def diagram_from_excursion(excursion: Excursion) -> SlotDiagram:
                     f"{k}-soliton support not contained between consecutive slots"
                 )
             row[j] += 1
-        rows[k - 1] = tuple(row)
-    return SlotDiagram(tuple(rows))
+        rows.append(tuple(row))
+    return SlotDiagram(tuple(reversed(rows))) if rows else EMPTY_DIAGRAM
+
+
+def diagram_from_excursion(excursion: Excursion) -> SlotDiagram:
+    """Slot diagram encoding an excursion: per size k, the k-solitons
+    appended to each k-slot.
+
+    One Takahashi-Satsuma pass gives the solitons, :func:`_slot_levels`
+    every slot level from them, and a bisection places each soliton, so the
+    cost is the decomposition's plus O(sum_k s_k log s_k).
+    """
+    solitons = soliton_decompose(excursion)
+    if not solitons:
+        return EMPTY_DIAGRAM
+    return _diagram_from_slots(_slot_levels(solitons), excursion.n)
 
 
 # ---------------------------------------------------------------------------
 # building excursions from diagrams
 # ---------------------------------------------------------------------------
 
-class _Builder:
-    """Grows an excursion by soliton insertions, tracking soliton coordinates.
-
-    Tracking avoids re-identifying solitons after every insertion; the
-    excursion <-> diagram round-trip tests pin this against the independent
-    decomposition route.
-    """
-
-    __slots__ = ("bits", "solitons")
-
-    def __init__(self):
-        self.bits: list[int] = []
-        self.solitons: list[list] = []  # [k, head list, tail list]
-
-    def slots(self, k: int) -> list[int]:
-        out = [0]
-        for m, head, tail in self.solitons:
-            if m > k:
-                out.extend(head[k:])
-                out.extend(tail[k:])
-        out.sort()
-        return out
-
-    def insert(self, k: int, u: int) -> None:
-        """Insert one k-soliton right after position u (a k-slot)."""
-        val = self.bits[u - 1] if u >= 1 else 0
-        for _, head, tail in self.solitons:
-            for coords in (head, tail):
-                for i, c in enumerate(coords):
-                    if c > u:
-                        coords[i] = c + 2 * k
-        first = list(range(u + 1, u + k + 1))
-        second = list(range(u + k + 1, u + 2 * k + 1))
-        if val == 0:
-            head, tail = first, second
-        else:
-            tail, head = first, second
-        self.solitons.append([k, head, tail])
-        self.bits[u:u] = [1 - val] * k + [val] * k
-
-
 def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
-    """Inverse of :func:`diagram_from_excursion`.
+    """Inverse of :func:`diagram_from_excursion`: the tree of insertions,
+    walked depth first as it is read off the rows.
 
-    Works top-down from the largest size; within one size, slots are filled
-    from the highest label to the lowest, so previously computed slot
-    positions stay valid.
+    Top-down, the diagram inserts ``x_k(j)`` k-solitons right after the
+    j-th k-slot.  A soliton inserted after a box holding b reads
+    ``(1 - b)^k b^k``, the i-th box of each half having depth i, and a later
+    (smaller) insertion at the same box goes before the earlier ones.  Later
+    insertions never reorder earlier boxes, so the k-slots of the finished
+    excursion, in position order, are the k-slots as they stood at level k.
+    One traversal in position order therefore builds and emits the tree at
+    once: each box of depth d, when reached, takes the next entry of rows
+    1 .. d as the numbers of solitons inserted right after it, smallest size
+    first.  No coordinate is stored or shifted; the cost is O(n + sum_k s_k).
     """
     diagram.validate()
-    builder = _Builder()
-    for k in range(diagram.max_size, 0, -1):
-        row = diagram.rows[k - 1]
-        pos = builder.slots(k)
-        if len(pos) != len(row):
-            raise ValidationError("slot count mismatch while rebuilding")
-        for j in range(len(row) - 1, -1, -1):
-            for _ in range(row[j]):
-                builder.insert(k, pos[j])
-    return Excursion.from_balls(builder.bits)
+    rows = diagram.rows
+    read = [0] * len(rows)  # entries consumed per row
+    # (bit, depth) of the boxes still to emit, next one last; the left record
+    # comes first, as an empty slot of every level
+    pending = [(0, len(rows))]
+    bits: list[int] = []
+    while pending:
+        b, depth = pending.pop()
+        bits.append(b)
+        for k in range(depth, 0, -1):  # pushed largest first, so emitted smallest first
+            j = read[k - 1]
+            read[k - 1] = j + 1
+            count = rows[k - 1][j]
+            if count:
+                half = range(k - 1, -1, -1)
+                pending += ([(b, i) for i in half] + [(1 - b, i) for i in half]) * count
+    if read != [len(row) for row in rows]:
+        raise ValidationError("slot count mismatch while rebuilding")
+    return Excursion.from_balls(bits[1:])
 
 
 def insert_soliton(config: BallConfig, k: int, j: int) -> BallConfig:

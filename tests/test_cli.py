@@ -113,6 +113,41 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "--steps", "-1", "1100"],
+        ["sample", "--anti-palm", "--boxes", "0", "--lambda", "0.25", "--seed", "1"],
+        ["verify", "shift", "--configs", "3", "--max-boxes", "0", "--seed", "1"],
+    ],
+)
+def test_out_of_range_integer_arguments_exit_4(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4, result.output
+    assert "Traceback" not in result.output
+
+
+def test_decompose_runs_one_soliton_decomposition_per_excursion(runner, monkeypatch):
+    import boxball.cli
+    import boxball.core
+    import boxball.slots
+
+    calls = []
+    original = boxball.core.soliton_decompose
+
+    def counted(exc):
+        calls.append(exc)
+        return original(exc)
+
+    monkeypatch.setattr(boxball.cli, "soliton_decompose", counted)
+    monkeypatch.setattr(boxball.slots, "soliton_decompose", counted)
+    excursions = [FIG_EXCURSION, "10", "111000", "1101001100"]
+    result = runner.invoke(main, ["decompose", "0".join(excursions)])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)["slots"]) == len(excursions)
+    assert len(calls) == len(excursions)
+
+
 def test_params_bernoulli(runner):
     result = runner.invoke(
         main, ["params", "--measure", "bernoulli", "--lambda", "0.25", "--format", "json"]

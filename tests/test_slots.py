@@ -181,9 +181,44 @@ def test_bijection_exhaustive_over_diagrams():
     assert seen > 1000
 
 
+def _long_excursion(n, rng):
+    """A random excursion of half-length n: a shuffled bridge rotated to start
+    at its minimum (cycle lemma)."""
+    steps = rng.permutation([1] * n + [-1] * n)
+    start = int(np.argmin(np.cumsum(steps))) + 1
+    return Excursion(tuple(int(s) for s in np.roll(steps, -start)))
+
+
+LONG_EXCURSIONS = [_long_excursion(n, np.random.default_rng(seed))
+                   for n, seed in ((240, 1), (300, 2), (360, 3))]
+
+
+def test_long_excursions_match_naive_oracles():
+    # deep levels: the bijection and the CLI slots against the brute force
+    from click.testing import CliRunner
+
+    from boxball.cli import main
+
+    line = "0".join(e.ball_string() for e in LONG_EXCURSIONS)
+    doc = json.loads(CliRunner().invoke(main, ["decompose", line]).output)
+    assert len(doc["slots"]) == len(LONG_EXCURSIONS)
+    base = 0
+    for exc, slots in zip(LONG_EXCURSIONS, doc["slots"]):
+        assert max(exc.heights()) >= 25
+        balls = list(exc.balls())
+        diagram = diagram_from_excursion(exc)
+        assert diagram.rows == tuple(tuple(r) for r in oracles.naive_diagram(balls))
+        assert excursion_from_diagram(diagram) == exc
+        sols = oracles.naive_solitons(balls)
+        assert sorted(slots, key=int) == [str(k) for k in range(1, diagram.max_size + 1)]
+        for k in range(1, diagram.max_size + 1):
+            assert slots[str(k)] == [base + p for p in oracles.naive_slots(sols, k)]
+        base += 2 * exc.n + 1
+
+
 def test_insertion_order_irrelevant_within_level():
-    # slots of one level commute; the builder fills labels downward, the
-    # public operator is applied here in ascending label order
+    # slots of one level commute: the public operator, applied here in
+    # ascending label order, gives the builder's excursion
     cfg = BallConfig(1, ())
     for k, j, times in ((3, 0, 2), (2, 2, 1), (1, 0, 3), (1, 2, 4), (1, 3, 1), (1, 8, 2), (1, 10, 1)):
         for _ in range(times):
