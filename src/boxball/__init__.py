@@ -7,94 +7,112 @@ exact samplers, record-anchored and stationary line samplers, and chi-square
 verification of the distributional identities.
 """
 
-from .core import (
-    BallConfig,
-    Excursion,
-    Soliton,
-    Walk,
-    balls_from_walk,
-    carrier_trace,
-    catalan_number,
-    config_soliton_counts,
-    enumerate_excursions,
-    evolve,
-    excursions_of,
-    is_record,
-    narayana_number,
-    record_position,
-    record_positions,
-    soliton_counts,
-    soliton_decompose,
-    walk_from_balls,
-)
-from .errors import (
-    BoxBallError,
-    DivergenceError,
-    InsufficientDataError,
-    PreconditionError,
-    ValidationError,
-)
-from .line import (
-    AnchoredConfig,
-    anchor,
-    assemble,
-    bernoulli_excursions,
-    extract_excursions,
-    markov_excursions,
-    sample_anti_palm,
-    sample_bernoulli_palm,
-    sample_markov_palm,
-    sample_palm,
-)
-from .measures import (
-    GeometricLaw,
-    GeometricTail,
-    SeriesResult,
-    SlotFill,
-    SolitonWeights,
-    ball_density,
-    bernoulli_weights,
-    diagram_prob,
-    excursion_prob,
-    expected_slot_counts,
-    explicit_weights,
-    fill_from_weights,
-    in_admissible_set,
-    markov_weights,
-    max_size_distribution,
-    mean_record_gap,
-    mean_soliton_counts,
-    partition_function,
-    partition_level,
-    partition_series,
-    sample_diagram,
-    sample_diagrams,
-    sample_excursion,
-    sample_excursions,
-    shift_weights,
-    weights_from_fill,
-    weights_from_params_json,
-)
-from .slots import (
-    ComponentArray,
-    SlotDiagram,
-    concat_diagrams,
-    decompose,
-    diagram_from_excursion,
-    diagrams_from_components,
-    excursion_from_diagram,
-    insert_soliton,
-    reconstruct,
-    slot_positions,
-)
-from .stats import (
-    GofReport,
-    ShiftReport,
-    block_frequencies,
-    component_shift_check,
-    geometric_gof,
-    independence_test,
-    t_invariance_test,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the names it exports.  They load on first use (PEP 562), so
+# importing the package, or the CLI for a command that draws no random
+# number, does not load numpy.
+_EXPORTS = {
+    "core": (
+        "BallConfig",
+        "Excursion",
+        "Soliton",
+        "Walk",
+        "balls_from_walk",
+        "carrier_trace",
+        "catalan_number",
+        "config_soliton_counts",
+        "enumerate_excursions",
+        "evolve",
+        "excursions_of",
+        "is_record",
+        "narayana_number",
+        "record_position",
+        "record_positions",
+        "soliton_counts",
+        "soliton_decompose",
+        "walk_from_balls",
+    ),
+    "errors": (
+        "BoxBallError",
+        "DivergenceError",
+        "InsufficientDataError",
+        "PreconditionError",
+        "ValidationError",
+    ),
+    "line": (
+        "AnchoredConfig",
+        "anchor",
+        "assemble",
+        "bernoulli_excursions",
+        "extract_excursions",
+        "markov_excursions",
+        "sample_anti_palm",
+        "sample_bernoulli_palm",
+        "sample_markov_palm",
+        "sample_palm",
+    ),
+    "measures": (
+        "GeometricLaw",
+        "GeometricTail",
+        "SeriesResult",
+        "SlotFill",
+        "SolitonWeights",
+        "ball_density",
+        "bernoulli_weights",
+        "diagram_prob",
+        "excursion_prob",
+        "expected_slot_counts",
+        "explicit_weights",
+        "fill_from_weights",
+        "in_admissible_set",
+        "markov_weights",
+        "max_size_distribution",
+        "mean_record_gap",
+        "mean_soliton_counts",
+        "partition_function",
+        "partition_level",
+        "partition_series",
+        "sample_diagram",
+        "sample_diagrams",
+        "sample_excursion",
+        "sample_excursions",
+        "shift_weights",
+        "weights_from_fill",
+        "weights_from_params_json",
+    ),
+    "slots": (
+        "ComponentArray",
+        "SlotDiagram",
+        "concat_diagrams",
+        "decompose",
+        "diagram_from_excursion",
+        "diagrams_from_components",
+        "excursion_from_diagram",
+        "insert_soliton",
+        "reconstruct",
+        "slot_positions",
+    ),
+    "stats": (
+        "GofReport",
+        "ShiftReport",
+        "block_frequencies",
+        "component_shift_check",
+        "geometric_gof",
+        "independence_test",
+        "t_invariance_test",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, as in ``import boxball; boxball.line``
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

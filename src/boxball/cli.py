@@ -4,16 +4,19 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
 input data, 4 precondition violation.  All randomized commands require an
 explicit ``--seed`` and are deterministic given it; ``--jobs`` only changes
 how chunks are executed, never the result.
+
+numpy, and the modules built on it (measures, line, stats), are imported
+inside the commands that sample or test, so ``--version``, evolve,
+decompose, reconstruct and render start without them.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from . import __version__
 from .core import (
@@ -21,6 +24,7 @@ from .core import (
     Excursion,
     carrier_trace,
     catalan_number,
+    config_soliton_counts,
     enumerate_excursions,
     evolve,
     excursions_of,
@@ -28,24 +32,6 @@ from .core import (
     soliton_decompose,
 )
 from .errors import BoxBallError, PreconditionError, ValidationError
-from .line import (
-    assemble,
-    bernoulli_excursions,
-    markov_excursions,
-    sample_anti_palm,
-    sample_excursions,
-)
-from .measures import (
-    SolitonWeights,
-    bernoulli_weights,
-    expected_slot_counts,
-    explicit_weights,
-    fill_from_weights,
-    markov_weights,
-    partition_function,
-    partition_series,
-    weights_from_params_json,
-)
 from .slots import (
     ComponentArray,
     _diagram_from_slots,
@@ -56,12 +42,9 @@ from .slots import (
     excursion_from_diagram,
     reconstruct,
 )
-from .stats import (
-    component_shift_check,
-    geometric_gof,
-    independence_test,
-    t_invariance_test,
-)
+
+if TYPE_CHECKING:
+    from .measures import SolitonWeights
 
 _EXIT_VERIFY = 1
 _EXIT_DATA = 3
@@ -115,6 +98,8 @@ def _excursions_with_bases(cfg: BallConfig):
 
 
 def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> SolitonWeights:
+    from .measures import bernoulli_weights, explicit_weights, markov_weights, weights_from_params_json
+
     if params:
         with click.open_file(params, "rb") as fh:  # json.loads decodes, so bad bytes exit 3
             return weights_from_params_json(fh.read())
@@ -176,11 +161,13 @@ def evolve_cmd(config, path, origin, steps, trace, fmt, out):
         if steps < 0:
             raise PreconditionError("--steps must be >= 0")
         cfg = _read_config(config, path, origin)
-        states = [cfg]
-        traces = []
-        for _ in range(steps):
-            traces.append(carrier_trace(states[-1]))
-            states.append(evolve(states[-1]))
+        if trace:
+            states = [cfg]
+            for _ in range(steps):
+                states.append(evolve(states[-1]))
+            traces = [carrier_trace(state) for state in states[:-1]]
+        else:
+            states, traces = [cfg, evolve(cfg, steps)], []
         if fmt == "json":
             _emit(
                 {
@@ -317,11 +304,12 @@ def render_cmd(config, path, origin, color):
             color = sys.stdout.isatty()
         chars = []
         classes = []
-        for z in range(min(recs[0], 0), recs[-1] + 1):
+        lo = min(recs[0], 0)
+        for z, b in enumerate(cfg.segment(lo, recs[-1] + 1), start=lo):
             k = class_of.get(z)
-            ch = str(cfg.occupied(z))
+            ch = str(b)
             if k is None:
-                chars.append("." if cfg.occupied(z) == 0 else ch)
+                chars.append("." if b == 0 else ch)
                 classes.append(".")
             else:
                 code = _COLORS.get(k, _EXTRA_COLORS[k % len(_EXTRA_COLORS)])
@@ -345,6 +333,8 @@ def render_cmd(config, path, origin, color):
 @click.option("--out", type=click.Path(), default=None)
 def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
     """Partition function, slot parameters, and mean sizes of a measure."""
+    from .measures import expected_slot_counts, fill_from_weights, partition_function
+
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         fill = fill_from_weights(weights, levels)
@@ -380,6 +370,9 @@ def _chunk_sizes(total: int, chunks: int = 16) -> list[int]:
 
 
 def _sampler_for(weights_or_kind, lam, q_matrix):
+    from .line import bernoulli_excursions, markov_excursions
+    from .measures import fill_from_weights, sample_excursions
+
     if weights_or_kind == "bernoulli":
         return lambda size, rng: bernoulli_excursions(lam, size, rng)
     if weights_or_kind == "markov":
@@ -392,6 +385,8 @@ def _sampler_for(weights_or_kind, lam, q_matrix):
 
 def _parallel_excursions(sampler, total: int, seed: int, jobs: int) -> list[Excursion]:
     """Fixed chunking keyed by (seed, chunk index): output independent of jobs."""
+    import numpy as np
+
     sizes = _chunk_sizes(total)
 
     def run(args):
@@ -400,6 +395,8 @@ def _parallel_excursions(sampler, total: int, seed: int, jobs: int) -> list[Excu
         return sampler(size, rng)
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(run, enumerate(sizes)))
     else:
@@ -418,6 +415,10 @@ def _parallel_excursions(sampler, total: int, seed: int, jobs: int) -> list[Excu
 @click.option("--out", type=click.Path(), default=None)
 def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, seed, jobs, fmt, out):
     """Draw a random configuration; prints the ball string and its records."""
+    import numpy as np
+
+    from .line import assemble, sample_anti_palm
+
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         if anti_palm:
@@ -476,6 +477,10 @@ def _verify_exit(doc: dict, passed: bool, out: str | None) -> None:
 @click.option("--out", type=click.Path(), default=None)
 def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, jobs, significance, out):
     """Row k of a record-anchored sample against its geometric law."""
+    from .line import assemble
+    from .measures import fill_from_weights
+    from .stats import geometric_gof
+
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         fill = fill_from_weights(weights)
@@ -505,6 +510,9 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, jobs, 
 @click.option("--out", type=click.Path(), default=None)
 def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, jobs, significance, out):
     """Independence of component entries: same-row lag and cross-row pairs."""
+    from .line import assemble
+    from .stats import independence_test
+
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         sampler = (
@@ -539,6 +547,10 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, jobs, 
 @click.option("--out", type=click.Path(), default=None)
 def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, block_len, max_se, seed, out):
     """Block frequencies before and after evolution on a stationary window."""
+    import numpy as np
+
+    from .stats import t_invariance_test
+
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         report = t_invariance_test(weights, steps, block_len, boxes, np.random.default_rng(seed))
@@ -558,9 +570,13 @@ def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, blo
 @click.option("--out", type=click.Path(), default=None)
 def verify_shift(configs, max_boxes, seed, out):
     """Component rows of random configurations shift but never change under evolution."""
-    try:
-        from .core import config_soliton_counts
+    import numpy as np
 
+    from .stats import component_shift_check
+
+    try:
+        if configs < 0:
+            raise PreconditionError("--configs must be >= 0")
         if max_boxes < 1:
             raise PreconditionError("--max-boxes must be >= 1")
         rng = np.random.default_rng(seed)
@@ -588,6 +604,8 @@ def verify_shift(configs, max_boxes, seed, out):
 def verify_bijections(n_max, out):
     """Exact excursion <-> diagram round trips over all excursions up to n-max."""
     try:
+        if n_max < 0:
+            raise PreconditionError("--n-max must be >= 0")
         total = 0
         failures = 0
         for n in range(n_max + 1):
@@ -616,6 +634,8 @@ def verify_bijections(n_max, out):
 @click.option("--out", type=click.Path(), default=None)
 def verify_partition(measure, lam, q_matrix, alpha, params, n_max, tolerance, out):
     """Series partition sum against the closed-form product."""
+    from .measures import partition_function, partition_series
+
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         series = partition_series(weights, n_max)

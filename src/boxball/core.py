@@ -11,10 +11,13 @@ successor run.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import eq, gt
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -23,6 +26,10 @@ from .errors import PreconditionError, ValidationError
 # ---------------------------------------------------------------------------
 # configurations and walks
 # ---------------------------------------------------------------------------
+
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+
 
 @dataclass(frozen=True)
 class BallConfig:
@@ -35,7 +42,7 @@ class BallConfig:
     bits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValidationError("box contents must be 0 or 1")
 
     @classmethod
@@ -43,10 +50,10 @@ class BallConfig:
         text = text.strip()
         if not set(text) <= {"0", "1"}:
             raise ValidationError(f"ball string must be over 0/1, got {text!r}")
-        return cls(origin, tuple(int(c) for c in text))
+        return cls(origin, tuple(text.encode().translate(_FROM_ASCII)))
 
     def to_string(self) -> str:
-        return "".join(map(str, self.bits))
+        return bytes(self.bits).translate(_TO_ASCII).decode()
 
     @property
     def end(self) -> int:
@@ -57,6 +64,15 @@ class BallConfig:
         if self.origin <= z <= self.end:
             return self.bits[z - self.origin]
         return 0
+
+    def segment(self, lo: int, hi: int) -> tuple[int, ...]:
+        """Contents of boxes ``lo .. hi - 1``, zero outside the window."""
+        size = hi - lo
+        if size <= 0:
+            return ()
+        left = min(max(self.origin - lo, 0), size)
+        inside = self.bits[max(lo - self.origin, 0) : max(hi - self.origin, 0)]
+        return (0,) * left + inside + (0,) * (size - left - len(inside))
 
     def ball_count(self) -> int:
         return sum(self.bits)
@@ -113,8 +129,29 @@ def balls_from_walk(walk: Walk) -> BallConfig:
 
 
 # ---------------------------------------------------------------------------
-# records
+# the carrier: loads, records and the image of one sweep
 # ---------------------------------------------------------------------------
+
+def _loads(bits: bytes) -> list[int]:
+    """Carrier load before the window and after each of its boxes.
+
+    The carrier enters empty, picks up every ball and drops one ball into
+    every empty box it reaches loaded.  Its load is the walk minus its running
+    minimum, so the boxes it reaches empty are the records inside the window
+    (``loads[i] == loads[i + 1]``), the boxes it fills are those where the
+    load drops (``loads[i] > loads[i + 1]``), and ``loads[-1]`` balls are left
+    for the boxes right of the window.
+    """
+    out = [0]
+    load = 0
+    for b in bits:
+        if b:
+            load += 1
+        elif load:
+            load -= 1
+        out.append(load)
+    return out
+
 
 def record_positions(config: BallConfig) -> tuple[int, ...]:
     """All records in ``[origin - 1, R]`` where R is the first record past the window.
@@ -123,49 +160,32 @@ def record_positions(config: BallConfig) -> tuple[int, ...]:
     of the last returned position; the returned range is therefore a complete
     description of the record set.
     """
-    walk = walk_from_balls(config)
-    heights = walk.heights()
-    out = [config.origin - 1]
-    running = heights[0]
-    for i, h in enumerate(heights[1:]):
-        if h < running:
-            out.append(config.origin + i)
-            running = h
-    first_right = config.end + (heights[-1] - running) + 1
-    if first_right > config.end:
-        out.append(first_right)
-    return tuple(out)
+    loads = _loads(bytes(config.bits))
+    inside = compress(
+        range(config.origin, config.end + 1), map(eq, loads, islice(loads, 1, None))
+    )
+    return (config.origin - 1, *inside, config.end + loads[-1] + 1)
 
 
 def record_position(config: BallConfig, i: int) -> int:
     """Position of record ``i``: the first box where the walk reaches ``-i``."""
     recs = record_positions(config)
-    heights = walk_from_balls(config).heights()
-
-    def height_at(z: int) -> int:
-        if z <= config.origin - 1:
-            return heights[0] + (config.origin - 1 - z)
-        if z <= config.end:
-            return heights[z - (config.origin - 1)]
-        return heights[-1] - (z - config.end)
-
-    index_of = {r: -height_at(r) for r in recs}
-    left_i, right_i = index_of[recs[0]], index_of[recs[-1]]
-    if i <= left_i:
-        return recs[0] - (left_i - i)
-    if i >= right_i:
-        return recs[-1] + (i - right_i)
-    for r in recs:
-        if index_of[r] == i:
-            return r
-    raise PreconditionError(f"record {i} not located")
+    # the walk steps down to a new minimum at each record, from height
+    # ``base`` at the first returned one
+    j = i + walk_from_balls(config).base
+    if j < 0:
+        return recs[0] + j
+    return recs[min(j, len(recs) - 1)] + max(j - len(recs) + 1, 0)
 
 
 def is_record(config: BallConfig, z: int) -> bool:
-    recs = record_positions(config)
-    if z < recs[0] or z > recs[-1]:
+    i = z - config.origin
+    if i < 0:
         return True
-    return z in set(recs)
+    loads = _loads(bytes(config.bits[: i + 1]))
+    if i < len(config.bits):
+        return loads[i] == loads[i + 1]
+    return i >= len(config.bits) + loads[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +200,11 @@ def evolve(config: BallConfig, steps: int = 1) -> BallConfig:
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
-    out = config
+    bits = bytes(config.bits)
     for _ in range(steps):
-        recs = record_positions(out)
-        rec_set = set(recs)
-        hi = recs[-1] - 1
-        bits = [
-            0 if z in rec_set else 1 - out.occupied(z)
-            for z in range(out.origin, hi + 1)
-        ]
-        while len(bits) > len(out.bits) and bits and bits[-1] == 0:
-            bits.pop()
-        out = BallConfig(out.origin, tuple(bits))
-    return out
+        loads = _loads(bits)
+        bits = bytes(map(gt, loads, islice(loads, 1, None))) + b"\x01" * loads[-1]
+    return BallConfig(config.origin, tuple(bits))
 
 
 def carrier_trace(config: BallConfig) -> tuple[int, ...]:
@@ -202,15 +214,8 @@ def carrier_trace(config: BallConfig) -> tuple[int, ...]:
     window end, continues until it has deposited everything, so the final
     load is always zero.
     """
-    loads = []
-    load = 0
-    for b in config.bits:
-        load = load + 1 if b else max(load - 1, 0)
-        loads.append(load)
-    while load > 0:
-        load -= 1
-        loads.append(load)
-    return tuple(loads)
+    loads = _loads(bytes(config.bits))
+    return (*islice(loads, 1, None), *range(loads[-1] - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +280,14 @@ def excursions_of(config: BallConfig) -> tuple[int, tuple[Excursion, ...]]:
     whole support, and every excursion outside it is empty.
     """
     recs = record_positions(config)
-    if 0 < recs[0]:
-        recs = tuple(range(0, recs[0])) + recs  # implicit records left of the window
-    elif 0 > recs[-1]:
-        recs = recs + tuple(range(recs[-1] + 1, 1))  # implicit records to the right
-    elif 0 not in set(recs):
+    # every box left of the window, and right of the last returned record, is a record
+    recs = (*range(0, recs[0]), *recs, *range(recs[-1] + 1, 1))
+    i_lo = -bisect.bisect_left(recs, 0)
+    if recs[-i_lo] != 0:
         raise PreconditionError("box 0 must be a record")
-    i_lo = -(sum(1 for r in recs if r < 0))
-    out = []
-    for a, b in zip(recs, recs[1:]):
-        out.append(Excursion.from_balls([config.occupied(z) for z in range(a + 1, b)]))
-    return i_lo, tuple(out)
+    return i_lo, tuple(
+        Excursion.from_balls(config.segment(a + 1, b)) for a, b in zip(recs, recs[1:])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,8 @@ def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
     once: each box of depth d, when reached, takes the next entry of rows
     1 .. d as the numbers of solitons inserted right after it, smallest size
     first.  No coordinate is stored or shifted; the cost is O(n + sum_k s_k).
+    The frozen diagram validated itself when it was built.
     """
-    diagram.validate()
     rows = diagram.rows
     read = [0] * len(rows)  # entries consumed per row
     # (bit, depth) of the boxes still to emit, next one last; the left record

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BallConfig, config_soliton_counts, evolve, record_positions
+from .core import BallConfig, carrier_trace, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError
 from .line import sample_anti_palm
 from .measures import GeometricLaw, SolitonWeights, _as_rng
@@ -222,20 +222,18 @@ def t_invariance_test(
         raise PreconditionError("steps must be >= 1")
     rng = _as_rng(rng)
     config = sample_anti_palm(weights, n_boxes, rng)
-    evolved = config
+    evolved = evolve(config, steps)
     max_soliton = 0
-    for _ in range(steps):
-        evolved = evolve(evolved)
     if steps > 1:
         # one evolution step is exact right of the leftmost record; deeper
-        # iterations can leak boundary effects inward, so trim a margin
-        counts = config_soliton_counts(config)
-        max_soliton = max(counts, default=0)
+        # iterations can leak boundary effects inward, so trim a margin.  The
+        # largest soliton is the highest carrier load.
+        max_soliton = max(carrier_trace(config), default=0)
     margin = steps * max_soliton * 2
     if margin + block_len > n_boxes:
         raise PreconditionError("window too small for the interior margin")
-    before = [config.occupied(z) for z in range(margin, n_boxes)]
-    after = [evolved.occupied(z) for z in range(margin, n_boxes)]
+    before = config.segment(margin, n_boxes)
+    after = evolved.segment(margin, n_boxes)
     obs_a, n_a = block_frequencies(before, block_len)
     obs_b, n_b = block_frequencies(after, block_len)
     patterns = sorted(set(obs_a) | set(obs_b))

@@ -119,6 +119,8 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
         ["evolve", "--steps", "-1", "1100"],
         ["sample", "--anti-palm", "--boxes", "0", "--lambda", "0.25", "--seed", "1"],
         ["verify", "shift", "--configs", "3", "--max-boxes", "0", "--seed", "1"],
+        ["verify", "shift", "--configs", "-1", "--seed", "1"],
+        ["verify", "bijections", "--n-max", "-1"],
     ],
 )
 def test_out_of_range_integer_arguments_exit_4(runner, args):

@@ -43,6 +43,26 @@ configs = st.builds(
 # walks
 # ---------------------------------------------------------------------------
 
+@given(st.text("01", max_size=60), st.integers(-8, 8))
+def test_string_round_trip(text, origin):
+    cfg = BallConfig.from_string(text, origin)
+    assert cfg.to_string() == text
+    assert cfg.bits == tuple(int(c) for c in text)
+
+
+def test_from_string_rejects_other_characters():
+    with pytest.raises(ValidationError):
+        BallConfig.from_string("0120")
+    with pytest.raises(ValidationError):
+        BallConfig(1, (0, 2))
+
+
+@given(configs, st.integers(-12, 50), st.integers(0, 60))
+def test_segment_reads_boxes_with_zero_padding(cfg, lo, size):
+    hi = lo + size
+    assert cfg.segment(lo, hi) == tuple(cfg.occupied(z) for z in range(lo, hi))
+
+
 def test_walk_of_empty_config_descends():
     walk = walk_from_balls(BallConfig(1, (0, 0, 0)))
     assert walk.steps == (-1, -1, -1)
@@ -179,6 +199,11 @@ def test_carrier_trace_small_cases():
 
 
 @given(configs)
+def test_carrier_trace_matches_naive(cfg):
+    assert list(carrier_trace(cfg)) == oracles.naive_carrier(list(cfg.bits))
+
+
+@given(configs)
 def test_carrier_trace_ends_empty(cfg):
     trace = carrier_trace(cfg)
     assert not trace or trace[-1] == 0
@@ -187,6 +212,17 @@ def test_carrier_trace_ends_empty(cfg):
 @given(configs)
 def test_soliton_conservation(cfg):
     assert config_soliton_counts(cfg) == config_soliton_counts(evolve(cfg))
+
+
+def test_largest_soliton_is_highest_walk_height_exhaustive():
+    for n in range(9):
+        for exc in enumerate_excursions(n):
+            assert max(soliton_counts(exc), default=0) == max(exc.heights())
+
+
+@given(configs)
+def test_largest_soliton_is_highest_carrier_load(cfg):
+    assert max(config_soliton_counts(cfg), default=0) == max(carrier_trace(cfg), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +305,22 @@ def test_excursion_validation():
 def test_excursions_of_requires_record_at_origin():
     with pytest.raises(PreconditionError):
         excursions_of(BallConfig(0, (1, 1, 0, 0)))
+
+
+@given(configs)
+def test_excursions_of_cuts_at_naive_records(cfg):
+    recs = oracles.naive_records(list(cfg.bits), cfg.origin)
+    # every box left of the window, and right of the last returned record, is a record
+    recs = [*range(0, recs[0]), *recs, *range(recs[-1] + 1, 1)]
+    if 0 not in recs:
+        with pytest.raises(PreconditionError):
+            excursions_of(cfg)
+        return
+    i_lo, excs = excursions_of(cfg)
+    assert i_lo == -sum(1 for r in recs if r < 0)
+    assert [e.balls() for e in excs] == [
+        tuple(cfg.occupied(z) for z in range(a + 1, b)) for a, b in zip(recs, recs[1:])
+    ]
 
 
 def test_excursions_of_splits_blocks():

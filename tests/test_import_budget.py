@@ -1,20 +1,64 @@
-"""Start-up budget: importing the package and its CLI must not load scipy."""
+"""Start-up budget: the package and its CLI load neither scipy nor numpy, and
+the commands that draw no random number run without numpy installed."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+FIG_EXCURSION = "1110110010110000"
+
+
+def _loaded(prefix: str) -> str:
+    code = (
+        "import sys, boxball, boxball.cli\n"
+        f"print(sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=ENV, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
 
 
 def test_cli_import_loads_no_scipy():
+    assert _loaded("scipy") == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    assert _loaded("numpy") == "[]"
+
+
+def test_names_and_submodules_load_on_first_use():
     code = (
-        "import sys, boxball, boxball.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import boxball\n"
+        "assert boxball.line.assemble is boxball.assemble\n"
+        "assert boxball.BallConfig.__module__ == 'boxball.core'\n"
+        "names = {}\n"
+        "exec('from boxball import *', names)\n"
+        "assert set(boxball.__all__) <= set(names)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-c", code], env=ENV, check=True)
+
+
+def _bbs_without_numpy(*args: str, stdin: str | None = None) -> str:
+    """Run ``bbs ARGS`` where any import of numpy fails."""
+    code = "import sys; sys.modules['numpy'] = None; from boxball.cli import main; main()"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args],
+        env=ENV, input=stdin, capture_output=True, text=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_deterministic_commands_run_without_numpy():
+    assert "version" in _bbs_without_numpy("--version")
+    assert _bbs_without_numpy("evolve", "--trace", "1100").split() == ["1100", "1210", "0011"]
+    doc = _bbs_without_numpy("decompose", FIG_EXCURSION)
+    assert json.loads(doc)["balls"] == FIG_EXCURSION
+    assert _bbs_without_numpy("reconstruct", "-", stdin=doc).split() == ["1", FIG_EXCURSION]
+    assert _bbs_without_numpy("render", "--no-color", "1100").split() == [".1100.", ".2222."]
+    assert json.loads(_bbs_without_numpy("verify", "bijections", "--n-max", "3"))["passed"]
