@@ -24,10 +24,10 @@ from .core import (
     Excursion,
     carrier_trace,
     catalan_number,
-    config_soliton_counts,
     enumerate_excursions,
     evolve,
     excursions_of,
+    map_distinct,
     record_positions,
     soliton_decompose,
 )
@@ -37,9 +37,10 @@ from .slots import (
     _diagram_from_slots,
     _slot_levels,
     concat_diagrams,
-    decompose,
+    decompose,  # unused here; kept for code that reaches it as ``boxball.cli.decompose``
     diagram_from_excursion,
     excursion_from_diagram,
+    palm_components,
     reconstruct,
 )
 
@@ -196,6 +197,14 @@ def evolve_cmd(config, path, origin, steps, trace, fmt, out):
         _fail(exc)
 
 
+def _decomposed(exc: Excursion):
+    """``(solitons, slot levels, diagram)`` of an excursion, from one
+    Takahashi-Satsuma pass."""
+    solitons = soliton_decompose(exc)
+    levels = list(_slot_levels(solitons))
+    return solitons, levels, _diagram_from_slots(levels, exc.n)
+
+
 @main.command("decompose")
 @click.argument("config", required=False)
 @click.option("--in", "path", type=click.Path(exists=True), default=None)
@@ -210,11 +219,10 @@ def decompose_cmd(config, path, origin, fmt, out):
         diagrams = []
         solitons = []
         slots = []
-        for exc, base in zip(excs, bases):
-            # one Takahashi-Satsuma pass feeds the solitons, slots and diagram
-            excursion_solitons = soliton_decompose(exc)
-            levels = list(_slot_levels(excursion_solitons))
-            diagrams.append(_diagram_from_slots(levels, exc.n))
+        for (excursion_solitons, levels, diagram), base in zip(
+            map_distinct(_decomposed, excs), bases
+        ):
+            diagrams.append(diagram)
             for sol in excursion_solitons:
                 solitons.append(
                     {
@@ -296,8 +304,8 @@ def render_cmd(config, path, origin, color):
         cfg = _read_config(config, path, origin)
         recs, _, excs, bases = _excursions_with_bases(cfg)
         class_of: dict[int, int] = {}
-        for exc, base in zip(excs, bases):
-            for sol in soliton_decompose(exc):
+        for solitons, base in zip(map_distinct(soliton_decompose, excs), bases):
+            for sol in solitons:
                 for box in sol.support():
                     class_of[base + box] = sol.k
         if color is None:
@@ -369,18 +377,22 @@ def _chunk_sizes(total: int, chunks: int = 16) -> list[int]:
     return [c for c in out if c]
 
 
-def _sampler_for(weights_or_kind, lam, q_matrix):
+def _palm_excursions(measure, lam, q_matrix, params, weights, total, seed, jobs) -> list[Excursion]:
+    """``total`` i.i.d. excursions of the measure: the walk samplers for the
+    bernoulli and markov flags, the diagram sampler for explicit weights and
+    parameter files."""
     from .line import bernoulli_excursions, markov_excursions
     from .measures import fill_from_weights, sample_excursions
 
-    if weights_or_kind == "bernoulli":
-        return lambda size, rng: bernoulli_excursions(lam, size, rng)
-    if weights_or_kind == "markov":
+    if params or measure == "explicit":
+        fill = fill_from_weights(weights)
+        sampler = lambda size, rng: sample_excursions(weights, size, rng, fill)
+    elif measure == "bernoulli":
+        sampler = lambda size, rng: bernoulli_excursions(lam, size, rng)
+    else:
         q = json.loads(q_matrix)
-        return lambda size, rng: markov_excursions(q, size, rng)
-    weights = weights_or_kind
-    fill = fill_from_weights(weights)
-    return lambda size, rng: sample_excursions(weights, size, rng, fill)
+        sampler = lambda size, rng: markov_excursions(q, size, rng)
+    return _parallel_excursions(sampler, total, seed, jobs)
 
 
 def _parallel_excursions(sampler, total: int, seed: int, jobs: int) -> list[Excursion]:
@@ -426,11 +438,7 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, see
             cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, rng)
             anchored = None
         else:
-            if params or measure == "explicit":
-                sampler = _sampler_for(weights, None, None)
-            else:
-                sampler = _sampler_for(measure, lam, q_matrix)
-            excs = _parallel_excursions(sampler, num, seed, jobs)
+            excs = _palm_excursions(measure, lam, q_matrix, params, weights, num, seed, jobs)
             anchored = assemble(excs, 0)
             cfg = anchored.config
         if fmt == "json":
@@ -477,20 +485,15 @@ def _verify_exit(doc: dict, passed: bool, out: str | None) -> None:
 @click.option("--out", type=click.Path(), default=None)
 def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, jobs, significance, out):
     """Row k of a record-anchored sample against its geometric law."""
-    from .line import assemble
     from .measures import fill_from_weights
     from .stats import geometric_gof
 
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         fill = fill_from_weights(weights)
-        sampler = (
-            _sampler_for(measure, lam, q_matrix)
-            if measure in ("bernoulli", "markov") and not params
-            else _sampler_for(weights, None, None)
+        components = palm_components(
+            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed, jobs)
         )
-        excs = _parallel_excursions(sampler, num, seed, jobs)
-        components = decompose(assemble(excs, 0).config)
         report = geometric_gof(components, k, 1 - fill.at(k))
         _verify_exit(
             {"check": "geometric", "level": k, "report": report.to_json_dict()},
@@ -510,18 +513,13 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, jobs, 
 @click.option("--out", type=click.Path(), default=None)
 def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, jobs, significance, out):
     """Independence of component entries: same-row lag and cross-row pairs."""
-    from .line import assemble
     from .stats import independence_test
 
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-        sampler = (
-            _sampler_for(measure, lam, q_matrix)
-            if measure in ("bernoulli", "markov") and not params
-            else _sampler_for(weights, None, None)
+        components = palm_components(
+            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed, jobs)
         )
-        excs = _parallel_excursions(sampler, num, seed, jobs)
-        components = decompose(assemble(excs, 0).config)
         pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]
         reports = independence_test(components, pairs)
         passed = all(r.p_value > significance for r in reports.values())
@@ -586,8 +584,7 @@ def verify_shift(configs, max_boxes, seed, out):
             density = rng.uniform(0.05, 0.45)
             cfg = BallConfig(1, tuple(int(v) for v in (rng.random(length) < density)))
             report = component_shift_check(cfg)
-            conserved = config_soliton_counts(cfg) == config_soliton_counts(evolve(cfg))
-            if not (report.ok and conserved):
+            if not (report.ok and report.counts_conserved):
                 failures += 1
         _verify_exit(
             {"check": "shift", "configs": configs, "failures": failures},

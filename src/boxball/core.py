@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import eq, gt
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError, ValidationError
 
@@ -290,6 +290,28 @@ def excursions_of(config: BallConfig) -> tuple[int, tuple[Excursion, ...]]:
     )
 
 
+_T = TypeVar("_T")
+_MISSING = object()
+
+
+def map_distinct(fn: Callable[[Excursion], _T], excursions: Iterable[Excursion]) -> list[_T]:
+    """``[fn(e) for e in excursions]``, with ``fn`` called once per distinct
+    step sequence and its result shared by the repeats.
+
+    Palm samples repeat most excursions (the empty one above all), so this
+    is how the batch soliton calculus decomposes each shape once.  ``fn``
+    must be a pure function of the steps; the memo lives for this call only.
+    """
+    done: dict[tuple[int, ...], _T] = {}
+    out = []
+    for exc in excursions:
+        result = done.get(exc.steps, _MISSING)
+        if result is _MISSING:
+            result = done[exc.steps] = fn(exc)
+        out.append(result)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Takahashi-Satsuma soliton identification
 # ---------------------------------------------------------------------------
@@ -441,8 +463,8 @@ def config_soliton_counts(config: BallConfig) -> dict[int, int]:
     base = config if is_record(config, 0) else config.shifted(-record_positions(config)[0])
     _, excs = excursions_of(base)
     counts: dict[int, int] = {}
-    for exc in excs:
-        for k, c in soliton_counts(exc).items():
+    for exc_counts in map_distinct(soliton_counts, excs):
+        for k, c in exc_counts.items():
             counts[k] = counts.get(k, 0) + c
     return counts
 

@@ -21,6 +21,7 @@ from .measures import (
     SlotFill,
     SolitonWeights,
     _as_rng,
+    _transition_matrix,
     fill_from_weights,
     mean_record_gap,
     sample_excursions,
@@ -151,9 +152,7 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
     Each excursion runs the chain from the empty record state until the walk
     first goes below its start, dropping that final record step.
     """
-    q = [[float(v) for v in row] for row in q_matrix]
-    if not q[0][1] < q[1][0]:
-        raise PreconditionError("need Q(0,1) < Q(1,0) for density below 1/2")
+    q = _transition_matrix(q_matrix)
     rng = _as_rng(rng)
     up_from = (q[0][1], q[1][1])
     out: list[Excursion] = []

@@ -131,13 +131,9 @@ def bernoulli_weights(lam: float) -> SolitonWeights:
     )
 
 
-def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
-    """Weights of the excursion law of a stationary two-state chain.
-
-    For transition matrix Q with Q(0,1) < Q(1,0) (ball density below 1/2):
-    ``alpha_k = a b^k`` with ``a = Q(0,1)Q(1,0) / (Q(1,1)Q(0,0))`` and
-    ``b = Q(1,1)Q(0,0)``; the partition function is 1 / Q(0,0).
-    """
+def _transition_matrix(q_matrix: Sequence[Sequence[float]]) -> list[list[float]]:
+    """A two-state transition matrix Q as floats, checked: 2x2, entries
+    >= 0, rows summing to 1, and Q(0,1) < Q(1,0) (ball density below 1/2)."""
     q = [[float(v) for v in row] for row in q_matrix]
     if len(q) != 2 or any(len(row) != 2 for row in q):
         raise ValidationError("transition matrix must be 2x2")
@@ -145,10 +141,19 @@ def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
         raise ValidationError("transition probabilities must be >= 0")
     if abs(sum(q[0]) - 1) > 1e-12 or abs(sum(q[1]) - 1) > 1e-12:
         raise ValidationError("rows must sum to 1")
-    q00, q01 = q[0]
-    q10, q11 = q[1]
-    if not q01 < q10:
+    if not q[0][1] < q[1][0]:
         raise PreconditionError("need Q(0,1) < Q(1,0) for density below 1/2")
+    return q
+
+
+def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
+    """Weights of the excursion law of a stationary two-state chain.
+
+    For transition matrix Q with Q(0,1) < Q(1,0) (ball density below 1/2):
+    ``alpha_k = a b^k`` with ``a = Q(0,1)Q(1,0) / (Q(1,1)Q(0,0))`` and
+    ``b = Q(1,1)Q(0,0)``; the partition function is 1 / Q(0,0).
+    """
+    (q00, q01), (q10, q11) = _transition_matrix(q_matrix)
     if q11 == 0.0:
         # no two consecutive balls: only 1-solitons, alpha_1 = lim a b
         return SolitonWeights((q01 * q10,))

@@ -14,6 +14,13 @@ top of the decomposition).  Diagram -> excursion walks the tree of
 insertions (slot box -> solitons inserted right after it) depth first,
 reading each box's insertions off the rows as the walk reaches it, and emits
 the bits in that one traversal (O(n + sum_k s_k)).
+
+A configuration, and a Palm sample above all, repeats most of its
+excursions, so :func:`decompose` and :func:`palm_components` compute one
+diagram per distinct excursion (``core.map_distinct``) and concatenate the
+rows in one pass.  :func:`palm_components` reads the component array of an
+i.i.d. excursion sample straight off the excursions, without assembling
+them into a configuration first.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .core import (
     Excursion,
     Soliton,
     excursions_of,
+    map_distinct,
     soliton_decompose,
 )
 from .errors import PreconditionError, ValidationError
@@ -307,7 +315,7 @@ class ComponentArray:
             if k < 1 or k in seen:
                 raise ValidationError("rows must have distinct sizes k >= 1")
             seen.add(k)
-            if any(v < 0 for v in values):
+            if values and min(values) < 0:
                 raise ValidationError("component counts must be >= 0")
         object.__setattr__(self, "rows", tuple(sorted(self.rows)))
 
@@ -375,25 +383,31 @@ def concat_diagrams(
     Diagram ``i_lo + t`` occupies, on row k, the ``s_k`` labels starting at
     the cumulative slot count of its predecessors; diagram 0 starts at label
     0.  Empty diagrams, including those implicit outside the window, consume
-    one label per row.
+    one label per row.  One pass over the diagrams' rows: a row k only
+    catches up with the zeros of the diagrams below size k when the next
+    diagram of size k or more reaches it.
     """
     K = max((d.max_size for d in diagrams), default=0)
-    i_hi = i_lo + len(diagrams) - 1
+    values: list[list[int]] = [[] for _ in range(K)]
+    laid = [0] * K  # diagrams laid out on each row so far
+    for t, d in enumerate(diagrams):
+        for k, row in enumerate(d.rows):
+            if laid[k] < t:
+                values[k] += [0] * (t - laid[k])
+            values[k] += row
+            laid[k] = t + 1
+    # labels left of label 0 on each row: the diagrams of negative index
+    # (past the window: the implicit empties between it and index 0)
+    negative = min(max(-i_lo, 0), len(diagrams))
+    left = [negative + max(0, -(i_lo + len(diagrams)))] * K
+    for d in diagrams[:negative]:
+        for k, row in enumerate(d.rows):
+            left[k] += len(row) - 1
     rows = []
-    for k in range(1, K + 1):
-        if i_lo <= 0:
-            in_window = diagrams[: min(-i_lo, len(diagrams))]
-            gap = max(0, -(i_hi + 1))  # implicit empties between the window and 0
-            offset = -(sum(d.slot_count(k) for d in in_window) + gap)
-        else:
-            offset = i_lo  # implicit empties at indices 0 .. i_lo - 1
-        values: list[int] = []
-        for d in diagrams:
-            if k <= d.max_size:
-                values.extend(d.rows[k - 1])
-            else:
-                values.append(0)
-        rows.append((k, offset, tuple(values)))
+    for k in range(K):
+        values[k] += [0] * (len(diagrams) - laid[k])
+        offset = -left[k] if i_lo <= 0 else i_lo  # implicit empties at 0 .. i_lo - 1
+        rows.append((k + 1, offset, tuple(values[k])))
     return ComponentArray(tuple(rows))
 
 
@@ -488,17 +502,67 @@ def diagrams_from_components(
 def decompose(config: BallConfig) -> ComponentArray:
     """Component array of a configuration with a record at box 0.
 
-    Computed exactly as defined: per-excursion slot diagrams, concatenated.
+    Computed exactly as defined: per-excursion slot diagrams, concatenated,
+    with one diagram per distinct excursion.
     """
     i_lo, excs = excursions_of(config)
-    return concat_diagrams([diagram_from_excursion(e) for e in excs], i_lo)
+    return concat_diagrams(map_distinct(diagram_from_excursion, excs), i_lo)
+
+
+def palm_components(excursions: Sequence[Excursion]) -> ComponentArray:
+    """Component array of the excursions laid end to end from record 0.
+
+    Equal to ``decompose(assemble(excursions, 0).config)``, window included
+    (an empty diagram at index -1 and one after the last excursion), but
+    read straight off the excursions, one diagram per distinct one, without
+    building the configuration and cutting it up again.
+    """
+    if not excursions:
+        raise PreconditionError("the excursion window must contain index 0")
+    diagrams = map_distinct(diagram_from_excursion, excursions)
+    return concat_diagrams([EMPTY_DIAGRAM, *diagrams, EMPTY_DIAGRAM], -1)
+
+
+# the most boxes plus diagram entries :func:`reconstruct` lays out; a
+# component array of a few bytes can ask for billions of either
+RECONSTRUCT_BUDGET = 1 << 22
+
+
+def _rebuild_size(components: ComponentArray) -> int:
+    """Boxes plus diagram entries that rebuilding an array lays out, at most.
+
+    The configuration has 2k boxes per k-soliton, one record box per diagram
+    and a closing record.  Every diagram consumes at least one label of every
+    row, so the diagrams number at most the labels from the leftmost to the
+    rightmost nonzero entry, counted on each side of label 0.  A diagram of
+    largest size M spells out rows 1 .. M, at least one entry each, and each
+    of its l-solitons adds 2(l - k) entries to every row k < l: l(l - 1) in all.
+    """
+    boxes = 1
+    entries = right = left = top = 0
+    for k, off, values in components.trimmed().rows:
+        count = sum(values)
+        boxes += 2 * k * count
+        entries += k * (k - 1) * count
+        right = max(right, off + len(values))
+        left = max(left, -off)
+        top = max(top, k)
+    diagrams = right + left
+    return boxes + diagrams + entries + top * diagrams
 
 
 def reconstruct(components: ComponentArray) -> BallConfig:
     """Configuration with record 0 at the origin whose decomposition is given.
 
     Inverse of :func:`decompose` up to zero padding of the array window.
+    Arrays whose rebuild could lay out more than :data:`RECONSTRUCT_BUDGET`
+    boxes and diagram entries are refused before anything is built.
     """
+    if _rebuild_size(components) > RECONSTRUCT_BUDGET:
+        raise PreconditionError(
+            f"the component array asks for more than {RECONSTRUCT_BUDGET} boxes "
+            "and diagram entries"
+        )
     i_lo, diagrams = diagrams_from_components(components)
     excs = [excursion_from_diagram(d) for d in diagrams]
     start = -sum(2 * e.n + 1 for e in excs[: -i_lo])

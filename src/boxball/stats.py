@@ -266,10 +266,12 @@ def t_invariance_test(
 
 @dataclass(frozen=True)
 class ShiftReport:
-    """Whether each trimmed component row is conserved, and its label offset."""
+    """Whether each trimmed component row is conserved, and its label offset;
+    ``counts_conserved``: whether the soliton count of every size is."""
 
     ok: bool
     offsets: dict[int, int | None] = field(default_factory=dict)
+    counts_conserved: bool = True
 
 
 def component_shift_check(config: BallConfig) -> ShiftReport:
@@ -277,7 +279,8 @@ def component_shift_check(config: BallConfig) -> ShiftReport:
 
     Decomposes the configuration and its image, anchoring the image at its
     nearest record at or left of the origin, and compares the rows with
-    zero padding stripped.
+    zero padding stripped.  The row sums of the two arrays are the soliton
+    counts of the configuration and of its image.
     """
     before = decompose(config)
     image = evolve(config)
@@ -297,4 +300,10 @@ def component_shift_check(config: BallConfig) -> ShiftReport:
             offsets[k] = None
         else:
             offsets[k] = t_after[0] - t_before[0]
-    return ShiftReport(ok, offsets)
+    counts_conserved = _row_sums(before) == _row_sums(after)
+    return ShiftReport(ok, offsets, counts_conserved)
+
+
+def _row_sums(components: ComponentArray) -> dict[int, int]:
+    """Number of k-solitons per size k, as ``config_soliton_counts`` gives it."""
+    return {k: sum(values) for k, _, values in components.rows if any(values)}

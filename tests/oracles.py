@@ -169,3 +169,26 @@ def brute_excursion_probs(alpha, n_max):
                 w *= a**c
             weights[path] = w
     return weights
+
+
+def naive_components(rows_of, i_lo):
+    """Nonzero entries ``{(k, label): value}`` of the component array of
+    diagrams ``rows_of[t]`` (row lists, as from :func:`naive_diagram`) at
+    indices ``i_lo + t``: laid out label by label from an explicit list of
+    every diagram between the window and index 0, diagram 0 at label 0."""
+    lo, hi = min(i_lo, 0), max(i_lo + len(rows_of), 1)
+    by_index = {i_lo + t: rows for t, rows in enumerate(rows_of)}
+    top = max((len(rows) for rows in rows_of), default=0)
+    out = {}
+    for k in range(1, top + 1):
+        layout = []  # (index, that diagram's row k)
+        for i in range(lo, hi):
+            rows = by_index.get(i, [])
+            layout.append((i, rows[k - 1] if k <= len(rows) else [0]))
+        label = -sum(len(row) for i, row in layout if i < 0)
+        for _, row in layout:
+            for v in row:
+                if v:
+                    out[(k, label)] = v
+                label += 1
+    return out

@@ -148,6 +148,52 @@ def test_decompose_runs_one_soliton_decomposition_per_excursion(runner, monkeypa
     assert result.exit_code == 0, result.output
     assert len(json.loads(result.output)["slots"]) == len(excursions)
     assert len(calls) == len(excursions)
+    # repeated excursions, the empty one included, are decomposed once each
+    line = "0".join(["10", FIG_EXCURSION, "", "10", "111000", "", FIG_EXCURSION, "10"])
+    for args in (["decompose", line], ["render", "--no-color", line]):
+        calls.clear()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == len({e.steps for e in calls}) == 4
+
+
+def test_verify_geometric_decomposes_each_distinct_excursion_once(runner, monkeypatch):
+    import boxball.slots
+
+    calls = []
+    original = boxball.slots.soliton_decompose
+
+    def counted(exc):
+        calls.append(exc.steps)
+        return original(exc)
+
+    monkeypatch.setattr(boxball.slots, "soliton_decompose", counted)
+    args = ["verify", "geometric", "--measure", "bernoulli", "--lambda", "0.25",
+            "--excursions", "16000", "--seed", "7"]
+    outputs = []
+    for _ in range(2):  # nothing is remembered from one call to the next
+        calls.clear()
+        outputs.append(runner.invoke(main, args).output)
+        assert len(calls) == len(set(calls)) == 232
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ('{"1": {"offset": 0, "values": [100000000]}}', 4),
+        ('{"1": {"offset": 10000000, "values": [1]}}', 4),
+        ('{"1": {"offset": -10000000, "values": [1]}}', 4),
+        ('{"3000": {"offset": 0, "values": [1]}}', 4),
+        ('{"1": {"offset": 0, "values": [0, -1]}}', 3),
+        ('{"1": {"offset": 0, "values": []}}', 0),
+        ('{"1": {"offset": 1000, "values": [1]}}', 0),
+    ],
+)
+def test_reconstruct_refuses_arrays_over_its_budget(runner, doc, code):
+    result = runner.invoke(main, ["reconstruct", "-"], input=doc)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
 
 
 def test_params_bernoulli(runner):

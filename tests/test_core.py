@@ -21,6 +21,7 @@ from boxball import (
     soliton_decompose,
     walk_from_balls,
 )
+from boxball.core import map_distinct
 
 import oracles
 
@@ -228,6 +229,19 @@ def test_largest_soliton_is_highest_carrier_load(cfg):
 # ---------------------------------------------------------------------------
 # soliton identification
 # ---------------------------------------------------------------------------
+
+@given(st.lists(st.sampled_from(["", "10", "1100", "1010", FIG_EXCURSION]), max_size=12))
+def test_map_distinct_calls_once_per_distinct_excursion(texts):
+    excs = [Excursion.from_string(t) for t in texts]
+    calls = []
+
+    def counted(exc):
+        calls.append(exc.steps)
+        return soliton_counts(exc)
+
+    assert map_distinct(counted, excs) == [soliton_counts(e) for e in excs]
+    assert sorted(calls) == sorted({e.steps for e in excs})
+
 
 def test_empty_excursion_has_no_solitons():
     assert soliton_decompose(Excursion()) == ()

@@ -9,6 +9,7 @@ from boxball import (
     BallConfig,
     Excursion,
     PreconditionError,
+    ValidationError,
     anchor,
     assemble,
     bernoulli_excursions,
@@ -141,6 +142,20 @@ def test_markov_excursion_frequencies_match_weights():
     for steps, observed in counts.most_common(8):
         expected = draws * excursion_prob(weights, Excursion(steps))
         assert abs(observed - expected) <= 4.5 * math.sqrt(expected), steps
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        [[0.5, 0.6], [0.7, 0.2]],  # rows do not sum to 1
+        [[0.5, 0.5]],  # 1x2
+        [[1.2, -0.2], [0.6, 0.4]],  # a negative entry
+    ],
+)
+def test_markov_excursions_validate_q_like_markov_weights(q):
+    for check in (lambda: markov_weights(q), lambda: markov_excursions(q, 5, np.random.default_rng(0))):
+        with pytest.raises(ValidationError):
+            check()
 
 
 def test_markov_rows_equal_reduces_to_bernoulli():

@@ -23,6 +23,8 @@ from boxball import (
     reconstruct,
     slot_positions,
 )
+from boxball.line import assemble
+from boxball.slots import palm_components
 
 import oracles
 
@@ -296,6 +298,18 @@ def test_concat_recovery_round_trip_random():
         assert concat_diagrams(got, got_lo).same_as(arr)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(-9, 3))
+def test_concat_matches_label_by_label_layout(seed, count, i_lo):
+    # windows left of index 0 with a gap, through 0, and right of 0
+    rng = np.random.default_rng(seed)
+    diagrams = [random_diagram(rng, max_size=4) for _ in range(count)]
+    arr = concat_diagrams(diagrams, i_lo)
+    entries = {
+        (k, off + j): v for k, off, values in arr.rows for j, v in enumerate(values) if v
+    }
+    assert entries == oracles.naive_components([list(d.rows) for d in diagrams], i_lo)
+
+
 def test_recovery_reflection_on_palindromic_arrays():
     rng = np.random.default_rng(17)
     for _ in range(100):
@@ -351,6 +365,25 @@ def test_decompose_reconstruct_round_trip_random():
         back = reconstruct(arr)
         assert back.trimmed() == cfg.trimmed()
         assert decompose(back).same_as(arr)
+
+
+palm_excursions = st.lists(
+    st.sampled_from(["", "10", "1100", "1010", "110100", FIG_EXCURSION, WORKED_EXCURSION]),
+    min_size=1,
+    max_size=12,
+).map(lambda texts: [Excursion.from_string(t) for t in texts])
+
+
+@given(palm_excursions)
+def test_palm_components_equal_decomposed_assembly(excs):
+    assert palm_components(excs) == decompose(assemble(excs, 0).config)
+
+
+def test_palm_components_of_no_excursion_is_refused_like_assemble():
+    with pytest.raises(PreconditionError):
+        assemble([], 0)
+    with pytest.raises(PreconditionError):
+        palm_components([])
 
 
 def test_multi_excursion_concatenation_matches_definition():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from boxball import (
     BallConfig,
@@ -230,6 +232,13 @@ def test_shift_random_sweep():
         report = component_shift_check(cfg)
         assert report.ok, cfg.to_string()
         assert config_soliton_counts(cfg) == config_soliton_counts(evolve(cfg))
+
+
+@given(st.lists(st.integers(0, 1), max_size=60).map(tuple))
+def test_shift_counts_conserved_is_config_soliton_counts_conservation(bits):
+    cfg = BallConfig(1, bits)
+    expected = config_soliton_counts(cfg) == config_soliton_counts(evolve(cfg))
+    assert component_shift_check(cfg).counts_conserved == expected
 
 
 def test_shift_check_is_deterministic():
