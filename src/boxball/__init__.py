@@ -16,10 +16,12 @@ __version__ = "0.1.0"
 # number, does not load numpy.
 _EXPORTS = {
     "core": (
+        "AnchoredConfig",
         "BallConfig",
         "Excursion",
         "Soliton",
         "Walk",
+        "assemble",
         "balls_from_walk",
         "carrier_trace",
         "catalan_number",
@@ -43,15 +45,9 @@ _EXPORTS = {
         "ValidationError",
     ),
     "line": (
-        "AnchoredConfig",
-        "anchor",
-        "assemble",
         "bernoulli_excursions",
-        "extract_excursions",
         "markov_excursions",
         "sample_anti_palm",
-        "sample_bernoulli_palm",
-        "sample_markov_palm",
         "sample_palm",
     ),
     "measures": (
@@ -75,9 +71,7 @@ _EXPORTS = {
         "partition_function",
         "partition_level",
         "partition_series",
-        "sample_diagram",
         "sample_diagrams",
-        "sample_excursion",
         "sample_excursions",
         "shift_weights",
         "weights_from_fill",

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
 input data, 4 precondition violation.  All randomized commands require an
-explicit ``--seed`` and are deterministic given it; ``--jobs`` only changes
-how chunks are executed, never the result.
+explicit ``--seed`` and are deterministic given it.
 
 numpy, and the modules built on it (measures, line, stats), are imported
 inside the commands that sample or test, so ``--version``, evolve,
@@ -22,6 +21,7 @@ from . import __version__
 from .core import (
     BallConfig,
     Excursion,
+    assemble,
     carrier_trace,
     catalan_number,
     enumerate_excursions,
@@ -265,7 +265,7 @@ def reconstruct_cmd(source, path, fmt, out):
     """Rebuild the ball string from a decompose JSON document (or stdin)."""
     try:
         if path is not None:
-            with click.open_file(path) as fh:
+            with click.open_file(path, "rb") as fh:  # json.loads decodes, so bad bytes exit 3
                 text = fh.read()
         elif source in (None, "-"):
             text = sys.stdin.read()
@@ -273,10 +273,10 @@ def reconstruct_cmd(source, path, fmt, out):
             text = source
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError is a ValueError
             raise ValidationError(f"bad JSON input: {exc}") from exc
         payload = doc.get("components", doc) if isinstance(doc, dict) else doc
-        components = ComponentArray.from_json(json.dumps(payload))
+        components = ComponentArray.from_doc(payload)
         full = reconstruct(components)
         # strip the boundary record boxes so decompose | reconstruct is the
         # identity on the ball string
@@ -369,18 +369,13 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
         _fail(exc)
 
 
-def _chunk_sizes(total: int, chunks: int = 16) -> list[int]:
-    base = total // chunks
-    out = [base] * chunks
-    for i in range(total - base * chunks):
-        out[i] += 1
-    return [c for c in out if c]
-
-
-def _palm_excursions(measure, lam, q_matrix, params, weights, total, seed, jobs) -> list[Excursion]:
+def _palm_excursions(measure, lam, q_matrix, params, weights, total, seed) -> list[Excursion]:
     """``total`` i.i.d. excursions of the measure: the walk samplers for the
     bernoulli and markov flags, the diagram sampler for explicit weights and
-    parameter files."""
+    parameter files.  They are drawn in 16 fixed chunks, chunk i from the
+    stream ``SeedSequence(seed, spawn_key=(i,))``."""
+    import numpy as np
+
     from .line import bernoulli_excursions, markov_excursions
     from .measures import fill_from_weights, sample_excursions
 
@@ -392,28 +387,14 @@ def _palm_excursions(measure, lam, q_matrix, params, weights, total, seed, jobs)
     else:
         q = json.loads(q_matrix)
         sampler = lambda size, rng: markov_excursions(q, size, rng)
-    return _parallel_excursions(sampler, total, seed, jobs)
-
-
-def _parallel_excursions(sampler, total: int, seed: int, jobs: int) -> list[Excursion]:
-    """Fixed chunking keyed by (seed, chunk index): output independent of jobs."""
-    import numpy as np
-
-    sizes = _chunk_sizes(total)
-
-    def run(args):
-        idx, size = args
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        return sampler(size, rng)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run, enumerate(sizes)))
-    else:
-        parts = [run(x) for x in enumerate(sizes)]
-    return [e for part in parts for e in part]
+    chunks = 16
+    out: list[Excursion] = []
+    for idx in range(chunks):
+        size = total // chunks + (idx < total % chunks)
+        if size:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+            out += sampler(size, rng)
+    return out
 
 
 @main.command("sample")
@@ -422,14 +403,13 @@ def _parallel_excursions(sampler, total: int, seed: int, jobs: int) -> list[Excu
 @click.option("--anti-palm", is_flag=True, help="stationary window instead of record-anchored")
 @click.option("--boxes", type=int, default=None, help="window size for --anti-palm")
 @click.option("--seed", type=int, required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=click.Path(), default=None)
-def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, seed, jobs, fmt, out):
+def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, seed, fmt, out):
     """Draw a random configuration; prints the ball string and its records."""
     import numpy as np
 
-    from .line import assemble, sample_anti_palm
+    from .line import sample_anti_palm
 
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
@@ -438,7 +418,7 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, see
             cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, rng)
             anchored = None
         else:
-            excs = _palm_excursions(measure, lam, q_matrix, params, weights, num, seed, jobs)
+            excs = _palm_excursions(measure, lam, q_matrix, params, weights, num, seed)
             anchored = assemble(excs, 0)
             cfg = anchored.config
         if fmt == "json":
@@ -480,10 +460,9 @@ def _verify_exit(doc: dict, passed: bool, out: str | None) -> None:
 @click.option("--excursions", "num", type=int, default=100_000, show_default=True)
 @click.option("--level", "k", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--significance", type=float, default=1e-3, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, jobs, significance, out):
+def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, significance, out):
     """Row k of a record-anchored sample against its geometric law."""
     from .measures import fill_from_weights
     from .stats import geometric_gof
@@ -492,7 +471,7 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, jobs, 
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         fill = fill_from_weights(weights)
         components = palm_components(
-            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed, jobs)
+            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed)
         )
         report = geometric_gof(components, k, 1 - fill.at(k))
         _verify_exit(
@@ -508,17 +487,16 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, jobs, 
 @_measure_options
 @click.option("--excursions", "num", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--significance", type=float, default=1e-3, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, jobs, significance, out):
+def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, significance, out):
     """Independence of component entries: same-row lag and cross-row pairs."""
     from .stats import independence_test
 
     try:
         weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
         components = palm_components(
-            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed, jobs)
+            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed)
         )
         pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]
         reports = independence_test(components, pairs)

@@ -3,7 +3,8 @@
 A configuration is a 0/1 occupancy of the integer lattice with finite support,
 stored as a window of bits plus implicit zero padding.  The associated walk
 steps up at occupied boxes and down at empty ones; its strict running minima
-are the records, which split the configuration into finite excursions.  The
+are the records, which split the configuration into finite excursions, and
+:func:`assemble` lays excursions out between records again.  The
 Takahashi-Satsuma algorithm identifies the conserved solitons of an excursion
 by repeatedly pairing the leftmost smallest run with the start of its
 successor run.
@@ -264,10 +265,6 @@ class Excursion:
             out.append(out[-1] + s)
         return tuple(out)
 
-    def to_config(self, origin: int = 1) -> BallConfig:
-        """Ball configuration occupying boxes ``origin .. origin + 2n - 1``."""
-        return BallConfig(origin, self.balls())
-
 
 EMPTY_EXCURSION = Excursion()
 
@@ -290,26 +287,96 @@ def excursions_of(config: BallConfig) -> tuple[int, tuple[Excursion, ...]]:
     )
 
 
+_K = TypeVar("_K")
 _T = TypeVar("_T")
 _MISSING = object()
 
 
-def map_distinct(fn: Callable[[Excursion], _T], excursions: Iterable[Excursion]) -> list[_T]:
-    """``[fn(e) for e in excursions]``, with ``fn`` called once per distinct
-    step sequence and its result shared by the repeats.
+def map_distinct(fn: Callable[[_K], _T], items: Iterable[_K]) -> list[_T]:
+    """``[fn(x) for x in items]``, with ``fn`` called once per distinct item
+    and its result shared by the repeats.
 
-    Palm samples repeat most excursions (the empty one above all), so this
-    is how the batch soliton calculus decomposes each shape once.  ``fn``
-    must be a pure function of the steps; the memo lives for this call only.
+    Palm samples repeat most excursions (the empty one above all), and so
+    most slot diagrams, so this is how the batch soliton calculus handles
+    each shape once.  ``fn`` must be a pure function of the (hashable,
+    frozen) item; the memo lives for this call only.
     """
-    done: dict[tuple[int, ...], _T] = {}
+    done: dict[_K, _T] = {}
     out = []
-    for exc in excursions:
-        result = done.get(exc.steps, _MISSING)
+    for item in items:
+        result = done.get(item, _MISSING)
         if result is _MISSING:
-            result = done[exc.steps] = fn(exc)
+            result = done[item] = fn(item)
         out.append(result)
     return out
+
+
+# ---------------------------------------------------------------------------
+# record-anchored assembly
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AnchoredConfig:
+    """Configuration plus the positions of its records, with record 0 at box 0.
+
+    ``records[j]`` is the position of record ``i_lo + j``; excursion i lives
+    strictly between records i and i + 1.
+    """
+
+    config: BallConfig
+    i_lo: int
+    records: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.records:
+            raise PreconditionError("at least one record is required")
+        if self.i_lo > 0 or self.i_lo + len(self.records) <= 0:
+            raise PreconditionError("the record window must contain index 0")
+        if self.records[-self.i_lo] != 0:
+            raise PreconditionError("record 0 must sit at the origin")
+
+    def record(self, i: int) -> int:
+        j = i - self.i_lo
+        if not 0 <= j < len(self.records):
+            raise PreconditionError(f"record {i} outside the stored window")
+        return self.records[j]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "origin": self.config.origin,
+            "balls": self.config.to_string(),
+            "i_lo": self.i_lo,
+            "records": list(self.records),
+        }
+
+
+def _lay_out(
+    excursions: Sequence[Excursion], i_lo: int
+) -> tuple[BallConfig, tuple[int, ...]]:
+    """The excursions ``i_lo, i_lo + 1, ...`` separated by records, record 0
+    at box 0: the boxes from the first record to the last, and the records.
+
+    Excursion ``i_lo + t`` occupies the ``2 n`` boxes after record
+    ``i_lo + t``; consecutive records are ``2 n + 1`` apart.
+    """
+    start = -sum(2 * e.n + 1 for e in excursions[:-i_lo])
+    records = [start]
+    bits: list[int] = []
+    for e in excursions:
+        bits.append(0)
+        bits.extend(e.balls())
+        records.append(records[-1] + 2 * e.n + 1)
+    bits.append(0)
+    return BallConfig(start, tuple(bits)), tuple(records)
+
+
+def assemble(excursions: Sequence[Excursion], i_lo: int = 0) -> AnchoredConfig:
+    """Concatenate excursions, separated by records, with record 0 at box 0
+    (laid out by :func:`_lay_out`); the window must contain excursion 0."""
+    if i_lo > 0 or i_lo + len(excursions) < 1:
+        raise PreconditionError("the excursion window must contain index 0")
+    config, records = _lay_out(excursions, i_lo)
+    return AnchoredConfig(config, i_lo, records)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Record-anchored assembly of excursion sequences and stationary samplers.
+"""Palm and stationary samplers of the line.
 
 A configuration with a record at the origin is equivalent to its doubly
 infinite excursion sequence.  Palm samplers draw i.i.d. excursions and
-concatenate them; the anti-Palm sampler tilts the block covering the origin
+concatenate them (``core.assemble``, also reachable here as
+``line.assemble``); the anti-Palm sampler tilts the block covering the origin
 by its length and places the origin uniformly inside it, producing a window
 of the translation-invariant measure.
 """
@@ -10,12 +11,11 @@ of the translation-invariant measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import BallConfig, Excursion, excursions_of
+from .core import AnchoredConfig, BallConfig, Excursion, assemble
 from .errors import PreconditionError
 from .measures import (
     SlotFill,
@@ -26,76 +26,6 @@ from .measures import (
     mean_record_gap,
     sample_excursions,
 )
-
-
-@dataclass(frozen=True)
-class AnchoredConfig:
-    """Configuration plus the positions of its records, with record 0 at box 0.
-
-    ``records[j]`` is the position of record ``i_lo + j``; excursion i lives
-    strictly between records i and i + 1.
-    """
-
-    config: BallConfig
-    i_lo: int
-    records: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.records:
-            raise PreconditionError("at least one record is required")
-        if self.i_lo > 0 or self.i_lo + len(self.records) <= 0:
-            raise PreconditionError("the record window must contain index 0")
-        if self.records[-self.i_lo] != 0:
-            raise PreconditionError("record 0 must sit at the origin")
-
-    def record(self, i: int) -> int:
-        j = i - self.i_lo
-        if not 0 <= j < len(self.records):
-            raise PreconditionError(f"record {i} outside the stored window")
-        return self.records[j]
-
-    @property
-    def i_hi(self) -> int:
-        """Largest excursion index covered by the stored records."""
-        return self.i_lo + len(self.records) - 2
-
-    def to_json_dict(self) -> dict:
-        return {
-            "origin": self.config.origin,
-            "balls": self.config.to_string(),
-            "i_lo": self.i_lo,
-            "records": list(self.records),
-        }
-
-
-def assemble(excursions: Sequence[Excursion], i_lo: int = 0) -> AnchoredConfig:
-    """Concatenate excursions, separated by records, with record 0 at box 0.
-
-    Excursion ``i_lo + t`` occupies the ``2 n`` boxes after record
-    ``i_lo + t``; consecutive records are ``2 n + 1`` apart.
-    """
-    if i_lo > 0 or i_lo + len(excursions) < 1:
-        raise PreconditionError("the excursion window must contain index 0")
-    start = -sum(2 * e.n + 1 for e in excursions[: -i_lo])
-    records = [start]
-    bits: list[int] = []
-    for e in excursions:
-        bits.append(0)
-        bits.extend(e.balls())
-        records.append(records[-1] + 2 * e.n + 1)
-    bits.append(0)
-    return AnchoredConfig(BallConfig(start, tuple(bits)), i_lo, tuple(records))
-
-
-def anchor(config: BallConfig) -> AnchoredConfig:
-    """Wrap a configuration with a record at 0 in its record index map."""
-    i_lo, excs = excursions_of(config)
-    return assemble(excs, i_lo) if excs else assemble([Excursion()], 0)
-
-
-def extract_excursions(anchored: AnchoredConfig) -> tuple[int, tuple[Excursion, ...]]:
-    """Indexed excursions of the configuration; inverse of :func:`assemble`."""
-    return excursions_of(anchored.config)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +69,7 @@ def bernoulli_excursions(lam: float, size: int, rng) -> list[Excursion]:
             continue
         bounds = np.concatenate(([-1], rec))
         for a, b in zip(bounds, bounds[1:]):
-            out.append(Excursion(tuple(int(s) for s in steps[a + 1 : b])))
+            out.append(Excursion(tuple(steps[a + 1 : b].tolist())))
             if len(out) == size:
                 break
         carry = steps[rec[-1] + 1 :]
@@ -178,18 +108,6 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
                 steps.append(-1)
         out.append(Excursion(tuple(steps)))
     return out
-
-
-def sample_bernoulli_palm(lam: float, num_excursions: int, rng) -> AnchoredConfig:
-    """Palm sample of the product measure: i.i.d. walk excursions, assembled."""
-    return assemble(bernoulli_excursions(lam, num_excursions, rng), 0)
-
-
-def sample_markov_palm(
-    q_matrix: Sequence[Sequence[float]], num_excursions: int, rng
-) -> AnchoredConfig:
-    """Palm sample of the stationary two-state chain measure."""
-    return assemble(markov_excursions(q_matrix, num_excursions, rng), 0)
 
 
 # ---------------------------------------------------------------------------

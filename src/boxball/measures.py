@@ -21,9 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Excursion, catalan_number, narayana_number, soliton_counts
+from .core import Excursion, catalan_number, map_distinct, narayana_number, soliton_counts
 from .errors import DivergenceError, PreconditionError, ValidationError
-from .slots import SlotDiagram, excursion_from_diagram
+from .slots import (
+    EMPTY_DIAGRAM,
+    SlotDiagram,
+    excursion_from_diagram,
+    next_slot_count,
+    slot_rows,
+)
 
 _TAIL_TOL = 1e-12
 _MAX_LEVELS = 5000
@@ -100,9 +106,6 @@ class SolitonWeights:
     @property
     def finite_support(self) -> bool:
         return self.tail is None
-
-    def truncated(self, K: int) -> SolitonWeights:
-        return SolitonWeights(tuple(self.alpha(k) for k in range(1, K + 1)))
 
 
 def explicit_weights(values: Sequence[float]) -> SolitonWeights:
@@ -343,34 +346,39 @@ class SeriesResult:
     n_max: int
 
 
-def _profile_series(alpha: tuple[float, ...], n_max: int) -> float:
-    """Sum of excursion weights grouped by soliton-count profile.
+def _profile_sums(alpha: tuple[float, ...], n_max: int) -> tuple[float, dict[int, float]]:
+    """Total weight of the excursions of half-length <= n_max, and per size k
+    the weight-summed number of k-solitons, grouped by soliton-count profile.
 
     A profile (n_1, ..., n_K) occurs in exactly ``prod_k C(n_k + s_k - 1,
     n_k)`` excursions, with s_k the slot counts implied by the higher levels;
-    the grouped sum avoids enumerating excursions one by one.
+    the grouped sum avoids enumerating excursions one by one.  Profiles are
+    visited depth first from level K down, n_k ascending.
     """
-    K = len(alpha)
     total = 0.0
+    sums: dict[int, float] = {}
+    counts = [0] * len(alpha)
 
-    def rec(k: int, budget: int, weight: float, counts: list[int]) -> None:
+    def rec(k: int, budget: int, weight: float, s_k: int, above: int) -> None:
         nonlocal total
         if k == 0:
             total += weight
+            for kk, c in enumerate(counts, start=1):
+                if c:
+                    sums[kk] = sums.get(kk, 0.0) + c * weight
             return
         a = alpha[k - 1]
-        s_k = 1 + sum(2 * (m - k) * counts[m - 1] for m in range(k + 1, K + 1))
         limit = budget // k if a > 0 else 0
         for n_k in range(limit + 1):
             counts[k - 1] = n_k
             w = weight * a**n_k * math.comb(n_k + s_k - 1, n_k)
             if w == 0.0 and n_k > 0:
                 break
-            rec(k - 1, budget - k * n_k, w, counts)
+            rec(k - 1, budget - k * n_k, w, next_slot_count(s_k, above + n_k), above + n_k)
         counts[k - 1] = 0
 
-    rec(K, n_max, 1.0, [0] * K)
-    return total
+    rec(len(alpha), n_max, 1.0, 1, 0)
+    return total, sums
 
 
 def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
@@ -412,7 +420,7 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
             )
         return SeriesResult(value, bound, n_max)
     alpha = weights.head
-    value = _profile_series(alpha, n_max)
+    value, _ = _profile_sums(alpha, n_max)
     beta = max((a ** (1.0 / k) for k, a in enumerate(alpha, start=1)), default=0.0)
     if beta == 0.0:
         bound = 0.0
@@ -432,31 +440,7 @@ def mean_soliton_counts(weights: SolitonWeights, n_max: int) -> dict[int, float]
     alpha = tuple(
         weights.alpha(k) for k in range(1, max(n_max, len(weights.head)) + 1)
     )
-    alpha = explicit_weights(alpha).head
-    K = len(alpha)
-    total = 0.0
-    sums: dict[int, float] = {}
-
-    def rec(k: int, budget: int, weight: float, counts: list[int]) -> None:
-        nonlocal total
-        if k == 0:
-            total += weight
-            for kk, c in enumerate(counts, start=1):
-                if c:
-                    sums[kk] = sums.get(kk, 0.0) + c * weight
-            return
-        a = alpha[k - 1]
-        s_k = 1 + sum(2 * (m - k) * counts[m - 1] for m in range(k + 1, K + 1))
-        limit = budget // k if a > 0 else 0
-        for n_k in range(limit + 1):
-            counts[k - 1] = n_k
-            w = weight * a**n_k * math.comb(n_k + s_k - 1, n_k)
-            if w == 0.0 and n_k > 0:
-                break
-            rec(k - 1, budget - k * n_k, w, counts)
-        counts[k - 1] = 0
-
-    rec(K, n_max, 1.0, [0] * K)
+    total, sums = _profile_sums(explicit_weights(alpha).head, n_max)
     return {k: v / total for k, v in sums.items()}
 
 
@@ -517,65 +501,38 @@ def max_size_distribution(fill: SlotFill) -> np.ndarray:
     return probs / total
 
 
-def sample_diagram(fill: SlotFill, rng) -> SlotDiagram:
-    """One slot diagram with the geometric row law.
-
-    Chooses the maximal size M, then the top count (geometric conditioned
-    positive), then each lower row as s_k independent geometric draws.
-    """
-    return sample_diagrams(fill, 1, rng)[0]
-
-
 def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
+    """Slot diagrams with the geometric row law.
+
+    Each chooses the maximal size M, then the top count (geometric
+    conditioned positive), then each lower row as s_k independent geometric
+    draws, top to bottom.
+    """
     rng = _as_rng(rng)
-    probs = max_size_distribution(fill)
-    ms = rng.choice(fill.levels + 1, size=size, p=probs)
+
+    def draw(k: int, s_k: int) -> tuple[int, ...]:
+        qk = fill.at(k)
+        if qk == 0.0:
+            return (0,) * s_k
+        return tuple((rng.geometric(1 - qk, size=s_k) - 1).tolist())
+
     out = []
-    for m in ms:
-        m = int(m)
+    for m in rng.choice(fill.levels + 1, size=size, p=max_size_distribution(fill)).tolist():
         if m == 0:
-            out.append(SlotDiagram())
-            continue
-        rows: list[tuple[int, ...]] = [()] * m
-        rows[m - 1] = (int(rng.geometric(1 - fill.at(m))),)
-        counts = [0] * m
-        counts[m - 1] = rows[m - 1][0]
-        for k in range(m - 1, 0, -1):
-            s_k = 1 + sum(2 * (l - k) * counts[l - 1] for l in range(k + 1, m + 1))
-            qk = fill.at(k)
-            if qk == 0.0:
-                row = (0,) * s_k
-            else:
-                row = tuple(int(v) for v in rng.geometric(1 - qk, size=s_k) - 1)
-            rows[k - 1] = row
-            counts[k - 1] = sum(row)
-        out.append(SlotDiagram(tuple(rows)))
+            out.append(EMPTY_DIAGRAM)
+        else:
+            out.append(SlotDiagram(slot_rows(int(rng.geometric(1 - fill.at(m))), m, draw)))
     return out
-
-
-def sample_excursion(weights: SolitonWeights, rng, fill: SlotFill | None = None) -> Excursion:
-    """One excursion with the normalized weight law, drawn through its diagram."""
-    if fill is None:
-        fill = fill_from_weights(weights)
-    return excursion_from_diagram(sample_diagram(fill, rng))
 
 
 def sample_excursions(
     weights: SolitonWeights, size: int, rng, fill: SlotFill | None = None
 ) -> list[Excursion]:
+    """Excursions with the normalized weight law, drawn through their
+    diagrams; each distinct diagram is rebuilt once."""
     if fill is None:
         fill = fill_from_weights(weights)
-    cache: dict[tuple, Excursion] = {}
-    out = []
-    for diagram in sample_diagrams(fill, size, rng):
-        key = diagram.rows
-        exc = cache.get(key)
-        if exc is None:
-            exc = excursion_from_diagram(diagram)
-            if len(cache) < 4096:
-                cache[key] = exc
-        out.append(exc)
-    return out
+    return map_distinct(excursion_from_diagram, sample_diagrams(fill, size, rng))
 
 
 # ---------------------------------------------------------------------------

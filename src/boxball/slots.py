@@ -20,7 +20,9 @@ excursions, so :func:`decompose` and :func:`palm_components` compute one
 diagram per distinct excursion (``core.map_distinct``) and concatenate the
 rows in one pass.  :func:`palm_components` reads the component array of an
 i.i.d. excursion sample straight off the excursions, without assembling
-them into a configuration first.
+them into a configuration first.  :func:`reconstruct` splits an array back
+into diagrams in one pass per side of label 0, rebuilds each distinct
+diagram once and lays the excursions out as ``core.assemble`` does.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     BallConfig,
     Excursion,
     Soliton,
+    _lay_out,
     excursions_of,
     map_distinct,
     soliton_decompose,
@@ -45,20 +48,31 @@ from .errors import PreconditionError, ValidationError
 # slot diagrams
 # ---------------------------------------------------------------------------
 
-def slot_sizes(counts_by_level: Sequence[int]) -> tuple[int, ...]:
-    """Slot counts (s_1, ..., s_M) implied by soliton totals per size.
+def next_slot_count(s_above: int, above: int) -> int:
+    """s_k from s_{k+1} and the number ``above`` of solitons larger than k.
 
-    ``counts_by_level[k - 1]`` is the number of k-solitons.  Each m-soliton
-    contributes ``2 * (m - k)`` k-slots for every k < m, on top of the single
-    record slot.
+    Each l-soliton adds ``2 (l - k)`` k-slots to the record's one, so
+    ``s_k = 1 + sum_{l>k} 2 (l - k) n_l``: ``s_M = 1`` and
+    ``s_k = s_{k+1} + 2 sum_{l>k} n_l``.  Every slot count is taken here.
     """
-    M = len(counts_by_level)
-    out = []
-    for k in range(1, M + 1):
-        out.append(
-            1 + sum(2 * (m - k) * counts_by_level[m - 1] for m in range(k + 1, M + 1))
-        )
-    return tuple(out)
+    return s_above + 2 * above
+
+
+def slot_rows(
+    top: int, m: int, row: Callable[[int, int], tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows 1 .. m of a slot diagram whose top row is ``(top,)``, built
+    top-down: row k is ``row(k, s_k)``, asked for once the rows above it fix
+    its slot count s_k."""
+    rows = [(top,)]
+    s_k = 1
+    above = top  # solitons larger than the next row's size
+    for k in range(m - 1, 0, -1):
+        s_k = next_slot_count(s_k, above)
+        rows.append(row(k, s_k))
+        above += sum(rows[-1])
+    rows.reverse()
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -85,12 +99,15 @@ class SlotDiagram:
             raise ValidationError(
                 "top row must be a single positive count (maximal size attained)"
             )
-        expected = slot_sizes([sum(r) for r in rows])
-        for k, row in enumerate(rows, start=1):
-            if len(row) != expected[k - 1]:
+
+        def checked(k: int, s_k: int) -> tuple[int, ...]:
+            if len(rows[k - 1]) != s_k:
                 raise ValidationError(
-                    f"row {k} has {len(row)} slots, consistency requires {expected[k - 1]}"
+                    f"row {k} has {len(rows[k - 1])} slots, consistency requires {s_k}"
                 )
+            return rows[k - 1]
+
+        slot_rows(rows[-1][0], len(rows), checked)
 
     @property
     def max_size(self) -> int:
@@ -128,13 +145,11 @@ class SlotDiagram:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> SlotDiagram:
-        try:
-            doc = json.loads(text)
-            rows = doc["rows"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"bad slot diagram JSON: {exc}") from exc
-        diagram = cls(tuple(tuple(int(v) for v in row) for row in rows))
-        if "M" in doc and int(doc["M"]) != diagram.max_size:
+        doc = _json_loads(text, "slot diagram")
+        if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+            raise ValidationError("bad slot diagram JSON: expected an object with a list of rows")
+        diagram = cls(tuple(_json_ints(row) for row in doc["rows"]))
+        if "M" in doc and _json_int(doc["M"]) != diagram.max_size:
             raise ValidationError("declared M does not match rows")
         return diagram
 
@@ -364,15 +379,42 @@ class ComponentArray:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> ComponentArray:
+        return cls.from_doc(_json_loads(text, "component array"))
+
+    @classmethod
+    def from_doc(cls, doc) -> ComponentArray:
+        """From parsed JSON ``{"k": {"offset": ..., "values": [...]}, ...}``."""
+        if not isinstance(doc, dict) or not all(
+            isinstance(row, dict) and {"offset", "values"} <= row.keys() for row in doc.values()
+        ):
+            raise ValidationError("bad component array JSON: expected an object of rows")
         try:
-            doc = json.loads(text)
-            rows = tuple(
-                (int(k), int(entry["offset"]), tuple(int(v) for v in entry["values"]))
-                for k, entry in doc.items()
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return cls(tuple(
+                (int(k), _json_int(row["offset"]), _json_ints(row["values"]))
+                for k, row in doc.items()
+            ))
+        except ValueError as exc:  # a size that is not an integer
             raise ValidationError(f"bad component array JSON: {exc}") from exc
-        return cls(rows)
+
+
+def _json_loads(text: str | bytes, what: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValidationError(f"bad {what} JSON: {exc}") from exc
+
+
+def _json_int(value) -> int:
+    """A JSON integer as given: bools, floats and strings are refused, not cast."""
+    if type(value) is not int:
+        raise ValidationError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"expected a list of integers, got {type(value).__name__}")
+    return tuple(_json_int(v) for v in value)
 
 
 def concat_diagrams(
@@ -414,13 +456,22 @@ def concat_diagrams(
 class _RowCursor:
     """Reads one component row left-to-right (or mirrored) from its window."""
 
-    __slots__ = ("values", "offset", "pos", "mirror")
+    __slots__ = ("values", "offset", "pos", "mirror", "end")
 
     def __init__(self, offset: int, values: tuple[int, ...], mirror: bool):
         self.values = values
         self.offset = offset
         self.pos = 0
         self.mirror = mirror
+        # one past the reading position of the farthest nonzero entry;
+        # position ``pos`` reads label ``pos``, or ``-1 - pos`` mirrored
+        nonzero = [j for j, v in enumerate(values) if v]
+        if not nonzero:
+            self.end = 0
+        elif mirror:
+            self.end = -offset - nonzero[0]
+        else:
+            self.end = offset + nonzero[-1] + 1
 
     def peek(self, j: int) -> int:
         label = -1 - (self.pos + j) if self.mirror else self.pos + j
@@ -434,42 +485,26 @@ class _RowCursor:
 
     def exhausted(self) -> bool:
         """True when every remaining readable label holds a zero."""
-        if self.mirror:
-            hi = -self.pos - self.offset  # labels <= -1-pos live at indices < hi
-            if hi <= 0:
-                return True
-            return all(v == 0 for v in self.values[: min(hi, len(self.values))])
-        lo = self.pos - self.offset
-        if lo >= len(self.values):
-            return True
-        return all(v == 0 for v in self.values[max(lo, 0) :])
+        return self.pos >= self.end
 
 
 def _read_diagrams(cursors: dict[int, _RowCursor]) -> list[SlotDiagram]:
+    def read_row(k: int, s_k: int) -> tuple[int, ...]:
+        cur = cursors.get(k)
+        return tuple(cur.peek(j) for j in range(s_k)) if cur else (0,) * s_k
+
     out = []
     while any(not c.exhausted() for c in cursors.values()):
-        m = 0
-        for k, cur in cursors.items():
-            if cur.peek(0) > 0:
-                m = max(m, k)
+        m = max((k for k, cur in cursors.items() if cur.peek(0) > 0), default=0)
         if m == 0:
             for cur in cursors.values():
                 cur.advance(1)
             out.append(EMPTY_DIAGRAM)
             continue
-        counts = [0] * m
-        counts[m - 1] = cursors[m].peek(0)
-        rows: list[tuple[int, ...]] = [()] * m
-        rows[m - 1] = (counts[m - 1],)
-        for k in range(m - 1, 0, -1):
-            s_k = 1 + sum(2 * (l - k) * counts[l - 1] for l in range(k + 1, m + 1))
-            cur = cursors.get(k)
-            row = tuple(cur.peek(j) if cur else 0 for j in range(s_k))
-            rows[k - 1] = row
-            counts[k - 1] = sum(row)
+        rows = slot_rows(cursors[m].peek(0), m, read_row)
         for k, cur in cursors.items():
             cur.advance(len(rows[k - 1]) if k <= m else 1)
-        out.append(SlotDiagram(tuple(rows)))
+        out.append(SlotDiagram(rows))
     return out
 
 
@@ -564,11 +599,5 @@ def reconstruct(components: ComponentArray) -> BallConfig:
             "and diagram entries"
         )
     i_lo, diagrams = diagrams_from_components(components)
-    excs = [excursion_from_diagram(d) for d in diagrams]
-    start = -sum(2 * e.n + 1 for e in excs[: -i_lo])
-    bits: list[int] = []
-    for e in excs:
-        bits.append(0)
-        bits.extend(e.balls())
-    bits.append(0)
-    return BallConfig(start, tuple(bits))
+    config, _ = _lay_out(map_distinct(excursion_from_diagram, diagrams), i_lo)
+    return config

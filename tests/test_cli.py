@@ -66,6 +66,34 @@ def test_reconstruct_bad_json(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "[1,2]",
+        "7",
+        '"x"',
+        '{"components": [1]}',
+        '{"1": {"offset": 0, "values": [1.9]}}',
+        '{"1": {"offset": 0.5, "values": [1]}}',
+        '{"1": {"offset": 0, "values": ["2"]}}',
+        '{"1": {"offset": 0, "values": [true]}}',
+        '{"1": {"offset": 0, "values": 3}}',
+        '{"1": [0, [1]]}',
+        b"\xff\xfe{",
+    ],
+)
+def test_reconstruct_rejects_hostile_component_json(runner, tmp_path, doc):
+    # neither a traceback nor a silent int() cast of a non-integer entry
+    if isinstance(doc, bytes):  # bytes that are not UTF-8 come in through a file
+        path = tmp_path / "components.json"
+        path.write_bytes(doc)
+        result = runner.invoke(main, ["reconstruct", "--in", str(path)])
+    else:
+        result = runner.invoke(main, ["reconstruct", doc])
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+
+
 def test_decompose_precondition_exit_code(runner):
     result = runner.invoke(main, ["decompose", "--origin", "0", "1100"])
     assert result.exit_code == 4
@@ -221,13 +249,12 @@ def test_sample_requires_seed(runner):
     assert result.exit_code == 2
 
 
-def test_sample_deterministic_and_jobs_invariant(runner):
+def test_sample_deterministic(runner):
     args = ["sample", "--measure", "bernoulli", "--lambda", "0.25",
             "--excursions", "200", "--seed", "7", "--format", "json"]
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)
-    c = runner.invoke(main, args + ["--jobs", "4"])
-    assert a.output == b.output == c.output
+    assert a.output == b.output
     doc = json.loads(a.output)
     assert doc["records"][0] == 0
     assert len(doc["records"]) == 201
@@ -290,14 +317,6 @@ def test_verify_geometric_small(runner):
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["report"]["p_value"] > 1e-3
-
-
-def test_verify_geometric_jobs_invariant(runner):
-    base = ["verify", "geometric", "--measure", "bernoulli", "--lambda", "0.25",
-            "--excursions", "8000", "--seed", "13"]
-    a = runner.invoke(main, base)
-    b = runner.invoke(main, base + ["--jobs", "3"])
-    assert a.output == b.output
 
 
 def test_verify_independence_small(runner):

@@ -1,8 +1,12 @@
 """Seeded CLI output pinned by its sha256.
 
 Each digest is the stdout of the command as captured before excursion
-decompositions were shared between repeated excursions; a change to how the
-soliton calculus is computed must leave every byte of these outputs alone.
+decompositions were shared between repeated excursions, or, for the samplers,
+``reconstruct`` and the explicit partition series, before the slot-count rule,
+the profile recursion, the excursion layout and the diagram memo each moved
+to one place; a change to how the calculus is computed must leave every byte
+of these outputs alone.  ``reconstruct`` reads the ``decompose`` document of
+the same line on stdin.
 """
 
 import hashlib
@@ -49,12 +53,43 @@ GOLDEN = {
         ["render", "--no-color", LINE],
         "162490ffb4bf71d576d451dc02851b5b8386c426d36317020ca9e5aa24095de5",
     ),
+    "reconstruct": (
+        ["reconstruct", "-"],
+        "1bd455a4ab5afa2416df215fb611489fb1c44abad17aa498f3933fb29200d4e7",
+    ),
+    "sample-json-bernoulli": (
+        ["sample", "--measure", "bernoulli", "--lambda", "0.25",
+         "--excursions", "2000", "--seed", "5", "--format", "json"],
+        "cfdf5b5979c84cede5c1c5da9781ac412bbdb343c1ddf14093ad671db68a3e7d",
+    ),
+    "sample-json-markov": (
+        ["sample", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
+         "--excursions", "2000", "--seed", "5", "--format", "json"],
+        "0eb0694d87e560f785bc3dffa59e36ceac42ff76531c7d078f0e066ab0c89721",
+    ),
+    "sample-explicit": (
+        ["sample", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",
+         "--excursions", "3000", "--seed", "5"],
+        "83f3a45613cd9759ec8f2236ddabed1a4232b4af17263a01904062fca215fe41",
+    ),
+    "sample-anti-palm-markov": (
+        ["sample", "--anti-palm", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
+         "--boxes", "3000", "--seed", "5"],
+        "a5cc865cb9a0e83cf84da0957df370d5e05e1b16d7041a667537b79ff87356fa",
+    ),
+    "partition-explicit": (
+        ["verify", "partition", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",
+         "--n-max", "30", "--tolerance", "1e-3"],
+        "8c951d4c76d658efa03fcf2c469630faf68b6555608021e8543c08f158d52421",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seeded_output_is_unchanged(name):
     args, digest = GOLDEN[name]
-    result = CliRunner().invoke(main, args)
+    runner = CliRunner()
+    stdin = runner.invoke(main, ["decompose", LINE]).output if args[0] == "reconstruct" else None
+    result = runner.invoke(main, args, input=stdin)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest

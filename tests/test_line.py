@@ -10,7 +10,6 @@ from boxball import (
     Excursion,
     PreconditionError,
     ValidationError,
-    anchor,
     assemble,
     bernoulli_excursions,
     bernoulli_weights,
@@ -19,15 +18,13 @@ from boxball import (
     diagram_from_excursion,
     excursion_prob,
     explicit_weights,
-    extract_excursions,
+    excursions_of,
     markov_excursions,
     markov_weights,
     mean_record_gap,
     record_positions,
     sample_anti_palm,
-    sample_bernoulli_palm,
     sample_excursions,
-    sample_markov_palm,
     sample_palm,
 )
 
@@ -69,7 +66,7 @@ def test_assemble_extract_round_trip():
         i_lo = -int(rng.integers(0, count))
         excs = sample_excursions(bernoulli_weights(0.3), count, rng)
         anchored = assemble(excs, i_lo)
-        got_lo, got = extract_excursions(anchored)
+        got_lo, got = excursions_of(anchored.config)
         by_index = dict(enumerate(got, start=got_lo))
         for idx, exc in enumerate(excs, start=i_lo):
             assert by_index.get(idx, Excursion()) == exc
@@ -77,9 +74,9 @@ def test_assemble_extract_round_trip():
 
 def test_anchor_requires_record():
     with pytest.raises(PreconditionError):
-        anchor(BallConfig(0, (1, 1, 0, 0)))
-    anchored = anchor(BallConfig.from_string("1100"))
-    assert anchored.record(0) == 0
+        excursions_of(BallConfig(0, (1, 1, 0, 0)))
+    i_lo, excs = excursions_of(BallConfig.from_string("1100"))
+    assert assemble(excs, i_lo).record(0) == 0
 
 
 def test_anchored_config_validation():
@@ -202,12 +199,12 @@ def test_palm_sampler_anchoring():
     assert len(anchored.records) == 101
 
 
-def test_direct_palm_wrappers():
-    bern = sample_bernoulli_palm(0.25, 500, np.random.default_rng(30))
-    markov = sample_markov_palm(MARKOV_Q, 500, np.random.default_rng(31))
+def test_direct_palm_samplers_assemble():
+    bern = assemble(bernoulli_excursions(0.25, 500, np.random.default_rng(30)), 0)
+    markov = assemble(markov_excursions(MARKOV_Q, 500, np.random.default_rng(31)), 0)
     for anchored in (bern, markov):
         assert anchored.record(0) == 0
-        got_lo, got = extract_excursions(anchored)
+        got_lo, got = excursions_of(anchored.config)
         by_index = dict(enumerate(got, start=got_lo))
         for i in range(500):
             gap = anchored.record(i + 1) - anchored.record(i)

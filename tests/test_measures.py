@@ -28,9 +28,7 @@ from boxball import (
     partition_function,
     partition_level,
     partition_series,
-    sample_diagram,
     sample_diagrams,
-    sample_excursion,
     sample_excursions,
     shift_weights,
     weights_from_fill,
@@ -270,8 +268,8 @@ def test_max_size_distribution_normalizes():
 
 def test_sampler_trivial_cases():
     rng = np.random.default_rng(0)
-    assert sample_diagram(SlotFill(()), rng).max_size == 0
-    assert sample_excursion(explicit_weights([]), rng) == Excursion()
+    assert sample_diagrams(SlotFill(()), 1, rng)[0].max_size == 0
+    assert sample_excursions(explicit_weights([]), 1, rng) == [Excursion()]
 
 
 def test_sampler_reproducible():

@@ -258,6 +258,16 @@ def test_diagram_json_round_trip():
         SlotDiagram.from_json('{"rows": [[0, 0], [1]]}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[1]", "3", '{"rows": 3}', '{"rows": [1]}', '{"rows": [[true]]}',
+     '{"rows": [[1.0]]}', '{"rows": [["1"]]}', '{"M": 1.0, "rows": [[1]]}'],
+)
+def test_diagram_json_refuses_non_integer_documents(text):
+    with pytest.raises(ValidationError):
+        SlotDiagram.from_json(text)
+
+
 # ---------------------------------------------------------------------------
 # component arrays
 # ---------------------------------------------------------------------------

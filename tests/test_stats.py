@@ -8,6 +8,8 @@ from boxball import (
     ComponentArray,
     InsufficientDataError,
     PreconditionError,
+    assemble,
+    bernoulli_excursions,
     block_frequencies,
     bernoulli_weights,
     component_shift_check,
@@ -17,7 +19,6 @@ from boxball import (
     geometric_gof,
     independence_test,
     markov_weights,
-    sample_bernoulli_palm,
     t_invariance_test,
 )
 
@@ -116,7 +117,7 @@ def test_independence_insufficient_data():
 
 
 def test_independence_on_real_palm_sample():
-    anchored = sample_bernoulli_palm(0.25, 30_000, np.random.default_rng(9))
+    anchored = assemble(bernoulli_excursions(0.25, 30_000, np.random.default_rng(9)), 0)
     comp = decompose(anchored.config)
     reports = independence_test(comp, [((1, 0), (1, 1)), ((1, 0), (2, 0))])
     assert all(r.p_value > 1e-3 for r in reports.values())
