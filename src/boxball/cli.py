@@ -60,20 +60,59 @@ def _fail(exc: BoxBallError) -> None:
     sys.exit(_EXIT_PRECONDITION if isinstance(exc, PreconditionError) else _EXIT_DATA)
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of file ``path``, or of stdin for ``-``; the command decodes
+    them, so bad bytes exit 3 and not with a traceback."""
+    with click.open_file(path, "rb") as fh:
+        return fh.read()
+
+
 def _read_config(text: str | None, path: str | None, origin: int) -> BallConfig:
     if (text is None) == (path is None):
         raise ValidationError("provide a ball string either inline or via --in")
-    if path is not None:
-        with click.open_file(path) as fh:
-            text = fh.read()
-    if text == "-":
-        text = sys.stdin.read()
+    if path is not None or text == "-":
+        try:
+            text = _read_bytes(path or "-").decode()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"ball string is not UTF-8: {exc}") from exc
     return BallConfig.from_string(text, origin)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _indented(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, for documents whose dict
+    keys are strings.
+
+    Any ``indent`` makes ``json`` fall back from its C encoder to one Python
+    generator step per value; here a list of plain ints is one ``join``, and
+    every other scalar goes to ``json.dumps``, which keeps floats, NaN,
+    bools, None and string escapes as they were.
+    """
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([
+            _encode_str(k) + ": " + (str(v) if type(v) is int else _indented(v, inner))
+            for k, v in obj.items()
+        ]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:  # bools are not plain ints
+            return "[" + inner + sep.join(map(str, obj)) + pad + "]"
+        return "[" + inner + sep.join([_indented(v, inner) for v in obj]) + pad + "]"
+    return str(obj) if type(obj) is int else json.dumps(obj)
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    doc = {"v": 1, **doc}
-    data = json.dumps(doc, indent=2)
+    """Write ``{"v": 1, **doc}`` as ``json.dumps(..., indent=2)`` would, to
+    ``out`` or stdout; every ``--format json`` and ``verify`` document goes
+    through here."""
+    data = _indented({"v": 1, **doc})
     if out:
         with click.open_file(out, "w") as fh:
             fh.write(data + "\n")
@@ -102,8 +141,7 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> SolitonWeights
     from .measures import bernoulli_weights, explicit_weights, markov_weights, weights_from_params_json
 
     if params:
-        with click.open_file(params, "rb") as fh:  # json.loads decodes, so bad bytes exit 3
-            return weights_from_params_json(fh.read())
+        return weights_from_params_json(_read_bytes(params))
     if measure == "bernoulli":
         if lam is None:
             raise ValidationError("--lambda is required for the bernoulli measure")
@@ -241,8 +279,8 @@ def decompose_cmd(config, path, origin, fmt, out):
             "i_lo": i_lo,
             "solitons": solitons,
             "slots": slots,
-            "diagrams": [json.loads(d.to_json()) for d in diagrams],
-            "components": json.loads(components.to_json()),
+            "diagrams": [d.to_doc() for d in diagrams],
+            "components": components.to_doc(),
         }
         if fmt == "json":
             _emit(doc, out)
@@ -264,11 +302,8 @@ def decompose_cmd(config, path, origin, fmt, out):
 def reconstruct_cmd(source, path, fmt, out):
     """Rebuild the ball string from a decompose JSON document (or stdin)."""
     try:
-        if path is not None:
-            with click.open_file(path, "rb") as fh:  # json.loads decodes, so bad bytes exit 3
-                text = fh.read()
-        elif source in (None, "-"):
-            text = sys.stdin.read()
+        if path is not None or source in (None, "-"):
+            text = _read_bytes(path or "-")
         else:
             text = source
         try:
@@ -379,6 +414,8 @@ def _palm_excursions(measure, lam, q_matrix, params, weights, total, seed) -> li
     from .line import bernoulli_excursions, markov_excursions
     from .measures import fill_from_weights, sample_excursions
 
+    if total < 1:
+        raise PreconditionError("--excursions must be >= 1")
     if params or measure == "explicit":
         fill = fill_from_weights(weights)
         sampler = lambda size, rng: sample_excursions(weights, size, rng, fill)

@@ -140,8 +140,12 @@ class SlotDiagram:
         """Reverse every row (the diagram of the mirrored excursion)."""
         return SlotDiagram(tuple(tuple(reversed(r)) for r in self.rows))
 
+    def to_doc(self) -> dict:
+        """The JSON document ``{"M": M, "rows": [[...], ...]}`` as a dict."""
+        return {"M": self.max_size, "rows": [list(r) for r in self.rows]}
+
     def to_json(self) -> str:
-        return json.dumps({"M": self.max_size, "rows": [list(r) for r in self.rows]})
+        return json.dumps(self.to_doc())
 
     @classmethod
     def from_json(cls, text: str | bytes) -> SlotDiagram:
@@ -369,13 +373,13 @@ class ComponentArray:
         """Equality up to zero padding."""
         return self.trimmed() == other.trimmed()
 
+    def to_doc(self) -> dict:
+        """The JSON document ``{"k": {"offset": ..., "values": [...]}, ...}``
+        as a dict."""
+        return {str(k): {"offset": off, "values": list(vals)} for k, off, vals in self.rows}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                str(k): {"offset": off, "values": list(vals)}
-                for k, off, vals in self.rows
-            }
-        )
+        return json.dumps(self.to_doc())
 
     @classmethod
     def from_json(cls, text: str | bytes) -> ComponentArray:

@@ -1,9 +1,11 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
 
-from boxball.cli import main
+from boxball.cli import _indented, main
 
 CARRIER_INPUT = "01101011010001111010000"
 CARRIER_LOAD = "01212123232101234343210"
@@ -94,6 +96,54 @@ def test_reconstruct_rejects_hostile_component_json(runner, tmp_path, doc):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["decompose", "evolve", "render"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_ball_string_that_is_not_utf8_exits_3(runner, tmp_path, command, source):
+    if source == "file":
+        path = tmp_path / "line.txt"
+        path.write_bytes(b"\xff\xfe{")
+        result = runner.invoke(main, [command, "--in", str(path)])
+    else:
+        result = runner.invoke(main, [command, "-"], input=b"\xff\xfe{")
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["decompose", "evolve", "render"])
+def test_ball_string_read_from_stdin(runner, command):
+    inline = runner.invoke(main, [command, FIG_EXCURSION])
+    piped = runner.invoke(main, [command, "-"], input=FIG_EXCURSION + "\n")
+    assert piped.exit_code == inline.exit_code == 0
+    assert piped.output == inline.output
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.floats(),  # NaN and +-inf included
+    st.just(-0.0),
+    st.text(),
+    st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "é☃𝄞", "\ud800"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(st.integers()),  # the join path for lists of plain ints
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+)
+
+
+@given(_json_values)
+def test_indented_writer_matches_json_dumps_indent_2(value):
+    assert _indented(value) == json.dumps(value, indent=2)
+
+
 def test_decompose_precondition_exit_code(runner):
     result = runner.invoke(main, ["decompose", "--origin", "0", "1100"])
     assert result.exit_code == 4
@@ -149,6 +199,13 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
         ["verify", "shift", "--configs", "3", "--max-boxes", "0", "--seed", "1"],
         ["verify", "shift", "--configs", "-1", "--seed", "1"],
         ["verify", "bijections", "--n-max", "-1"],
+        ["sample", "--measure", "explicit", "--alpha", "0.2", "--excursions", "-1", "--seed", "1"],
+        ["sample", "--measure", "bernoulli", "--lambda", "0.25", "--excursions", "-1", "--seed", "1"],
+        ["sample", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]", "--excursions", "0",
+         "--seed", "1"],
+        ["verify", "geometric", "--measure", "explicit", "--alpha", "0.2", "--excursions", "-1",
+         "--seed", "1"],
+        ["verify", "independence", "--lambda", "0.25", "--excursions", "-1", "--seed", "1"],
     ],
 )
 def test_out_of_range_integer_arguments_exit_4(runner, args):

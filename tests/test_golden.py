@@ -4,9 +4,11 @@ Each digest is the stdout of the command as captured before excursion
 decompositions were shared between repeated excursions, or, for the samplers,
 ``reconstruct`` and the explicit partition series, before the slot-count rule,
 the profile recursion, the excursion layout and the diagram memo each moved
-to one place; a change to how the calculus is computed must leave every byte
-of these outputs alone.  ``reconstruct`` reads the ``decompose`` document of
-the same line on stdin.
+to one place, or, for the JSON documents of ``evolve``, ``reconstruct``,
+``params`` and ``verify bijections``, before they were written without
+``json.dumps(doc, indent=2)``; a change to how the calculus is computed or
+printed must leave every byte of these outputs alone.  ``reconstruct`` reads
+the ``decompose`` document of the same line on stdin.
 """
 
 import hashlib
@@ -76,6 +78,22 @@ GOLDEN = {
         ["sample", "--anti-palm", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
          "--boxes", "3000", "--seed", "5"],
         "a5cc865cb9a0e83cf84da0957df370d5e05e1b16d7041a667537b79ff87356fa",
+    ),
+    "evolve-json-trace": (
+        ["evolve", "--format", "json", "--trace", "--steps", "3", LINE],
+        "0a1f59f92304528a6561629541e10c6b8fa4eeebefbcef5708e4257c98415210",
+    ),
+    "reconstruct-json": (
+        ["reconstruct", "--format", "json", "-"],
+        "e1148a2d93075da69cf76bebe30fa57f75e29a2dd116a6c3adcbf00fa3298ae1",
+    ),
+    "params-json-markov": (
+        ["params", "--format", "json", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]"],
+        "0c381b26443fd3d544a7fbbb34b1893294659a0689248acedbed701660402869",
+    ),
+    "bijections": (
+        ["verify", "bijections", "--n-max", "5"],
+        "0ef477597b8c670ee31c167daab9a9a9a583f7cd4fa43b3111719eef81dfc7c0",
     ),
     "partition-explicit": (
         ["verify", "partition", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",

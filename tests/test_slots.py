@@ -320,6 +320,16 @@ def test_concat_matches_label_by_label_layout(seed, count, i_lo):
     assert entries == oracles.naive_components([list(d.rows) for d in diagrams], i_lo)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(-9, 3))
+def test_to_doc_is_the_parsed_json(seed, count, i_lo):
+    rng = np.random.default_rng(seed)
+    diagrams = [random_diagram(rng) for _ in range(count)]
+    for diagram in diagrams:
+        assert diagram.to_doc() == json.loads(diagram.to_json())
+    components = concat_diagrams(diagrams, i_lo)
+    assert components.to_doc() == json.loads(components.to_json())
+
+
 def test_recovery_reflection_on_palindromic_arrays():
     rng = np.random.default_rng(17)
     for _ in range(100):
