@@ -254,35 +254,31 @@ def decompose_cmd(config, path, origin, fmt, out):
     try:
         cfg = _read_config(config, path, origin)
         recs, i_lo, excs, bases = _excursions_with_bases(cfg)
-        diagrams = []
-        solitons = []
-        slots = []
-        for (excursion_solitons, levels, diagram), base in zip(
-            map_distinct(_decomposed, excs), bases
-        ):
-            diagrams.append(diagram)
-            for sol in excursion_solitons:
-                solitons.append(
-                    {
-                        "k": sol.k,
-                        "head": [base + h for h in sol.head],
-                        "tail": [base + t for t in sol.tail],
-                    }
-                )
-            slots.append(
-                {str(k): [base + p for p in pos] for k, pos, _ in reversed(levels)}
-            )
+        decomposed = list(zip(map_distinct(_decomposed, excs), bases))
+        solitons = [
+            {
+                "k": sol.k,
+                "head": [base + h for h in sol.head],
+                "tail": [base + t for t in sol.tail],
+            }
+            for (excursion_solitons, _, _), base in decomposed
+            for sol in excursion_solitons
+        ]
+        diagrams = [diagram for (_, _, diagram), _ in decomposed]
         components = concat_diagrams(diagrams, i_lo)
-        doc = {
-            "origin": cfg.origin,
-            "balls": cfg.to_string(),
-            "i_lo": i_lo,
-            "solitons": solitons,
-            "slots": slots,
-            "diagrams": [d.to_doc() for d in diagrams],
-            "components": components.to_doc(),
-        }
         if fmt == "json":
+            doc = {
+                "origin": cfg.origin,
+                "balls": cfg.to_string(),
+                "i_lo": i_lo,
+                "solitons": solitons,
+                "slots": [
+                    {str(k): [base + p for p in pos] for k, pos, _ in reversed(levels)}
+                    for (_, levels, _), base in decomposed
+                ],
+                "diagrams": [d.to_doc() for d in diagrams],
+                "components": components.to_doc(),
+            }
             _emit(doc, out)
         else:
             click.echo(f"excursions: {len(excs)} (first index {i_lo})")

@@ -6,18 +6,16 @@ steps up at occupied boxes and down at empty ones; its strict running minima
 are the records, which split the configuration into finite excursions, and
 :func:`assemble` lays excursions out between records again.  The
 Takahashi-Satsuma algorithm identifies the conserved solitons of an excursion
-by repeatedly pairing the leftmost smallest run with the start of its
-successor run.
+in one left-to-right pass over its runs, pairing each run that is no longer
+than the run after it with the start of that run.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, groupby, islice
 from operator import eq, gt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -395,126 +393,57 @@ class Soliton:
         return tuple(sorted(self.head + self.tail))
 
 
-class _Run:
-    """Node of the doubly-linked run list used by the decomposition."""
-
-    __slots__ = ("value", "boxes", "prev", "next", "infinite", "virtual_next")
-
-    def __init__(self, value, boxes, infinite=False, virtual_next=None):
-        self.value = value
-        self.boxes = deque(boxes)
-        self.prev = None
-        self.next = None
-        self.infinite = infinite
-        self.virtual_next = virtual_next  # next synthesized box position
-
-    @property
-    def size(self) -> int:
-        return len(self.boxes)
-
-    def first_box(self) -> int:
-        return self.boxes[0]
-
-    def take_first(self, k: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            if self.boxes:
-                out.append(self.boxes.popleft())
-            else:
-                if not self.infinite:
-                    raise PreconditionError("run exhausted; not an excursion")
-                out.append(self.virtual_next)
-                self.virtual_next += 1
-        return out
-
-
 def soliton_decompose(excursion: Excursion) -> tuple[Soliton, ...]:
-    """Unique soliton decomposition of an excursion.
+    """Unique soliton decomposition of an excursion, sorted by leftmost box.
 
-    Repeatedly selects the leftmost smallest finite run, pairs its k boxes
-    with the first k boxes of the successor run, and removes both from the
-    configuration.  Runs are maintained incrementally in a linked list with a
-    lazily invalidated heap rather than rescanned, so degenerate inputs stay
-    near O(n log n).
+    Takahashi-Satsuma pairs the k boxes of the leftmost smallest run of equal
+    boxes with the first k boxes of the run after it and removes them; the
+    run before and the rest of the run after then touch and merge.  This
+    pass removes instead the leftmost run that is no longer than the run
+    after it, in one sweep over the runs.  A stack holds the unpaired runs,
+    values alternating and unpaired lengths strictly decreasing towards the
+    top.  Once a run has been read in full, and while the top is no longer
+    than it, the top (k boxes) is paired with the first k boxes of the
+    incoming run, and the run below the top, which has the incoming run's
+    value, takes the incoming run's leftover boxes and becomes the incoming
+    run.  What is left of it is then pushed.
+
+    Both rules give the same solitons.  Each only removes a run no longer
+    than the run after it.  The leftmost such run is never next to the
+    leftmost smallest run, since it would then be a leftmost smallest run
+    itself.  Removals at runs that are not neighbours commute: each takes
+    the front of the run after it and extends the back of the run before
+    it, so either takes the same boxes whether the other came first or not,
+    and each rule still picks the same run after the other removal.  By
+    induction on the number of runs both orders end with the same pairs.
+    The walk of an excursion never dips below 0 and ends at 0, so every
+    pair finds its boxes inside the excursion and the final zero run
+    empties the stack.
     """
-    balls = excursion.balls()
-    L = len(balls)
-    left = _Run(0, (), infinite=True)
-    right = _Run(0, (), infinite=True, virtual_next=L + 1)
-    runs: list[_Run] = [left]
-    for pos, val in enumerate(balls, start=1):
-        if runs[-1].value == val:
-            runs[-1].boxes.append(pos)
-        else:
-            runs.append(_Run(val, [pos]))
-    if runs[-1].value == 0:
-        right.boxes = runs.pop().boxes
-        right.virtual_next = L + 1
-    runs.append(right)
-    for a, b in zip(runs, runs[1:]):
-        a.next = b
-        b.prev = a
-
-    heap: list[tuple[int, int, int]] = []
-    alive: dict[int, _Run] = {}
-
-    def push(run: _Run) -> None:
-        if run.infinite or run.size == 0:
-            return
-        alive[id(run)] = run
-        heapq.heappush(heap, (run.size, run.first_box(), id(run)))
-
-    for r in runs:
-        push(r)
-
     solitons = []
-    while heap:
-        size, first, rid = heapq.heappop(heap)
-        run = alive.get(rid)
-        if run is None or run.size != size or run.first_box() != first:
-            continue  # stale heap entry
-        succ = run.next
-        taken = succ.take_first(size)
-        boxes = list(run.boxes)
-        if run.value == 1:
-            head, tail = boxes, taken
-        else:
-            head, tail = taken, boxes
-        solitons.append(Soliton(size, tuple(head), tuple(tail)))
-        # unlink the consumed run; its neighbours now touch and, unless the
-        # successor was consumed entirely, carry the same value and merge
-        alive.pop(rid, None)
-        prev = run.prev
-        prev.next = succ
-        succ.prev = prev
-        if succ.size == 0 and not succ.infinite:
-            alive.pop(id(succ), None)
-            nxt = succ.next
-            prev.next = nxt
-            nxt.prev = prev
-        else:
-            alive.pop(id(succ), None)
-            alive.pop(id(prev), None)
-            if prev.infinite:
-                prev.boxes.extend(succ.boxes)
-                if succ.infinite:
-                    prev.virtual_next = succ.virtual_next
-                nxt = succ.next
-                prev.next = nxt
-                if nxt is not None:
-                    nxt.prev = prev
-            elif succ.infinite:
-                succ.boxes.extendleft(reversed(prev.boxes))
-                p2 = prev.prev
-                p2.next = succ
-                succ.prev = p2
+    stack: list[tuple[list[int], int]] = []  # (boxes, index of the first unpaired one)
+    pos = 1
+    for value, group in groupby(excursion.steps):
+        boxes = list(range(pos, pos + len(list(group))))
+        pos += len(boxes)
+        start = 0
+        while stack and len(stack[-1][0]) - stack[-1][1] <= len(boxes) - start:
+            top, top_start = stack.pop()
+            k = len(top) - top_start
+            own = tuple(top[top_start:])
+            taken = tuple(boxes[start : start + k])
+            start += k
+            if value > 0:
+                solitons.append(Soliton(k, taken, own))
             else:
-                prev.boxes.extend(succ.boxes)
-                nxt = succ.next
-                prev.next = nxt
-                nxt.prev = prev
-                push(prev)
-    return tuple(sorted(solitons, key=lambda s: (min(s.support()), s.k)))
+                solitons.append(Soliton(k, own, taken))
+            if stack:
+                below, start_below = stack.pop()
+                below.extend(boxes[start:])
+                boxes, start = below, start_below
+        if start < len(boxes):
+            stack.append((boxes, start))
+    return tuple(sorted(solitons, key=lambda s: min(s.head[0], s.tail[0])))
 
 
 def soliton_counts(excursion: Excursion) -> dict[int, int]:

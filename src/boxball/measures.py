@@ -135,13 +135,14 @@ def bernoulli_weights(lam: float) -> SolitonWeights:
 
 
 def _transition_matrix(q_matrix: Sequence[Sequence[float]]) -> list[list[float]]:
-    """A two-state transition matrix Q as floats, checked: 2x2, entries
-    >= 0, rows summing to 1, and Q(0,1) < Q(1,0) (ball density below 1/2)."""
+    """A two-state transition matrix Q as floats, checked: 2x2, entries in
+    [0, 1] (NaN is not), rows summing to 1, and Q(0,1) < Q(1,0) (ball
+    density below 1/2)."""
     q = [[float(v) for v in row] for row in q_matrix]
     if len(q) != 2 or any(len(row) != 2 for row in q):
         raise ValidationError("transition matrix must be 2x2")
-    if any(v < 0 for row in q for v in row):
-        raise ValidationError("transition probabilities must be >= 0")
+    if not all(0 <= v <= 1 for row in q for v in row):
+        raise ValidationError("transition probabilities must lie in [0, 1]")
     if abs(sum(q[0]) - 1) > 1e-12 or abs(sum(q[1]) - 1) > 1e-12:
         raise ValidationError("rows must sum to 1")
     if not q[0][1] < q[1][0]:
@@ -228,6 +229,8 @@ def fill_from_weights(
     (diverging partition function, weights outside the admissible set at this
     truncation).
     """
+    if levels is not None and levels < 0:
+        raise PreconditionError("levels must be >= 0")
     if levels is None and weights.finite_support:
         levels = len(weights.head)
     out = []

@@ -179,6 +179,11 @@ def test_decompose_and_render_independent_of_window_padding(runner):
         (["--measure", "explicit", "--alpha", "a,b"], None),
         ([], b'{"family":"bernoulli"}'),
         ([], b"\xff\xfe{"),
+        # the walk sampler never reads Q(0,0), so a NaN there once sampled
+        (["--measure", "markov", "--Q", "[[NaN,0.2],[0.6,0.4]]"], None),
+        (["--measure", "markov", "--Q", "[[0.8,0.2],[NaN,0.4]]"], None),
+        (["--measure", "markov", "--Q", "[[Infinity,0.2],[0.6,0.4]]"], None),
+        ([], b'{"family":"markov","Q":[[0.8,0.2],[0.6,-Infinity]]}'),
     ],
 )
 def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
@@ -186,9 +191,10 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
         path = tmp_path / "measure.json"
         path.write_bytes(params_file)
         flags = ["--params", str(path)]
-    result = runner.invoke(main, ["params", *flags])
-    assert result.exit_code == 3, result.output
-    assert "Traceback" not in result.output
+    for command in (["params"], ["sample", "--excursions", "10", "--seed", "1"]):
+        result = runner.invoke(main, [*command, *flags])
+        assert result.exit_code == 3, (command, result.output)
+        assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize(
@@ -206,6 +212,7 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
         ["verify", "geometric", "--measure", "explicit", "--alpha", "0.2", "--excursions", "-1",
          "--seed", "1"],
         ["verify", "independence", "--lambda", "0.25", "--excursions", "-1", "--seed", "1"],
+        ["params", "--measure", "bernoulli", "--lambda", "0.25", "--levels", "-1"],
     ],
 )
 def test_out_of_range_integer_arguments_exit_4(runner, args):

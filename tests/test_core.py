@@ -279,7 +279,35 @@ excursions_medium = st.integers(0, 6).flatmap(
 )
 
 
-@given(excursions_medium)
+def _dyck(steps):
+    """The steps, each one that would dip below 0 turned up, closed by downs."""
+    out, h = [], 0
+    for s in steps:
+        s = s if h else 1
+        h += s
+        out.append(s)
+    return Excursion((*out, *(-1,) * h))
+
+
+staircases = st.integers(1, 20).flatmap(
+    lambda a: st.integers(0, a).flatmap(
+        lambda b: st.sampled_from(
+            [
+                Excursion.from_string("1" * a + "01" * b + "0" * a),
+                Excursion.from_string("1" * a + "0" * b + "1" * b + "0" * a),
+            ]
+        )
+    )
+)
+
+
+@given(
+    st.one_of(
+        excursions_medium,
+        st.lists(st.sampled_from([1, -1]), max_size=60).map(_dyck),
+        staircases,
+    )
+)
 def test_decomposition_matches_naive(exc):
     got = [(s.k, s.head, s.tail) for s in soliton_decompose(exc)]
     assert got == oracles.naive_solitons(list(exc.balls()))
