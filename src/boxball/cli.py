@@ -1,8 +1,10 @@
 """Command-line surface: evolve, decompose, reconstruct, sample, verify, render, params.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
-input data, 4 precondition violation.  All randomized commands require an
-explicit ``--seed`` and are deterministic given it.
+input data, 4 precondition violation.  Every command reports a data or
+precondition error as one ``error:`` line on stderr with exit 3 or 4.  All
+randomized commands require an explicit ``--seed`` and are deterministic given
+it.
 
 numpy, and the modules built on it (measures, line, stats), are imported
 inside the commands that sample or test, so ``--version``, evolve,
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 import click
@@ -45,7 +48,11 @@ from .slots import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .measures import SolitonWeights
+
+    Walk = Callable[[int, object], list[Excursion]]  # (size, rng) -> excursions
 
 _EXIT_VERIFY = 1
 _EXIT_DATA = 3
@@ -53,11 +60,6 @@ _EXIT_PRECONDITION = 4
 
 _COLORS = {1: 35, 2: 31, 3: 32, 4: 34}  # purple, red, green, blue
 _EXTRA_COLORS = (36, 33, 95, 91)
-
-
-def _fail(exc: BoxBallError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(_EXIT_PRECONDITION if isinstance(exc, PreconditionError) else _EXIT_DATA)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -108,16 +110,20 @@ def _indented(obj, pad: str = "\n") -> str:
     return str(obj) if type(obj) is int else json.dumps(obj)
 
 
+def _write(text: str, out: str | None) -> None:
+    """``text`` and a newline, to file ``out`` or stdout."""
+    if out:
+        with click.open_file(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        click.echo(text)
+
+
 def _emit(doc: dict, out: str | None) -> None:
     """Write ``{"v": 1, **doc}`` as ``json.dumps(..., indent=2)`` would, to
     ``out`` or stdout; every ``--format json`` and ``verify`` document goes
     through here."""
-    data = _indented({"v": 1, **doc})
-    if out:
-        with click.open_file(out, "w") as fh:
-            fh.write(data + "\n")
-    else:
-        click.echo(data)
+    _write(_indented({"v": 1, **doc}), out)
 
 
 def _excursions_with_bases(cfg: BallConfig):
@@ -137,20 +143,24 @@ def _excursions_with_bases(cfg: BallConfig):
     return recs, i_lo, excs, bases
 
 
-def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> SolitonWeights:
+def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonWeights, Walk | None]:
+    """The measure, and the walk ``(size, rng) -> excursions`` of the bernoulli
+    and markov flags; explicit weights and parameter files have none."""
+    from .line import bernoulli_excursions, markov_excursions
     from .measures import bernoulli_weights, explicit_weights, markov_weights, weights_from_params_json
 
     if params:
-        return weights_from_params_json(_read_bytes(params))
+        return weights_from_params_json(_read_bytes(params)), None
     if measure == "bernoulli":
         if lam is None:
             raise ValidationError("--lambda is required for the bernoulli measure")
-        return bernoulli_weights(lam)
+        return bernoulli_weights(lam), partial(bernoulli_excursions, lam)
     if measure == "markov":
         if q_matrix is None:
             raise ValidationError("--Q is required for the markov measure")
         try:
-            return markov_weights(json.loads(q_matrix))
+            q = json.loads(q_matrix)
+            return markov_weights(q), partial(markov_excursions, q)
         except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
             raise ValidationError(f"bad --Q matrix: {exc}") from exc
     if measure == "explicit":
@@ -160,7 +170,7 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> SolitonWeights
             values = [float(v) for v in alpha.split(",")]
         except ValueError as exc:
             raise ValidationError(f"bad --alpha weights: {exc}") from exc
-        return explicit_weights(values)
+        return explicit_weights(values), None
     raise ValidationError(f"unknown measure {measure!r}")
 
 
@@ -176,7 +186,19 @@ def _measure_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary of every command, nested groups included: a
+    ``BoxBallError`` ends the run as one ``error:`` line on stderr, exit 3 or 4."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BoxBallError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(_EXIT_PRECONDITION if isinstance(exc, PreconditionError) else _EXIT_DATA)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Box-ball system toolkit: dynamics, soliton calculus, random excursions."""
@@ -196,43 +218,35 @@ def main() -> None:
 @click.option("--out", type=click.Path(), default=None)
 def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     """Apply the carrier sweep STEPS times to a ball string."""
-    try:
-        if steps < 0:
-            raise PreconditionError("--steps must be >= 0")
-        cfg = _read_config(config, path, origin)
-        if trace:
-            states = [cfg]
-            for _ in range(steps):
-                states.append(evolve(states[-1]))
-            traces = [carrier_trace(state) for state in states[:-1]]
-        else:
-            states, traces = [cfg, evolve(cfg, steps)], []
-        if fmt == "json":
-            _emit(
-                {
-                    "origin": cfg.origin,
-                    "input": cfg.to_string(),
-                    "steps": steps,
-                    "output": states[-1].to_string(),
-                    "output_origin": states[-1].origin,
-                    "traces": [list(t) for t in traces] if trace else None,
-                },
-                out,
-            )
-            return
-        lines = []
-        for i, state in enumerate(states):
-            lines.append(state.to_string())
-            if trace and i < len(traces):
-                lines.append("".join(str(v % 10) for v in traces[i]))
-        text = "\n".join(lines if trace else [states[-1].to_string()])
-        if out:
-            with click.open_file(out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            click.echo(text)
-    except BoxBallError as exc:
-        _fail(exc)
+    if steps < 0:
+        raise PreconditionError("--steps must be >= 0")
+    cfg = _read_config(config, path, origin)
+    if trace:
+        states = [cfg]
+        for _ in range(steps):
+            states.append(evolve(states[-1]))
+        traces = [carrier_trace(state) for state in states[:-1]]
+    else:
+        states, traces = [cfg, evolve(cfg, steps)], []
+    if fmt == "json":
+        _emit(
+            {
+                "origin": cfg.origin,
+                "input": cfg.to_string(),
+                "steps": steps,
+                "output": states[-1].to_string(),
+                "output_origin": states[-1].origin,
+                "traces": [list(t) for t in traces] if trace else None,
+            },
+            out,
+        )
+        return
+    lines = []
+    for i, state in enumerate(states):
+        lines.append(state.to_string())
+        if trace and i < len(traces):
+            lines.append("".join(str(v % 10) for v in traces[i]))
+    _write("\n".join(lines if trace else [states[-1].to_string()]), out)
 
 
 def _decomposed(exc: Excursion):
@@ -251,43 +265,40 @@ def _decomposed(exc: Excursion):
 @click.option("--out", type=click.Path(), default=None)
 def decompose_cmd(config, path, origin, fmt, out):
     """Solitons, slot diagrams, and components of a ball string."""
-    try:
-        cfg = _read_config(config, path, origin)
-        recs, i_lo, excs, bases = _excursions_with_bases(cfg)
-        decomposed = list(zip(map_distinct(_decomposed, excs), bases))
-        solitons = [
-            {
-                "k": sol.k,
-                "head": [base + h for h in sol.head],
-                "tail": [base + t for t in sol.tail],
-            }
-            for (excursion_solitons, _, _), base in decomposed
-            for sol in excursion_solitons
-        ]
-        diagrams = [diagram for (_, _, diagram), _ in decomposed]
-        components = concat_diagrams(diagrams, i_lo)
-        if fmt == "json":
-            doc = {
-                "origin": cfg.origin,
-                "balls": cfg.to_string(),
-                "i_lo": i_lo,
-                "solitons": solitons,
-                "slots": [
-                    {str(k): [base + p for p in pos] for k, pos, _ in reversed(levels)}
-                    for (_, levels, _), base in decomposed
-                ],
-                "diagrams": [d.to_doc() for d in diagrams],
-                "components": components.to_doc(),
-            }
-            _emit(doc, out)
-        else:
-            click.echo(f"excursions: {len(excs)} (first index {i_lo})")
-            click.echo("records: " + " ".join(map(str, recs)))
-            for sol in solitons:
-                click.echo(f"  {sol['k']}-soliton head={sol['head']} tail={sol['tail']}")
-            click.echo(f"components: {components.to_json()}")
-    except BoxBallError as exc:
-        _fail(exc)
+    cfg = _read_config(config, path, origin)
+    recs, i_lo, excs, bases = _excursions_with_bases(cfg)
+    decomposed = list(zip(map_distinct(_decomposed, excs), bases))
+    solitons = [
+        {
+            "k": sol.k,
+            "head": [base + h for h in sol.head],
+            "tail": [base + t for t in sol.tail],
+        }
+        for (excursion_solitons, _, _), base in decomposed
+        for sol in excursion_solitons
+    ]
+    diagrams = [diagram for (_, _, diagram), _ in decomposed]
+    components = concat_diagrams(diagrams, i_lo)
+    if fmt == "json":
+        doc = {
+            "origin": cfg.origin,
+            "balls": cfg.to_string(),
+            "i_lo": i_lo,
+            "solitons": solitons,
+            "slots": [
+                {str(k): [base + p for p in pos] for k, pos, _ in reversed(levels)}
+                for (_, levels, _), base in decomposed
+            ],
+            "diagrams": [d.to_doc() for d in diagrams],
+            "components": components.to_doc(),
+        }
+        _emit(doc, out)
+    else:
+        lines = [f"excursions: {len(excs)} (first index {i_lo})"]
+        lines.append("records: " + " ".join(map(str, recs)))
+        lines += [f"  {sol['k']}-soliton head={sol['head']} tail={sol['tail']}" for sol in solitons]
+        lines.append(f"components: {components.to_json()}")
+        _write("\n".join(lines), out)
 
 
 @main.command("reconstruct")
@@ -297,27 +308,24 @@ def decompose_cmd(config, path, origin, fmt, out):
 @click.option("--out", type=click.Path(), default=None)
 def reconstruct_cmd(source, path, fmt, out):
     """Rebuild the ball string from a decompose JSON document (or stdin)."""
+    if path is not None or source in (None, "-"):
+        text = _read_bytes(path or "-")
+    else:
+        text = source
     try:
-        if path is not None or source in (None, "-"):
-            text = _read_bytes(path or "-")
-        else:
-            text = source
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError is a ValueError
-            raise ValidationError(f"bad JSON input: {exc}") from exc
-        payload = doc.get("components", doc) if isinstance(doc, dict) else doc
-        components = ComponentArray.from_doc(payload)
-        full = reconstruct(components)
-        # strip the boundary record boxes so decompose | reconstruct is the
-        # identity on the ball string
-        cfg = BallConfig(full.origin + 1, full.bits[1:-1])
-        if fmt == "json":
-            _emit({"origin": cfg.origin, "balls": cfg.to_string()}, out)
-        else:
-            click.echo(f"{cfg.origin} {cfg.to_string()}")
-    except BoxBallError as exc:
-        _fail(exc)
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"bad JSON input: {exc}") from exc
+    payload = doc.get("components", doc) if isinstance(doc, dict) else doc
+    components = ComponentArray.from_doc(payload)
+    full = reconstruct(components)
+    # strip the boundary record boxes so decompose | reconstruct is the
+    # identity on the ball string
+    cfg = BallConfig(full.origin + 1, full.bits[1:-1])
+    if fmt == "json":
+        _emit({"origin": cfg.origin, "balls": cfg.to_string()}, out)
+    else:
+        _write(f"{cfg.origin} {cfg.to_string()}", out)
 
 
 @main.command("render")
@@ -331,34 +339,31 @@ def render_cmd(config, path, origin, color):
     Records print as dots; each soliton's boxes print in the color of its
     size (purple 1, red 2, green 3, blue 4, then a rotating palette).
     """
-    try:
-        cfg = _read_config(config, path, origin)
-        recs, _, excs, bases = _excursions_with_bases(cfg)
-        class_of: dict[int, int] = {}
-        for solitons, base in zip(map_distinct(soliton_decompose, excs), bases):
-            for sol in solitons:
-                for box in sol.support():
-                    class_of[base + box] = sol.k
-        if color is None:
-            color = sys.stdout.isatty()
-        chars = []
-        classes = []
-        lo = min(recs[0], 0)
-        for z, b in enumerate(cfg.segment(lo, recs[-1] + 1), start=lo):
-            k = class_of.get(z)
-            ch = str(b)
-            if k is None:
-                chars.append("." if b == 0 else ch)
-                classes.append(".")
-            else:
-                code = _COLORS.get(k, _EXTRA_COLORS[k % len(_EXTRA_COLORS)])
-                chars.append(f"\x1b[{code}m{ch}\x1b[0m" if color else ch)
-                classes.append(str(k % 10))
-        click.echo("".join(chars))
-        if not color:
-            click.echo("".join(classes))
-    except BoxBallError as exc:
-        _fail(exc)
+    cfg = _read_config(config, path, origin)
+    recs, _, excs, bases = _excursions_with_bases(cfg)
+    class_of: dict[int, int] = {}
+    for solitons, base in zip(map_distinct(soliton_decompose, excs), bases):
+        for sol in solitons:
+            for box in sol.support():
+                class_of[base + box] = sol.k
+    if color is None:
+        color = sys.stdout.isatty()
+    chars = []
+    classes = []
+    lo = min(recs[0], 0)
+    for z, b in enumerate(cfg.segment(lo, recs[-1] + 1), start=lo):
+        k = class_of.get(z)
+        ch = str(b)
+        if k is None:
+            chars.append("." if b == 0 else ch)
+            classes.append(".")
+        else:
+            code = _COLORS.get(k, _EXTRA_COLORS[k % len(_EXTRA_COLORS)])
+            chars.append(f"\x1b[{code}m{ch}\x1b[0m" if color else ch)
+            classes.append(str(k % 10))
+    click.echo("".join(chars))
+    if not color:
+        click.echo("".join(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -372,61 +377,49 @@ def render_cmd(config, path, origin, color):
 @click.option("--out", type=click.Path(), default=None)
 def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
     """Partition function, slot parameters, and mean sizes of a measure."""
-    from .measures import expected_slot_counts, fill_from_weights, partition_function
+    from .measures import ball_density, expected_slot_counts, fill_from_weights
+    from .measures import mean_record_gap, partition_function
 
-    try:
-        weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-        fill = fill_from_weights(weights, levels)
-        z = partition_function(weights, levels)
-        betas, mean_size = expected_slot_counts(fill)
-        kappa = 1 + mean_size
-        lam_out = (kappa - 1) / (2 * kappa)
-        doc = {
-            "Z": z,
-            "q": list(fill.q),
-            "beta0": betas[0],
-            "kappa": kappa,
-            "lambda": lam_out,
-        }
-        if fmt == "json":
-            _emit(doc, out)
-        else:
-            click.echo(f"Z      = {z:.12g}")
-            click.echo("q      = " + ", ".join(f"{v:.12g}" for v in fill.q[:12]))
-            click.echo(f"beta0  = {betas[0]:.12g}")
-            click.echo(f"kappa  = {kappa:.12g}")
-            click.echo(f"lambda = {lam_out:.12g}")
-    except BoxBallError as exc:
-        _fail(exc)
+    weights, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    fill = fill_from_weights(weights, levels)
+    z = partition_function(weights, levels)
+    betas, _ = expected_slot_counts(fill)
+    kappa = mean_record_gap(weights, levels)
+    lam_out = ball_density(weights, levels)
+    doc = {
+        "Z": z,
+        "q": list(fill.q),
+        "beta0": betas[0],
+        "kappa": kappa,
+        "lambda": lam_out,
+    }
+    if fmt == "json":
+        _emit(doc, out)
+    else:
+        q = ", ".join(f"{v:.12g}" for v in fill.q[:12])
+        _write(f"Z      = {z:.12g}\nq      = {q}\nbeta0  = {betas[0]:.12g}\n"
+               f"kappa  = {kappa:.12g}\nlambda = {lam_out:.12g}", out)
 
 
-def _palm_excursions(measure, lam, q_matrix, params, weights, total, seed) -> list[Excursion]:
-    """``total`` i.i.d. excursions of the measure: the walk samplers for the
-    bernoulli and markov flags, the diagram sampler for explicit weights and
-    parameter files.  They are drawn in 16 fixed chunks, chunk i from the
-    stream ``SeedSequence(seed, spawn_key=(i,))``."""
+def _palm_excursions(weights, walk, total, seed) -> list[Excursion]:
+    """``total`` i.i.d. excursions of the measure: from ``walk``, or from the
+    diagram sampler when there is none.  They are drawn in 16 fixed chunks,
+    chunk i from the stream ``SeedSequence(seed, spawn_key=(i,))``."""
     import numpy as np
 
-    from .line import bernoulli_excursions, markov_excursions
     from .measures import fill_from_weights, sample_excursions
 
     if total < 1:
         raise PreconditionError("--excursions must be >= 1")
-    if params or measure == "explicit":
-        fill = fill_from_weights(weights)
-        sampler = lambda size, rng: sample_excursions(weights, size, rng, fill)
-    elif measure == "bernoulli":
-        sampler = lambda size, rng: bernoulli_excursions(lam, size, rng)
-    else:
-        q = json.loads(q_matrix)
-        sampler = lambda size, rng: markov_excursions(q, size, rng)
+    if walk is None:
+        walk = partial(sample_excursions, weights, fill=fill_from_weights(weights))
     chunks = 16
     out: list[Excursion] = []
     for idx in range(chunks):
         size = total // chunks + (idx < total % chunks)
         if size:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-            out += sampler(size, rng)
+            out += walk(size, rng)
     return out
 
 
@@ -444,33 +437,25 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, see
 
     from .line import sample_anti_palm
 
-    try:
-        weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-        if anti_palm:
-            rng = np.random.default_rng(seed)
-            cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, rng)
-            anchored = None
-        else:
-            excs = _palm_excursions(measure, lam, q_matrix, params, weights, num, seed)
-            anchored = assemble(excs, 0)
-            cfg = anchored.config
-        if fmt == "json":
-            doc = (
-                anchored.to_json_dict()
-                if anchored is not None
-                else {"origin": cfg.origin, "balls": cfg.to_string()}
-            )
-            _emit(doc, out)
-        else:
-            recs = record_positions(cfg)
-            text = f"{cfg.origin} {cfg.to_string()}\n" + " ".join(map(str, recs))
-            if out:
-                with click.open_file(out, "w") as fh:
-                    fh.write(text + "\n")
-            else:
-                click.echo(text)
-    except BoxBallError as exc:
-        _fail(exc)
+    weights, walk = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    if anti_palm:
+        rng = np.random.default_rng(seed)
+        cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, rng)
+        anchored = None
+    else:
+        excs = _palm_excursions(weights, walk, num, seed)
+        anchored = assemble(excs, 0)
+        cfg = anchored.config
+    if fmt == "json":
+        doc = (
+            anchored.to_json_dict()
+            if anchored is not None
+            else {"origin": cfg.origin, "balls": cfg.to_string()}
+        )
+        _emit(doc, out)
+    else:
+        recs = record_positions(cfg)
+        _write(f"{cfg.origin} {cfg.to_string()}\n" + " ".join(map(str, recs)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +485,15 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, signif
     from .measures import fill_from_weights
     from .stats import geometric_gof
 
-    try:
-        weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-        fill = fill_from_weights(weights)
-        components = palm_components(
-            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed)
-        )
-        report = geometric_gof(components, k, 1 - fill.at(k))
-        _verify_exit(
-            {"check": "geometric", "level": k, "report": report.to_json_dict()},
-            report.p_value > significance,
-            out,
-        )
-    except BoxBallError as exc:
-        _fail(exc)
+    weights, walk = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    fill = fill_from_weights(weights)
+    components = palm_components(_palm_excursions(weights, walk, num, seed))
+    report = geometric_gof(components, k, 1 - fill.at(k))
+    _verify_exit(
+        {"check": "geometric", "level": k, "report": report.to_json_dict()},
+        report.p_value > significance,
+        out,
+    )
 
 
 @verify_group.command("independence")
@@ -526,24 +506,19 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, signif
     """Independence of component entries: same-row lag and cross-row pairs."""
     from .stats import independence_test
 
-    try:
-        weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-        components = palm_components(
-            _palm_excursions(measure, lam, q_matrix, params, weights, num, seed)
-        )
-        pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]
-        reports = independence_test(components, pairs)
-        passed = all(r.p_value > significance for r in reports.values())
-        _verify_exit(
-            {
-                "check": "independence",
-                "reports": {str(p): r.to_json_dict() for p, r in reports.items()},
-            },
-            passed,
-            out,
-        )
-    except BoxBallError as exc:
-        _fail(exc)
+    weights, walk = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    components = palm_components(_palm_excursions(weights, walk, num, seed))
+    pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]
+    reports = independence_test(components, pairs)
+    passed = all(r.p_value > significance for r in reports.values())
+    _verify_exit(
+        {
+            "check": "independence",
+            "reports": {str(p): r.to_json_dict() for p, r in reports.items()},
+        },
+        passed,
+        out,
+    )
 
 
 @verify_group.command("t-invariance")
@@ -560,16 +535,13 @@ def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, blo
 
     from .stats import t_invariance_test
 
-    try:
-        weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-        report = t_invariance_test(weights, steps, block_len, boxes, np.random.default_rng(seed))
-        _verify_exit(
-            {"check": "t-invariance", "report": report.to_json_dict()},
-            report.max_dev_se is not None and report.max_dev_se <= max_se,
-            out,
-        )
-    except BoxBallError as exc:
-        _fail(exc)
+    weights, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    report = t_invariance_test(weights, steps, block_len, boxes, np.random.default_rng(seed))
+    _verify_exit(
+        {"check": "t-invariance", "report": report.to_json_dict()},
+        report.max_dev_se is not None and report.max_dev_se <= max_se,
+        out,
+    )
 
 
 @verify_group.command("shift")
@@ -583,27 +555,24 @@ def verify_shift(configs, max_boxes, seed, out):
 
     from .stats import component_shift_check
 
-    try:
-        if configs < 0:
-            raise PreconditionError("--configs must be >= 0")
-        if max_boxes < 1:
-            raise PreconditionError("--max-boxes must be >= 1")
-        rng = np.random.default_rng(seed)
-        failures = 0
-        for _ in range(configs):
-            length = int(rng.integers(1, max_boxes + 1))
-            density = rng.uniform(0.05, 0.45)
-            cfg = BallConfig(1, tuple(int(v) for v in (rng.random(length) < density)))
-            report = component_shift_check(cfg)
-            if not (report.ok and report.counts_conserved):
-                failures += 1
-        _verify_exit(
-            {"check": "shift", "configs": configs, "failures": failures},
-            failures == 0,
-            out,
-        )
-    except BoxBallError as exc:
-        _fail(exc)
+    if configs < 0:
+        raise PreconditionError("--configs must be >= 0")
+    if max_boxes < 1:
+        raise PreconditionError("--max-boxes must be >= 1")
+    rng = np.random.default_rng(seed)
+    failures = 0
+    for _ in range(configs):
+        length = int(rng.integers(1, max_boxes + 1))
+        density = rng.uniform(0.05, 0.45)
+        cfg = BallConfig(1, tuple(int(v) for v in (rng.random(length) < density)))
+        report = component_shift_check(cfg)
+        if not (report.ok and report.counts_conserved):
+            failures += 1
+    _verify_exit(
+        {"check": "shift", "configs": configs, "failures": failures},
+        failures == 0,
+        out,
+    )
 
 
 @verify_group.command("bijections")
@@ -611,28 +580,25 @@ def verify_shift(configs, max_boxes, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def verify_bijections(n_max, out):
     """Exact excursion <-> diagram round trips over all excursions up to n-max."""
-    try:
-        if n_max < 0:
-            raise PreconditionError("--n-max must be >= 0")
-        total = 0
-        failures = 0
-        for n in range(n_max + 1):
-            count = 0
-            for exc in enumerate_excursions(n):
-                count += 1
-                total += 1
-                diagram = diagram_from_excursion(exc)
-                if excursion_from_diagram(diagram) != exc:
-                    failures += 1
-            if count != catalan_number(n):
+    if n_max < 0:
+        raise PreconditionError("--n-max must be >= 0")
+    total = 0
+    failures = 0
+    for n in range(n_max + 1):
+        count = 0
+        for exc in enumerate_excursions(n):
+            count += 1
+            total += 1
+            diagram = diagram_from_excursion(exc)
+            if excursion_from_diagram(diagram) != exc:
                 failures += 1
-        _verify_exit(
-            {"check": "bijections", "excursions": total, "failures": failures},
-            failures == 0,
-            out,
-        )
-    except BoxBallError as exc:
-        _fail(exc)
+        if count != catalan_number(n):
+            failures += 1
+    _verify_exit(
+        {"check": "bijections", "excursions": total, "failures": failures},
+        failures == 0,
+        out,
+    )
 
 
 @verify_group.command("partition")
@@ -644,25 +610,22 @@ def verify_partition(measure, lam, q_matrix, alpha, params, n_max, tolerance, ou
     """Series partition sum against the closed-form product."""
     from .measures import partition_function, partition_series
 
-    try:
-        weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-        series = partition_series(weights, n_max)
-        closed = partition_function(weights)
-        gap = abs(series.value - closed)
-        _verify_exit(
-            {
-                "check": "partition",
-                "series": series.value,
-                "closed": closed,
-                "gap": gap,
-                "tail_bound": series.tail_bound,
-                "n_max": n_max,
-            },
-            gap <= tolerance,
-            out,
-        )
-    except BoxBallError as exc:
-        _fail(exc)
+    weights, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    series = partition_series(weights, n_max)
+    closed = partition_function(weights)
+    gap = abs(series.value - closed)
+    _verify_exit(
+        {
+            "check": "partition",
+            "series": series.value,
+            "closed": closed,
+            "gap": gap,
+            "tail_bound": series.tail_bound,
+            "n_max": n_max,
+        },
+        gap <= tolerance,
+        out,
+    )
 
 
 if __name__ == "__main__":

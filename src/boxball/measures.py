@@ -384,12 +384,42 @@ def _profile_sums(alpha: tuple[float, ...], n_max: int) -> tuple[float, dict[int
     return total, sums
 
 
+def _catalan_term(n: int, beta: float) -> float:
+    """``C_n beta^n``: the weight of the excursions of half-length n when each
+    weighs ``beta^n``, in logs once ``C_n`` is beyond float range."""
+    count = catalan_number(n)
+    try:
+        return count * beta**n
+    except OverflowError:  # int too large to convert to float
+        return math.exp(math.log(count) + n * math.log(beta))
+
+
+def _narayana_term(n: int, a: float, b: float) -> float:
+    """``b^n sum_k N(n, k) a^k``: the weight of the excursions of half-length n
+    when each weighs ``a^(#peaks) b^n``, term by term in logs once the direct
+    sum leaves float range."""
+    if a == 0.0:
+        return 0.0
+    try:
+        term = b**n * sum(narayana_number(n, k) * a**k for k in range(1, n + 1))
+    except OverflowError:  # int too large to convert to float
+        term = math.nan
+    if math.isfinite(term):  # not inf, nor b^n = 0 times inf
+        return term
+    log_a, log_bn = math.log(a), n * math.log(b)
+    return sum(
+        math.exp(math.log(narayana_number(n, k)) + k * log_a + log_bn) for k in range(1, n + 1)
+    )
+
+
 def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
     """Desk-scale series oracle for Z, summing half-lengths up to ``n_max``.
 
     Uses the Catalan series for pure-geometric weights, the Narayana series
     for two-parameter geometric weights, and the profile-grouped sum for
-    explicit finite vectors.  The tail bound is strict in every case.
+    explicit finite vectors.  The tail bound is strict in every case.  Path
+    counts beyond float range are weighed in logs, so the partial sums of a
+    convergent series stay finite at any ``n_max``.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
@@ -397,11 +427,11 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
     if tail is not None and tail.coef == 1.0:
         # weight of an excursion of half-length n is ratio^n: Catalan series
         beta = tail.ratio
-        value = sum(catalan_number(n) * beta**n for n in range(n_max + 1))
+        value = sum(_catalan_term(n, beta) for n in range(n_max + 1))
         if 4 * beta >= 1:
             bound = math.inf
         else:
-            bound = catalan_number(n_max + 1) * beta ** (n_max + 1) / (1 - 4 * beta)
+            bound = _catalan_term(n_max + 1, beta) / (1 - 4 * beta)
         return SeriesResult(value, bound, n_max)
     if tail is not None:
         # weight is coef^(#solitons) * ratio^n; solitons of an excursion are
@@ -409,9 +439,7 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
         a, b = tail.coef, tail.ratio
         value = 1.0
         for n in range(1, n_max + 1):
-            value += b**n * sum(
-                narayana_number(n, k) * a**k for k in range(1, n + 1)
-            )
+            value += _narayana_term(n, a, b)
         rho = b * (1 + math.sqrt(a)) ** 2
         if rho >= 1:
             bound = math.inf
@@ -430,7 +458,7 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
     elif 4 * beta >= 1:
         bound = math.inf
     else:
-        bound = catalan_number(n_max + 1) * beta ** (n_max + 1) / (1 - 4 * beta)
+        bound = _catalan_term(n_max + 1, beta) / (1 - 4 * beta)
     return SeriesResult(value, bound, n_max)
 
 

@@ -220,6 +220,8 @@ def t_invariance_test(
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
+    if block_len < 1:
+        raise PreconditionError("block_len must be >= 1")
     rng = _as_rng(rng)
     config = sample_anti_palm(weights, n_boxes, rng)
     evolved = evolve(config, steps)

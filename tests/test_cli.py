@@ -1,4 +1,5 @@
 import json
+import math
 
 import hypothesis.strategies as st
 import pytest
@@ -191,10 +192,18 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
         path = tmp_path / "measure.json"
         path.write_bytes(params_file)
         flags = ["--params", str(path)]
-    for command in (["params"], ["sample", "--excursions", "10", "--seed", "1"]):
+    for command in (
+        ["params"],
+        ["sample", "--excursions", "10", "--seed", "1"],
+        # the nested verify group reports through the same boundary
+        ["verify", "partition"],
+        ["verify", "geometric", "--excursions", "10", "--seed", "1"],
+    ):
         result = runner.invoke(main, [*command, *flags])
         assert result.exit_code == 3, (command, result.output)
         assert "Traceback" not in result.output
+        errors = result.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), (command, result.stderr)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +222,10 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
          "--seed", "1"],
         ["verify", "independence", "--lambda", "0.25", "--excursions", "-1", "--seed", "1"],
         ["params", "--measure", "bernoulli", "--lambda", "0.25", "--levels", "-1"],
+        ["verify", "t-invariance", "--lambda", "0.25", "--boxes", "1000", "--block-len", "0",
+         "--seed", "1"],
+        ["verify", "t-invariance", "--lambda", "0.25", "--boxes", "1000", "--block-len", "-2",
+         "--seed", "1"],
     ],
 )
 def test_out_of_range_integer_arguments_exit_4(runner, args):
@@ -349,6 +362,20 @@ def test_sample_to_file(runner, tmp_path):
     assert 0 in records and records == sorted(records)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["decompose", "--format", "text", FIG_EXCURSION], ["reconstruct", "-"], ["params", "--lambda", "0.25"]],
+)
+def test_text_output_goes_to_out(runner, tmp_path, args):
+    stdin = runner.invoke(main, ["decompose", FIG_EXCURSION]).output if args[0] == "reconstruct" else None
+    printed = runner.invoke(main, args, input=stdin)
+    out = tmp_path / "out.txt"
+    written = runner.invoke(main, [*args, "--out", str(out)], input=stdin)
+    assert printed.exit_code == written.exit_code == 0
+    assert written.output == ""
+    assert out.read_text() == printed.output
+
+
 def test_verify_bijections(runner):
     result = runner.invoke(main, ["verify", "bijections", "--n-max", "5"])
     assert result.exit_code == 0
@@ -370,6 +397,19 @@ def test_verify_partition_both_families(runner):
          "--Q", "[[0.8,0.2],[0.6,0.4]]", "--n-max", "60"],
     )
     assert markov.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--measure", "bernoulli", "--lambda", "0.25"],
+     ["--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]"]],
+)
+def test_verify_partition_past_float_range_of_path_counts(runner, flags):
+    result = runner.invoke(main, ["verify", "partition", *flags, "--n-max", "600"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert math.isfinite(doc["series"]) and math.isfinite(doc["tail_bound"])
+    assert doc["gap"] < 1e-9 and doc["tail_bound"] < 1e-40
 
 
 def test_verify_geometric_small(runner):

@@ -6,9 +6,11 @@ decompositions were shared between repeated excursions, or, for the samplers,
 the profile recursion, the excursion layout and the diagram memo each moved
 to one place, or, for the JSON documents of ``evolve``, ``reconstruct``,
 ``params`` and ``verify bijections``, before they were written without
-``json.dumps(doc, indent=2)``; a change to how the calculus is computed or
-printed must leave every byte of these outputs alone.  ``reconstruct`` reads
-the ``decompose`` document of the same line on stdin.
+``json.dumps(doc, indent=2)``, or, for the Bernoulli and Markov partition
+series, before path counts beyond float range were weighed in logs; a change
+to how the calculus is computed or printed must leave every byte of these
+outputs alone.  ``reconstruct`` reads the ``decompose`` document of the same
+line on stdin.
 """
 
 import hashlib
@@ -99,6 +101,15 @@ GOLDEN = {
         ["verify", "partition", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",
          "--n-max", "30", "--tolerance", "1e-3"],
         "8c951d4c76d658efa03fcf2c469630faf68b6555608021e8543c08f158d52421",
+    ),
+    "partition-bernoulli": (
+        ["verify", "partition", "--measure", "bernoulli", "--lambda", "0.25"],
+        "4d0a5a31136307d5595ea1474ab22a68464e4dc0b4b3edc2eaf09a651d214b90",
+    ),
+    "partition-markov": (
+        ["verify", "partition", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
+         "--tolerance", "1e-4"],
+        "085c20e0c63d4370780dcece0d1edfb0fb956331580939a6952bca234b406712",
     ),
 }
 

@@ -156,6 +156,22 @@ def test_partition_series_narayana():
     assert 1e-6 < abs(shorter.value - 1.25) <= shorter.tail_bound
 
 
+def test_partition_series_counts_beyond_float_range():
+    # C_n passes float range at n = 518, where the weights of those
+    # excursions are still small, so the partial sums stay finite and exact
+    series = partition_series(bernoulli_weights(0.25), 600)
+    exact = sum(Fraction(math.comb(2 * n, n) // (n + 1)) * Fraction(3, 16) ** n for n in range(601))
+    assert series.value == pytest.approx(float(exact), rel=1e-14)
+    assert 0 < series.tail_bound < 1e-70
+    # a = Q(0,1)Q(1,0) / (Q(1,1)Q(0,0)) = 7.36 here: sum_k N(n, k) a^k passes
+    # float range near n = 270 while b^n underflows
+    series = partition_series(markov_weights([[0.55, 0.45], [0.9, 0.1]]), 300)
+    assert series.value == pytest.approx(1 / 0.55, abs=1e-9)
+    assert 0 < series.tail_bound < 1e-30
+    # Q(0,1) = 0 gives a = 0: no excursion but the empty one has weight
+    assert partition_series(markov_weights([[1.0, 0.0], [0.9, 0.1]]), 600).value == 1.0
+
+
 def test_partition_series_profile_vs_enumeration():
     # grouped profile sums equal full excursion enumeration, term by term
     for alpha in ([0.2, 0.1], [0.3], [0.1, 0.05, 0.3]):

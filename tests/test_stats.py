@@ -169,6 +169,9 @@ def test_t_invariance_multi_step():
 def test_t_invariance_window_guard():
     with pytest.raises(PreconditionError):
         t_invariance_test(bernoulli_weights(0.3), 1, 40, 20, np.random.default_rng(0))
+    for block_len in (0, -2):  # no blocks to compare, so nothing would be checked
+        with pytest.raises(PreconditionError):
+            t_invariance_test(bernoulli_weights(0.3), 1, block_len, 1000, np.random.default_rng(0))
 
 
 def test_t_invariance_empty_measure_trivial():
