@@ -30,7 +30,6 @@ _EXPORTS = {
         "evolve",
         "excursions_of",
         "is_record",
-        "narayana_number",
         "record_position",
         "record_positions",
         "soliton_counts",

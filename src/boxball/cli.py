@@ -24,12 +24,12 @@ from . import __version__
 from .core import (
     BallConfig,
     Excursion,
+    _cut_window,
     assemble,
     carrier_trace,
     catalan_number,
     enumerate_excursions,
     evolve,
-    excursions_of,
     map_distinct,
     record_positions,
     soliton_decompose,
@@ -126,23 +126,6 @@ def _emit(doc: dict, out: str | None) -> None:
     _write(_indented({"v": 1, **doc}), out)
 
 
-def _excursions_with_bases(cfg: BallConfig):
-    """``(records, i_lo, excursions, bases)``: each excursion's left record.
-
-    ``excursions_of`` prepends the implicit records ``0 .. recs[0] - 1`` when
-    the window starts right of box 1, so the first base is ``min(recs[0], 0)``
-    and each next one follows the previous excursion's ``2n`` boxes.
-    """
-    recs = record_positions(cfg)
-    i_lo, excs = excursions_of(cfg)
-    bases = []
-    base = min(recs[0], 0)
-    for exc in excs:
-        bases.append(base)
-        base += 2 * exc.n + 1
-    return recs, i_lo, excs, bases
-
-
 def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonWeights, Walk | None]:
     """The measure, and the walk ``(size, rng) -> excursions`` of the bernoulli
     and markov flags; explicit weights and parameter files have none."""
@@ -184,6 +167,15 @@ def _measure_options(fn):
     fn = click.option("--measure", type=click.Choice(["bernoulli", "markov", "explicit"]),
                       default="bernoulli", show_default=True)(fn)
     return fn
+
+
+def _check_seed(ctx, param, seed: int) -> int:
+    if seed < 0:
+        raise PreconditionError("--seed must be >= 0")
+    return seed
+
+
+_seed_option = click.option("--seed", type=int, required=True, callback=_check_seed)
 
 
 class _Main(click.Group):
@@ -266,7 +258,7 @@ def _decomposed(exc: Excursion):
 def decompose_cmd(config, path, origin, fmt, out):
     """Solitons, slot diagrams, and components of a ball string."""
     cfg = _read_config(config, path, origin)
-    recs, i_lo, excs, bases = _excursions_with_bases(cfg)
+    recs, i_lo, excs, bases = _cut_window(cfg)  # bases: each excursion's left record
     decomposed = list(zip(map_distinct(_decomposed, excs), bases))
     solitons = [
         {
@@ -340,7 +332,7 @@ def render_cmd(config, path, origin, color):
     size (purple 1, red 2, green 3, blue 4, then a rotating palette).
     """
     cfg = _read_config(config, path, origin)
-    recs, _, excs, bases = _excursions_with_bases(cfg)
+    recs, _, excs, bases = _cut_window(cfg)
     class_of: dict[int, int] = {}
     for solitons, base in zip(map_distinct(soliton_decompose, excs), bases):
         for sol in solitons:
@@ -350,8 +342,7 @@ def render_cmd(config, path, origin, color):
         color = sys.stdout.isatty()
     chars = []
     classes = []
-    lo = min(recs[0], 0)
-    for z, b in enumerate(cfg.segment(lo, recs[-1] + 1), start=lo):
+    for z, b in enumerate(cfg.segment(bases[0], recs[-1] + 1), start=bases[0]):
         k = class_of.get(z)
         ch = str(b)
         if k is None:
@@ -428,7 +419,7 @@ def _palm_excursions(weights, walk, total, seed) -> list[Excursion]:
 @click.option("--excursions", "num", type=int, default=1000, show_default=True)
 @click.option("--anti-palm", is_flag=True, help="stationary window instead of record-anchored")
 @click.option("--boxes", type=int, default=None, help="window size for --anti-palm")
-@click.option("--seed", type=int, required=True)
+@_seed_option
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=click.Path(), default=None)
 def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, seed, fmt, out):
@@ -477,7 +468,7 @@ def _verify_exit(doc: dict, passed: bool, out: str | None) -> None:
 @_measure_options
 @click.option("--excursions", "num", type=int, default=100_000, show_default=True)
 @click.option("--level", "k", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, required=True)
+@_seed_option
 @click.option("--significance", type=float, default=1e-3, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, significance, out):
@@ -499,7 +490,7 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, signif
 @verify_group.command("independence")
 @_measure_options
 @click.option("--excursions", "num", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, required=True)
+@_seed_option
 @click.option("--significance", type=float, default=1e-3, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, significance, out):
@@ -527,7 +518,7 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, signif
 @click.option("--steps", type=int, default=1, show_default=True)
 @click.option("--block-len", type=int, default=4, show_default=True)
 @click.option("--max-se", type=float, default=4.0, show_default=True)
-@click.option("--seed", type=int, required=True)
+@_seed_option
 @click.option("--out", type=click.Path(), default=None)
 def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, block_len, max_se, seed, out):
     """Block frequencies before and after evolution on a stationary window."""
@@ -547,7 +538,7 @@ def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, blo
 @verify_group.command("shift")
 @click.option("--configs", type=int, default=1000, show_default=True)
 @click.option("--max-boxes", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, required=True)
+@_seed_option
 @click.option("--out", type=click.Path(), default=None)
 def verify_shift(configs, max_boxes, seed, out):
     """Component rows of random configurations shift but never change under evolution."""

@@ -15,12 +15,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import compress, groupby, islice
+from itertools import compress, count, groupby, islice
 from operator import eq, gt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError, ValidationError
 
+BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out or cut
 
 # ---------------------------------------------------------------------------
 # configurations and walks
@@ -131,18 +132,17 @@ def balls_from_walk(walk: Walk) -> BallConfig:
 # the carrier: loads, records and the image of one sweep
 # ---------------------------------------------------------------------------
 
-def _loads(bits: bytes) -> list[int]:
+def _loads(bits: bytes, load: int = 0) -> list[int]:
     """Carrier load before the window and after each of its boxes.
 
-    The carrier enters empty, picks up every ball and drops one ball into
-    every empty box it reaches loaded.  Its load is the walk minus its running
-    minimum, so the boxes it reaches empty are the records inside the window
-    (``loads[i] == loads[i + 1]``), the boxes it fills are those where the
-    load drops (``loads[i] > loads[i + 1]``), and ``loads[-1]`` balls are left
-    for the boxes right of the window.
+    The carrier enters with ``load`` balls, picks up every ball and drops
+    one ball into every empty box it reaches loaded.  Its load is the walk
+    minus its running minimum, so the boxes it reaches empty are the records
+    inside the window (``loads[i] == loads[i + 1]``), the boxes it fills are
+    those where the load drops (``loads[i] > loads[i + 1]``), and
+    ``loads[-1]`` balls are left for the boxes right of the window.
     """
-    out = [0]
-    load = 0
+    out = [load]
     for b in bits:
         if b:
             load += 1
@@ -150,6 +150,13 @@ def _loads(bits: bytes) -> list[int]:
             load -= 1
         out.append(load)
     return out
+
+
+def _records(loads: list[int], first: int = 0) -> Iterator[int]:
+    """Positions of the records among the boxes whose :func:`_loads` are
+    ``loads``, the first box at ``first``: the boxes the carrier reaches and
+    leaves empty."""
+    return compress(count(first), map(eq, loads, islice(loads, 1, None)))
 
 
 def record_positions(config: BallConfig) -> tuple[int, ...]:
@@ -160,10 +167,7 @@ def record_positions(config: BallConfig) -> tuple[int, ...]:
     description of the record set.
     """
     loads = _loads(bytes(config.bits))
-    inside = compress(
-        range(config.origin, config.end + 1), map(eq, loads, islice(loads, 1, None))
-    )
-    return (config.origin - 1, *inside, config.end + loads[-1] + 1)
+    return (config.origin - 1, *_records(loads, config.origin), config.end + loads[-1] + 1)
 
 
 def record_position(config: BallConfig, i: int) -> int:
@@ -178,13 +182,8 @@ def record_position(config: BallConfig, i: int) -> int:
 
 
 def is_record(config: BallConfig, z: int) -> bool:
-    i = z - config.origin
-    if i < 0:
-        return True
-    loads = _loads(bytes(config.bits[: i + 1]))
-    if i < len(config.bits):
-        return loads[i] == loads[i + 1]
-    return i >= len(config.bits) + loads[-1]
+    recs = record_positions(config)
+    return not recs[0] < z < recs[-1] or z in recs
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,7 @@ class Excursion:
 
     @classmethod
     def from_balls(cls, balls: Sequence[int]) -> Excursion:
-        return cls(tuple(2 * int(b) - 1 for b in balls))
+        return cls(tuple(map({0: -1, 1: 1}.get, balls)))  # None fails validation
 
     @classmethod
     def from_string(cls, text: str) -> Excursion:
@@ -267,6 +266,53 @@ class Excursion:
 EMPTY_EXCURSION = Excursion()
 
 
+def _cut(
+    bits: bytes, limit: int | None = None, start: int = 0
+) -> tuple[list[int], list[Excursion], bytes]:
+    """The record cut of boxes that start right after a record.
+
+    Returns the first ``limit`` records among the boxes (default: all), as
+    indices into ``bits``; the excursion that ends at each, every distinct
+    shape built once; and the boxes after the last.  The first ``start``
+    boxes hold no record (an earlier cut's tail), so the carrier starts
+    after them, loaded with their height.
+    """
+    head = 2 * bits.count(1, 0, start) - start
+    records = list(islice(_records(_loads(bits[start:], head), start), limit))
+    starts = [0, *(r + 1 for r in records)]
+    excursions = map_distinct(Excursion.from_balls, [bits[a:b] for a, b in zip(starts, records)])
+    return records, excursions, bits[starts[-1] :]
+
+
+def _cut_window(config: BallConfig) -> tuple[tuple[int, ...], int, tuple[Excursion, ...], list[int]]:
+    """``(record_positions(config), i_lo, excursions, bounds)`` from one
+    carrier pass, for a configuration with a record at 0.
+
+    ``i_lo`` and ``excursions`` are what :func:`excursions_of` returns;
+    excursion ``i_lo + j`` lies between records ``bounds[j]`` and
+    ``bounds[j + 1]``.  Box 0 may lie at most :data:`BOX_BUDGET` boxes from
+    the window, since each record between them bounds one more empty
+    excursion.
+    """
+    if max(config.origin, -config.end) > BOX_BUDGET:
+        raise PreconditionError(f"box 0 lies more than {BOX_BUDGET} boxes from the window")
+    inside, excursions, tail = _cut(bytes(config.bits))
+    # the tail starts at load 0 and meets no record: the load at the window
+    # end is its height, and that many empty boxes close it
+    load = 2 * tail.count(1) - len(tail)
+    excursions.append(Excursion.from_balls(tail + bytes(load)))
+    recs = (config.origin - 1, *(config.origin + r for r in inside), config.end + load + 1)
+    # every box left of the window, and right of the last returned record, is a record
+    left, right = range(0, recs[0]), range(recs[-1] + 1, 1)
+    bounds = [*left, *recs, *right]
+    i_lo = -bisect.bisect_left(bounds, 0)
+    if bounds[-i_lo] != 0:
+        raise PreconditionError("box 0 must be a record")
+    pad = (EMPTY_EXCURSION,)
+    excursions = pad * len(left) + (*excursions,) + pad * len(right)
+    return recs, i_lo, excursions, bounds
+
+
 def excursions_of(config: BallConfig) -> tuple[int, tuple[Excursion, ...]]:
     """Split a configuration with a record at 0 into its indexed excursions.
 
@@ -274,15 +320,7 @@ def excursions_of(config: BallConfig) -> tuple[int, tuple[Excursion, ...]]:
     records ``i_lo + j`` and ``i_lo + j + 1``; the covered range spans the
     whole support, and every excursion outside it is empty.
     """
-    recs = record_positions(config)
-    # every box left of the window, and right of the last returned record, is a record
-    recs = (*range(0, recs[0]), *recs, *range(recs[-1] + 1, 1))
-    i_lo = -bisect.bisect_left(recs, 0)
-    if recs[-i_lo] != 0:
-        raise PreconditionError("box 0 must be a record")
-    return i_lo, tuple(
-        Excursion.from_balls(config.segment(a + 1, b)) for a, b in zip(recs, recs[1:])
-    )
+    return _cut_window(config)[1:3]
 
 
 _K = TypeVar("_K")
@@ -456,8 +494,8 @@ def soliton_counts(excursion: Excursion) -> dict[int, int]:
 
 def config_soliton_counts(config: BallConfig) -> dict[int, int]:
     """Soliton counts of a full configuration, accumulated per excursion."""
-    base = config if is_record(config, 0) else config.shifted(-record_positions(config)[0])
-    _, excs = excursions_of(base)
+    # the box left of the window is a record; put it at 0
+    _, excs = excursions_of(config.shifted(1 - config.origin))
     counts: dict[int, int] = {}
     for exc_counts in map_distinct(soliton_counts, excs):
         for k, c in exc_counts.items():
@@ -471,13 +509,6 @@ def config_soliton_counts(config: BallConfig) -> dict[int, int]:
 
 def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
-
-
-def narayana_number(n: int, k: int) -> int:
-    """Count of excursions of half-length n with exactly k peaks."""
-    if not 1 <= k <= n:
-        return 0
-    return math.comb(n, k) * math.comb(n, k - 1) // n
 
 
 def enumerate_excursions(n: int) -> Iterator[Excursion]:

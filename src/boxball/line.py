@@ -3,19 +3,20 @@
 A configuration with a record at the origin is equivalent to its doubly
 infinite excursion sequence.  Palm samplers draw i.i.d. excursions and
 concatenate them (``core.assemble``, also reachable here as
-``line.assemble``); the anti-Palm sampler tilts the block covering the origin
-by its length and places the origin uniformly inside it, producing a window
-of the translation-invariant measure.
+``line.assemble``); the walk samplers draw boxes right of a record and cut
+them into excursions with the one record cut, ``core._cut``.  The anti-Palm
+sampler tilts the block covering the origin by its length and places the
+origin uniformly inside it, producing a window of the translation-invariant
+measure.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
-from .core import AnchoredConfig, BallConfig, Excursion, assemble
+from .core import AnchoredConfig, BallConfig, Excursion, _cut, assemble
 from .errors import PreconditionError
 from .measures import (
     SlotFill,
@@ -46,67 +47,43 @@ def sample_palm(
 def bernoulli_excursions(lam: float, size: int, rng) -> list[Excursion]:
     """Excursions of a walk stepping up with probability lam, in bulk.
 
-    Simulates i.i.d. boxes right of a record and cuts at the running strict
-    minima of the walk; vectorized over a growing buffer.
+    Draws i.i.d. boxes right of a record, a buffer at a time, and cuts them
+    at the records (``core._cut``).
     """
     if not 0 <= lam < 0.5:
         raise PreconditionError("lambda must lie in [0, 1/2)")
     rng = _as_rng(rng)
-    if lam == 0.0:
-        return [Excursion()] * size
     mean_len = 1.0 / (1 - 2 * lam)
     out: list[Excursion] = []
-    carry = np.empty(0, dtype=np.int64)  # steps since the last record
+    tail = b""  # boxes since the last record
     while len(out) < size:
         chunk = int((size - len(out) + 16) * mean_len * 1.3) + 64
-        fresh = np.where(rng.random(chunk) < lam, 1, -1)
-        steps = np.concatenate((carry, fresh))
-        walk = np.cumsum(steps)
-        prev_min = np.minimum.accumulate(np.concatenate(([0], walk)))[:-1]
-        rec = np.flatnonzero(walk < prev_min)
-        if rec.size == 0:
-            carry = steps
-            continue
-        bounds = np.concatenate(([-1], rec))
-        for a, b in zip(bounds, bounds[1:]):
-            out.append(Excursion(tuple(steps[a + 1 : b].tolist())))
-            if len(out) == size:
-                break
-        carry = steps[rec[-1] + 1 :]
+        boxes = tail + (rng.random(chunk) < lam).tobytes()
+        _, excursions, tail = _cut(boxes, size - len(out), len(tail))
+        out += excursions
     return out
 
 
 def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> list[Excursion]:
-    """Excursions of a stationary two-state chain restarted after each record.
+    """Excursions of a two-state chain started empty right of a record.
 
-    Each excursion runs the chain from the empty record state until the walk
-    first goes below its start, dropping that final record step.
+    Runs the chain over buffers of uniforms, one box per uniform, and cuts
+    the boxes at the records (``core._cut``).  A record is an empty box, so
+    the chain is in its empty state there, as it would be restarted: the
+    excursions are i.i.d.
     """
     q = _transition_matrix(q_matrix)
     rng = _as_rng(rng)
     up_from = (q[0][1], q[1][1])
     out: list[Excursion] = []
-    buf = rng.random(max(4096, 8 * size))
-    pos = 0
-    for _ in range(size):
-        steps: list[int] = []
-        state = 0
-        height = 0
-        while True:
-            if pos == len(buf):
-                buf = rng.random(len(buf))
-                pos = 0
-            state = 1 if buf[pos] < up_from[state] else 0
-            pos += 1
-            if state == 1:
-                height += 1
-                steps.append(1)
-            else:
-                if height == 0:
-                    break  # this empty box is the next record
-                height -= 1
-                steps.append(-1)
-        out.append(Excursion(tuple(steps)))
+    tail = b""  # boxes since the last record
+    boxes = b"\x00"  # the last box drawn: the empty record left of the first
+    n = max(4096, 8 * size)
+    while len(out) < size:
+        chain = accumulate(rng.random(n).tolist(), lambda s, u: u < up_from[s], initial=boxes[-1])
+        boxes = bytes(chain)[1:]
+        _, excursions, tail = _cut(tail + boxes, size - len(out), len(tail))
+        out += excursions
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Excursion, catalan_number, map_distinct, narayana_number, soliton_counts
+from .core import Excursion, catalan_number, map_distinct, soliton_counts
 from .errors import DivergenceError, PreconditionError, ValidationError
 from .slots import (
     EMPTY_DIAGRAM,
@@ -397,19 +397,21 @@ def _catalan_term(n: int, beta: float) -> float:
 def _narayana_term(n: int, a: float, b: float) -> float:
     """``b^n sum_k N(n, k) a^k``: the weight of the excursions of half-length n
     when each weighs ``a^(#peaks) b^n``, term by term in logs once the direct
-    sum leaves float range."""
+    sum leaves float range.  N(n, k) counts the excursions with k peaks:
+    N(n, 1) = 1 and N(n, k + 1) = N(n, k) (n - k) (n - k + 1) / (k (k + 1))."""
     if a == 0.0:
         return 0.0
+    row = [1]
+    for k in range(1, n):
+        row.append(row[-1] * (n - k) * (n - k + 1) // (k * (k + 1)))
     try:
-        term = b**n * sum(narayana_number(n, k) * a**k for k in range(1, n + 1))
+        term = b**n * sum(count * a**k for k, count in enumerate(row, 1))
     except OverflowError:  # int too large to convert to float
         term = math.nan
     if math.isfinite(term):  # not inf, nor b^n = 0 times inf
         return term
     log_a, log_bn = math.log(a), n * math.log(b)
-    return sum(
-        math.exp(math.log(narayana_number(n, k)) + k * log_a + log_bn) for k in range(1, n + 1)
-    )
+    return sum(math.exp(math.log(count) + k * log_a + log_bn) for k, count in enumerate(row, 1))
 
 
 def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:

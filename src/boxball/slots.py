@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
+    BOX_BUDGET,
     BallConfig,
     Excursion,
     Soliton,
@@ -562,11 +563,6 @@ def palm_components(excursions: Sequence[Excursion]) -> ComponentArray:
     return concat_diagrams([EMPTY_DIAGRAM, *diagrams, EMPTY_DIAGRAM], -1)
 
 
-# the most boxes plus diagram entries :func:`reconstruct` lays out; a
-# component array of a few bytes can ask for billions of either
-RECONSTRUCT_BUDGET = 1 << 22
-
-
 def _rebuild_size(components: ComponentArray) -> int:
     """Boxes plus diagram entries that rebuilding an array lays out, at most.
 
@@ -594,12 +590,12 @@ def reconstruct(components: ComponentArray) -> BallConfig:
     """Configuration with record 0 at the origin whose decomposition is given.
 
     Inverse of :func:`decompose` up to zero padding of the array window.
-    Arrays whose rebuild could lay out more than :data:`RECONSTRUCT_BUDGET`
+    Arrays whose rebuild could lay out more than :data:`core.BOX_BUDGET`
     boxes and diagram entries are refused before anything is built.
     """
-    if _rebuild_size(components) > RECONSTRUCT_BUDGET:
+    if _rebuild_size(components) > BOX_BUDGET:
         raise PreconditionError(
-            f"the component array asks for more than {RECONSTRUCT_BUDGET} boxes "
+            f"the component array asks for more than {BOX_BUDGET} boxes "
             "and diagram entries"
         )
     i_lo, diagrams = diagrams_from_components(components)

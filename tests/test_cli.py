@@ -226,6 +226,15 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
          "--seed", "1"],
         ["verify", "t-invariance", "--lambda", "0.25", "--boxes", "1000", "--block-len", "-2",
          "--seed", "1"],
+        ["sample", "--lambda", "0.25", "--excursions", "3", "--seed", "-1"],
+        ["sample", "--anti-palm", "--lambda", "0.25", "--boxes", "10", "--seed", "-1"],
+        ["verify", "geometric", "--lambda", "0.25", "--excursions", "3", "--seed", "-1"],
+        ["verify", "independence", "--lambda", "0.25", "--excursions", "3", "--seed", "-1"],
+        ["verify", "t-invariance", "--lambda", "0.25", "--boxes", "1000", "--seed", "-1"],
+        ["verify", "shift", "--configs", "3", "--seed", "-1"],
+        # box 0 more than 2^22 boxes from the window: as many empty excursions
+        ["decompose", "--origin", "5000000", "1"],
+        ["render", "--origin", "-5000000", "1"],
     ],
 )
 def test_out_of_range_integer_arguments_exit_4(runner, args):

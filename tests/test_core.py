@@ -21,7 +21,7 @@ from boxball import (
     soliton_decompose,
     walk_from_balls,
 )
-from boxball.core import map_distinct
+from boxball.core import BOX_BUDGET, _cut, map_distinct
 
 import oracles
 
@@ -137,6 +137,13 @@ def test_records_match_naive_scan(cfg):
     assert list(record_positions(cfg)) == oracles.naive_records(
         list(cfg.bits), cfg.origin
     )
+
+
+@given(configs, st.integers(-12, 60))
+def test_is_record_matches_naive_scan(cfg, z):
+    recs = oracles.naive_records(list(cfg.bits), cfg.origin)
+    # every box left of the window, and right of the last returned record, is a record
+    assert is_record(cfg, z) == (z <= recs[0] or z >= recs[-1] or z in recs)
 
 
 def test_record_position_enumeration():
@@ -367,6 +374,34 @@ def test_excursions_of_cuts_at_naive_records(cfg):
     assert [e.balls() for e in excs] == [
         tuple(cfg.occupied(z) for z in range(a + 1, b)) for a, b in zip(recs, recs[1:])
     ]
+
+
+@given(st.binary(max_size=60).map(lambda b: bytes(v & 1 for v in b)), st.data())
+def test_cut_in_pieces_is_one_cut(bits, data):
+    """Cutting a prefix, then its tail plus the rest (``start`` past the
+    tail), finds the records and excursions of one cut; ``limit`` keeps the
+    first ones."""
+    records, excursions, tail = _cut(bits)
+    split = data.draw(st.integers(0, len(bits)))
+    first, first_excursions, first_tail = _cut(bits[:split])
+    rest, rest_excursions, rest_tail = _cut(first_tail + bits[split:], None, len(first_tail))
+    offset = split - len(first_tail)
+    assert first + [offset + r for r in rest] == records
+    assert first_excursions + rest_excursions == excursions
+    assert rest_tail == tail
+    assert [e.balls() for e in excursions] == [
+        tuple(bits[a + 1 : b]) for a, b in zip([-1, *records], records)
+    ]
+    limit = data.draw(st.integers(0, len(records)))
+    assert _cut(bits, limit)[:2] == (records[:limit], excursions[:limit])
+
+
+def test_excursions_of_refuses_box_0_far_from_the_window():
+    for cfg in (BallConfig(BOX_BUDGET + 1, (1, 0)), BallConfig(-BOX_BUDGET - 1, (1,))):
+        with pytest.raises(PreconditionError):
+            excursions_of(cfg)
+    # soliton counts do not depend on where the window sits
+    assert config_soliton_counts(BallConfig(10 * BOX_BUDGET, (1, 1, 0, 1))) == {1: 1, 2: 1}
 
 
 def test_excursions_of_splits_blocks():

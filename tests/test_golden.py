@@ -71,6 +71,17 @@ GOLDEN = {
          "--excursions", "2000", "--seed", "5", "--format", "json"],
         "0eb0694d87e560f785bc3dffa59e36ceac42ff76531c7d078f0e066ab0c89721",
     ),
+    # refill paths: 2 (Bernoulli) and 12 (Markov) of the 16 chunks draw a
+    # second buffer or carry a partial excursion
+    "sample-json-bernoulli-near-critical": (
+        ["sample", "--lambda", "0.49", "--excursions", "1000", "--seed", "5", "--format", "json"],
+        "cab3d4eebd7c0544a11155fea3338c7a50b90d6fcec0638e08cf9e00abf40128",
+    ),
+    "sample-json-markov-near-critical": (
+        ["sample", "--measure", "markov", "--Q", "[[0.55,0.45],[0.46,0.54]]",
+         "--excursions", "2000", "--seed", "5", "--format", "json"],
+        "33a67e13006bdfa6b8a406f1c84b3bd6eb16cc01e1509efa0746392d34508f7f",
+    ),
     "sample-explicit": (
         ["sample", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",
          "--excursions", "3000", "--seed", "5"],
