@@ -246,7 +246,7 @@ def _decomposed(exc: Excursion):
     Takahashi-Satsuma pass."""
     solitons = soliton_decompose(exc)
     levels = list(_slot_levels(solitons))
-    return solitons, levels, _diagram_from_slots(levels, exc.n)
+    return solitons, levels, _diagram_from_slots(levels)
 
 
 @main.command("decompose")

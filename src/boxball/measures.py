@@ -26,6 +26,7 @@ from .errors import DivergenceError, PreconditionError, ValidationError
 from .slots import (
     EMPTY_DIAGRAM,
     SlotDiagram,
+    _trusted_diagram,
     excursion_from_diagram,
     next_slot_count,
     slot_rows,
@@ -554,7 +555,7 @@ def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
         if m == 0:
             out.append(EMPTY_DIAGRAM)
         else:
-            out.append(SlotDiagram(slot_rows(int(rng.geometric(1 - fill.at(m))), m, draw)))
+            out.append(_trusted_diagram(slot_rows(int(rng.geometric(1 - fill.at(m))), m, draw)))
     return out
 
 

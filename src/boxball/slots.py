@@ -23,6 +23,10 @@ i.i.d. excursion sample straight off the excursions, without assembling
 them into a configuration first.  :func:`reconstruct` splits an array back
 into diagrams in one pass per side of label 0, rebuilds each distinct
 diagram once and lays the excursions out as ``core.assemble`` does.
+
+Slot diagrams are validated at the boundary: ``SlotDiagram(rows)`` and
+``from_json`` check the rows, while the decomposition, the sampler, the
+array reader and reflection build them consistent through ``_trusted_diagram``.
 """
 
 from __future__ import annotations
@@ -87,11 +91,8 @@ class SlotDiagram:
     rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        self.validate()
-
-    def validate(self) -> None:
-        rows = self.rows
+        rows = tuple(tuple(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
         if any(v < 0 or v != int(v) for row in rows for v in row):
             raise ValidationError("slot counts must be nonnegative integers")
         if not rows:
@@ -139,7 +140,7 @@ class SlotDiagram:
 
     def reflected(self) -> SlotDiagram:
         """Reverse every row (the diagram of the mirrored excursion)."""
-        return SlotDiagram(tuple(tuple(reversed(r)) for r in self.rows))
+        return _trusted_diagram(tuple(r[::-1] for r in self.rows))
 
     def to_doc(self) -> dict:
         """The JSON document ``{"M": M, "rows": [[...], ...]}`` as a dict."""
@@ -150,16 +151,26 @@ class SlotDiagram:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> SlotDiagram:
+        """A validated diagram whose excursion fits in ``BOX_BUDGET`` boxes."""
         doc = _json_loads(text, "slot diagram")
         if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
             raise ValidationError("bad slot diagram JSON: expected an object with a list of rows")
         diagram = cls(tuple(_json_ints(row) for row in doc["rows"]))
         if "M" in doc and _json_int(doc["M"]) != diagram.max_size:
             raise ValidationError("declared M does not match rows")
+        if 2 * diagram.half_length + 1 > BOX_BUDGET:
+            raise PreconditionError(f"the slot diagram encodes more than {BOX_BUDGET} boxes")
         return diagram
 
 
 EMPTY_DIAGRAM = SlotDiagram()
+
+
+def _trusted_diagram(rows: tuple[tuple[int, ...], ...]) -> SlotDiagram:
+    """A diagram from int rows consistent by construction, left unchecked."""
+    diagram = object.__new__(SlotDiagram)
+    object.__setattr__(diagram, "rows", rows)
+    return diagram
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +226,17 @@ def slot_positions(excursion: Excursion, k: int) -> tuple[int, ...]:
 
 
 def _diagram_from_slots(
-    levels: Iterable[tuple[int, Sequence[int], Sequence[Soliton]]], n: int
+    levels: Iterable[tuple[int, Sequence[int], Sequence[Soliton]]],
 ) -> SlotDiagram:
-    """Slot diagram of an excursion of half-length n from its
-    :func:`_slot_levels`: each k-soliton counts at the k-slot left of it."""
-    right_record = 2 * n + 1
+    """Slot diagram of an excursion from its :func:`_slot_levels`: each
+    k-soliton counts at the k-slot left of its leftmost box."""
     rows = []
-    for k, pos, solitons in levels:
+    for _, pos, solitons in levels:
         row = [0] * len(pos)
         for sol in solitons:
-            lo = min(sol.head[0], sol.tail[0])
-            hi = max(sol.head[-1], sol.tail[-1])
-            j = bisect.bisect_left(pos, lo) - 1
-            nxt = pos[j + 1] if j + 1 < len(pos) else right_record
-            if not (pos[j] < lo and hi < nxt):
-                raise ValidationError(
-                    f"{k}-soliton support not contained between consecutive slots"
-                )
-            row[j] += 1
+            row[bisect.bisect_left(pos, min(sol.head[0], sol.tail[0])) - 1] += 1
         rows.append(tuple(row))
-    return SlotDiagram(tuple(reversed(rows))) if rows else EMPTY_DIAGRAM
+    return _trusted_diagram(tuple(reversed(rows))) if rows else EMPTY_DIAGRAM
 
 
 def diagram_from_excursion(excursion: Excursion) -> SlotDiagram:
@@ -248,7 +250,7 @@ def diagram_from_excursion(excursion: Excursion) -> SlotDiagram:
     solitons = soliton_decompose(excursion)
     if not solitons:
         return EMPTY_DIAGRAM
-    return _diagram_from_slots(_slot_levels(solitons), excursion.n)
+    return _diagram_from_slots(_slot_levels(solitons))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
     once: each box of depth d, when reached, takes the next entry of rows
     1 .. d as the numbers of solitons inserted right after it, smallest size
     first.  No coordinate is stored or shifted; the cost is O(n + sum_k s_k).
-    The frozen diagram validated itself when it was built.
+    Every :class:`SlotDiagram` is consistent, so each row is read to its end.
     """
     rows = diagram.rows
     read = [0] * len(rows)  # entries consumed per row
@@ -287,8 +289,6 @@ def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
             if count:
                 half = range(k - 1, -1, -1)
                 pending += ([(b, i) for i in half] + [(1 - b, i) for i in half]) * count
-    if read != [len(row) for row in rows]:
-        raise ValidationError("slot count mismatch while rebuilding")
     return Excursion.from_balls(bits[1:])
 
 
@@ -394,12 +394,15 @@ class ComponentArray:
         ):
             raise ValidationError("bad component array JSON: expected an object of rows")
         try:
-            return cls(tuple(
+            rows = tuple(
                 (int(k), _json_int(row["offset"]), _json_ints(row["values"]))
                 for k, row in doc.items()
-            ))
+            )
         except ValueError as exc:  # a size that is not an integer
             raise ValidationError(f"bad component array JSON: {exc}") from exc
+        if any(str(k) != key for key, (k, _, _) in zip(doc, rows)):  # "01", "1_0", "+1" ...
+            raise ValidationError("bad component array JSON: sizes must be plain integers")
+        return cls(rows)
 
 
 def _json_loads(text: str | bytes, what: str):
@@ -458,58 +461,26 @@ def concat_diagrams(
     return ComponentArray(tuple(rows))
 
 
-class _RowCursor:
-    """Reads one component row left-to-right (or mirrored) from its window."""
+def _read_diagrams(lines: Mapping[int, tuple[int, ...]]) -> list[SlotDiagram]:
+    """Split rows ``lines[k]``, each read from label 0 away from it and
+    ending at its last nonzero entry, into consecutive diagrams."""
+    at = dict.fromkeys(lines, 0)  # next entry of each row
 
-    __slots__ = ("values", "offset", "pos", "mirror", "end")
-
-    def __init__(self, offset: int, values: tuple[int, ...], mirror: bool):
-        self.values = values
-        self.offset = offset
-        self.pos = 0
-        self.mirror = mirror
-        # one past the reading position of the farthest nonzero entry;
-        # position ``pos`` reads label ``pos``, or ``-1 - pos`` mirrored
-        nonzero = [j for j, v in enumerate(values) if v]
-        if not nonzero:
-            self.end = 0
-        elif mirror:
-            self.end = -offset - nonzero[0]
-        else:
-            self.end = offset + nonzero[-1] + 1
-
-    def peek(self, j: int) -> int:
-        label = -1 - (self.pos + j) if self.mirror else self.pos + j
-        idx = label - self.offset
-        if 0 <= idx < len(self.values):
-            return self.values[idx]
-        return 0
-
-    def advance(self, count: int) -> None:
-        self.pos += count
-
-    def exhausted(self) -> bool:
-        """True when every remaining readable label holds a zero."""
-        return self.pos >= self.end
-
-
-def _read_diagrams(cursors: dict[int, _RowCursor]) -> list[SlotDiagram]:
     def read_row(k: int, s_k: int) -> tuple[int, ...]:
-        cur = cursors.get(k)
-        return tuple(cur.peek(j) for j in range(s_k)) if cur else (0,) * s_k
+        a = at.get(k, 0)
+        row = lines.get(k, ())[a : a + s_k]
+        return row + (0,) * (s_k - len(row))
 
     out = []
-    while any(not c.exhausted() for c in cursors.values()):
-        m = max((k for k, cur in cursors.items() if cur.peek(0) > 0), default=0)
-        if m == 0:
-            for cur in cursors.values():
-                cur.advance(1)
-            out.append(EMPTY_DIAGRAM)
-            continue
-        rows = slot_rows(cursors[m].peek(0), m, read_row)
-        for k, cur in cursors.items():
-            cur.advance(len(rows[k - 1]) if k <= m else 1)
-        out.append(SlotDiagram(rows))
+    while any(at[k] < len(line) for k, line in lines.items()):
+        m = max(
+            (k for k, line in lines.items() if at[k] < len(line) and line[at[k]]),
+            default=0,
+        )
+        rows = slot_rows(lines[m][at[m]], m, read_row) if m else ()
+        for k in lines:
+            at[k] += len(rows[k - 1]) if k <= m else 1
+        out.append(_trusted_diagram(rows) if m else EMPTY_DIAGRAM)
     return out
 
 
@@ -519,19 +490,17 @@ def diagrams_from_components(
     """Split a component array back into per-excursion slot diagrams.
 
     Nonnegative indices are read left-to-right starting at label 0; negative
-    ones come from the mirrored array, each recovered diagram reflected back.
+    ones from label -1 leftwards, each recovered diagram reflected back.
     Returns ``(i_lo, diagrams)`` covering every diagram that consumes a
     nonzero entry; all others are empty.
     """
-    right = {
-        k: _RowCursor(off, vals, mirror=False) for k, off, vals in components.rows
-    }
-    left = {
-        k: _RowCursor(off, vals, mirror=True) for k, off, vals in components.rows
-    }
-    right_diagrams = _read_diagrams(right)
+    right, left = {}, {}  # per row: the entries at labels 0, 1, ... and -1, -2, ...
+    for k, off, values in components.trimmed().rows:
+        below = max(-off, 0)  # entries left of label 0; (0,) * n is () for n <= 0
+        right[k] = (0,) * off + values[below:]
+        left[k] = (0,) * -(off + len(values)) + values[:below][::-1]
     left_diagrams = [d.reflected() for d in _read_diagrams(left)]
-    diagrams = tuple(reversed(left_diagrams)) + tuple(right_diagrams)
+    diagrams = tuple(reversed(left_diagrams)) + tuple(_read_diagrams(right))
     return -len(left_diagrams), diagrams
 
 

@@ -290,11 +290,12 @@ def component_shift_check(config: BallConfig) -> ShiftReport:
     anchor_at = max((r for r in recs if r <= 0), default=recs[0])
     after = decompose(image.shifted(-anchor_at))
     sizes = sorted(set(before.sizes()) | set(after.sizes()))
+    trimmed_before, trimmed_after = before.trimmed(), after.trimmed()
     ok = True
     offsets: dict[int, int | None] = {}
     for k in sizes:
-        t_before = before.trimmed().row(k)
-        t_after = after.trimmed().row(k)
+        t_before = trimmed_before.row(k)
+        t_after = trimmed_after.row(k)
         if t_before[1] != t_after[1]:
             ok = False
             offsets[k] = None

@@ -82,6 +82,7 @@ def test_reconstruct_bad_json(runner):
         '{"1": {"offset": 0, "values": [true]}}',
         '{"1": {"offset": 0, "values": 3}}',
         '{"1": [0, [1]]}',
+        '{"1_0": {"offset": 0, "values": [1]}}',
         b"\xff\xfe{",
     ],
 )

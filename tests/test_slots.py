@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from boxball import (
@@ -12,6 +12,7 @@ from boxball import (
     PreconditionError,
     SlotDiagram,
     ValidationError,
+    bernoulli_weights,
     concat_diagrams,
     decompose,
     diagram_from_excursion,
@@ -19,10 +20,16 @@ from boxball import (
     enumerate_excursions,
     evolve,
     excursion_from_diagram,
+    excursions_of,
+    explicit_weights,
+    fill_from_weights,
     insert_soliton,
+    markov_weights,
     reconstruct,
+    sample_diagrams,
     slot_positions,
 )
+from boxball.core import BOX_BUDGET
 from boxball.line import assemble
 from boxball.slots import palm_components
 
@@ -268,6 +275,18 @@ def test_diagram_json_refuses_non_integer_documents(text):
         SlotDiagram.from_json(text)
 
 
+def test_diagram_json_refuses_a_diagram_over_the_box_budget():
+    # n unit solitons: an excursion of 2n boxes and its left record; the
+    # refusal comes before any excursion is built
+    n = (BOX_BUDGET - 1) // 2
+    assert SlotDiagram.from_json(f'{{"rows": [[{n}]]}}').half_length == n
+    for top in (n + 1, 10**12):
+        with pytest.raises(PreconditionError):
+            SlotDiagram.from_json(f'{{"rows": [[{top}]]}}')
+    with pytest.raises(PreconditionError):
+        SlotDiagram.from_json(f'{{"M": 2, "rows": [[0, {n}, 0], [1]]}}')
+
+
 # ---------------------------------------------------------------------------
 # component arrays
 # ---------------------------------------------------------------------------
@@ -330,6 +349,22 @@ def test_to_doc_is_the_parsed_json(seed, count, i_lo):
     assert components.to_doc() == json.loads(components.to_json())
 
 
+component_arrays = st.dictionaries(
+    st.integers(1, 4),
+    st.tuples(st.integers(-12, 12), st.lists(st.integers(0, 2), max_size=8)),
+    max_size=4,
+).map(ComponentArray.from_dict)
+
+
+@given(component_arrays)
+@example(ComponentArray.from_dict({1: (-9, (1, 0, 2))}))
+@example(ComponentArray.from_dict({2: (-5, (1,)), 1: (4, (0, 1))}))
+@example(ComponentArray.from_dict({3: (6, (2,))}))
+def test_recovery_round_trip_on_arbitrary_arrays(arr):
+    # rows may lie wholly left of label -1 or right of label 0, with a gap
+    assert concat_diagrams(*reversed(diagrams_from_components(arr))).same_as(arr)
+
+
 def test_recovery_reflection_on_palindromic_arrays():
     rng = np.random.default_rng(17)
     for _ in range(100):
@@ -349,6 +384,40 @@ def test_component_array_json_round_trip():
     assert ComponentArray.from_json(text) == arr
     with pytest.raises(ValidationError):
         ComponentArray.from_json('{"1": {"offset": 0}}')
+    assert ComponentArray.from_doc({"10": {"offset": -2, "values": [1]}}).sizes() == (10,)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "+1", "01", "-0", "\u0663", "1.0", "x", ""])
+def test_component_array_json_refuses_sizes_not_written_as_plain_integers(key):
+    with pytest.raises(ValidationError):
+        ComponentArray.from_doc({key: {"offset": 0, "values": [1]}})
+
+
+FILLS = {
+    "bernoulli": fill_from_weights(bernoulli_weights(0.3)),
+    "markov": fill_from_weights(markov_weights([[0.8, 0.2], [0.6, 0.4]])),
+    "explicit": fill_from_weights(explicit_weights([0.2, 0.1, 0.05])),
+}
+
+
+@given(
+    st.lists(st.integers(0, 1), max_size=80),
+    component_arrays,
+    st.sampled_from(sorted(FILLS)),
+    st.integers(0, 2**32 - 1),
+)
+def test_trusted_diagrams_equal_validated_ones(bits, arr, family, seed):
+    _, excursions = excursions_of(BallConfig(1, tuple(bits)))
+    diagrams = [
+        *map(diagram_from_excursion, excursions),
+        *sample_diagrams(FILLS[family], 20, seed),
+        *diagrams_from_components(arr)[1],
+    ]
+    for diagram in diagrams + [d.reflected() for d in diagrams]:
+        assert type(diagram.rows) is tuple
+        assert all(type(row) is tuple for row in diagram.rows)
+        assert all(type(v) is int for row in diagram.rows for v in row)
+        assert SlotDiagram(diagram.rows) == diagram
 
 
 # ---------------------------------------------------------------------------
