@@ -20,9 +20,7 @@ _EXPORTS = {
         "BallConfig",
         "Excursion",
         "Soliton",
-        "Walk",
         "assemble",
-        "balls_from_walk",
         "carrier_trace",
         "catalan_number",
         "config_soliton_counts",
@@ -34,7 +32,6 @@ _EXPORTS = {
         "record_positions",
         "soliton_counts",
         "soliton_decompose",
-        "walk_from_balls",
     ),
     "errors": (
         "BoxBallError",

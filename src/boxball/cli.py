@@ -555,7 +555,7 @@ def verify_shift(configs, max_boxes, seed, out):
     for _ in range(configs):
         length = int(rng.integers(1, max_boxes + 1))
         density = rng.uniform(0.05, 0.45)
-        cfg = BallConfig(1, tuple(int(v) for v in (rng.random(length) < density)))
+        cfg = BallConfig(1, (rng.random(length) < density).tobytes())
         report = component_shift_check(cfg)
         if not (report.ok and report.counts_conserved):
             failures += 1

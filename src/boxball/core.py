@@ -1,13 +1,16 @@
-"""Ball configurations, walks, records, carrier dynamics, and soliton identification.
+"""Ball configurations, records, carrier dynamics, and soliton identification.
 
 A configuration is a 0/1 occupancy of the integer lattice with finite support,
-stored as a window of bits plus implicit zero padding.  The associated walk
-steps up at occupied boxes and down at empty ones; its strict running minima
-are the records, which split the configuration into finite excursions, and
-:func:`assemble` lays excursions out between records again.  The
-Takahashi-Satsuma algorithm identifies the conserved solitons of an excursion
-in one left-to-right pass over its runs, pairing each run that is no longer
-than the run after it with the start of that run.
+stored as a window of boxes plus implicit zero padding.  Box contents have one
+format everywhere: immutable ``bytes`` of 0s and 1s, checked once by
+``_boxes``.  The walk that steps up at occupied boxes and down at empty ones
+is only ever read through the carrier (``_loads``), whose load is the walk
+minus its running minimum: the boxes it reaches empty are the records, which
+split the configuration into finite excursions, and :func:`assemble` lays
+excursions out between records again.  The Takahashi-Satsuma algorithm
+identifies the conserved solitons of an excursion in one left-to-right pass
+over its runs, pairing each run that is no longer than the run after it with
+the start of that run.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import compress, count, groupby, islice
+from itertools import accumulate, compress, count, groupby, islice
 from operator import eq, gt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -24,36 +27,57 @@ from .errors import PreconditionError, ValidationError
 BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out or cut
 
 # ---------------------------------------------------------------------------
-# configurations and walks
+# configurations
 # ---------------------------------------------------------------------------
 
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _boxes(contents) -> bytes:
+    """Box contents as immutable 0/1 bytes, from bytes or an iterable of 0s
+    and 1s; anything else is refused.
+
+    Non-bytes are read item by item, never through the buffer protocol, so
+    a numpy array of ints reads as its values and an int is not a length.
+    """
+    if not isinstance(contents, bytes):
+        try:
+            contents = bytes(iter(contents))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"box contents must be 0s and 1s: {exc}") from exc
+    if contents.translate(None, b"\x00\x01"):
+        raise ValidationError("box contents must be 0 or 1")
+    return contents
+
+
+def _from_ascii(text: str) -> bytes:
+    """The boxes of a ball string of ASCII 0s and 1s."""
+    text = text.strip()
+    if not set(text) <= {"0", "1"}:
+        raise ValidationError(f"ball string must be over 0/1, got {text!r}")
+    return text.encode().translate(_FROM_ASCII)
+
+
 @dataclass(frozen=True)
 class BallConfig:
     """Finite occupancy window; every box outside the window is empty.
 
-    ``bits[i]`` is the content of box ``origin + i``.
+    ``bits[i]`` is the content (0 or 1) of box ``origin + i``.
     """
 
     origin: int = 1
-    bits: tuple[int, ...] = ()
+    bits: bytes = b""
 
     def __post_init__(self):
-        if not set(self.bits) <= {0, 1}:
-            raise ValidationError("box contents must be 0 or 1")
+        object.__setattr__(self, "bits", _boxes(self.bits))
 
     @classmethod
     def from_string(cls, text: str, origin: int = 1) -> BallConfig:
-        text = text.strip()
-        if not set(text) <= {"0", "1"}:
-            raise ValidationError(f"ball string must be over 0/1, got {text!r}")
-        return cls(origin, tuple(text.encode().translate(_FROM_ASCII)))
+        return cls(origin, _from_ascii(text))
 
     def to_string(self) -> str:
-        return bytes(self.bits).translate(_TO_ASCII).decode()
+        return self.bits.translate(_TO_ASCII).decode()
 
     @property
     def end(self) -> int:
@@ -65,17 +89,17 @@ class BallConfig:
             return self.bits[z - self.origin]
         return 0
 
-    def segment(self, lo: int, hi: int) -> tuple[int, ...]:
+    def segment(self, lo: int, hi: int) -> bytes:
         """Contents of boxes ``lo .. hi - 1``, zero outside the window."""
         size = hi - lo
         if size <= 0:
-            return ()
+            return b""
         left = min(max(self.origin - lo, 0), size)
         inside = self.bits[max(lo - self.origin, 0) : max(hi - self.origin, 0)]
-        return (0,) * left + inside + (0,) * (size - left - len(inside))
+        return bytes(left) + inside + bytes(size - left - len(inside))
 
     def ball_count(self) -> int:
-        return sum(self.bits)
+        return self.bits.count(1)
 
     def ball_boxes(self) -> tuple[int, ...]:
         return tuple(self.origin + i for i, b in enumerate(self.bits) if b)
@@ -87,45 +111,9 @@ class BallConfig:
         """Minimal window covering the support (canonical form for equality)."""
         balls = self.ball_boxes()
         if not balls:
-            return BallConfig(1, ())
+            return BallConfig(1, b"")
         lo, hi = balls[0], balls[-1]
         return BallConfig(lo, self.bits[lo - self.origin : hi - self.origin + 1])
-
-
-@dataclass(frozen=True)
-class Walk:
-    """Height process of a configuration: one +/-1 step per window box.
-
-    ``base`` is the height just left of the window, normalized so the height
-    at box 0 is zero.
-    """
-
-    origin: int
-    base: int
-    steps: tuple[int, ...]
-
-    def heights(self) -> tuple[int, ...]:
-        """Heights at boxes ``origin - 1 .. origin - 1 + len(steps)``."""
-        out = [self.base]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return tuple(out)
-
-
-def walk_from_balls(config: BallConfig) -> Walk:
-    """Walk with step ``2 * bit - 1`` per box, anchored so height(0) = 0."""
-    balls_upto_0 = sum(
-        b for i, b in enumerate(config.bits) if config.origin + i <= 0
-    )
-    base = -2 * balls_upto_0 - (config.origin - 1)
-    return Walk(config.origin, base, tuple(2 * b - 1 for b in config.bits))
-
-
-def balls_from_walk(walk: Walk) -> BallConfig:
-    """Inverse of :func:`walk_from_balls`."""
-    if any(s not in (-1, 1) for s in walk.steps):
-        raise ValidationError("walk steps must be +/-1")
-    return BallConfig(walk.origin, tuple((s + 1) // 2 for s in walk.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +154,17 @@ def record_positions(config: BallConfig) -> tuple[int, ...]:
     of the last returned position; the returned range is therefore a complete
     description of the record set.
     """
-    loads = _loads(bytes(config.bits))
+    loads = _loads(config.bits)
     return (config.origin - 1, *_records(loads, config.origin), config.end + loads[-1] + 1)
 
 
 def record_position(config: BallConfig, i: int) -> int:
     """Position of record ``i``: the first box where the walk reaches ``-i``."""
     recs = record_positions(config)
-    # the walk steps down to a new minimum at each record, from height
-    # ``base`` at the first returned one
-    j = i + walk_from_balls(config).base
+    # the walk, at height 0 at box 0, stands at ``base`` at the first returned
+    # record and steps down to a new minimum at each record after it
+    base = -2 * config.bits.count(1, 0, max(1 - config.origin, 0)) - (config.origin - 1)
+    j = i + base
     if j < 0:
         return recs[0] + j
     return recs[min(j, len(recs) - 1)] + max(j - len(recs) + 1, 0)
@@ -198,11 +187,11 @@ def evolve(config: BallConfig, steps: int = 1) -> BallConfig:
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
-    bits = bytes(config.bits)
+    bits = config.bits
     for _ in range(steps):
         loads = _loads(bits)
         bits = bytes(map(gt, loads, islice(loads, 1, None))) + b"\x01" * loads[-1]
-    return BallConfig(config.origin, tuple(bits))
+    return BallConfig(config.origin, bits)
 
 
 def carrier_trace(config: BallConfig) -> tuple[int, ...]:
@@ -212,7 +201,7 @@ def carrier_trace(config: BallConfig) -> tuple[int, ...]:
     window end, continues until it has deposited everything, so the final
     load is always zero.
     """
-    loads = _loads(bytes(config.bits))
+    loads = _loads(config.bits)
     return (*islice(loads, 1, None), *range(loads[-1] - 1, -1, -1))
 
 
@@ -222,45 +211,33 @@ def carrier_trace(config: BallConfig) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Excursion:
-    """Nonnegative +/-1 walk segment from 0 back to 0, of length ``2n``."""
+    """The ``2n`` boxes between two consecutive records, as 0/1 bytes.
 
-    steps: tuple[int, ...] = ()
+    The carrier enters them empty, leaves them empty, and reaches none of
+    them empty (none is a record): the walk never dips below where it starts
+    and ends there.
+    """
+
+    bits: bytes = b""
 
     def __post_init__(self):
-        h = 0
-        for s in self.steps:
-            if s not in (-1, 1):
-                raise ValidationError("excursion steps must be +/-1")
-            h += s
-            if h < 0:
-                raise ValidationError("excursion dips below zero")
-        if h != 0:
-            raise ValidationError("excursion must end at height zero")
-
-    @classmethod
-    def from_balls(cls, balls: Sequence[int]) -> Excursion:
-        return cls(tuple(map({0: -1, 1: 1}.get, balls)))  # None fails validation
+        bits = _boxes(self.bits)
+        object.__setattr__(self, "bits", bits)
+        loads = _loads(bits)
+        if loads[-1] or next(_records(loads), None) is not None:
+            raise ValidationError("boxes must hold no record and end with an empty carrier")
 
     @classmethod
     def from_string(cls, text: str) -> Excursion:
-        return cls.from_balls([int(c) for c in text.strip()])
+        return cls(_from_ascii(text))
 
     @property
     def n(self) -> int:
         """Half-length: the number of balls."""
-        return len(self.steps) // 2
-
-    def balls(self) -> tuple[int, ...]:
-        return tuple((s + 1) // 2 for s in self.steps)
+        return len(self.bits) // 2
 
     def ball_string(self) -> str:
-        return "".join(str((s + 1) // 2) for s in self.steps)
-
-    def heights(self) -> tuple[int, ...]:
-        out = [0]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return tuple(out)
+        return self.bits.translate(_TO_ASCII).decode()
 
 
 EMPTY_EXCURSION = Excursion()
@@ -280,7 +257,7 @@ def _cut(
     head = 2 * bits.count(1, 0, start) - start
     records = list(islice(_records(_loads(bits[start:], head), start), limit))
     starts = [0, *(r + 1 for r in records)]
-    excursions = map_distinct(Excursion.from_balls, [bits[a:b] for a, b in zip(starts, records)])
+    excursions = map_distinct(Excursion, [bits[a:b] for a, b in zip(starts, records)])
     return records, excursions, bits[starts[-1] :]
 
 
@@ -296,11 +273,11 @@ def _cut_window(config: BallConfig) -> tuple[tuple[int, ...], int, tuple[Excursi
     """
     if max(config.origin, -config.end) > BOX_BUDGET:
         raise PreconditionError(f"box 0 lies more than {BOX_BUDGET} boxes from the window")
-    inside, excursions, tail = _cut(bytes(config.bits))
+    inside, excursions, tail = _cut(config.bits)
     # the tail starts at load 0 and meets no record: the load at the window
     # end is its height, and that many empty boxes close it
     load = 2 * tail.count(1) - len(tail)
-    excursions.append(Excursion.from_balls(tail + bytes(load)))
+    excursions.append(Excursion(tail + bytes(load)))
     recs = (config.origin - 1, *(config.origin + r for r in inside), config.end + load + 1)
     # every box left of the window, and right of the last returned record, is a record
     left, right = range(0, recs[0]), range(recs[-1] + 1, 1)
@@ -396,14 +373,9 @@ def _lay_out(
     ``i_lo + t``; consecutive records are ``2 n + 1`` apart.
     """
     start = -sum(2 * e.n + 1 for e in excursions[:-i_lo])
-    records = [start]
-    bits: list[int] = []
-    for e in excursions:
-        bits.append(0)
-        bits.extend(e.balls())
-        records.append(records[-1] + 2 * e.n + 1)
-    bits.append(0)
-    return BallConfig(start, tuple(bits)), tuple(records)
+    bits = b"\x00".join([b"", *(e.bits for e in excursions), b""])
+    records = accumulate((2 * e.n + 1 for e in excursions), initial=start)
+    return BallConfig(start, bits), tuple(records)
 
 
 def assemble(excursions: Sequence[Excursion], i_lo: int = 0) -> AnchoredConfig:
@@ -461,7 +433,7 @@ def soliton_decompose(excursion: Excursion) -> tuple[Soliton, ...]:
     solitons = []
     stack: list[tuple[list[int], int]] = []  # (boxes, index of the first unpaired one)
     pos = 1
-    for value, group in groupby(excursion.steps):
+    for value, group in groupby(excursion.bits):
         boxes = list(range(pos, pos + len(list(group))))
         pos += len(boxes)
         start = 0
@@ -514,14 +486,14 @@ def catalan_number(n: int) -> int:
 def enumerate_excursions(n: int) -> Iterator[Excursion]:
     """All excursions of half-length n, via the first-return decomposition."""
 
-    def paths(m: int) -> Iterator[tuple[int, ...]]:
+    def paths(m: int) -> Iterator[bytes]:
         if m == 0:
-            yield ()
+            yield b""
             return
         for i in range(m):
             for inner in paths(i):
                 for rest in paths(m - 1 - i):
-                    yield (1,) + inner + (-1,) + rest
+                    yield b"\x01" + inner + b"\x00" + rest
 
     for p in paths(n):
         yield Excursion(p)

@@ -373,9 +373,12 @@ def _profile_sums(alpha: tuple[float, ...], n_max: int) -> tuple[float, dict[int
             return
         a = alpha[k - 1]
         limit = budget // k if a > 0 else 0
+        ways = 1  # C(n_k + s_k - 1, n_k), each from the last in exact integers
         for n_k in range(limit + 1):
+            if n_k:
+                ways = ways * (n_k + s_k - 1) // n_k
             counts[k - 1] = n_k
-            w = weight * a**n_k * math.comb(n_k + s_k - 1, n_k)
+            w = weight * a**n_k * ways
             if w == 0.0 and n_k > 0:
                 break
             rec(k - 1, budget - k * n_k, w, next_slot_count(s_k, above + n_k), above + n_k)

@@ -133,11 +133,6 @@ class SlotDiagram:
         """n of the encoded excursion."""
         return sum(k * sum(row) for k, row in enumerate(self.rows, start=1))
 
-    def counts(self) -> dict[int, int]:
-        return {
-            k: sum(row) for k, row in enumerate(self.rows, start=1) if sum(row) > 0
-        }
-
     def reflected(self) -> SlotDiagram:
         """Reverse every row (the diagram of the mirrored excursion)."""
         return _trusted_diagram(tuple(r[::-1] for r in self.rows))
@@ -278,7 +273,7 @@ def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
     # (bit, depth) of the boxes still to emit, next one last; the left record
     # comes first, as an empty slot of every level
     pending = [(0, len(rows))]
-    bits: list[int] = []
+    bits = bytearray()
     while pending:
         b, depth = pending.pop()
         bits.append(b)
@@ -289,7 +284,7 @@ def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
             if count:
                 half = range(k - 1, -1, -1)
                 pending += ([(b, i) for i in half] + [(1 - b, i) for i in half]) * count
-    return Excursion.from_balls(bits[1:])
+    return Excursion(bytes(bits[1:]))
 
 
 def insert_soliton(config: BallConfig, k: int, j: int) -> BallConfig:
@@ -301,7 +296,7 @@ def insert_soliton(config: BallConfig, k: int, j: int) -> BallConfig:
     if k < 1:
         raise PreconditionError("k must be >= 1")
     try:
-        exc = Excursion.from_balls(config.bits)
+        exc = Excursion(config.bits)
     except ValidationError as e:
         raise PreconditionError(f"window is not an excursion image: {e}") from e
     solitons = soliton_decompose(exc)
@@ -311,10 +306,9 @@ def insert_soliton(config: BallConfig, k: int, j: int) -> BallConfig:
     if not 0 <= j < len(pos):
         raise PreconditionError(f"slot index {j} out of range (s_k = {len(pos)})")
     u = pos[j]
-    bits = list(config.bits)
-    val = bits[u - 1] if u >= 1 else 0
-    bits[u:u] = [1 - val] * k + [val] * k
-    return BallConfig(config.origin, tuple(bits))
+    val = config.bits[u - 1] if u >= 1 else 0
+    soliton = bytes((1 - val,)) * k + bytes((val,)) * k
+    return BallConfig(config.origin, config.bits[:u] + soliton + config.bits[u:])
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +347,6 @@ class ComponentArray:
             if kk == k:
                 return off, values
         return 0, ()
-
-    def value(self, k: int, j: int) -> int:
-        off, values = self.row(k)
-        if off <= j < off + len(values):
-            return values[j - off]
-        return 0
 
     def trimmed(self) -> ComponentArray:
         """Drop zero rows and strip leading/trailing zeros of each row."""

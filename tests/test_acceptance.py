@@ -174,7 +174,7 @@ def test_criterion_08_sampler_law_agreement():
     lam = 0.25
 
     def histogram(excs):
-        return Counter(e.steps if e.n <= 4 else "bigger" for e in excs)
+        return Counter(e.bits if e.n <= 4 else "bigger" for e in excs)
 
     direct = histogram(bernoulli_excursions(lam, draws, np.random.default_rng(SEED)))
     via_diagrams = histogram(

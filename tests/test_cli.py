@@ -269,7 +269,7 @@ def test_decompose_runs_one_soliton_decomposition_per_excursion(runner, monkeypa
         calls.clear()
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
-        assert len(calls) == len({e.steps for e in calls}) == 4
+        assert len(calls) == len({e.bits for e in calls}) == 4
 
 
 def test_verify_geometric_decomposes_each_distinct_excursion_once(runner, monkeypatch):
@@ -279,7 +279,7 @@ def test_verify_geometric_decomposes_each_distinct_excursion_once(runner, monkey
     original = boxball.slots.soliton_decompose
 
     def counted(exc):
-        calls.append(exc.steps)
+        calls.append(exc.bits)
         return original(exc)
 
     monkeypatch.setattr(boxball.slots, "soliton_decompose", counted)

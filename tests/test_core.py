@@ -1,3 +1,6 @@
+from itertools import accumulate
+
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -7,7 +10,6 @@ from boxball import (
     Excursion,
     PreconditionError,
     ValidationError,
-    balls_from_walk,
     carrier_trace,
     catalan_number,
     config_soliton_counts,
@@ -19,7 +21,6 @@ from boxball import (
     record_positions,
     soliton_counts,
     soliton_decompose,
-    walk_from_balls,
 )
 from boxball.core import BOX_BUDGET, _cut, map_distinct
 
@@ -41,14 +42,14 @@ configs = st.builds(
 
 
 # ---------------------------------------------------------------------------
-# walks
+# configurations
 # ---------------------------------------------------------------------------
 
 @given(st.text("01", max_size=60), st.integers(-8, 8))
 def test_string_round_trip(text, origin):
     cfg = BallConfig.from_string(text, origin)
     assert cfg.to_string() == text
-    assert cfg.bits == tuple(int(c) for c in text)
+    assert cfg.bits == bytes(int(c) for c in text)
 
 
 def test_from_string_rejects_other_characters():
@@ -58,54 +59,31 @@ def test_from_string_rejects_other_characters():
         BallConfig(1, (0, 2))
 
 
+@pytest.mark.parametrize(
+    "contents",
+    [5, "101", b"\x00\x02", (1, -1), (1, 256), (1.0, 0), [None], np.array([True, False])],
+)
+def test_box_contents_other_than_0_1_are_refused(contents):
+    # an int is not a length, a str is not a ball string, and a numpy array
+    # is read by its values, never through the buffer protocol
+    with pytest.raises(ValidationError):
+        BallConfig(1, contents)
+    with pytest.raises(ValidationError):
+        Excursion(contents)
+
+
+def test_box_contents_are_bytes_whatever_the_iterable():
+    want = BallConfig(1, b"\x01\x00\x01")
+    for contents in ((1, 0, 1), [1, 0, 1], bytearray(b"\x01\x00\x01"), np.array([1, 0, 1])):
+        cfg = BallConfig(1, contents)
+        assert cfg == want and type(cfg.bits) is bytes
+    assert Excursion(np.array([1, 0])) == Excursion.from_string("10")
+
+
 @given(configs, st.integers(-12, 50), st.integers(0, 60))
 def test_segment_reads_boxes_with_zero_padding(cfg, lo, size):
     hi = lo + size
-    assert cfg.segment(lo, hi) == tuple(cfg.occupied(z) for z in range(lo, hi))
-
-
-def test_walk_of_empty_config_descends():
-    walk = walk_from_balls(BallConfig(1, (0, 0, 0)))
-    assert walk.steps == (-1, -1, -1)
-    assert walk.heights() == (0, -1, -2, -3)
-
-
-def test_walk_of_single_soliton_returns():
-    walk = walk_from_balls(BallConfig(1, (1, 0)))
-    assert walk.steps == (1, -1)
-    assert walk.heights()[0] == walk.heights()[-1] == 0
-
-
-def test_walk_partial_minima_at_records():
-    cfg = BallConfig.from_string(CARRIER_INPUT)
-    heights = walk_from_balls(cfg).heights()
-    # hand oracle: strict new minima, scanning left to right
-    running = heights[0]
-    minima = []
-    for i, h in enumerate(heights[1:]):
-        if h < running:
-            minima.append(cfg.origin + i)
-            running = h
-    recs = record_positions(cfg)
-    assert [r for r in recs if cfg.origin <= r <= cfg.end] == minima
-
-
-@given(configs)
-def test_walk_round_trip(cfg):
-    assert balls_from_walk(walk_from_balls(cfg)) == cfg
-
-
-@given(configs)
-def test_walk_normalized_at_origin(cfg):
-    walk = walk_from_balls(cfg)
-    # height at box 0, wherever the window sits; boxes outside it step down
-    if 0 < cfg.origin - 1:
-        height = walk.base + (cfg.origin - 1)
-    elif 0 > cfg.end:
-        height = walk.heights()[-1] - (0 - cfg.end)
-    else:
-        height = walk.heights()[0 - (cfg.origin - 1)]
-    assert height == 0
+    assert cfg.segment(lo, hi) == bytes(cfg.occupied(z) for z in range(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +130,13 @@ def test_record_position_enumeration():
     assert record_position(cfg, -2) == -2
     assert record_position(cfg, 1) == 5
     assert record_position(cfg, 4) == 8
+
+
+@given(configs, st.integers(-30, 60))
+def test_record_position_matches_naive_scan(cfg, i):
+    assert record_position(cfg, i) == oracles.naive_record_position(
+        list(cfg.bits), cfg.origin, i
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +213,9 @@ def test_largest_soliton_is_highest_walk_height_exhaustive():
     for n in range(10):
         for exc in enumerate_excursions(n):
             got = [(s.k, s.head, s.tail) for s in soliton_decompose(exc)]
-            assert got == oracles.naive_solitons(list(exc.balls()))
-            assert max(soliton_counts(exc), default=0) == max(exc.heights())
+            assert got == oracles.naive_solitons(list(exc.bits))
+            heights = accumulate((2 * b - 1 for b in exc.bits), initial=0)
+            assert max(soliton_counts(exc), default=0) == max(heights)
 
 
 @given(configs)
@@ -247,11 +233,11 @@ def test_map_distinct_calls_once_per_distinct_excursion(texts):
     calls = []
 
     def counted(exc):
-        calls.append(exc.steps)
+        calls.append(exc.bits)
         return soliton_counts(exc)
 
     assert map_distinct(counted, excs) == [soliton_counts(e) for e in excs]
-    assert sorted(calls) == sorted({e.steps for e in excs})
+    assert sorted(calls) == sorted({e.bits for e in excs})
 
 
 def test_empty_excursion_has_no_solitons():
@@ -280,13 +266,15 @@ def test_soliton_head_tail_values():
     for string in ("110100", "10", FIG_EXCURSION, "1011001100"):
         exc = Excursion.from_string(string)
         for sol in soliton_decompose(exc):
-            assert all(exc.balls()[h - 1] == 1 for h in sol.head)
-            assert all(exc.balls()[t - 1] == 0 for t in sol.tail)
+            assert all(exc.bits[h - 1] == 1 for h in sol.head)
+            assert all(exc.bits[t - 1] == 0 for t in sol.tail)
             assert max(sol.head) < min(sol.tail) or max(sol.tail) < min(sol.head)
 
 
 excursions_medium = st.integers(0, 6).flatmap(
-    lambda n: st.sampled_from([Excursion(p) for p in oracles.dyck_paths(n)])
+    lambda n: st.sampled_from(
+        [Excursion(bytes((s + 1) // 2 for s in p)) for p in oracles.dyck_paths(n)]
+    )
 )
 
 
@@ -297,7 +285,7 @@ def _dyck(steps):
         s = s if h else 1
         h += s
         out.append(s)
-    return Excursion((*out, *(-1,) * h))
+    return Excursion(bytes((s + 1) // 2 for s in out) + bytes(h))
 
 
 staircases = st.integers(1, 20).flatmap(
@@ -321,7 +309,7 @@ staircases = st.integers(1, 20).flatmap(
 )
 def test_decomposition_matches_naive(exc):
     got = [(s.k, s.head, s.tail) for s in soliton_decompose(exc)]
-    assert got == oracles.naive_solitons(list(exc.balls()))
+    assert got == oracles.naive_solitons(list(exc.bits))
 
 
 @given(excursions_medium)
@@ -333,10 +321,10 @@ def test_supports_partition_excursion_boxes(exc):
 
 @given(excursions_medium, st.integers(0, 3), st.integers(0, 3))
 def test_decomposition_padding_invariant(exc, left, right):
-    padded = BallConfig(1, (0,) * left + exc.balls() + (0,) * right)
+    padded = BallConfig(1, bytes(left) + exc.bits + bytes(right))
     base, excs = excursions_of(padded)
     nonempty = [e for e in excs if e.n]
-    assert [e.steps for e in nonempty] in ([exc.steps], [])
+    assert [e.bits for e in nonempty] in ([exc.bits], [])
     if nonempty:
         assert soliton_counts(nonempty[0]) == soliton_counts(exc)
 
@@ -348,11 +336,15 @@ def test_all_excursions_counted_by_catalan():
 
 def test_excursion_validation():
     with pytest.raises(ValidationError):
-        Excursion((1, -1, -1, 1))
+        Excursion((1, 0, 0, 1))  # a record inside
     with pytest.raises(ValidationError):
-        Excursion((1,))
+        Excursion((1,))  # the carrier leaves loaded
     with pytest.raises(ValidationError):
         Excursion.from_string("0")
+    with pytest.raises(ValidationError):
+        Excursion((1, -1))  # +/-1 steps are not box contents
+    with pytest.raises(ValidationError):
+        Excursion.from_string("1x0")
 
 
 def test_excursions_of_requires_record_at_origin():
@@ -371,8 +363,8 @@ def test_excursions_of_cuts_at_naive_records(cfg):
         return
     i_lo, excs = excursions_of(cfg)
     assert i_lo == -sum(1 for r in recs if r < 0)
-    assert [e.balls() for e in excs] == [
-        tuple(cfg.occupied(z) for z in range(a + 1, b)) for a, b in zip(recs, recs[1:])
+    assert [e.bits for e in excs] == [
+        bytes(cfg.occupied(z) for z in range(a + 1, b)) for a, b in zip(recs, recs[1:])
     ]
 
 
@@ -389,8 +381,8 @@ def test_cut_in_pieces_is_one_cut(bits, data):
     assert first + [offset + r for r in rest] == records
     assert first_excursions + rest_excursions == excursions
     assert rest_tail == tail
-    assert [e.balls() for e in excursions] == [
-        tuple(bits[a + 1 : b]) for a, b in zip([-1, *records], records)
+    assert [e.bits for e in excursions] == [
+        bits[a + 1 : b] for a, b in zip([-1, *records], records)
     ]
     limit = data.draw(st.integers(0, len(records)))
     assert _cut(bits, limit)[:2] == (records[:limit], excursions[:limit])

@@ -135,10 +135,10 @@ def test_markov_excursion_frequencies_match_weights():
     rng = np.random.default_rng(14)
     draws = 80_000
     weights = markov_weights(MARKOV_Q)
-    counts = Counter(e.steps for e in markov_excursions(MARKOV_Q, draws, rng))
-    for steps, observed in counts.most_common(8):
-        expected = draws * excursion_prob(weights, Excursion(steps))
-        assert abs(observed - expected) <= 4.5 * math.sqrt(expected), steps
+    counts = Counter(e.bits for e in markov_excursions(MARKOV_Q, draws, rng))
+    for bits, observed in counts.most_common(8):
+        expected = draws * excursion_prob(weights, Excursion(bits))
+        assert abs(observed - expected) <= 4.5 * math.sqrt(expected), bits
 
 
 @pytest.mark.parametrize(
@@ -173,11 +173,11 @@ def test_two_samplers_agree_on_excursion_law():
     lam = 0.25
     draws = 100_000
     a = Counter(
-        e.steps if e.n <= 4 else "big"
+        e.bits if e.n <= 4 else "big"
         for e in bernoulli_excursions(lam, draws, np.random.default_rng(16))
     )
     b = Counter(
-        e.steps if e.n <= 4 else "big"
+        e.bits if e.n <= 4 else "big"
         for e in sample_excursions(bernoulli_weights(lam), draws, np.random.default_rng(17))
     )
     stat = 0.0

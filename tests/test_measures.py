@@ -265,7 +265,8 @@ def test_probabilities_match_enumeration_oracle():
     table = oracles.brute_excursion_probs(alpha, 5)
     z = Fraction(27, 40) ** -1  # exact partition function 40/27
     for steps, w in table.items():
-        assert excursion_prob(weights, Excursion(steps)) == pytest.approx(
+        exc = Excursion(bytes((s + 1) // 2 for s in steps))
+        assert excursion_prob(weights, exc) == pytest.approx(
             float(w / z), abs=1e-14
         )
 

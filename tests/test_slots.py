@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -86,9 +87,9 @@ def test_slot_counts_match_consistency_relation():
 
 @given(st.integers(0, 6), st.integers(1, 5), st.data())
 def test_slots_match_naive(n, k, data):
-    paths = [Excursion(p) for p in oracles.dyck_paths(n)]
+    paths = [Excursion(bytes((s + 1) // 2 for s in p)) for p in oracles.dyck_paths(n)]
     exc = data.draw(st.sampled_from(paths))
-    naive = oracles.naive_slots(oracles.naive_solitons(list(exc.balls())), k)
+    naive = oracles.naive_slots(oracles.naive_solitons(list(exc.bits)), k)
     assert list(slot_positions(exc, k)) == naive
 
 
@@ -133,7 +134,7 @@ def test_exhaustive_bijection_small():
         for exc in enumerate_excursions(n):
             diagram = diagram_from_excursion(exc)
             assert diagram.rows == tuple(
-                tuple(r) for r in oracles.naive_diagram(list(exc.balls()))
+                tuple(r) for r in oracles.naive_diagram(list(exc.bits))
             )
             assert excursion_from_diagram(diagram) == exc
 
@@ -195,7 +196,7 @@ def _long_excursion(n, rng):
     at its minimum (cycle lemma)."""
     steps = rng.permutation([1] * n + [-1] * n)
     start = int(np.argmin(np.cumsum(steps))) + 1
-    return Excursion(tuple(int(s) for s in np.roll(steps, -start)))
+    return Excursion(bytes((int(s) + 1) // 2 for s in np.roll(steps, -start)))
 
 
 LONG_EXCURSIONS = [_long_excursion(n, np.random.default_rng(seed))
@@ -213,8 +214,8 @@ def test_long_excursions_match_naive_oracles():
     assert len(doc["slots"]) == len(LONG_EXCURSIONS)
     base = 0
     for exc, slots in zip(LONG_EXCURSIONS, doc["slots"]):
-        assert max(exc.heights()) >= 25
-        balls = list(exc.balls())
+        assert max(accumulate(2 * b - 1 for b in exc.bits)) >= 25
+        balls = list(exc.bits)
         diagram = diagram_from_excursion(exc)
         assert diagram.rows == tuple(tuple(r) for r in oracles.naive_diagram(balls))
         assert excursion_from_diagram(diagram) == exc
@@ -478,7 +479,7 @@ def test_palm_components_of_no_excursion_is_refused_like_assemble():
 def test_multi_excursion_concatenation_matches_definition():
     # configuration assembled from two copies of the figure excursion
     exc = Excursion.from_string(FIG_EXCURSION)
-    bits = exc.balls() + (0,) + exc.balls()
+    bits = exc.bits + b"\x00" + exc.bits
     cfg = BallConfig(1, bits)
     arr = decompose(cfg)
     assert arr.same_as(concat_diagrams([FIG_DIAGRAM, FIG_DIAGRAM], 0))
@@ -488,7 +489,7 @@ def test_multi_excursion_concatenation_matches_definition():
 
 
 def test_component_shift_under_evolution_figure():
-    cfg = BallConfig(1, Excursion.from_string(FIG_EXCURSION).balls())
+    cfg = BallConfig(1, Excursion.from_string(FIG_EXCURSION).bits)
     before = decompose(cfg).trimmed()
     after = decompose(evolve(cfg)).trimmed()
     for k in (1, 2, 4):
