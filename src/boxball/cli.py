@@ -37,8 +37,7 @@ from .core import (
 from .errors import BoxBallError, PreconditionError, ValidationError
 from .slots import (
     ComponentArray,
-    _diagram_from_slots,
-    _slot_levels,
+    _read_excursion,
     concat_diagrams,
     decompose,  # unused here; kept for code that reaches it as ``boxball.cli.decompose``
     diagram_from_excursion,
@@ -128,33 +127,33 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonWeights, Walk | None]:
     """The measure, and the walk ``(size, rng) -> excursions`` of the bernoulli
-    and markov flags; explicit weights and parameter files have none."""
+    and markov families; explicit weights have none.  A parameter file gives
+    the family and its parameter as the flags do, so the family picks the
+    same sampler for both."""
     from .line import bernoulli_excursions, markov_excursions
-    from .measures import bernoulli_weights, explicit_weights, markov_weights, weights_from_params_json
+    from .measures import family_weights, params_from_json
 
     if params:
-        return weights_from_params_json(_read_bytes(params)), None
-    if measure == "bernoulli":
-        if lam is None:
-            raise ValidationError("--lambda is required for the bernoulli measure")
-        return bernoulli_weights(lam), partial(bernoulli_excursions, lam)
-    if measure == "markov":
-        if q_matrix is None:
-            raise ValidationError("--Q is required for the markov measure")
-        try:
-            q = json.loads(q_matrix)
-            return markov_weights(q), partial(markov_excursions, q)
-        except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
-            raise ValidationError(f"bad --Q matrix: {exc}") from exc
-    if measure == "explicit":
-        if alpha is None:
-            raise ValidationError("--alpha is required for the explicit measure")
-        try:
-            values = [float(v) for v in alpha.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"bad --alpha weights: {exc}") from exc
-        return explicit_weights(values), None
-    raise ValidationError(f"unknown measure {measure!r}")
+        family, parameter = params_from_json(_read_bytes(params))
+    else:
+        family = measure
+        flag, parameter = {"bernoulli": ("--lambda", lam), "markov": ("--Q", q_matrix),
+                           "explicit": ("--alpha", alpha)}[measure]
+        if parameter is None:
+            raise ValidationError(f"{flag} is required for the {measure} measure")
+        if measure == "markov":
+            try:
+                parameter = json.loads(parameter)
+            except ValueError as exc:  # JSONDecodeError is a ValueError
+                raise ValidationError(f"bad --Q matrix: {exc}") from exc
+        elif measure == "explicit":
+            parameter = parameter.split(",")
+    weights = family_weights(family, parameter)
+    if family == "bernoulli":
+        return weights, partial(bernoulli_excursions, float(parameter))
+    if family == "markov":
+        return weights, partial(markov_excursions, parameter)
+    return weights, None
 
 
 def _measure_options(fn):
@@ -241,14 +240,6 @@ def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     _write("\n".join(lines if trace else [states[-1].to_string()]), out)
 
 
-def _decomposed(exc: Excursion):
-    """``(solitons, slot levels, diagram)`` of an excursion, from one
-    Takahashi-Satsuma pass."""
-    solitons = soliton_decompose(exc)
-    levels = list(_slot_levels(solitons))
-    return solitons, levels, _diagram_from_slots(levels)
-
-
 @main.command("decompose")
 @click.argument("config", required=False)
 @click.option("--in", "path", type=click.Path(exists=True), default=None)
@@ -259,7 +250,7 @@ def decompose_cmd(config, path, origin, fmt, out):
     """Solitons, slot diagrams, and components of a ball string."""
     cfg = _read_config(config, path, origin)
     recs, i_lo, excs, bases = _cut_window(cfg)  # bases: each excursion's left record
-    decomposed = list(zip(map_distinct(_decomposed, excs), bases))
+    decomposed = list(zip(map_distinct(_read_excursion, excs), bases))
     solitons = [
         {
             "k": sol.k,
@@ -278,8 +269,8 @@ def decompose_cmd(config, path, origin, fmt, out):
             "i_lo": i_lo,
             "solitons": solitons,
             "slots": [
-                {str(k): [base + p for p in pos] for k, pos, _ in reversed(levels)}
-                for (_, levels, _), base in decomposed
+                {str(k): [base + p for p in pos] for k, pos in enumerate(slots, start=1)}
+                for (_, slots, _), base in decomposed
             ],
             "diagrams": [d.to_doc() for d in diagrams],
             "components": components.to_doc(),

@@ -15,7 +15,6 @@ the start of that run.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, groupby, islice
@@ -282,9 +281,9 @@ def _cut_window(config: BallConfig) -> tuple[tuple[int, ...], int, tuple[Excursi
     # every box left of the window, and right of the last returned record, is a record
     left, right = range(0, recs[0]), range(recs[-1] + 1, 1)
     bounds = [*left, *recs, *right]
-    i_lo = -bisect.bisect_left(bounds, 0)
-    if bounds[-i_lo] != 0:
+    if 0 not in bounds:
         raise PreconditionError("box 0 must be a record")
+    i_lo = -bounds.index(0)
     pad = (EMPTY_EXCURSION,)
     excursions = pad * len(left) + (*excursions,) + pad * len(right)
     return recs, i_lo, excursions, bounds

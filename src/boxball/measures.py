@@ -57,9 +57,6 @@ class GeometricLaw:
     def mean(self) -> float:
         return (1 - self.p) / self.p
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        return rng.geometric(self.p, size=size) - 1
-
 
 @dataclass(frozen=True)
 class GeometricTail:
@@ -170,22 +167,39 @@ def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
     )
 
 
-def weights_from_params_json(text: str | bytes) -> SolitonWeights:
-    """Parameter file loader: bernoulli / markov / explicit families."""
+_PARAMETER = {"bernoulli": "lambda", "markov": "Q", "explicit": "alpha"}
+
+
+def params_from_json(text: str | bytes) -> tuple[str, object]:
+    """The family a parameter file names and its parameter as given: a
+    bernoulli ``lambda``, a markov ``Q`` or explicit ``alpha`` weights."""
     try:
         doc = json.loads(text)
         family = doc["family"]
-        if family == "bernoulli":
-            return bernoulli_weights(float(doc["lambda"]))
-        if family == "markov":
-            return markov_weights(doc["Q"])
-        if family == "explicit":
-            return explicit_weights(doc["alpha"])
+        if family in _PARAMETER:
+            return family, doc[_PARAMETER[family]]
     except KeyError as exc:
         raise ValidationError(f"bad parameter JSON: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"bad parameter JSON: {exc}") from exc
     raise ValidationError(f"unknown family {family!r}")
+
+
+def family_weights(family: str, parameter) -> SolitonWeights:
+    """Weights of the bernoulli, markov or explicit family from its parameter."""
+    try:
+        if family == "bernoulli":
+            return bernoulli_weights(float(parameter))
+        if family == "markov":
+            return markov_weights(parameter)
+        return explicit_weights(parameter)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {family} parameter: {exc}") from exc
+
+
+def weights_from_params_json(text: str | bytes) -> SolitonWeights:
+    """Parameter file loader: bernoulli / markov / explicit families."""
+    return family_weights(*params_from_json(text))
 
 
 # ---------------------------------------------------------------------------

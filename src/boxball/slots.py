@@ -6,14 +6,16 @@ records, per size k, how many k-solitons are appended to (lie strictly
 between) consecutive k-slots.  Diagrams of consecutive excursions concatenate
 row-wise into the component array of a full configuration.
 
-Both directions of the bijection work top-down over the levels k = M .. 1,
-because the k-slots are the (k+1)-slots plus the depth-k boxes of the
-solitons larger than k.  Excursion -> diagram runs Takahashi-Satsuma once
-and derives every slot level from its solitons (O(n + sum_k s_k log s_k) on
-top of the decomposition).  Diagram -> excursion walks the tree of
-insertions (slot box -> solitons inserted right after it) depth first,
-reading each box's insertions off the rows as the walk reaches it, and emits
-the bits in that one traversal (O(n + sum_k s_k)).
+Both directions of the bijection rest on one number per box, its depth:
+box i of either half of a soliton has depth i, the left record depth M, and
+a box of depth d is a k-slot for every k = 1 .. d.  Both therefore read all
+levels in one pass in position order, in O(n + sum_k s_k) with no sort or
+bisection.  Excursion -> diagram runs Takahashi-Satsuma once, gives each
+box its depth and each soliton's leftmost box the soliton's size, and
+counts every k-soliton at the last k-slot before it.  Diagram -> excursion
+walks the tree of insertions (slot box -> solitons inserted right after
+it) depth first, reading each box's insertions off the rows as the walk
+reaches it, and emits the bits in that one traversal.
 
 A configuration, and a Palm sample above all, repeats most of its
 excursions, so :func:`decompose` and :func:`palm_components` compute one
@@ -31,10 +33,9 @@ array reader and reflection build them consistent through ``_trusted_diagram``.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     BOX_BUDGET,
@@ -172,80 +173,57 @@ def _trusted_diagram(rows: tuple[tuple[int, ...], ...]) -> SlotDiagram:
 # slots of an excursion
 # ---------------------------------------------------------------------------
 
-def _slot_levels(
-    solitons: Sequence[Soliton],
-) -> Iterator[tuple[int, list[int], Sequence[Soliton]]]:
-    """Yield ``(k, sorted k-slot positions, the k-solitons)`` for k = M .. 1.
+def _read_excursion(
+    excursion: Excursion,
+) -> tuple[tuple[Soliton, ...], list[list[int]], SlotDiagram]:
+    """``(solitons, slots, diagram)`` of an excursion: ``slots[k - 1]`` lists
+    the k-slot positions for k = 1 .. M, left record first.
 
-    Built top-down: the M-slots are the left record alone, and the k-slots
-    are the (k+1)-slots plus ``head[k]`` and ``tail[k]`` of every soliton
-    larger than k.  Each level is one merge of the level above with its new
-    boxes, so all levels together cost O(n + sum_k s_k log s_k) with no
-    rescan of the solitons per level, and only the level in use is held.
+    The mirror of :func:`excursion_from_diagram`: box i of either half of a
+    soliton has depth i and the left record depth M, so one pass in position
+    order reads every level at once.  A box of depth d opens a new slot, with
+    no solitons yet, on rows 1 .. d, and the leftmost box of a k-soliton
+    counts it at the last k-slot opened.  On top of one Takahashi-Satsuma
+    pass this costs O(n + sum_k s_k), with no sort or bisection.
     """
-    if not solitons:
-        return
-    M = max(sol.k for sol in solitons)
-    if M == 1:  # the common tiny excursion: skip the grouping
-        yield 1, [0], solitons
-        return
-    by_size: list[list[Soliton]] = [[] for _ in range(M + 1)]
+    solitons = soliton_decompose(excursion)
+    M = max((sol.k for sol in solitons), default=0)
+    depth = [0] * (len(excursion.bits) + 1)
+    starts = depth[:]  # size of the soliton whose leftmost box is here
+    depth[0] = M
     for sol in solitons:
-        by_size[sol.k].append(sol)
-    pos = [0]
-    larger: list[Soliton] = []
-    yield M, pos, by_size[M]
-    for k in range(M - 1, 0, -1):
-        larger += by_size[k + 1]
-        pos = pos[:]
-        for sol in larger:
-            pos.append(sol.head[k])
-            pos.append(sol.tail[k])
-        pos.sort()
-        yield k, pos, by_size[k]
-
-
-def _slots_from_solitons(solitons: Sequence[Soliton], k: int) -> list[int]:
-    """Positions of the k-slots: the left record at 0 plus deep boxes."""
-    for level, pos, _ in _slot_levels(solitons):
-        if level == k:
-            return pos
-    return [0]
+        for i in range(1, sol.k):
+            depth[sol.head[i]] = depth[sol.tail[i]] = i
+        starts[min(sol.head[0], sol.tail[0])] = sol.k
+    rows: list[list[int]] = [[] for _ in range(M)]
+    slots: list[list[int]] = [[] for _ in range(M)]
+    for p, d in enumerate(depth):
+        if d:
+            for k in range(d):
+                rows[k].append(0)
+                slots[k].append(p)
+        elif starts[p]:
+            rows[starts[p] - 1][-1] += 1
+    return solitons, slots, _trusted_diagram(tuple(map(tuple, rows)))
 
 
 def slot_positions(excursion: Excursion, k: int) -> tuple[int, ...]:
     """Positions of k-slots, left record first (position 0)."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    return tuple(_slots_from_solitons(soliton_decompose(excursion), k))
-
-
-def _diagram_from_slots(
-    levels: Iterable[tuple[int, Sequence[int], Sequence[Soliton]]],
-) -> SlotDiagram:
-    """Slot diagram of an excursion from its :func:`_slot_levels`: each
-    k-soliton counts at the k-slot left of its leftmost box."""
-    rows = []
-    for _, pos, solitons in levels:
-        row = [0] * len(pos)
-        for sol in solitons:
-            row[bisect.bisect_left(pos, min(sol.head[0], sol.tail[0])) - 1] += 1
-        rows.append(tuple(row))
-    return _trusted_diagram(tuple(reversed(rows))) if rows else EMPTY_DIAGRAM
+    slots = _read_excursion(excursion)[1]
+    return tuple(slots[k - 1]) if k <= len(slots) else (0,)
 
 
 def diagram_from_excursion(excursion: Excursion) -> SlotDiagram:
     """Slot diagram encoding an excursion: per size k, the k-solitons
     appended to each k-slot.
 
-    One Takahashi-Satsuma pass gives the solitons, :func:`_slot_levels`
-    every slot level from them, and a bisection places each soliton, so the
-    cost is the decomposition's plus O(sum_k s_k log s_k).
+    Read off the depth of each box and the size of the soliton that starts
+    there (:func:`_read_excursion`), in O(n + sum_k s_k) on top of the
+    decomposition.
     """
-    solitons = soliton_decompose(excursion)
-    if not solitons:
-        return EMPTY_DIAGRAM
-    return _diagram_from_slots(_slot_levels(solitons))
+    return _read_excursion(excursion)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +277,10 @@ def insert_soliton(config: BallConfig, k: int, j: int) -> BallConfig:
         exc = Excursion(config.bits)
     except ValidationError as e:
         raise PreconditionError(f"window is not an excursion image: {e}") from e
-    solitons = soliton_decompose(exc)
+    solitons, slots, _ = _read_excursion(exc)
     if any(s.k < k for s in solitons):
         raise PreconditionError(f"configuration contains solitons smaller than {k}")
-    pos = _slots_from_solitons(solitons, k)
+    pos = slots[k - 1] if k <= len(slots) else [0]
     if not 0 <= j < len(pos):
         raise PreconditionError(f"slot index {j} out of range (s_k = {len(pos)})")
     u = pos[j]

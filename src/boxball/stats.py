@@ -38,11 +38,6 @@ class GofReport:
     bins: tuple[tuple[str, float, float], ...]
     max_dev_se: float | None = None
 
-    @property
-    def passed(self) -> bool:
-        """Convenience gate at the pre-registered significance 1e-3."""
-        return self.p_value > 1e-3
-
     def to_json_dict(self) -> dict:
         out = {
             "statistic": self.statistic,

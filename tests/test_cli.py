@@ -331,6 +331,27 @@ def test_params_from_file(runner, tmp_path):
     assert doc["Z"] == pytest.approx(1.25, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "params_file, flags",
+    [
+        ('{"family":"bernoulli","lambda":0.25}', ["--lambda", "0.25"]),
+        ('{"family":"markov","Q":[[0.8,0.2],[0.6,0.4]]}',
+         ["--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]"]),
+    ],
+)
+def test_params_file_samples_as_the_matching_flags(runner, tmp_path, params_file, flags):
+    path = tmp_path / "measure.json"
+    path.write_text(params_file)
+    for command in (
+        ["sample", "--excursions", "50", "--seed", "3"],
+        ["verify", "geometric", "--excursions", "2000", "--seed", "3"],
+    ):
+        from_file = runner.invoke(main, [*command, "--params", str(path)])
+        from_flags = runner.invoke(main, [*command, *flags])
+        assert from_file.exit_code == from_flags.exit_code == 0, from_file.output
+        assert from_file.stdout == from_flags.stdout, command
+
+
 def test_sample_requires_seed(runner):
     result = runner.invoke(main, ["sample", "--measure", "bernoulli", "--lambda", "0.25"])
     assert result.exit_code == 2

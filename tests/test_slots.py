@@ -130,13 +130,16 @@ def test_row_of_unit_solitons():
 
 
 def test_exhaustive_bijection_small():
-    for n in range(6):
+    for n in range(10):
         for exc in enumerate_excursions(n):
             diagram = diagram_from_excursion(exc)
             assert diagram.rows == tuple(
                 tuple(r) for r in oracles.naive_diagram(list(exc.bits))
             )
             assert excursion_from_diagram(diagram) == exc
+            solitons = oracles.naive_solitons(list(exc.bits))
+            for k in range(1, diagram.max_size + 2):
+                assert list(slot_positions(exc, k)) == oracles.naive_slots(solitons, k)
 
 
 def test_bijection_on_random_larger_diagrams():
