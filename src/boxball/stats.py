@@ -5,9 +5,9 @@ merged until every expected count reaches the standard validity threshold,
 p-values from the chi-square survival function.  All tests are deterministic
 given their seed and parameters.
 
-scipy is imported only when a chi-square p-value is computed (the chi-square
-``verify`` commands and the statistics tests); importing the package, and
-every other ``bbs`` command, never loads it.
+p-values come from ``_chi2_sf``, a finite sum in the standard library, so no
+``bbs`` command loads scipy; scipy is a test-only dependency, the oracle the
+tests check that sum against.
 """
 
 from __future__ import annotations
@@ -50,11 +50,37 @@ class GofReport:
         return out
 
 
-def _chi2_sf(stat: float, dof: int) -> float:
-    """Chi-square survival function; the same kernel ``scipy.stats.chi2.sf`` calls."""
-    from scipy.special import chdtrc
+def _chi2_sf(x: float, dof: int) -> float:
+    """Chi-square survival function P(X > x) for an integer ``dof`` >= 1.
 
-    return float(chdtrc(dof, stat))
+    For an integer dof the tail is a finite sum.  With h = x/2::
+
+        even dof:  e^(-h) * sum_{j < dof/2} h^j / j!
+        odd dof:   erfc(sqrt h) + e^(-h) * sum_{j=1}^{(dof-1)/2} h^(j-1/2) / Gamma(j+1/2)
+
+    that is, e^(-h) * sum_{i < dof//2} h^(i+a) / Gamma(i+a+1) with a = 0 for an
+    even dof and a = 1/2 (plus the erfc term) for an odd one.
+
+    Each term of the sum is taken in logs through ``lgamma``; e^(-h) and the
+    largest term are factored out in logs and the ratios to it are added with
+    ``math.fsum``, so p-values stay finite and accurate where e^(-h) alone
+    underflows.  x <= 0 gives 1.0 and x = inf gives 0.0.
+    """
+    if not isinstance(dof, int) or dof < 1:
+        raise PreconditionError(f"chi-square dof must be an int >= 1, got {dof!r}")
+    if x <= 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    h = x / 2
+    log_h = math.log(h)
+    a = dof % 2 / 2
+    head = math.erfc(math.sqrt(h)) if a else 0.0
+    logs = [(i + a) * log_h - math.lgamma(i + a + 1) for i in range(dof // 2)]
+    if not logs:
+        return head
+    top = max(logs)
+    return head + math.exp(top - h) * math.fsum([math.exp(t - top) for t in logs])
 
 
 def _chi_square(observed: Sequence[float], expected: Sequence[float], labels) -> GofReport:

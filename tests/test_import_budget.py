@@ -1,5 +1,6 @@
-"""Start-up budget: the package and its CLI load neither scipy nor numpy, and
-the commands that draw no random number run without numpy installed."""
+"""Start-up budget: the package and its CLI load neither scipy nor numpy, the
+commands that draw no random number run without numpy installed, and no
+command needs scipy."""
 
 import json
 import os
@@ -43,9 +44,9 @@ def test_names_and_submodules_load_on_first_use():
     subprocess.run([sys.executable, "-c", code], env=ENV, check=True)
 
 
-def _bbs_without_numpy(*args: str, stdin: str | None = None) -> str:
-    """Run ``bbs ARGS`` where any import of numpy fails."""
-    code = "import sys; sys.modules['numpy'] = None; from boxball.cli import main; main()"
+def _bbs_without(module: str, *args: str, stdin: str | None = None) -> str:
+    """Run ``bbs ARGS`` where any import of ``module`` fails."""
+    code = f"import sys; sys.modules[{module!r}] = None; from boxball.cli import main; main()"
     done = subprocess.run(
         [sys.executable, "-c", code, *args],
         env=ENV, input=stdin, capture_output=True, text=True,
@@ -55,10 +56,21 @@ def _bbs_without_numpy(*args: str, stdin: str | None = None) -> str:
 
 
 def test_deterministic_commands_run_without_numpy():
-    assert "version" in _bbs_without_numpy("--version")
-    assert _bbs_without_numpy("evolve", "--trace", "1100").split() == ["1100", "1210", "0011"]
-    doc = _bbs_without_numpy("decompose", FIG_EXCURSION)
+    assert "version" in _bbs_without("numpy", "--version")
+    assert _bbs_without("numpy", "evolve", "--trace", "1100").split() == ["1100", "1210", "0011"]
+    doc = _bbs_without("numpy", "decompose", FIG_EXCURSION)
     assert json.loads(doc)["balls"] == FIG_EXCURSION
-    assert _bbs_without_numpy("reconstruct", "-", stdin=doc).split() == ["1", FIG_EXCURSION]
-    assert _bbs_without_numpy("render", "--no-color", "1100").split() == [".1100.", ".2222."]
-    assert json.loads(_bbs_without_numpy("verify", "bijections", "--n-max", "3"))["passed"]
+    assert _bbs_without("numpy", "reconstruct", "-", stdin=doc).split() == ["1", FIG_EXCURSION]
+    assert _bbs_without("numpy", "render", "--no-color", "1100").split() == [".1100.", ".2222."]
+    assert json.loads(_bbs_without("numpy", "verify", "bijections", "--n-max", "3"))["passed"]
+
+
+def test_chi_square_commands_run_without_scipy():
+    for args in (
+        ("geometric", "--lambda", "0.25", "--excursions", "4000"),
+        ("independence", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
+         "--excursions", "4000"),
+        ("t-invariance", "--lambda", "0.25", "--boxes", "20000"),
+    ):
+        report = json.loads(_bbs_without("scipy", "verify", *args, "--seed", "5"))
+        assert report["passed"] is True, args

@@ -21,6 +21,7 @@ from boxball import (
     markov_weights,
     t_invariance_test,
 )
+from boxball.stats import _chi2_sf
 
 
 def synthetic_components(rng, p, n, k=1):
@@ -72,7 +73,44 @@ def test_gof_statistic_consistent_with_p():
 
     rng = np.random.default_rng(4)
     report = geometric_gof(synthetic_components(rng, 0.6, 5_000), 1, 0.6)
-    assert report.p_value == float(chi2.sf(report.statistic, report.dof))
+    assert report.p_value == _chi2_sf(report.statistic, report.dof)
+    assert report.p_value == pytest.approx(float(chi2.sf(report.statistic, report.dof)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the chi-square tail
+# ---------------------------------------------------------------------------
+
+def test_chi2_sf_matches_scipy_on_a_seeded_grid():
+    from scipy.special import chdtrc
+
+    rng = np.random.default_rng(20261019)
+    dofs = rng.integers(1, 301, size=200_000)
+    xs = rng.random(dofs.size) * (4 * dofs + 50)
+    ours = np.array([_chi2_sf(x, d) for x, d in zip(xs.tolist(), dofs.tolist())])
+    ref = chdtrc(dofs, xs)
+    kept = ref >= 1e-300
+    assert kept.sum() > 190_000
+    assert np.max(np.abs(ours[kept] - ref[kept]) / ref[kept]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "dof, x", [(1, 1e-300), (4, 1e-300), (1600, 1600.0), (2, 1400.0), (3, 1400.0)]
+)
+def test_chi2_sf_far_tails_and_large_dof(dof, x):
+    from scipy.special import chdtrc
+
+    # e^(-x/2) underflows at x = 1400; the tail itself does not
+    assert _chi2_sf(x, dof) == pytest.approx(float(chdtrc(dof, x)), rel=1e-12)
+
+
+def test_chi2_sf_edges():
+    assert _chi2_sf(0.0, 1) == _chi2_sf(0.0, 7) == 1.0
+    assert _chi2_sf(-3.0, 2) == 1.0
+    assert _chi2_sf(float("inf"), 1) == _chi2_sf(float("inf"), 8) == 0.0
+    for dof in (0, -1, 2.0, 1.5, None):
+        with pytest.raises(PreconditionError):
+            _chi2_sf(1.0, dof)
 
 
 # ---------------------------------------------------------------------------
