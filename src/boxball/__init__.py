@@ -44,7 +44,6 @@ _EXPORTS = {
         "bernoulli_excursions",
         "markov_excursions",
         "sample_anti_palm",
-        "sample_palm",
     ),
     "measures": (
         "GeometricLaw",

@@ -129,16 +129,22 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonW
     """The measure, and the walk ``(size, rng) -> excursions`` of the bernoulli
     and markov families; explicit weights have none.  A parameter file gives
     the family and its parameter as the flags do, so the family picks the
-    same sampler for both."""
+    same sampler for both.  A parameter flag the run would not read, of
+    another family than ``measure`` or beside ``params``, is refused."""
     from .line import bernoulli_excursions, markov_excursions
     from .measures import family_weights, params_from_json
 
+    flags = {"bernoulli": ("--lambda", lam), "markov": ("--Q", q_matrix),
+             "explicit": ("--alpha", alpha)}
+    for family, (flag, value) in flags.items():
+        if value is not None and (params or family != measure):
+            where = "beside --params" if params else f"to the {measure} measure"
+            raise ValidationError(f"{flag} does not apply {where}")
     if params:
         family, parameter = params_from_json(_read_bytes(params))
     else:
         family = measure
-        flag, parameter = {"bernoulli": ("--lambda", lam), "markov": ("--Q", q_matrix),
-                           "explicit": ("--alpha", alpha)}[measure]
+        flag, parameter = flags[measure]
         if parameter is None:
             raise ValidationError(f"{flag} is required for the {measure} measure")
         if measure == "markov":
@@ -158,7 +164,8 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonW
 
 def _measure_options(fn):
     fn = click.option("--params", type=click.Path(exists=True), default=None,
-                      help="JSON parameter file (overrides the flags below).")(fn)
+                      help="JSON parameter file naming the family and its parameter; "
+                           "--lambda, --Q and --alpha are refused beside it.")(fn)
     fn = click.option("--alpha", default=None, help="comma-separated explicit weights")(fn)
     fn = click.option("--Q", "q_matrix", default=None,
                       help='2x2 transition matrix as JSON, e.g. "[[0.8,0.2],[0.6,0.4]]"')(fn)

@@ -1,27 +1,29 @@
 """Palm and stationary samplers of the line.
 
 A configuration with a record at the origin is equivalent to its doubly
-infinite excursion sequence.  Palm samplers draw i.i.d. excursions and
-concatenate them (``core.assemble``, also reachable here as
-``line.assemble``); the walk samplers draw boxes right of a record and cut
-them into excursions with the one record cut, ``core._cut``.  The anti-Palm
-sampler tilts the block covering the origin by its length and places the
-origin uniformly inside it, producing a window of the translation-invariant
-measure.
+infinite excursion sequence.  A Palm sample is i.i.d. excursions
+concatenated at record 0 (``core.assemble``, also reachable here as
+``line.assemble``).  The walk sampler draws them for the Markov family, and
+so for Bernoulli, the chain with equal rows: it runs the chain right of a
+record with numpy and cuts its boxes with the one record cut, ``core._cut``.
+The anti-Palm sampler tilts the block covering the origin by its length and
+places the origin uniformly inside it, producing a window of the
+translation-invariant measure.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import Sequence
 
-from .core import AnchoredConfig, BallConfig, Excursion, _cut, assemble
+import numpy as np
+
+from .core import BallConfig, Excursion, _cut, assemble
 from .errors import PreconditionError
 from .measures import (
-    SlotFill,
     SolitonWeights,
     _as_rng,
+    _bernoulli_chain,
     _transition_matrix,
     fill_from_weights,
     mean_record_gap,
@@ -30,47 +32,42 @@ from .measures import (
 
 
 # ---------------------------------------------------------------------------
-# Palm samplers
+# walk samplers
 # ---------------------------------------------------------------------------
 
-def sample_palm(
-    weights: SolitonWeights, num_excursions: int, rng, fill: SlotFill | None = None
-) -> AnchoredConfig:
-    """i.i.d. excursions with the normalized weight law, assembled at record 0."""
-    rng = _as_rng(rng)
-    if fill is None:
-        fill = fill_from_weights(weights)
-    excs = sample_excursions(weights, num_excursions, rng, fill)
-    return assemble(excs, 0)
-
-
 def bernoulli_excursions(lam: float, size: int, rng) -> list[Excursion]:
-    """Excursions of a walk stepping up with probability lam, in bulk.
+    """Excursions of a walk stepping up with probability lam, in bulk:
+    :func:`markov_excursions` of its ``measures._bernoulli_chain``."""
+    return markov_excursions(_bernoulli_chain(lam), size, rng)
 
-    Draws i.i.d. boxes right of a record, a buffer at a time, and cuts them
-    at the records (``core._cut``).
+
+def _chain(uniforms: np.ndarray, up_from: tuple[float, float], first: int) -> np.ndarray:
+    """The chain's boxes as a bool array, one per uniform, after a box in
+    state ``first``: box i is a ball when ``uniforms[i] < up_from[box i - 1]``.
+
+    A uniform below both thresholds forces a ball and one at or above both
+    forces an empty box; one in between copies the previous box when
+    Q(1,1) > Q(0,1) and flips it when Q(1,1) < Q(0,1).  So each box is the
+    last forced box at or before it (``first`` if none), in the second case
+    flipped once per box since.
     """
-    if not 0 <= lam < 0.5:
-        raise PreconditionError("lambda must lie in [0, 1/2)")
-    rng = _as_rng(rng)
-    mean_len = 1.0 / (1 - 2 * lam)
-    out: list[Excursion] = []
-    tail = b""  # boxes since the last record
-    while len(out) < size:
-        chunk = int((size - len(out) + 16) * mean_len * 1.3) + 64
-        boxes = tail + (rng.random(chunk) < lam).tobytes()
-        _, excursions, tail = _cut(boxes, size - len(out), len(tail))
-        out += excursions
-    return out
+    lo, hi = sorted(up_from)
+    balls = uniforms < lo
+    steps = np.arange(1, len(uniforms) + 1)  # 0 stands for the box before the buffer
+    last = np.maximum.accumulate(np.where(balls | (uniforms >= hi), steps, 0))
+    boxes = np.concatenate(([first == 1], balls))[last]
+    if up_from[1] < up_from[0]:
+        boxes ^= (steps - last) % 2 == 1
+    return boxes
 
 
 def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> list[Excursion]:
     """Excursions of a two-state chain started empty right of a record.
 
-    Runs the chain over buffers of uniforms, one box per uniform, and cuts
-    the boxes at the records (``core._cut``).  A record is an empty box, so
-    the chain is in its empty state there, as it would be restarted: the
-    excursions are i.i.d.
+    Runs the chain over buffers of uniforms, one box per uniform
+    (:func:`_chain`), and cuts the boxes at the records (``core._cut``).  A
+    record is an empty box, so the chain is in its empty state there, as it
+    would be restarted: the excursions are i.i.d.
     """
     q = _transition_matrix(q_matrix)
     rng = _as_rng(rng)
@@ -80,8 +77,7 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
     boxes = b"\x00"  # the last box drawn: the empty record left of the first
     n = max(4096, 8 * size)
     while len(out) < size:
-        chain = accumulate(rng.random(n).tolist(), lambda s, u: u < up_from[s], initial=boxes[-1])
-        boxes = bytes(chain)[1:]
+        boxes = _chain(rng.random(n), up_from, boxes[-1]).tobytes()
         _, excursions, tail = _cut(tail + boxes, size - len(out), len(tail))
         out += excursions
     return out

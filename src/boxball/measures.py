@@ -110,26 +110,20 @@ def explicit_weights(values: Sequence[float]) -> SolitonWeights:
     return SolitonWeights(tuple(float(v) for v in values))
 
 
-def bernoulli_weights(lam: float) -> SolitonWeights:
-    """Weights of the excursion law of a walk stepping up with probability lam.
-
-    ``alpha_k = (lam (1 - lam))^k``; the partition function is 1 / (1 - lam).
-    Requires ``lam < 1/2`` so the mean excursion length stays finite.
-    """
+def _bernoulli_chain(lam: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """i.i.d. Bernoulli(lam) boxes as the two-state chain whose rows are both
+    ``(1 - lam, lam)``.  Requires ``lam < 1/2`` so the mean excursion length
+    stays finite."""
     if not 0 <= lam < 0.5:
         raise PreconditionError("lambda must lie in [0, 1/2)")
-    if lam == 0:
-        return SolitonWeights(())
-    beta = lam * (1 - lam)
-    return SolitonWeights(
-        (),
-        GeometricTail(
-            coef=1.0,
-            ratio=beta,
-            partition=1.0 / (1 - lam),
-            fill_ratio=lam / (1 - lam),
-        ),
-    )
+    return (1 - lam, lam), (1 - lam, lam)
+
+
+def bernoulli_weights(lam: float) -> SolitonWeights:
+    """Weights of the excursion law of a walk stepping up with probability
+    lam: :func:`markov_weights` of its :func:`_bernoulli_chain`,
+    ``alpha_k = (lam (1 - lam))^k`` with partition function 1 / (1 - lam)."""
+    return markov_weights(_bernoulli_chain(lam))
 
 
 def _transition_matrix(q_matrix: Sequence[Sequence[float]]) -> list[list[float]]:
@@ -233,14 +227,12 @@ class SlotFill:
         return qk / (1 - qk)
 
 
-def fill_from_weights(
-    weights: SolitonWeights, levels: int | None = None, tol: float = _TAIL_TOL
-) -> SlotFill:
+def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> SlotFill:
     """Slot parameters of the weight family: q_1 = alpha_1 and
     ``q_k = alpha_k / prod_{j<k} (1 - q_j)^(2(k-j))``.
 
     With an analytic tail the truncation level is chosen so the dropped mass
-    ``sum_{k > K} q_k`` is provably below ``tol``; raises when some q_k >= 1
+    ``sum_{k > K} q_k`` is provably below ``_TAIL_TOL``; raises when some q_k >= 1
     (diverging partition function, weights outside the admissible set at this
     truncation).
     """
@@ -277,7 +269,7 @@ def fill_from_weights(
         log_denom += 2 * log_prod
         if levels is None and weights.tail is not None:
             r = weights.tail.fill_ratio
-            if qk == 0.0 or (r < 1 and qk * r / (1 - r) < tol):
+            if qk == 0.0 or (r < 1 and qk * r / (1 - r) < _TAIL_TOL):
                 break
     return SlotFill(tuple(out))
 

@@ -26,6 +26,7 @@ from .measures import GeometricLaw, SolitonWeights, _as_rng
 from .slots import ComponentArray, decompose
 
 _MIN_EXPECTED = 5.0
+_MIN_SAMPLES = 1000  # labels of a row, or pairs, a test needs
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,11 @@ def _chi_square(observed: Sequence[float], expected: Sequence[float], labels) ->
     return GofReport(stat, dof, p, tuple(zip(labs, obs, exp)))
 
 
-def geometric_gof(
-    components: ComponentArray, k: int, p_expected: float, min_labels: int = 1000
-) -> GofReport:
+def geometric_gof(components: ComponentArray, k: int, p_expected: float) -> GofReport:
     """Goodness of fit of row k against Geometric(p_expected)."""
     _, values = components.row(k)
-    if len(values) < min_labels:
-        raise InsufficientDataError(
-            f"row {k} has {len(values)} labels, need {min_labels}"
-        )
+    if len(values) < _MIN_SAMPLES:
+        raise InsufficientDataError(f"row {k} has {len(values)} labels, need {_MIN_SAMPLES}")
     law = GeometricLaw(p_expected)
     n = len(values)
     vmax = max(values)
@@ -150,9 +147,7 @@ def _pair_samples(
     return xs, ys
 
 
-def independence_test(
-    components: ComponentArray, pairs: Sequence[PairSpec], min_pairs: int = 1000
-) -> dict[PairSpec, GofReport]:
+def independence_test(components: ComponentArray, pairs: Sequence[PairSpec]) -> dict[PairSpec, GofReport]:
     """Chi-square independence tests on joint histograms of entry pairs.
 
     A pair ``((k, a), (l, b))`` tests entries at lags a and b of rows k and
@@ -164,15 +159,14 @@ def independence_test(
     for pair in pairs:
         xs, ys = _pair_samples(components, pair)
         n = len(xs)
-        if n < min_pairs:
-            raise InsufficientDataError(f"pair {pair}: {n} samples, need {min_pairs}")
+        if n < _MIN_SAMPLES:
+            raise InsufficientDataError(f"pair {pair}: {n} samples, need {_MIN_SAMPLES}")
         if len(set(xs)) < 2 or len(set(ys)) < 2:
             raise InsufficientDataError(f"pair {pair}: a coordinate is constant")
         xcap = _cap_for(xs, n)
         ycap = _cap_for(ys, n)
         table = np.zeros((xcap + 1, ycap + 1))
-        for x, y in zip(xs, ys):
-            table[min(x, xcap), min(y, ycap)] += 1
+        np.add.at(table, (np.minimum(xs, xcap), np.minimum(ys, ycap)), 1)
         while True:
             rows = table.sum(axis=1)
             cols = table.sum(axis=0)

@@ -64,6 +64,18 @@ def naive_carrier(balls):
     return out
 
 
+def naive_markov_boxes(uniforms, q, first):
+    """The two-state chain with transition matrix ``q``, one box per uniform
+    after a box in state ``first``: a ball when the uniform lies below
+    Q(previous box, 1)."""
+    out = []
+    box = first
+    for u in uniforms:
+        box = int(u < q[box][1])
+        out.append(box)
+    return out
+
+
 def naive_evolve(balls, origin=1):
     """Flip non-records between the outer records; returns (origin, balls)."""
     recs = set(naive_records(balls, origin))

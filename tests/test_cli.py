@@ -352,6 +352,54 @@ def test_params_file_samples_as_the_matching_flags(runner, tmp_path, params_file
         assert from_file.stdout == from_flags.stdout, command
 
 
+Q_FLAGS = ["--Q", "[[0.8,0.2],[0.6,0.4]]"]
+
+
+@pytest.mark.parametrize(
+    "flags, params_file, unread",
+    [
+        (["--measure", "markov", *Q_FLAGS, "--lambda", "0.9"], None, "--lambda"),
+        (["--measure", "markov", *Q_FLAGS, "--alpha", "1,2"], None, "--alpha"),
+        (["--lambda", "0.25", *Q_FLAGS], None, "--Q"),
+        (["--measure", "explicit", "--alpha", "0.1", "--lambda", "0.25"], None, "--lambda"),
+        (["--lambda", "0.25"], '{"family":"bernoulli","lambda":0.25}', "--lambda"),
+        (Q_FLAGS, '{"family":"markov","Q":[[0.8,0.2],[0.6,0.4]]}', "--Q"),
+        (["--alpha", "0.1"], '{"family":"bernoulli","lambda":0.25}', "--alpha"),
+    ],
+)
+def test_parameter_flags_the_run_does_not_read_exit_3(runner, tmp_path, flags, params_file, unread):
+    if params_file is not None:
+        path = tmp_path / "measure.json"
+        path.write_text(params_file)
+        flags = [*flags, "--params", str(path)]
+    for command in (
+        ["params"],
+        ["sample", "--excursions", "3", "--seed", "1"],
+        ["verify", "partition"],
+        ["verify", "t-invariance", "--boxes", "100", "--seed", "1"],
+    ):
+        result = runner.invoke(main, [*command, *flags])
+        assert result.exit_code == 3, (command, flags, result.output)
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {unread} does not apply "), result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample", "--excursions", "50", "--seed", "3"],
+        ["sample", "--anti-palm", "--boxes", "300", "--seed", "3"],
+        ["params"],
+        ["verify", "geometric", "--excursions", "2000", "--seed", "3"],
+    ],
+)
+def test_bernoulli_flags_run_as_the_chain_with_equal_rows(runner, command):
+    bernoulli = runner.invoke(main, [*command, "--lambda", "0.25"])
+    markov = runner.invoke(main, [*command, "--measure", "markov", "--Q", "[[0.75,0.25],[0.75,0.25]]"])
+    assert bernoulli.exit_code == markov.exit_code == 0, bernoulli.output
+    assert bernoulli.stdout == markov.stdout
+
+
 def test_sample_requires_seed(runner):
     result = runner.invoke(main, ["sample", "--measure", "bernoulli", "--lambda", "0.25"])
     assert result.exit_code == 2

@@ -76,8 +76,9 @@ GOLDEN = {
          "--excursions", "2000", "--seed", "5", "--format", "json"],
         "0eb0694d87e560f785bc3dffa59e36ceac42ff76531c7d078f0e066ab0c89721",
     ),
-    # refill paths: 2 (Bernoulli) and 12 (Markov) of the 16 chunks draw a
-    # second buffer or carry a partial excursion
+    # refill paths: 3 (Bernoulli) and 12 (Markov) of the 16 chunks draw a
+    # second buffer or carry a partial excursion (Bernoulli: 2 when it sized
+    # its own buffers, before it ran as the chain with equal rows)
     "sample-json-bernoulli-near-critical": (
         ["sample", "--lambda", "0.49", "--excursions", "1000", "--seed", "5", "--format", "json"],
         "cab3d4eebd7c0544a11155fea3338c7a50b90d6fcec0638e08cf9e00abf40128",

@@ -1,9 +1,13 @@
+import hashlib
 import math
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+import oracles
 from boxball import (
     AnchoredConfig,
     BallConfig,
@@ -25,8 +29,8 @@ from boxball import (
     record_positions,
     sample_anti_palm,
     sample_excursions,
-    sample_palm,
 )
+from boxball.line import _chain
 
 MARKOV_Q = [[0.8, 0.2], [0.6, 0.4]]
 
@@ -165,6 +169,49 @@ def test_markov_rows_equal_reduces_to_bernoulli():
         assert abs(counts[m] - expected) <= 4.5 * math.sqrt(expected)
 
 
+@st.composite
+def _chain_runs(draw):
+    """Thresholds (Q(0,1), Q(1,1)) with Q(1,1) above, below or equal to
+    Q(0,1), uniforms of which some sit exactly on a threshold, and the state
+    of the box before them."""
+    lo, hi = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
+    up_from = draw(st.sampled_from([(lo, hi), (hi, lo), (lo, lo)]))
+    uniforms = draw(st.lists(
+        st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(up_from)), max_size=60
+    ))
+    return up_from, uniforms, draw(st.sampled_from([0, 1]))
+
+
+@given(_chain_runs())
+def test_chain_kernel_matches_per_box_rule(run):
+    up_from, uniforms, first = run
+    q = [[1 - p, p] for p in up_from]
+    boxes = _chain(np.array(uniforms, dtype=float), up_from, first)
+    assert list(boxes.tobytes()) == oracles.naive_markov_boxes(uniforms, q, first)
+
+
+# sha256 of the excursions' bits joined by "|", as drawn before the chain ran
+# vectorised and Bernoulli ran as the chain with equal rows; every draw but
+# the flip case spans several buffers of uniforms
+WALK_PINS = [
+    (lambda rng: bernoulli_excursions(0.45, 600, rng), 1,
+     "9e54fbc6ae7cebf79077e74dc70ad054d9eaee71d936b682b2d873aa15c9525a"),
+    (lambda rng: bernoulli_excursions(0.49, 400, rng), 2,
+     "d54598ee86cbeeb732b1f5689235d0431f188c90f0956b703104a590ef18fb6f"),
+    # Q(1,1) < Q(0,1): a uniform between the two flips the previous box
+    (lambda rng: markov_excursions([[0.5, 0.5], [0.9, 0.1]], 2000, rng), 3,
+     "e62e7fbbaad8e6e2ce8ee30d5acb61ff9bbb4f36423b4acf6a4947c7114229ee"),
+    (lambda rng: markov_excursions([[0.55, 0.45], [0.46, 0.54]], 500, rng), 4,
+     "751aaa73e088762901833d49d04c1117bfd8bc783a06ce02c7db20b8eeb7b42e"),
+]
+
+
+@pytest.mark.parametrize("draw, seed, digest", WALK_PINS)
+def test_walk_samplers_draw_pinned_excursions(draw, seed, digest):
+    excursions = draw(np.random.default_rng(seed))
+    assert hashlib.sha256(b"|".join(e.bits for e in excursions)).hexdigest() == digest
+
+
 def test_two_samplers_agree_on_excursion_law():
     # two-sample chi-square between the walk sampler and the diagram-route
     # sampler over excursions up to half-length 4, significance 1e-3
@@ -193,7 +240,8 @@ def test_two_samplers_agree_on_excursion_law():
 
 
 def test_palm_sampler_anchoring():
-    anchored = sample_palm(bernoulli_weights(0.25), 100, np.random.default_rng(18))
+    excursions = sample_excursions(bernoulli_weights(0.25), 100, np.random.default_rng(18))
+    anchored = assemble(excursions, 0)
     assert anchored.i_lo == 0
     assert anchored.record(0) == 0
     assert len(anchored.records) == 101
