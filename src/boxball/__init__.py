@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names it exports.  They load on first use (PEP 562), so
 # importing the package, or the CLI for a command that draws no random
-# number, does not load numpy.
+# number, does not load the sampling modules.
 _EXPORTS = {
     "core": (
         "AnchoredConfig",

@@ -6,19 +6,22 @@ precondition error as one ``error:`` line on stderr with exit 3 or 4.  All
 randomized commands require an explicit ``--seed`` and are deterministic given
 it.
 
-numpy, and the modules built on it (measures, line, stats), are imported
-inside the commands that sample or test, so ``--version``, evolve,
-decompose, reconstruct and render start without them.
+The modules that sample or test (measures, line, stats) are imported inside
+the commands that use them, so ``--version``, evolve, decompose,
+reconstruct and render start without them.  No command loads numpy: every
+sampler draws from one ``random.Random(seed)``.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import sys
 from functools import partial
 from typing import TYPE_CHECKING
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .core import (
@@ -130,10 +133,14 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonW
     and markov families; explicit weights have none.  A parameter file gives
     the family and its parameter as the flags do, so the family picks the
     same sampler for both.  A parameter flag the run would not read, of
-    another family than ``measure`` or beside ``params``, is refused."""
+    another family than ``measure`` or beside ``params``, is refused, and
+    so is a ``--measure`` given beside ``params``."""
     from .line import bernoulli_excursions, markov_excursions
     from .measures import family_weights, params_from_json
 
+    given = click.get_current_context().get_parameter_source("measure") is not ParameterSource.DEFAULT
+    if params and given:
+        raise ValidationError("--measure does not apply beside --params")
     flags = {"bernoulli": ("--lambda", lam), "markov": ("--Q", q_matrix),
              "explicit": ("--alpha", alpha)}
     for family, (flag, value) in flags.items():
@@ -165,7 +172,7 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonW
 def _measure_options(fn):
     fn = click.option("--params", type=click.Path(exists=True), default=None,
                       help="JSON parameter file naming the family and its parameter; "
-                           "--lambda, --Q and --alpha are refused beside it.")(fn)
+                           "--measure, --lambda, --Q and --alpha are refused beside it.")(fn)
     fn = click.option("--alpha", default=None, help="comma-separated explicit weights")(fn)
     fn = click.option("--Q", "q_matrix", default=None,
                       help='2x2 transition matrix as JSON, e.g. "[[0.8,0.2],[0.6,0.4]]"')(fn)
@@ -391,25 +398,15 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
 
 
 def _palm_excursions(weights, walk, total, seed) -> list[Excursion]:
-    """``total`` i.i.d. excursions of the measure: from ``walk``, or from the
-    diagram sampler when there is none.  They are drawn in 16 fixed chunks,
-    chunk i from the stream ``SeedSequence(seed, spawn_key=(i,))``."""
-    import numpy as np
-
+    """``total`` i.i.d. excursions of the measure from ``random.Random(seed)``:
+    from ``walk``, or from the diagram sampler when there is none."""
     from .measures import fill_from_weights, sample_excursions
 
     if total < 1:
         raise PreconditionError("--excursions must be >= 1")
     if walk is None:
         walk = partial(sample_excursions, weights, fill=fill_from_weights(weights))
-    chunks = 16
-    out: list[Excursion] = []
-    for idx in range(chunks):
-        size = total // chunks + (idx < total % chunks)
-        if size:
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-            out += walk(size, rng)
-    return out
+    return walk(total, random.Random(seed))
 
 
 @main.command("sample")
@@ -422,14 +419,11 @@ def _palm_excursions(weights, walk, total, seed) -> list[Excursion]:
 @click.option("--out", type=click.Path(), default=None)
 def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, seed, fmt, out):
     """Draw a random configuration; prints the ball string and its records."""
-    import numpy as np
-
     from .line import sample_anti_palm
 
     weights, walk = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
-        rng = np.random.default_rng(seed)
-        cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, rng)
+        cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, random.Random(seed))
         anchored = None
     else:
         excs = _palm_excursions(weights, walk, num, seed)
@@ -520,12 +514,10 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, signif
 @click.option("--out", type=click.Path(), default=None)
 def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, block_len, max_se, seed, out):
     """Block frequencies before and after evolution on a stationary window."""
-    import numpy as np
-
     from .stats import t_invariance_test
 
     weights, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-    report = t_invariance_test(weights, steps, block_len, boxes, np.random.default_rng(seed))
+    report = t_invariance_test(weights, steps, block_len, boxes, random.Random(seed))
     _verify_exit(
         {"check": "t-invariance", "report": report.to_json_dict()},
         report.max_dev_se is not None and report.max_dev_se <= max_se,
@@ -540,20 +532,18 @@ def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, blo
 @click.option("--out", type=click.Path(), default=None)
 def verify_shift(configs, max_boxes, seed, out):
     """Component rows of random configurations shift but never change under evolution."""
-    import numpy as np
-
     from .stats import component_shift_check
 
     if configs < 0:
         raise PreconditionError("--configs must be >= 0")
     if max_boxes < 1:
         raise PreconditionError("--max-boxes must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     failures = 0
     for _ in range(configs):
-        length = int(rng.integers(1, max_boxes + 1))
+        length = rng.randint(1, max_boxes)
         density = rng.uniform(0.05, 0.45)
-        cfg = BallConfig(1, (rng.random(length) < density).tobytes())
+        cfg = BallConfig(1, bytes(rng.random() < density for _ in range(length)))
         report = component_shift_check(cfg)
         if not (report.ok and report.counts_conserved):
             failures += 1

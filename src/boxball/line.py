@@ -5,7 +5,8 @@ infinite excursion sequence.  A Palm sample is i.i.d. excursions
 concatenated at record 0 (``core.assemble``, also reachable here as
 ``line.assemble``).  The walk sampler draws them for the Markov family, and
 so for Bernoulli, the chain with equal rows: it runs the chain right of a
-record with numpy and cuts its boxes with the one record cut, ``core._cut``.
+record one box per ``random()`` draw, in batches, and cuts the boxes with
+the one record cut, ``core._cut``, until it has the excursions it needs.
 The anti-Palm sampler tilts the block covering the origin by its length and
 places the origin uniformly inside it, producing a window of the
 translation-invariant measure.
@@ -14,9 +15,8 @@ translation-invariant measure.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
+from itertools import repeat
+from typing import Callable, Sequence
 
 from .core import BallConfig, Excursion, _cut, assemble
 from .errors import PreconditionError
@@ -41,45 +41,46 @@ def bernoulli_excursions(lam: float, size: int, rng) -> list[Excursion]:
     return markov_excursions(_bernoulli_chain(lam), size, rng)
 
 
-def _chain(uniforms: np.ndarray, up_from: tuple[float, float], first: int) -> np.ndarray:
-    """The chain's boxes as a bool array, one per uniform, after a box in
-    state ``first``: box i is a ball when ``uniforms[i] < up_from[box i - 1]``.
-
-    A uniform below both thresholds forces a ball and one at or above both
-    forces an empty box; one in between copies the previous box when
-    Q(1,1) > Q(0,1) and flips it when Q(1,1) < Q(0,1).  So each box is the
-    last forced box at or before it (``first`` if none), in the second case
-    flipped once per box since.
-    """
-    lo, hi = sorted(up_from)
-    balls = uniforms < lo
-    steps = np.arange(1, len(uniforms) + 1)  # 0 stands for the box before the buffer
-    last = np.maximum.accumulate(np.where(balls | (uniforms >= hi), steps, 0))
-    boxes = np.concatenate(([first == 1], balls))[last]
-    if up_from[1] < up_from[0]:
-        boxes ^= (steps - last) % 2 == 1
-    return boxes
+def _chain(uniform: Callable[[], float], n: int, up_from: tuple[float, float], first: int) -> bytes:
+    """``n`` boxes of the chain after a box in state ``first``, one draw of
+    ``uniform()`` each: a box is a ball when its draw lies below
+    ``up_from[previous box]``."""
+    out = bytearray()
+    append = out.append
+    box = first
+    for _ in repeat(None, n):
+        box = uniform() < up_from[box]
+        append(box)
+    return bytes(out)
 
 
 def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> list[Excursion]:
     """Excursions of a two-state chain started empty right of a record.
 
-    Runs the chain over buffers of uniforms, one box per uniform
-    (:func:`_chain`), and cuts the boxes at the records (``core._cut``).  A
-    record is an empty box, so the chain is in its empty state there, as it
-    would be restarted: the excursions are i.i.d.
+    Runs the chain (:func:`_chain`) in batches and cuts each batch at its
+    records (``core._cut``), carrying the boxes after the last record into
+    the next, until ``size`` excursions are out.  The first batch is 4096
+    boxes; the next is the boxes the missing excursions take at the mean so
+    far, at least 4096, or twice the last while no record has come.  Each
+    box takes the next draw whatever the batches, so the excursions are
+    those of one long cut.  A record is an empty box, so the chain is in
+    its empty state there, as it would be restarted: the excursions are
+    i.i.d.
     """
     q = _transition_matrix(q_matrix)
-    rng = _as_rng(rng)
+    uniform = _as_rng(rng).random
     up_from = (q[0][1], q[1][1])
     out: list[Excursion] = []
     tail = b""  # boxes since the last record
     boxes = b"\x00"  # the last box drawn: the empty record left of the first
-    n = max(4096, 8 * size)
+    drawn = 0
+    n = 4096
     while len(out) < size:
-        boxes = _chain(rng.random(n), up_from, boxes[-1]).tobytes()
+        boxes = _chain(uniform, n, up_from, boxes[-1])
+        drawn += n
         _, excursions, tail = _cut(tail + boxes, size - len(out), len(tail))
         out += excursions
+        n = max(4096, (size - len(out)) * (drawn - len(tail)) // len(out)) if out else 2 * n
     return out
 
 
@@ -136,7 +137,7 @@ def sample_anti_palm(
         report["bias_bound"] = clipped / max(proposals, 1)
 
     block_boxes = 2 * origin_block.n + 1
-    offset = int(rng.integers(block_boxes))  # the block's record sits at -offset
+    offset = rng.randrange(block_boxes)  # the block's record sits at -offset
     pieces = [origin_block]
     right_record = -offset + block_boxes
     while right_record < n_boxes:

@@ -10,16 +10,19 @@ slot-count recursion.
 
 Probabilities are accumulated in log space; the parameter transform runs on
 direct running products for precision, falling back to logs on underflow.
+The samplers draw from one ``random.Random``; the diagram sampler inverts
+each of its ``random()`` draws through a closed-form law.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from .core import Excursion, catalan_number, map_distinct, soliton_counts
 from .errors import DivergenceError, PreconditionError, ValidationError
@@ -522,49 +525,66 @@ def diagram_prob(fill: SlotFill, diagram: SlotDiagram) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def _as_rng(rng) -> random.Random:
+    """``rng`` if it is a ``random.Random``, else a new one seeded with it
+    (an int seed, or None for fresh entropy)."""
+    return rng if isinstance(rng, random.Random) else random.Random(rng)
 
 
-def max_size_distribution(fill: SlotFill) -> np.ndarray:
+def max_size_distribution(fill: SlotFill) -> list[float]:
     """P(M = m) = q_m * prod_{l > m} (1 - q_l) for m = 0 .. levels, q_0 = 1."""
     K = fill.levels
-    probs = np.empty(K + 1)
+    probs = [0.0] * (K + 1)
     suffix = 1.0
     for m in range(K, -1, -1):
         qm = 1.0 if m == 0 else fill.at(m)
         probs[m] = qm * suffix
         if m > 0:
             suffix *= 1 - fill.at(m)
-    total = probs.sum()
+    total = sum(probs)
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValidationError("max-size distribution does not normalize")
-    return probs / total
+    return [p / total for p in probs]
 
 
 def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
     """Slot diagrams with the geometric row law.
 
     Each chooses the maximal size M, then the top count (geometric
-    conditioned positive), then each lower row as s_k independent geometric
-    draws, top to bottom.
+    conditioned positive), then each lower row as s_k independent
+    Geometric(1 - q_k) entries, top to bottom.  Every draw inverts one
+    uniform U in (0, 1]: M by bisection on the cumulative
+    :func:`max_size_distribution`; a positive count as 1 + floor(log U /
+    log q_k); and the zeros before a row's next positive entry as
+    floor(log U / log(1 - q_k)), so a row costs one draw per positive entry
+    and one more.
     """
-    rng = _as_rng(rng)
+    uniform = _as_rng(rng).random
+    cumulative = list(accumulate(max_size_distribution(fill)))
+    logs = [(math.log(q), math.log1p(-q)) if q else None for q in fill.q]
+
+    def log_u() -> float:
+        return math.log(1.0 - uniform())
 
     def draw(k: int, s_k: int) -> tuple[int, ...]:
-        qk = fill.at(k)
-        if qk == 0.0:
-            return (0,) * s_k
-        return tuple((rng.geometric(1 - qk, size=s_k) - 1).tolist())
+        entries = [0] * s_k
+        if logs[k - 1] is not None:
+            log_q, log_p = logs[k - 1]
+            i = 0
+            while (skip := log_u() / log_p) < s_k - i:
+                i += int(skip)
+                entries[i] = 1 + int(log_u() / log_q)
+                i += 1
+        return tuple(entries)
 
     out = []
-    for m in rng.choice(fill.levels + 1, size=size, p=max_size_distribution(fill)).tolist():
+    for _ in range(size):
+        m = bisect(cumulative, uniform() * cumulative[-1])
         if m == 0:
             out.append(EMPTY_DIAGRAM)
         else:
-            out.append(_trusted_diagram(slot_rows(int(rng.geometric(1 - fill.at(m))), m, draw)))
+            top = 1 + int(log_u() / logs[m - 1][0])
+            out.append(_trusted_diagram(slot_rows(top, m, draw)))
     return out
 
 

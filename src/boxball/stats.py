@@ -5,9 +5,9 @@ merged until every expected count reaches the standard validity threshold,
 p-values from the chi-square survival function.  All tests are deterministic
 given their seed and parameters.
 
-p-values come from ``_chi2_sf``, a finite sum in the standard library, so no
-``bbs`` command loads scipy; scipy is a test-only dependency, the oracle the
-tests check that sum against.
+p-values come from ``_chi2_sf``, a finite sum in the standard library, and
+contingency tables are lists, so no ``bbs`` command loads scipy or numpy;
+scipy is a test-only dependency, the oracle the tests check that sum against.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .core import BallConfig, carrier_trace, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError
@@ -165,33 +163,30 @@ def independence_test(components: ComponentArray, pairs: Sequence[PairSpec]) -> 
             raise InsufficientDataError(f"pair {pair}: a coordinate is constant")
         xcap = _cap_for(xs, n)
         ycap = _cap_for(ys, n)
-        table = np.zeros((xcap + 1, ycap + 1))
-        np.add.at(table, (np.minimum(xs, xcap), np.minimum(ys, ycap)), 1)
+        table = [[0.0] * (ycap + 1) for _ in range(xcap + 1)]
+        for (x, y), count in Counter(zip(xs, ys)).items():
+            table[min(x, xcap)][min(y, ycap)] += count
         while True:
-            rows = table.sum(axis=1)
-            cols = table.sum(axis=0)
-            expected = np.outer(rows, cols) / n
-            if expected.min() >= _MIN_EXPECTED or min(table.shape) <= 2:
+            rows = [sum(row) for row in table]
+            cols = [sum(col) for col in zip(*table)]
+            expected = [[r * c / n for c in cols] for r in rows]
+            if min(map(min, expected)) >= _MIN_EXPECTED or min(len(rows), len(cols)) <= 2:
                 break
-            if table.shape[0] > 2 and (
-                table.shape[1] <= 2 or rows[-1] <= cols[-1]
-            ):
-                table[-2] += table[-1]
-                table = table[:-1]
+            if len(rows) > 2 and (len(cols) <= 2 or rows[-1] <= cols[-1]):
+                table[-2:] = [[a + b for a, b in zip(*table[-2:])]]
             else:
-                table[:, -2] += table[:, -1]
-                table = table[:, :-1]
-        stat = float(((table - expected) ** 2 / expected).sum())
-        dof = (table.shape[0] - 1) * (table.shape[1] - 1)
+                for row in table:
+                    row[-2:] = [row[-2] + row[-1]]
+        cells = [
+            (f"({i},{j})", o, e)
+            for i, (o_row, e_row) in enumerate(zip(table, expected))
+            for j, (o, e) in enumerate(zip(o_row, e_row))
+        ]
+        stat = sum((o - e) ** 2 / e for _, o, e in cells)
+        dof = (len(rows) - 1) * (len(cols) - 1)
         if dof < 1:
             raise InsufficientDataError(f"pair {pair}: degenerate table")
-        p = _chi2_sf(stat, dof)
-        bins = tuple(
-            (f"({i},{j})", float(table[i, j]), float(expected[i, j]))
-            for i in range(table.shape[0])
-            for j in range(table.shape[1])
-        )
-        out[pair] = GofReport(stat, dof, p, bins)
+        out[pair] = GofReport(stat, dof, _chi2_sf(stat, dof), tuple(cells))
     return out
 
 

@@ -6,6 +6,7 @@ use the pre-registered seed below.
 """
 
 import math
+import random
 import time
 from collections import Counter
 
@@ -155,7 +156,7 @@ def test_criterion_06_slot_count_recursion():
 
 def test_criterion_07_geometric_components():
     start = time.perf_counter()
-    anchored = assemble(bernoulli_excursions(0.25, 100_000, np.random.default_rng(SEED)), 0)
+    anchored = assemble(bernoulli_excursions(0.25, 100_000, random.Random(SEED)), 0)
     components = decompose(anchored.config)
     g1 = geometric_gof(components, 1, 1 - 3 / 16)
     g2 = geometric_gof(components, 2, 1 - 9 / 169)
@@ -176,9 +177,9 @@ def test_criterion_08_sampler_law_agreement():
     def histogram(excs):
         return Counter(e.bits if e.n <= 4 else "bigger" for e in excs)
 
-    direct = histogram(bernoulli_excursions(lam, draws, np.random.default_rng(SEED)))
+    direct = histogram(bernoulli_excursions(lam, draws, random.Random(SEED)))
     via_diagrams = histogram(
-        sample_excursions(bernoulli_weights(lam), draws, np.random.default_rng(SEED + 1))
+        sample_excursions(bernoulli_weights(lam), draws, random.Random(SEED + 1))
     )
     worst = 0.0
     for key in set(direct) | set(via_diagrams):
@@ -195,10 +196,10 @@ def test_criterion_08_sampler_law_agreement():
 def test_criterion_09_t_invariance():
     start = time.perf_counter()
     bern = t_invariance_test(
-        bernoulli_weights(0.3), 1, 4, 200_000, np.random.default_rng(SEED)
+        bernoulli_weights(0.3), 1, 4, 200_000, random.Random(SEED)
     )
     markov = t_invariance_test(
-        markov_weights(MARKOV_Q), 1, 4, 200_000, np.random.default_rng(SEED + 1)
+        markov_weights(MARKOV_Q), 1, 4, 200_000, random.Random(SEED + 1)
     )
     elapsed = time.perf_counter() - start
     ok = bern.max_dev_se <= 4.0 and markov.max_dev_se <= 4.0

@@ -289,7 +289,7 @@ def test_verify_geometric_decomposes_each_distinct_excursion_once(runner, monkey
     for _ in range(2):  # nothing is remembered from one call to the next
         calls.clear()
         outputs.append(runner.invoke(main, args).output)
-        assert len(calls) == len(set(calls)) == 232
+        assert len(calls) == len(set(calls)) == 233  # distinct excursions of this seed
     assert outputs[0] == outputs[1]
 
 
@@ -382,6 +382,22 @@ def test_parameter_flags_the_run_does_not_read_exit_3(runner, tmp_path, flags, p
         assert result.exit_code == 3, (command, flags, result.output)
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {unread} does not apply "), result.stderr
+
+
+@pytest.mark.parametrize("measure", ["bernoulli", "markov", "explicit"])
+def test_measure_beside_params_exits_3(runner, tmp_path, measure):
+    # a given --measure is refused even when it names the file's family;
+    # the default one is not (test_params_file_samples_as_the_matching_flags)
+    path = tmp_path / "measure.json"
+    path.write_text('{"family":"bernoulli","lambda":0.25}')
+    for command in (
+        ["sample", "--excursions", "3", "--seed", "1"],
+        ["verify", "geometric", "--excursions", "2000", "--seed", "1"],
+    ):
+        result = runner.invoke(main, [*command, "--measure", measure, "--params", str(path)])
+        assert result.exit_code == 3, (command, result.output)
+        assert result.stdout == ""
+        assert result.stderr == "error: --measure does not apply beside --params\n"
 
 
 @pytest.mark.parametrize(

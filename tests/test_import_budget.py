@@ -1,6 +1,8 @@
-"""Start-up budget: the package and its CLI load neither scipy nor numpy, the
-commands that draw no random number run without numpy installed, and no
-command needs scipy."""
+"""Start-up budget: the package, its CLI and its sampling modules load neither
+scipy nor numpy, and every command runs with numpy and scipy absent, with
+the same output as when they are there.  Every sampler draws from the
+standard library's ``random.Random``; scipy and numpy are test-only
+dependencies."""
 
 import json
 import os
@@ -8,14 +10,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+from click.testing import CliRunner
+
+from boxball.cli import main
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 FIG_EXCURSION = "1110110010110000"
+MARKOV = ("--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]")
 
 
-def _loaded(prefix: str) -> str:
+def _loaded(prefix: str, imports: str = "boxball, boxball.cli") -> str:
     code = (
-        "import sys, boxball, boxball.cli\n"
+        f"import sys, {imports}\n"
         f"print(sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r})))"
     )
     done = subprocess.run(
@@ -30,6 +37,11 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_no_numpy():
     assert _loaded("numpy") == "[]"
+
+
+def test_sampling_modules_load_no_numpy_nor_scipy():
+    for prefix in ("numpy", "scipy"):
+        assert _loaded(prefix, "boxball.measures, boxball.line, boxball.stats") == "[]"
 
 
 def test_names_and_submodules_load_on_first_use():
@@ -65,11 +77,33 @@ def test_deterministic_commands_run_without_numpy():
     assert json.loads(_bbs_without("numpy", "verify", "bijections", "--n-max", "3"))["passed"]
 
 
+def test_sampling_commands_run_without_numpy():
+    for args in (
+        ("sample", "--lambda", "0.25", "--excursions", "200", "--seed", "5"),
+        ("sample", "--anti-palm", *MARKOV, "--boxes", "500", "--seed", "5"),
+        ("sample", "--measure", "explicit", "--alpha", "0.2,0.1,0.05", "--excursions", "200",
+         "--seed", "5"),
+        ("params", *MARKOV),
+    ):
+        assert _bbs_without("numpy", *args) == CliRunner().invoke(main, list(args)).stdout, args
+    for args in (
+        ("geometric", "--lambda", "0.25", "--excursions", "4000", "--seed", "5"),
+        ("geometric", "--measure", "explicit", "--alpha", "0.2,0.1,0.05", "--excursions", "4000",
+         "--seed", "5"),
+        ("independence", *MARKOV, "--excursions", "4000", "--seed", "5"),
+        ("t-invariance", "--lambda", "0.25", "--boxes", "20000", "--seed", "5"),
+        ("shift", "--configs", "50", "--seed", "5"),
+        ("partition", "--lambda", "0.25"),
+    ):
+        report = _bbs_without("numpy", "verify", *args)
+        assert json.loads(report)["passed"] is True, args
+        assert report == CliRunner().invoke(main, ["verify", *args]).stdout, args
+
+
 def test_chi_square_commands_run_without_scipy():
     for args in (
         ("geometric", "--lambda", "0.25", "--excursions", "4000"),
-        ("independence", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
-         "--excursions", "4000"),
+        ("independence", *MARKOV, "--excursions", "4000"),
         ("t-invariance", "--lambda", "0.25", "--boxes", "20000"),
     ):
         report = json.loads(_bbs_without("scipy", "verify", *args, "--seed", "5"))

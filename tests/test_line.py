@@ -1,9 +1,9 @@
 import hashlib
 import math
+import random
 from collections import Counter
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import given
 
@@ -30,6 +30,7 @@ from boxball import (
     sample_anti_palm,
     sample_excursions,
 )
+from boxball.core import _cut
 from boxball.line import _chain
 
 MARKOV_Q = [[0.8, 0.2], [0.6, 0.4]]
@@ -53,7 +54,7 @@ def test_assemble_single_excursion_at_zero():
 
 
 def test_assemble_record_spacing():
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     excs = sample_excursions(bernoulli_weights(0.3), 200, rng)
     i_lo = -60
     anchored = assemble(excs, i_lo)
@@ -64,10 +65,10 @@ def test_assemble_record_spacing():
 
 
 def test_assemble_extract_round_trip():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(50):
-        count = int(rng.integers(1, 12))
-        i_lo = -int(rng.integers(0, count))
+        count = rng.randint(1, 11)
+        i_lo = -rng.randrange(count)
         excs = sample_excursions(bernoulli_weights(0.3), count, rng)
         anchored = assemble(excs, i_lo)
         got_lo, got = excursions_of(anchored.config)
@@ -112,13 +113,13 @@ def test_decompose_of_assembly_matches_diagram_concat():
 # ---------------------------------------------------------------------------
 
 def test_bernoulli_excursions_zero_density():
-    assert all(e.n == 0 for e in bernoulli_excursions(0.0, 10, np.random.default_rng(0)))
+    assert all(e.n == 0 for e in bernoulli_excursions(0.0, 10, random.Random(0)))
 
 
 def test_bernoulli_excursion_length_law():
     # P(n = m) = C_m (lam (1 - lam))^m (1 - lam)
     lam = 0.25
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     draws = 60_000
     counts = Counter(e.n for e in bernoulli_excursions(lam, draws, rng))
     for m, c_m in enumerate((1, 1, 2, 5, 14)):
@@ -128,7 +129,7 @@ def test_bernoulli_excursion_length_law():
 
 def test_markov_empty_excursion_probability():
     # the empty excursion has probability Q(0,0)
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     draws = 60_000
     excs = markov_excursions(MARKOV_Q, draws, rng)
     p_empty = sum(1 for e in excs if e.n == 0) / draws
@@ -136,7 +137,7 @@ def test_markov_empty_excursion_probability():
 
 
 def test_markov_excursion_frequencies_match_weights():
-    rng = np.random.default_rng(14)
+    rng = random.Random(14)
     draws = 80_000
     weights = markov_weights(MARKOV_Q)
     counts = Counter(e.bits for e in markov_excursions(MARKOV_Q, draws, rng))
@@ -154,14 +155,14 @@ def test_markov_excursion_frequencies_match_weights():
     ],
 )
 def test_markov_excursions_validate_q_like_markov_weights(q):
-    for check in (lambda: markov_weights(q), lambda: markov_excursions(q, 5, np.random.default_rng(0))):
+    for check in (lambda: markov_weights(q), lambda: markov_excursions(q, 5, random.Random(0))):
         with pytest.raises(ValidationError):
             check()
 
 
 def test_markov_rows_equal_reduces_to_bernoulli():
     lam = 0.3
-    rng = np.random.default_rng(15)
+    rng = random.Random(15)
     excs = markov_excursions([[1 - lam, lam], [1 - lam, lam]], 40_000, rng)
     counts = Counter(e.n for e in excs)
     for m, c_m in enumerate((1, 1, 2)):
@@ -186,29 +187,61 @@ def _chain_runs(draw):
 def test_chain_kernel_matches_per_box_rule(run):
     up_from, uniforms, first = run
     q = [[1 - p, p] for p in up_from]
-    boxes = _chain(np.array(uniforms, dtype=float), up_from, first)
-    assert list(boxes.tobytes()) == oracles.naive_markov_boxes(uniforms, q, first)
+    boxes = _chain(iter(uniforms).__next__, len(uniforms), up_from, first)
+    assert boxes == bytes(oracles.naive_markov_boxes(uniforms, q, first))
 
 
-# sha256 of the excursions' bits joined by "|", as drawn before the chain ran
-# vectorised and Bernoulli ran as the chain with equal rows; every draw but
-# the flip case spans several buffers of uniforms
+@pytest.mark.parametrize(
+    "q, seed, covers",
+    [
+        (MARKOV_Q, 1, None),
+        ([[0.75, 0.25], [0.75, 0.25]], 2, None),
+        ([[0.5, 0.5], [0.9, 0.1]], 3, None),
+        # the first record lies past the first 4096 boxes: no excursion is out
+        # until the second, doubled batch
+        ([[0.55, 0.45], [0.46, 0.54]], 149,
+         lambda boxes, uniforms: _cut(boxes[:4096])[1] == []),
+        # a sticky chain, whose box copies the one before when its draw lies in
+        # [0.1, 0.85): the first batch ends on a ball and the next draw lies in
+        # that range, so box 4096 is a ball only if the second batch starts
+        # from the state the first one left
+        ([[0.9, 0.1], [0.15, 0.85]], 1,
+         lambda boxes, uniforms: boxes[4095] == 1 and 0.1 <= uniforms[4096] < 0.85),
+    ],
+)
+def test_cutting_in_batches_is_one_cut(q, seed, covers):
+    rng = random.Random(seed)
+    uniforms = [rng.random() for _ in range(60_000)]
+    boxes = _chain(iter(uniforms).__next__, len(uniforms), (q[0][1], q[1][1]), 0)
+    assert covers is None or covers(boxes, uniforms)
+    _, whole, _ = _cut(boxes)
+    assert markov_excursions(q, len(whole), random.Random(seed)) == whole
+
+
+# sha256 of the excursions' bits joined by "|", cut from the chain drawn with
+# one random.Random(seed).random() per box; oracles.naive_markov_boxes over
+# the same uniforms, cut once, gives the same digests.  Every draw spans
+# several batches
 WALK_PINS = [
-    (lambda rng: bernoulli_excursions(0.45, 600, rng), 1,
-     "9e54fbc6ae7cebf79077e74dc70ad054d9eaee71d936b682b2d873aa15c9525a"),
-    (lambda rng: bernoulli_excursions(0.49, 400, rng), 2,
-     "d54598ee86cbeeb732b1f5689235d0431f188c90f0956b703104a590ef18fb6f"),
-    # Q(1,1) < Q(0,1): a uniform between the two flips the previous box
-    (lambda rng: markov_excursions([[0.5, 0.5], [0.9, 0.1]], 2000, rng), 3,
-     "e62e7fbbaad8e6e2ce8ee30d5acb61ff9bbb4f36423b4acf6a4947c7114229ee"),
-    (lambda rng: markov_excursions([[0.55, 0.45], [0.46, 0.54]], 500, rng), 4,
-     "751aaa73e088762901833d49d04c1117bfd8bc783a06ce02c7db20b8eeb7b42e"),
+    pytest.param(lambda rng: bernoulli_excursions(0.45, 600, rng), 1,
+                 "84b075d56871bed58f8c369d9cc9b1bf1e4029b7579d3dcb21a7d137642e17aa",
+                 id="bernoulli-0.45"),
+    pytest.param(lambda rng: bernoulli_excursions(0.49, 400, rng), 2,
+                 "90a7fc19effb6ffa954ddf9b9bdb7c76f37d1236508a203cf492ea4529e77889",
+                 id="bernoulli-0.49"),
+    # Q(1,1) < Q(0,1): a ball is likelier after an empty box than after a ball
+    pytest.param(lambda rng: markov_excursions([[0.5, 0.5], [0.9, 0.1]], 2000, rng), 3,
+                 "e918ff45b44130f071945a086e432ae77a1e59021ee6062d6ade5e493fb7d1f2",
+                 id="markov-flip"),
+    pytest.param(lambda rng: markov_excursions([[0.55, 0.45], [0.46, 0.54]], 500, rng), 4,
+                 "92ba12fcfc04b75a40646adcdd81be2c640800892b81f389a92af681b57b2e62",
+                 id="markov-near-critical"),
 ]
 
 
 @pytest.mark.parametrize("draw, seed, digest", WALK_PINS)
 def test_walk_samplers_draw_pinned_excursions(draw, seed, digest):
-    excursions = draw(np.random.default_rng(seed))
+    excursions = draw(random.Random(seed))
     assert hashlib.sha256(b"|".join(e.bits for e in excursions)).hexdigest() == digest
 
 
@@ -221,11 +254,11 @@ def test_two_samplers_agree_on_excursion_law():
     draws = 100_000
     a = Counter(
         e.bits if e.n <= 4 else "big"
-        for e in bernoulli_excursions(lam, draws, np.random.default_rng(16))
+        for e in bernoulli_excursions(lam, draws, random.Random(16))
     )
     b = Counter(
         e.bits if e.n <= 4 else "big"
-        for e in sample_excursions(bernoulli_weights(lam), draws, np.random.default_rng(17))
+        for e in sample_excursions(bernoulli_weights(lam), draws, random.Random(17))
     )
     stat = 0.0
     cells = 0
@@ -240,7 +273,7 @@ def test_two_samplers_agree_on_excursion_law():
 
 
 def test_palm_sampler_anchoring():
-    excursions = sample_excursions(bernoulli_weights(0.25), 100, np.random.default_rng(18))
+    excursions = sample_excursions(bernoulli_weights(0.25), 100, random.Random(18))
     anchored = assemble(excursions, 0)
     assert anchored.i_lo == 0
     assert anchored.record(0) == 0
@@ -248,8 +281,8 @@ def test_palm_sampler_anchoring():
 
 
 def test_direct_palm_samplers_assemble():
-    bern = assemble(bernoulli_excursions(0.25, 500, np.random.default_rng(30)), 0)
-    markov = assemble(markov_excursions(MARKOV_Q, 500, np.random.default_rng(31)), 0)
+    bern = assemble(bernoulli_excursions(0.25, 500, random.Random(30)), 0)
+    markov = assemble(markov_excursions(MARKOV_Q, 500, random.Random(31)), 0)
     for anchored in (bern, markov):
         assert anchored.record(0) == 0
         got_lo, got = excursions_of(anchored.config)
@@ -264,12 +297,12 @@ def test_direct_palm_samplers_assemble():
 # ---------------------------------------------------------------------------
 
 def test_anti_palm_zero_weights():
-    cfg = sample_anti_palm(explicit_weights([]), 100, np.random.default_rng(0))
+    cfg = sample_anti_palm(explicit_weights([]), 100, random.Random(0))
     assert cfg.ball_count() == 0
 
 
 def test_anti_palm_covers_requested_window():
-    cfg = sample_anti_palm(bernoulli_weights(0.3), 5000, np.random.default_rng(19))
+    cfg = sample_anti_palm(bernoulli_weights(0.3), 5000, random.Random(19))
     assert cfg.origin <= 0
     assert cfg.end >= 4999
     assert cfg.origin in record_positions(cfg)  # the window starts at a record
@@ -278,7 +311,7 @@ def test_anti_palm_covers_requested_window():
 def test_anti_palm_density_identities():
     lam = 0.25
     n_boxes = 200_000
-    cfg = sample_anti_palm(bernoulli_weights(lam), n_boxes, np.random.default_rng(20))
+    cfg = sample_anti_palm(bernoulli_weights(lam), n_boxes, random.Random(20))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     density = sum(window) / n_boxes
     se = math.sqrt(lam * (1 - lam) / n_boxes)
@@ -292,7 +325,7 @@ def test_anti_palm_block_frequencies_match_product_measure():
     # the stationary law of the bernoulli family is the product measure
     lam = 0.3
     n_boxes = 120_000
-    cfg = sample_anti_palm(bernoulli_weights(lam), n_boxes, np.random.default_rng(21))
+    cfg = sample_anti_palm(bernoulli_weights(lam), n_boxes, random.Random(21))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     blocks = Counter(
         tuple(window[t : t + 3]) for t in range(0, n_boxes - 3, 3)
@@ -307,7 +340,7 @@ def test_anti_palm_block_frequencies_match_product_measure():
 def test_anti_palm_report_and_cap():
     report = {}
     sample_anti_palm(
-        bernoulli_weights(0.25), 500, np.random.default_rng(22),
+        bernoulli_weights(0.25), 500, random.Random(22),
         block_cap=31, report=report,
     )
     assert report["proposals"] >= 1

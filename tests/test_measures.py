@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -280,19 +281,19 @@ def test_max_size_distribution_normalizes():
     assert probs == pytest.approx([0.5, 0.5])
     rng = np.random.default_rng(3)
     fill = random_fill(rng)
-    assert max_size_distribution(fill).sum() == pytest.approx(1.0)
+    assert sum(max_size_distribution(fill)) == pytest.approx(1.0)
 
 
 def test_sampler_trivial_cases():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     assert sample_diagrams(SlotFill(()), 1, rng)[0].max_size == 0
     assert sample_excursions(explicit_weights([]), 1, rng) == [Excursion()]
 
 
 def test_sampler_reproducible():
     weights = bernoulli_weights(0.25)
-    a = sample_excursions(weights, 50, np.random.default_rng(42))
-    b = sample_excursions(weights, 50, np.random.default_rng(42))
+    a = sample_excursions(weights, 50, random.Random(42))
+    b = sample_excursions(weights, 50, random.Random(42))
     assert a == b
 
 
@@ -303,7 +304,7 @@ def test_sampled_diagram_frequencies_match_probabilities():
     from boxball import SlotDiagram
 
     fill = fill_from_weights(bernoulli_weights(0.25))
-    rng = np.random.default_rng(20260808)
+    rng = random.Random(20260808)
     draws = 1_000_000
     counts = Counter(d.rows for d in sample_diagrams(fill, draws, rng))
     observed, expected = [], []
@@ -326,11 +327,50 @@ def test_sampled_diagram_frequencies_match_probabilities():
 
 def test_sampled_half_length_one_split():
     # with q = (0.5,): P(empty) = 0.5 and counts at the single slot geometric
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     sizes = Counter(d.solitons(1) for d in sample_diagrams(SlotFill((0.5,)), 40_000, rng))
     assert sizes[0] / 40_000 == pytest.approx(0.5, abs=0.01)
     assert sizes[1] / 40_000 == pytest.approx(0.25, abs=0.01)
     assert sizes[2] / 40_000 == pytest.approx(0.125, abs=0.01)
+
+
+def test_sampled_max_sizes_follow_max_size_distribution():
+    # M is drawn by bisection on the cumulative law; lambda = 0.45 spreads it
+    # over many levels
+    from boxball.stats import _chi_square
+
+    fill = fill_from_weights(bernoulli_weights(0.45))
+    probs = max_size_distribution(fill)
+    draws = 100_000
+    sizes = Counter(d.max_size for d in sample_diagrams(fill, draws, random.Random(44)))
+    observed = [sizes[m] for m in range(len(probs))]
+    assert sum(observed) == draws
+    report = _chi_square(observed, [draws * p for p in probs], range(len(probs)))
+    assert report.p_value > 1e-3
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_sampled_rows_are_geometric(k):
+    # every entry of row k, the implicit (0,) of a diagram below size k
+    # included, is Geometric(1 - q_k); at lambda = 1/4, q_4 < 0.01, so nearly
+    # every entry there is one skip over zeros
+    from boxball.stats import _chi_square
+
+    fill = fill_from_weights(bernoulli_weights(0.25))
+    q = fill.at(k)
+    assert k == 1 or q < 0.01
+    entries = Counter(
+        v
+        for d in sample_diagrams(fill, 100_000, random.Random(40 + k))
+        for v in (d.rows[k - 1] if k <= d.max_size else (0,))
+    )
+    n = sum(entries.values())
+    top = max(entries)
+    law = GeometricLaw(1 - q)
+    observed = [entries[j] for j in range(top + 1)] + [0]
+    expected = [n * law.pmf(j) for j in range(top + 1)] + [n * q ** (top + 1)]
+    report = _chi_square(observed, expected, range(top + 2))
+    assert report.p_value > 1e-3
 
 
 # ---------------------------------------------------------------------------

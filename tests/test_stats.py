@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -155,7 +157,7 @@ def test_independence_insufficient_data():
 
 
 def test_independence_on_real_palm_sample():
-    anchored = assemble(bernoulli_excursions(0.25, 30_000, np.random.default_rng(9)), 0)
+    anchored = assemble(bernoulli_excursions(0.25, 30_000, random.Random(9)), 0)
     comp = decompose(anchored.config)
     reports = independence_test(comp, [((1, 0), (1, 1)), ((1, 0), (2, 0))])
     assert all(r.p_value > 1e-3 for r in reports.values())
@@ -184,7 +186,7 @@ def test_block_frequencies_disjoint():
 
 def test_t_invariance_bernoulli():
     report = t_invariance_test(
-        bernoulli_weights(0.3), 1, 4, 60_000, np.random.default_rng(10)
+        bernoulli_weights(0.3), 1, 4, 60_000, random.Random(10)
     )
     assert report.max_dev_se is not None and report.max_dev_se <= 4
     assert len(report.bins) <= 16
@@ -192,30 +194,30 @@ def test_t_invariance_bernoulli():
 
 def test_t_invariance_markov():
     report = t_invariance_test(
-        markov_weights([[0.8, 0.2], [0.6, 0.4]]), 1, 4, 60_000, np.random.default_rng(11)
+        markov_weights([[0.8, 0.2], [0.6, 0.4]]), 1, 4, 60_000, random.Random(11)
     )
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_multi_step():
     report = t_invariance_test(
-        bernoulli_weights(0.2), 3, 3, 60_000, np.random.default_rng(12)
+        bernoulli_weights(0.2), 3, 3, 60_000, random.Random(12)
     )
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_window_guard():
     with pytest.raises(PreconditionError):
-        t_invariance_test(bernoulli_weights(0.3), 1, 40, 20, np.random.default_rng(0))
+        t_invariance_test(bernoulli_weights(0.3), 1, 40, 20, random.Random(0))
     for block_len in (0, -2):  # no blocks to compare, so nothing would be checked
         with pytest.raises(PreconditionError):
-            t_invariance_test(bernoulli_weights(0.3), 1, block_len, 1000, np.random.default_rng(0))
+            t_invariance_test(bernoulli_weights(0.3), 1, block_len, 1000, random.Random(0))
 
 
 def test_t_invariance_empty_measure_trivial():
     from boxball import explicit_weights
 
-    report = t_invariance_test(explicit_weights([]), 1, 4, 1000, np.random.default_rng(0))
+    report = t_invariance_test(explicit_weights([]), 1, 4, 1000, random.Random(0))
     assert report.max_dev_se == 0.0
     assert report.bins == (("0000", 250.0, 250.0),)
 
