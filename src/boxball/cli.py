@@ -1,27 +1,25 @@
 """Command-line surface: evolve, decompose, reconstruct, sample, verify, render, params.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
-input data, 4 precondition violation.  Every command reports a data or
-precondition error as one ``error:`` line on stderr with exit 3 or 4.  All
-randomized commands require an explicit ``--seed`` and are deterministic given
-it.
+input data or a file that cannot be opened, 4 precondition violation.  Every
+command reports a data or precondition error as one ``error:`` line on
+stderr with exit 3 or 4.  All randomized commands require an explicit
+``--seed`` and are deterministic given it.
 
-The modules that sample or test (measures, line, stats) are imported inside
-the commands that use them, so ``--version``, evolve, decompose,
-reconstruct and render start without them.  No command loads numpy: every
-sampler draws from one ``random.Random(seed)``.
+The standard library's argparse parses the arguments, and the modules that
+sample or test (measures, line, stats) are imported inside the commands
+that use them.  No command loads click or numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import random
 import sys
 from functools import partial
 from typing import TYPE_CHECKING
-
-import click
-from click.core import ParameterSource
 
 from . import __version__
 from .core import (
@@ -64,10 +62,20 @@ _COLORS = {1: 35, 2: 31, 3: 32, 4: 34}  # purple, red, green, blue
 _EXTRA_COLORS = (36, 33, 95, 91)
 
 
+def _open(path: str, mode: str):
+    """``open(path, mode)``; a file that cannot be opened exits 3, not with a traceback."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValidationError(f"cannot open {path}: {exc.strerror}") from exc
+
+
 def _read_bytes(path: str) -> bytes:
     """The bytes of file ``path``, or of stdin for ``-``; the command decodes
     them, so bad bytes exit 3 and not with a traceback."""
-    with click.open_file(path, "rb") as fh:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with _open(path, "rb") as fh:
         return fh.read()
 
 
@@ -113,12 +121,13 @@ def _indented(obj, pad: str = "\n") -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    """``text`` and a newline, to file ``out`` or stdout."""
-    if out:
-        with click.open_file(out, "w") as fh:
+    """``text`` and a newline, to file ``out`` or stdout (also for ``-``)."""
+    if out and out != "-":
+        with _open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        click.echo(text)
+    else:  # one write, then a flush, so that a closed pipe shows inside the run
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -134,13 +143,13 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonW
     the family and its parameter as the flags do, so the family picks the
     same sampler for both.  A parameter flag the run would not read, of
     another family than ``measure`` or beside ``params``, is refused, and
-    so is a ``--measure`` given beside ``params``."""
+    so is a ``--measure`` given beside ``params`` (its default is None)."""
     from .line import bernoulli_excursions, markov_excursions
     from .measures import family_weights, params_from_json
 
-    given = click.get_current_context().get_parameter_source("measure") is not ParameterSource.DEFAULT
-    if params and given:
+    if params and measure is not None:
         raise ValidationError("--measure does not apply beside --params")
+    measure = measure or "bernoulli"
     flags = {"bernoulli": ("--lambda", lam), "markov": ("--Q", q_matrix),
              "explicit": ("--alpha", alpha)}
     for family, (flag, value) in flags.items():
@@ -169,58 +178,105 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonW
     return weights, None
 
 
-def _measure_options(fn):
-    fn = click.option("--params", type=click.Path(exists=True), default=None,
-                      help="JSON parameter file naming the family and its parameter; "
-                           "--measure, --lambda, --Q and --alpha are refused beside it.")(fn)
-    fn = click.option("--alpha", default=None, help="comma-separated explicit weights")(fn)
-    fn = click.option("--Q", "q_matrix", default=None,
-                      help='2x2 transition matrix as JSON, e.g. "[[0.8,0.2],[0.6,0.4]]"')(fn)
-    fn = click.option("--lambda", "lam", type=float, default=None, help="ball density")(fn)
-    fn = click.option("--measure", type=click.Choice(["bernoulli", "markov", "explicit"]),
-                      default="bernoulli", show_default=True)(fn)
-    return fn
+def _opt(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call, made when the parser is built."""
+    return flags, kwargs
 
 
-def _check_seed(ctx, param, seed: int) -> int:
-    if seed < 0:
+def _existing(path: str) -> str:
+    if not os.path.exists(path):  # a usage error (exit 2), found before the command runs
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _seed(text: str) -> int:
+    if (seed := int(text)) < 0:
         raise PreconditionError("--seed must be >= 0")
     return seed
 
 
-_seed_option = click.option("--seed", type=int, required=True, callback=_check_seed)
+_seed.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+_CONFIG = _opt("config", nargs="?", metavar="CONFIG", help="ball string, or - for stdin")
+_IN = _opt("--in", dest="path", type=_existing, help="read the input from this file")
+_ORIGIN = _opt("--origin", type=int, default=1, help="box index of the first character")
+_FORMAT = _opt("--format", dest="fmt", choices=["text", "json"], default="text")
+_OUT = _opt("--out", help="write to this file instead of stdout")
+_SEED = _opt("--seed", type=_seed, required=True, help="the run is deterministic given it")
+_EXCURSIONS = _opt("--excursions", dest="num", type=int, default=100_000)
+_SIGNIFICANCE = _opt("--significance", type=float, default=1e-3)
+_MEASURE = (
+    _opt("--measure", choices=["bernoulli", "markov", "explicit"], help="(default: bernoulli)"),
+    _opt("--lambda", dest="lam", metavar="LAMBDA", type=float, help="ball density"),
+    _opt("--Q", dest="q_matrix", metavar="MATRIX",
+         help='2x2 transition matrix as JSON, e.g. "[[0.8,0.2],[0.6,0.4]]"'),
+    _opt("--alpha", help="comma-separated explicit weights"),
+    _opt("--params", type=_existing, help="JSON parameter file naming the family and its "
+         "parameter; --measure, --lambda, --Q and --alpha are refused beside it."),
+)
 
 
-class _Main(click.Group):
-    """The one error boundary of every command, nested groups included: a
-    ``BoxBallError`` ends the run as one ``error:`` line on stderr, exit 3 or 4."""
+class _Command:
+    """A command and its argparse options, or a group of ``commands``.  Its
+    ``callback`` is looked up when it runs, so a caller may replace it."""
 
-    def invoke(self, ctx: click.Context):
+    def __init__(self, name: str, doc: str, callback=None, options=()):
+        self.name, self.doc, self.callback, self.options = name, doc, callback, options
+        self.commands: dict[str, _Command] = {}
+
+    def command(self, name: str, *options):
+        """Decorator: the function runs as subcommand ``name``."""
+        def register(fn):
+            self.commands[name] = _Command(name, fn.__doc__, fn, options)
+            return fn
+        return register
+
+    def _fill(self, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        parser.set_defaults(_command=self)
+        for flags, kwargs in self.options:
+            action = parser.add_argument(*flags, **kwargs)
+            if action.nargs is None and action.default is not None:  # an option's default
+                action.help = f"{action.help or ''} (default: %(default)s)".lstrip()
+        if self.commands:
+            sub = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+            for name, command in self.commands.items():
+                command._fill(sub.add_parser(name, help=command.doc.split("\n")[0],
+                                             description=command.doc, allow_abbrev=False))
+        return parser
+
+    def main(self, args=None, prog_name: str = "bbs", standalone_mode: bool = True):
+        """Run the command that ``args`` (default ``sys.argv[1:]``) name.  The one
+        error boundary: a ``BoxBallError`` exits 3 or 4 with one ``error:`` line
+        on stderr; a closed stdout pipe or an interrupt exits 1.  ``standalone_mode``
+        (of click's ``main``) changes nothing: each other end is a SystemExit or a return."""
+        parser = argparse.ArgumentParser(prog=prog_name, description=self.doc, allow_abbrev=False)
         try:
-            return super().invoke(ctx)
+            namespace = vars(self._fill(parser).parse_args(args))
+            namespace.pop("_command").callback(**namespace)
         except BoxBallError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(_EXIT_PRECONDITION if isinstance(exc, PreconditionError) else _EXIT_DATA)
+        except BrokenPipeError:
+            sys.stdout = open(os.devnull, "w")  # nothing left to flush at exit
+            sys.exit(1)
+        except KeyboardInterrupt:
+            print("\nAborted!", file=sys.stderr)
+            sys.exit(1)
+
+    __call__ = main
 
 
-@click.group(cls=_Main)
-@click.version_option(__version__)
-def main() -> None:
-    """Box-ball system toolkit: dynamics, soliton calculus, random excursions."""
+_VERSION = _opt("--version", action="version", version=f"%(prog)s, version {__version__}")
+main = _Command("bbs", "Box-ball system toolkit: dynamics, soliton calculus, random excursions.",
+                options=[_VERSION])
 
 
 # ---------------------------------------------------------------------------
 # dynamics
 # ---------------------------------------------------------------------------
 
-@main.command("evolve")
-@click.argument("config", required=False)
-@click.option("--in", "path", type=click.Path(exists=True), default=None)
-@click.option("--origin", type=int, default=1, show_default=True)
-@click.option("--steps", type=int, default=1, show_default=True)
-@click.option("--trace", is_flag=True, help="also print the carrier load per sweep")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
+@main.command("evolve", _CONFIG, _IN, _ORIGIN, _opt("--steps", type=int, default=1),
+              _opt("--trace", action="store_true", help="also print the carrier load per sweep"),
+              _FORMAT, _OUT)
 def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     """Apply the carrier sweep STEPS times to a ball string."""
     if steps < 0:
@@ -234,17 +290,9 @@ def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     else:
         states, traces = [cfg, evolve(cfg, steps)], []
     if fmt == "json":
-        _emit(
-            {
-                "origin": cfg.origin,
-                "input": cfg.to_string(),
-                "steps": steps,
-                "output": states[-1].to_string(),
-                "output_origin": states[-1].origin,
-                "traces": [list(t) for t in traces] if trace else None,
-            },
-            out,
-        )
+        _emit({"origin": cfg.origin, "input": cfg.to_string(), "steps": steps,
+               "output": states[-1].to_string(), "output_origin": states[-1].origin,
+               "traces": [list(t) for t in traces] if trace else None}, out)
         return
     lines = []
     for i, state in enumerate(states):
@@ -254,12 +302,8 @@ def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     _write("\n".join(lines if trace else [states[-1].to_string()]), out)
 
 
-@main.command("decompose")
-@click.argument("config", required=False)
-@click.option("--in", "path", type=click.Path(exists=True), default=None)
-@click.option("--origin", type=int, default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="json")
-@click.option("--out", type=click.Path(), default=None)
+@main.command("decompose", _CONFIG, _IN, _ORIGIN,
+              _opt("--format", dest="fmt", choices=["text", "json"], default="json"), _OUT)
 def decompose_cmd(config, path, origin, fmt, out):
     """Solitons, slot diagrams, and components of a ball string."""
     cfg = _read_config(config, path, origin)
@@ -298,11 +342,8 @@ def decompose_cmd(config, path, origin, fmt, out):
         _write("\n".join(lines), out)
 
 
-@main.command("reconstruct")
-@click.argument("source", required=False)
-@click.option("--in", "path", type=click.Path(exists=True), default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
+@main.command("reconstruct", _opt("source", nargs="?", metavar="SOURCE",
+                                  help="decompose JSON document, or - for stdin"), _IN, _FORMAT, _OUT)
 def reconstruct_cmd(source, path, fmt, out):
     """Rebuild the ball string from a decompose JSON document (or stdin)."""
     if path is not None or source in (None, "-"):
@@ -325,11 +366,8 @@ def reconstruct_cmd(source, path, fmt, out):
         _write(f"{cfg.origin} {cfg.to_string()}", out)
 
 
-@main.command("render")
-@click.argument("config", required=False)
-@click.option("--in", "path", type=click.Path(exists=True), default=None)
-@click.option("--origin", type=int, default=1, show_default=True)
-@click.option("--color/--no-color", default=None, help="default: color on a terminal")
+@main.command("render", _CONFIG, _IN, _ORIGIN, _opt("--color", action=argparse.BooleanOptionalAction,
+                                                      help="default: color on a terminal"))
 def render_cmd(config, path, origin, color):
     """ASCII rendering with one color class per soliton size.
 
@@ -357,20 +395,15 @@ def render_cmd(config, path, origin, color):
             code = _COLORS.get(k, _EXTRA_COLORS[k % len(_EXTRA_COLORS)])
             chars.append(f"\x1b[{code}m{ch}\x1b[0m" if color else ch)
             classes.append(str(k % 10))
-    click.echo("".join(chars))
-    if not color:
-        click.echo("".join(classes))
+    _write("".join(chars) if color else "".join(chars) + "\n" + "".join(classes), None)
 
 
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
 
-@main.command("params")
-@_measure_options
-@click.option("--levels", type=int, default=None, help="truncation level for q")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
+@main.command("params", *_MEASURE, _opt("--levels", type=int, help="truncation level for q"),
+              _FORMAT, _OUT)
 def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
     """Partition function, slot parameters, and mean sizes of a measure."""
     from .measures import ball_density, expected_slot_counts, fill_from_weights
@@ -382,13 +415,7 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
     betas, _ = expected_slot_counts(fill)
     kappa = mean_record_gap(weights, levels)
     lam_out = ball_density(weights, levels)
-    doc = {
-        "Z": z,
-        "q": list(fill.q),
-        "beta0": betas[0],
-        "kappa": kappa,
-        "lambda": lam_out,
-    }
+    doc = {"Z": z, "q": list(fill.q), "beta0": betas[0], "kappa": kappa, "lambda": lam_out}
     if fmt == "json":
         _emit(doc, out)
     else:
@@ -409,14 +436,10 @@ def _palm_excursions(weights, walk, total, seed) -> list[Excursion]:
     return walk(total, random.Random(seed))
 
 
-@main.command("sample")
-@_measure_options
-@click.option("--excursions", "num", type=int, default=1000, show_default=True)
-@click.option("--anti-palm", is_flag=True, help="stationary window instead of record-anchored")
-@click.option("--boxes", type=int, default=None, help="window size for --anti-palm")
-@_seed_option
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
+@main.command("sample", *_MEASURE, _opt("--excursions", dest="num", type=int, default=1000),
+              _opt("--anti-palm", action="store_true",
+                   help="stationary window instead of record-anchored"),
+              _opt("--boxes", type=int, help="window size for --anti-palm"), _SEED, _FORMAT, _OUT)
 def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, seed, fmt, out):
     """Draw a random configuration; prints the ball string and its records."""
     from .line import sample_anti_palm
@@ -445,9 +468,8 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, see
 # verification
 # ---------------------------------------------------------------------------
 
-@main.group("verify")
-def verify_group() -> None:
-    """Statistical and exact checks; nonzero exit on failure."""
+verify_group = main.commands["verify"] = _Command(
+    "verify", "Statistical and exact checks; nonzero exit on failure.")
 
 
 def _verify_exit(doc: dict, passed: bool, out: str | None) -> None:
@@ -456,13 +478,8 @@ def _verify_exit(doc: dict, passed: bool, out: str | None) -> None:
     sys.exit(0 if passed else _EXIT_VERIFY)
 
 
-@verify_group.command("geometric")
-@_measure_options
-@click.option("--excursions", "num", type=int, default=100_000, show_default=True)
-@click.option("--level", "k", type=int, default=1, show_default=True)
-@_seed_option
-@click.option("--significance", type=float, default=1e-3, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@verify_group.command("geometric", *_MEASURE, _EXCURSIONS,
+                      _opt("--level", dest="k", type=int, default=1), _SEED, _SIGNIFICANCE, _OUT)
 def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, significance, out):
     """Row k of a record-anchored sample against its geometric law."""
     from .measures import fill_from_weights
@@ -479,12 +496,7 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, signif
     )
 
 
-@verify_group.command("independence")
-@_measure_options
-@click.option("--excursions", "num", type=int, default=100_000, show_default=True)
-@_seed_option
-@click.option("--significance", type=float, default=1e-3, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@verify_group.command("independence", *_MEASURE, _EXCURSIONS, _SEED, _SIGNIFICANCE, _OUT)
 def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, significance, out):
     """Independence of component entries: same-row lag and cross-row pairs."""
     from .stats import independence_test
@@ -504,14 +516,9 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, signif
     )
 
 
-@verify_group.command("t-invariance")
-@_measure_options
-@click.option("--boxes", type=int, default=200_000, show_default=True)
-@click.option("--steps", type=int, default=1, show_default=True)
-@click.option("--block-len", type=int, default=4, show_default=True)
-@click.option("--max-se", type=float, default=4.0, show_default=True)
-@_seed_option
-@click.option("--out", type=click.Path(), default=None)
+@verify_group.command("t-invariance", *_MEASURE, _opt("--boxes", type=int, default=200_000),
+                      _opt("--steps", type=int, default=1), _opt("--block-len", type=int, default=4),
+                      _opt("--max-se", type=float, default=4.0), _SEED, _OUT)
 def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, block_len, max_se, seed, out):
     """Block frequencies before and after evolution on a stationary window."""
     from .stats import t_invariance_test
@@ -525,11 +532,8 @@ def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, blo
     )
 
 
-@verify_group.command("shift")
-@click.option("--configs", type=int, default=1000, show_default=True)
-@click.option("--max-boxes", type=int, default=200, show_default=True)
-@_seed_option
-@click.option("--out", type=click.Path(), default=None)
+@verify_group.command("shift", _opt("--configs", type=int, default=1000),
+                      _opt("--max-boxes", type=int, default=200), _SEED, _OUT)
 def verify_shift(configs, max_boxes, seed, out):
     """Component rows of random configurations shift but never change under evolution."""
     from .stats import component_shift_check
@@ -554,9 +558,7 @@ def verify_shift(configs, max_boxes, seed, out):
     )
 
 
-@verify_group.command("bijections")
-@click.option("--n-max", type=int, default=6, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@verify_group.command("bijections", _opt("--n-max", type=int, default=6), _OUT)
 def verify_bijections(n_max, out):
     """Exact excursion <-> diagram round trips over all excursions up to n-max."""
     if n_max < 0:
@@ -580,11 +582,8 @@ def verify_bijections(n_max, out):
     )
 
 
-@verify_group.command("partition")
-@_measure_options
-@click.option("--n-max", type=int, default=40, show_default=True)
-@click.option("--tolerance", type=float, default=1e-6, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@verify_group.command("partition", *_MEASURE, _opt("--n-max", type=int, default=40),
+                      _opt("--tolerance", type=float, default=1e-6), _OUT)
 def verify_partition(measure, lam, q_matrix, alpha, params, n_max, tolerance, out):
     """Series partition sum against the closed-form product."""
     from .measures import partition_function, partition_series

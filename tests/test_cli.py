@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -156,6 +157,36 @@ def test_render_plain_classes(runner):
     lines = result.output.strip().splitlines()
     assert lines[0] == f".{FIG_EXCURSION}."
     assert lines[1] == ".4441142211224444."
+
+
+def test_render_color_prints_escapes_off_a_terminal(runner):
+    # --color asks for the escapes, so they are printed to a pipe too, and the
+    # class line that stands in for them is not
+    result = runner.invoke(main, ["render", "--color", FIG_EXCURSION])
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1
+    assert "\x1b[34m1\x1b[0m" in lines[0] and "\x1b[35m0\x1b[0m" in lines[0]
+    assert re.sub(r"\x1b\[\d+m", "", lines[0]) == f".{FIG_EXCURSION}."
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "--in", "{dir}"],
+        ["reconstruct", "--in", "{dir}"],
+        ["params", "--params", "{dir}"],
+        ["evolve", "1100", "--out", "{dir}/missing/out.txt"],
+    ],
+    ids=["decompose-in", "reconstruct-in", "params-params", "evolve-out"],
+)
+def test_a_file_that_cannot_be_opened_exits_3(runner, tmp_path, args):
+    # a directory given as an input file, or an output file in a missing directory
+    result = runner.invoke(main, [arg.format(dir=tmp_path) for arg in args])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: "), result.stderr
 
 
 def test_decompose_and_render_independent_of_window_padding(runner):
@@ -419,6 +450,39 @@ def test_bernoulli_flags_run_as_the_chain_with_equal_rows(runner, command):
 def test_sample_requires_seed(runner):
     result = runner.invoke(main, ["sample", "--measure", "bernoulli", "--lambda", "0.25"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["verify"],
+        ["no-such-command"],
+        ["decompose", "--in", "/nonexistent"],
+        ["params", "--params", "/nonexistent"],
+        ["evolve", "--steps", "x", "1100"],
+        ["sample", "--lambda", "0.25"],
+        # options are not abbreviated
+        ["sample", "--lambda", "0.25", "--seed", "1", "--exc", "5"],
+    ],
+)
+def test_usage_errors_exit_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+
+
+def test_every_command_has_help(runner):
+    commands = [[]]
+    for name, command in main.commands.items():
+        commands.append([name])
+        commands += [[name, sub] for sub in getattr(command, "commands", {})]
+    assert len(commands) == 14
+    for command in commands:
+        result = runner.invoke(main, [*command, "--help"])
+        assert result.exit_code == 0, (command, result.output)
+        assert result.stdout and result.stderr == "", command
 
 
 def test_sample_deterministic(runner):

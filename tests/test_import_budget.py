@@ -1,8 +1,9 @@
 """Start-up budget: the package, its CLI and its sampling modules load neither
-scipy nor numpy, and every command runs with numpy and scipy absent, with
-the same output as when they are there.  Every sampler draws from the
-standard library's ``random.Random``; scipy and numpy are test-only
-dependencies."""
+scipy nor numpy, the CLI does not load click, and every command runs with
+numpy, scipy or click absent, with the same output as when they are there.
+Every sampler draws from the standard library's ``random.Random``, and the
+CLI parses its arguments with ``argparse``; scipy, numpy and click (for
+``CliRunner``) are test-only dependencies."""
 
 import json
 import os
@@ -37,6 +38,10 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_no_numpy():
     assert _loaded("numpy") == "[]"
+
+
+def test_cli_import_loads_no_click():
+    assert _loaded("click") == "[]"
 
 
 def test_sampling_modules_load_no_numpy_nor_scipy():
@@ -108,3 +113,25 @@ def test_chi_square_commands_run_without_scipy():
     ):
         report = json.loads(_bbs_without("scipy", "verify", *args, "--seed", "5"))
         assert report["passed"] is True, args
+
+
+def test_deterministic_commands_run_without_click():
+    assert _bbs_without("click", "--version") == "bbs, version 0.1.0\n"
+    assert _bbs_without("click", "evolve", "--trace", "1100").split() == ["1100", "1210", "0011"]
+    doc = _bbs_without("click", "decompose", FIG_EXCURSION)
+    assert doc == CliRunner().invoke(main, ["decompose", FIG_EXCURSION]).stdout
+    assert _bbs_without("click", "reconstruct", "-", stdin=doc).split() == ["1", FIG_EXCURSION]
+    assert _bbs_without("click", "render", "--no-color", "1100").split() == [".1100.", ".2222."]
+    assert json.loads(_bbs_without("click", "verify", "bijections", "--n-max", "3"))["passed"]
+
+
+def test_sampling_commands_run_without_click():
+    for args in (
+        ("sample", "--lambda", "0.25", "--excursions", "200", "--seed", "5"),
+        ("sample", "--anti-palm", *MARKOV, "--boxes", "500", "--seed", "5"),
+        ("params", *MARKOV),
+        ("verify", "geometric", "--lambda", "0.25", "--excursions", "4000", "--seed", "5"),
+        ("verify", "independence", *MARKOV, "--excursions", "4000", "--seed", "5"),
+        ("verify", "shift", "--configs", "50", "--seed", "5"),
+    ):
+        assert _bbs_without("click", *args) == CliRunner().invoke(main, list(args)).stdout, args
