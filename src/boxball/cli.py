@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from functools import partial
 from typing import TYPE_CHECKING
@@ -215,6 +216,28 @@ _MEASURE = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that adds the arguments of its ``command`` when it
+    first parses, so a run builds the parsers of only the commands it names.
+
+    A negative number (``-1``, ``-.5``) is a value to argparse, not an
+    option, and here so is a comma list that starts with one: the command
+    refuses the weights of ``--alpha -0.1,0.2`` as it does those of
+    ``--alpha=-0.1,0.2``.  No option of ``bbs`` starts with a digit.
+    """
+
+    def __init__(self, *args, command: _Command, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(,|$)")
+        self._command: _Command | None = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._command is not None:
+            command, self._command = self._command, None
+            command._fill(self)
+        return super().parse_known_args(args, namespace)
+
+
 class _Command:
     """A command and its argparse options, or a group of ``commands``.  Its
     ``callback`` is looked up when it runs, so a caller may replace it."""
@@ -230,7 +253,7 @@ class _Command:
             return fn
         return register
 
-    def _fill(self, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    def _fill(self, parser: _Parser) -> None:
         parser.set_defaults(_command=self)
         for flags, kwargs in self.options:
             action = parser.add_argument(*flags, **kwargs)
@@ -239,18 +262,17 @@ class _Command:
         if self.commands:
             sub = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
             for name, command in self.commands.items():
-                command._fill(sub.add_parser(name, help=command.doc.split("\n")[0],
-                                             description=command.doc, allow_abbrev=False))
-        return parser
+                sub.add_parser(name, help=command.doc.split("\n")[0], description=command.doc,
+                               allow_abbrev=False, command=command)
 
     def main(self, args=None, prog_name: str = "bbs", standalone_mode: bool = True):
         """Run the command that ``args`` (default ``sys.argv[1:]``) name.  The one
         error boundary: a ``BoxBallError`` exits 3 or 4 with one ``error:`` line
         on stderr; a closed stdout pipe or an interrupt exits 1.  ``standalone_mode``
         (of click's ``main``) changes nothing: each other end is a SystemExit or a return."""
-        parser = argparse.ArgumentParser(prog=prog_name, description=self.doc, allow_abbrev=False)
+        parser = _Parser(prog=prog_name, description=self.doc, allow_abbrev=False, command=self)
         try:
-            namespace = vars(self._fill(parser).parse_args(args))
+            namespace = vars(parser.parse_args(args))
             namespace.pop("_command").callback(**namespace)
         except BoxBallError as exc:
             print(f"error: {exc}", file=sys.stderr)

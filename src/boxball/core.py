@@ -16,14 +16,62 @@ the start of that run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, groupby, islice
-from operator import eq, gt
+from operator import attrgetter, eq, gt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError, ValidationError
 
 BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out or cut
+
+# ---------------------------------------------------------------------------
+# immutable values
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__  # how an ``__init__`` sets a field of a frozen value
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A value's fields are its ``__slots__``, set once by its ``__init__``
+    through ``_set``; assigning or deleting one raises ``AttributeError``.
+    Two values are ``==``, and hash alike, when they are of one class and
+    their fields are equal.  ``repr`` reads ``Name(field=value, ...)``, and
+    ``pickle`` and ``copy`` rebuild a value through its ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field, or the tuple of the fields, read by one C getter per
+        # class: ``map_distinct`` hashes every excursion of a sample, so
+        # ``==`` and ``hash`` look nothing up on the instance or the class
+        key = attrgetter(*cls.__slots__)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 # ---------------------------------------------------------------------------
 # configurations
@@ -58,18 +106,17 @@ def _from_ascii(text: str) -> bytes:
     return text.encode().translate(_FROM_ASCII)
 
 
-@dataclass(frozen=True)
-class BallConfig:
+class BallConfig(_Value):
     """Finite occupancy window; every box outside the window is empty.
 
     ``bits[i]`` is the content (0 or 1) of box ``origin + i``.
     """
 
-    origin: int = 1
-    bits: bytes = b""
+    __slots__ = ("origin", "bits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", _boxes(self.bits))
+    def __init__(self, origin: int = 1, bits: bytes = b""):
+        _set(self, "origin", origin)
+        _set(self, "bits", _boxes(bits))
 
     @classmethod
     def from_string(cls, text: str, origin: int = 1) -> BallConfig:
@@ -208,8 +255,7 @@ def carrier_trace(config: BallConfig) -> tuple[int, ...]:
 # excursions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Excursion:
+class Excursion(_Value):
     """The ``2n`` boxes between two consecutive records, as 0/1 bytes.
 
     The carrier enters them empty, leaves them empty, and reaches none of
@@ -217,14 +263,14 @@ class Excursion:
     and ends there.
     """
 
-    bits: bytes = b""
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        bits = _boxes(self.bits)
-        object.__setattr__(self, "bits", bits)
+    def __init__(self, bits: bytes = b""):
+        bits = _boxes(bits)
         loads = _loads(bits)
         if loads[-1] or next(_records(loads), None) is not None:
             raise ValidationError("boxes must hold no record and end with an empty carrier")
+        _set(self, "bits", bits)
 
     @classmethod
     def from_string(cls, text: str) -> Excursion:
@@ -327,25 +373,25 @@ def map_distinct(fn: Callable[[_K], _T], items: Iterable[_K]) -> list[_T]:
 # record-anchored assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnchoredConfig:
+class AnchoredConfig(_Value):
     """Configuration plus the positions of its records, with record 0 at box 0.
 
     ``records[j]`` is the position of record ``i_lo + j``; excursion i lives
     strictly between records i and i + 1.
     """
 
-    config: BallConfig
-    i_lo: int
-    records: tuple[int, ...]
+    __slots__ = ("config", "i_lo", "records")
 
-    def __post_init__(self):
-        if not self.records:
+    def __init__(self, config: BallConfig, i_lo: int, records: tuple[int, ...]):
+        if not records:
             raise PreconditionError("at least one record is required")
-        if self.i_lo > 0 or self.i_lo + len(self.records) <= 0:
+        if i_lo > 0 or i_lo + len(records) <= 0:
             raise PreconditionError("the record window must contain index 0")
-        if self.records[-self.i_lo] != 0:
+        if records[-i_lo] != 0:
             raise PreconditionError("record 0 must sit at the origin")
+        _set(self, "config", config)
+        _set(self, "i_lo", i_lo)
+        _set(self, "records", records)
 
     def record(self, i: int) -> int:
         j = i - self.i_lo
@@ -390,13 +436,15 @@ def assemble(excursions: Sequence[Excursion], i_lo: int = 0) -> AnchoredConfig:
 # Takahashi-Satsuma soliton identification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Soliton:
+class Soliton(_Value):
     """k balls plus k empty boxes, heads and tails each strictly increasing."""
 
-    k: int
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
+    __slots__ = ("k", "head", "tail")
+
+    def __init__(self, k: int, head: tuple[int, ...], tail: tuple[int, ...]):
+        _set(self, "k", k)
+        _set(self, "head", head)
+        _set(self, "tail", tail)
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.head + self.tail))

@@ -20,11 +20,10 @@ import json
 import math
 import random
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .core import Excursion, catalan_number, map_distinct, soliton_counts
+from .core import Excursion, _set, _Value, catalan_number, map_distinct, soliton_counts
 from .errors import DivergenceError, PreconditionError, ValidationError
 from .slots import (
     EMPTY_DIAGRAM,
@@ -43,15 +42,15 @@ _MAX_LEVELS = 5000
 # parameter families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeometricLaw:
+class GeometricLaw(_Value):
     """P(Y = j) = p * (1 - p)^j on j = 0, 1, 2, ...; mean (1 - p) / p."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not 0 < self.p <= 1:
+    def __init__(self, p: float):
+        if not 0 < p <= 1:
             raise ValidationError("geometric parameter must lie in (0, 1]")
+        _set(self, "p", p)
 
     def pmf(self, j: int) -> float:
         return self.p * (1 - self.p) ** j if j >= 0 else 0.0
@@ -61,8 +60,7 @@ class GeometricLaw:
         return (1 - self.p) / self.p
 
 
-@dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(_Value):
     """Analytic continuation ``alpha_k = coef * ratio**k`` past the explicit head.
 
     ``partition`` is the exact partition function of the full weight family
@@ -70,30 +68,31 @@ class GeometricTail:
     ratios q_{k+1} / q_k, both known in closed form for the supported tails.
     """
 
-    coef: float
-    ratio: float
-    partition: float
-    fill_ratio: float
+    __slots__ = ("coef", "ratio", "partition", "fill_ratio")
+
+    def __init__(self, coef: float, ratio: float, partition: float, fill_ratio: float):
+        _set(self, "coef", coef)
+        _set(self, "ratio", ratio)
+        _set(self, "partition", partition)
+        _set(self, "fill_ratio", fill_ratio)
 
     def alpha(self, k: int) -> float:
         return self.coef * self.ratio**k
 
 
-@dataclass(frozen=True)
-class SolitonWeights:
+class SolitonWeights(_Value):
     """Per-size weights alpha_k in [0, 1): an explicit head plus optional tail."""
 
-    head: tuple[float, ...] = ()
-    tail: GeometricTail | None = None
+    __slots__ = ("head", "tail")
 
-    def __post_init__(self):
-        if any(not 0 <= a < 1 for a in self.head):
+    def __init__(self, head: tuple[float, ...] = (), tail: GeometricTail | None = None):
+        if any(not 0 <= a < 1 for a in head):
             raise ValidationError("weights must lie in [0, 1)")
-        if self.tail is None:
-            head = self.head
+        if tail is None:
             while head and head[-1] == 0.0:
                 head = head[:-1]
-            object.__setattr__(self, "head", head)
+        _set(self, "head", head)
+        _set(self, "tail", tail)
 
     def alpha(self, k: int) -> float:
         if k < 1:
@@ -203,19 +202,17 @@ def weights_from_params_json(text: str | bytes) -> SolitonWeights:
 # the parameter transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlotFill:
+class SlotFill(_Value):
     """Finite vector of slot parameters q_k in [0, 1); zero beyond the support."""
 
-    q: tuple[float, ...] = ()
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if any(not 0 <= v < 1 for v in self.q):
+    def __init__(self, q: tuple[float, ...] = ()):
+        if any(not 0 <= v < 1 for v in q):
             raise ValidationError("slot parameters must lie in [0, 1)")
-        q = self.q
         while q and q[-1] == 0.0:
             q = q[:-1]
-        object.__setattr__(self, "q", q)
+        _set(self, "q", q)
 
     @property
     def levels(self) -> int:
@@ -350,13 +347,15 @@ def partition_level(weights: SolitonWeights, m: int, levels: int | None = None) 
     return math.exp(log_z)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(_Value):
     """Partial sum over excursions of half-length <= n_max plus a tail bound."""
 
-    value: float
-    tail_bound: float
-    n_max: int
+    __slots__ = ("value", "tail_bound", "n_max")
+
+    def __init__(self, value: float, tail_bound: float, n_max: int):
+        _set(self, "value", value)
+        _set(self, "tail_bound", tail_bound)
+        _set(self, "n_max", n_max)
 
 
 def _profile_sums(alpha: tuple[float, ...], n_max: int) -> tuple[float, dict[int, float]]:

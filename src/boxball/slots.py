@@ -34,7 +34,6 @@ array reader and reflection build them consistent through ``_trusted_diagram``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -43,6 +42,8 @@ from .core import (
     Excursion,
     Soliton,
     _lay_out,
+    _set,
+    _Value,
     excursions_of,
     map_distinct,
     soliton_decompose,
@@ -81,19 +82,18 @@ def slot_rows(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SlotDiagram:
+class SlotDiagram(_Value):
     """Rows ``rows[k - 1] = (x_k(0), ..., x_k(s_k - 1))`` for k = 1 .. M.
 
     Rows above M are implicit: one slot, zero solitons.  The empty diagram
     has no rows.
     """
 
-    rows: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...] = ()):
+        rows = tuple(tuple(r) for r in rows)
+        _set(self, "rows", rows)
         if any(v < 0 or v != int(v) for row in rows for v in row):
             raise ValidationError("slot counts must be nonnegative integers")
         if not rows:
@@ -165,7 +165,7 @@ EMPTY_DIAGRAM = SlotDiagram()
 def _trusted_diagram(rows: tuple[tuple[int, ...], ...]) -> SlotDiagram:
     """A diagram from int rows consistent by construction, left unchecked."""
     diagram = object.__new__(SlotDiagram)
-    object.__setattr__(diagram, "rows", rows)
+    _set(diagram, "rows", rows)
     return diagram
 
 
@@ -293,23 +293,22 @@ def insert_soliton(config: BallConfig, k: int, j: int) -> BallConfig:
 # component arrays
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentArray:
+class ComponentArray(_Value):
     """Windowed rows ``row k = (offset, values)``: values[j] counts k-solitons
     appended to k-slot ``offset + j`` of a configuration; zero outside.
     """
 
-    rows: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[tuple[int, int, tuple[int, ...]], ...] = ()):
         seen = set()
-        for k, _, values in self.rows:
+        for k, _, values in rows:
             if k < 1 or k in seen:
                 raise ValidationError("rows must have distinct sizes k >= 1")
             seen.add(k)
             if values and min(values) < 0:
                 raise ValidationError("component counts must be >= 0")
-        object.__setattr__(self, "rows", tuple(sorted(self.rows)))
+        _set(self, "rows", tuple(sorted(rows)))
 
     @classmethod
     def from_dict(cls, data: Mapping[int, tuple[int, Sequence[int]]]) -> ComponentArray:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import BallConfig, carrier_trace, evolve, record_positions
+from .core import BallConfig, _set, _Value, carrier_trace, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError
 from .line import sample_anti_palm
 from .measures import GeometricLaw, SolitonWeights, _as_rng
@@ -27,15 +26,18 @@ _MIN_EXPECTED = 5.0
 _MIN_SAMPLES = 1000  # labels of a row, or pairs, a test needs
 
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(_Value):
     """Chi-square test summary with the merged observed/expected bins."""
 
-    statistic: float
-    dof: int
-    p_value: float
-    bins: tuple[tuple[str, float, float], ...]
-    max_dev_se: float | None = None
+    __slots__ = ("statistic", "dof", "p_value", "bins", "max_dev_se")
+
+    def __init__(self, statistic: float, dof: int, p_value: float,
+                 bins: tuple[tuple[str, float, float], ...], max_dev_se: float | None = None):
+        _set(self, "statistic", statistic)
+        _set(self, "dof", dof)
+        _set(self, "p_value", p_value)
+        _set(self, "bins", bins)
+        _set(self, "max_dev_se", max_dev_se)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -276,14 +278,18 @@ def t_invariance_test(
 # component shift under evolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(_Value):
     """Whether each trimmed component row is conserved, and its label offset;
-    ``counts_conserved``: whether the soliton count of every size is."""
+    ``counts_conserved``: whether the soliton count of every size is.
+    ``offsets`` defaults to a fresh empty dict."""
 
-    ok: bool
-    offsets: dict[int, int | None] = field(default_factory=dict)
-    counts_conserved: bool = True
+    __slots__ = ("ok", "offsets", "counts_conserved")
+
+    def __init__(self, ok: bool, offsets: dict[int, int | None] | None = None,
+                 counts_conserved: bool = True):
+        _set(self, "ok", ok)
+        _set(self, "offsets", {} if offsets is None else offsets)
+        _set(self, "counts_conserved", counts_conserved)
 
 
 def component_shift_check(config: BallConfig) -> ShiftReport:

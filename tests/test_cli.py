@@ -217,6 +217,8 @@ def test_decompose_and_render_independent_of_window_padding(runner):
         (["--measure", "markov", "--Q", "[[0.8,0.2],[NaN,0.4]]"], None),
         (["--measure", "markov", "--Q", "[[Infinity,0.2],[0.6,0.4]]"], None),
         ([], b'{"family":"markov","Q":[[0.8,0.2],[0.6,-Infinity]]}'),
+        # a value that starts like a negative number is the option's value
+        (["--measure", "explicit", "--alpha", "-0.1,0.2"], None),
     ],
 )
 def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):

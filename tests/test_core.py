@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import accumulate
 
 import numpy as np
@@ -22,7 +24,10 @@ from boxball import (
     soliton_counts,
     soliton_decompose,
 )
-from boxball.core import BOX_BUDGET, _cut, map_distinct
+from boxball.core import BOX_BUDGET, AnchoredConfig, Soliton, _cut, assemble, map_distinct
+from boxball.measures import GeometricLaw, GeometricTail, SeriesResult, SlotFill, SolitonWeights
+from boxball.slots import ComponentArray, SlotDiagram, _trusted_diagram
+from boxball.stats import GofReport, ShiftReport
 
 import oracles
 
@@ -408,3 +413,66 @@ def test_excursions_of_window_left_of_origin():
     i_lo, excs = excursions_of(cfg)
     assert i_lo < 0
     assert [e.ball_string() for e in excs if e.n] == ["10"]
+
+
+# ---------------------------------------------------------------------------
+# value types
+# ---------------------------------------------------------------------------
+
+def _values():
+    """One value of every value type, with its fields in declaration order."""
+    anchored = assemble([Excursion.from_string("10")])
+    assert type(anchored) is AnchoredConfig
+    tail = GeometricTail(coef=0.5, ratio=0.25, partition=2.0, fill_ratio=0.5)
+    return [
+        (BallConfig(3, b"\x01\x00\x01"), ("origin", "bits")),
+        (Excursion.from_string("1100"), ("bits",)),
+        (anchored, ("config", "i_lo", "records")),
+        (Soliton(1, (1,), (2,)), ("k", "head", "tail")),
+        (SlotDiagram(((1,),)), ("rows",)),
+        (ComponentArray(((1, 0, (1, 2)),)), ("rows",)),
+        (GeometricLaw(0.25), ("p",)),
+        (tail, ("coef", "ratio", "partition", "fill_ratio")),
+        (SolitonWeights((0.2, 0.1), tail), ("head", "tail")),
+        (SlotFill((0.3,)), ("q",)),
+        (SeriesResult(1.5, 1e-9, 10), ("value", "tail_bound", "n_max")),
+        (GofReport(1.0, 2, 0.5, (("0", 1.0, 1.5),), max_dev_se=0.5),
+         ("statistic", "dof", "p_value", "bins", "max_dev_se")),
+        (ShiftReport(True, {1: 2}), ("ok", "offsets", "counts_conserved")),
+    ]
+
+
+def test_value_types_are_immutable_slotted_values():
+    values = _values()
+    assert len({type(v) for v, _ in values}) == 13
+    for value, names in values:
+        cls = type(value)
+        fields = tuple(getattr(value, name) for name in names)
+        assert not hasattr(value, "__dict__"), cls
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, fields[0])
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert getattr(value, names[0]) is fields[0]
+        # positional and keyword construction, field by field
+        twins = [cls(*fields), cls(**dict(zip(names, fields))), pickle.loads(pickle.dumps(value)),
+                 copy.copy(value), copy.deepcopy(value)]
+        for twin in twins:
+            assert type(twin) is cls and twin == value and not twin != value, cls
+            if cls is not ShiftReport:
+                assert hash(twin) == hash(value), cls
+        assert repr(value) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={field!r}" for name, field in zip(names, fields)) + ")"
+        assert all(other != value for other, _ in values if type(other) is not cls)
+    # a dict field makes the value unhashable, as it does a tuple
+    with pytest.raises(TypeError):
+        hash(ShiftReport(True))
+    assert ShiftReport(True).offsets == {} and ShiftReport(True).offsets is not ShiftReport(True).offsets
+    # equal fields, different classes
+    assert SlotDiagram().rows == ComponentArray().rows and SlotDiagram() != ComponentArray()
+    assert repr(BallConfig(1, b"\x01")) == "BallConfig(origin=1, bits=b'\\x01')"
+    trusted = _trusted_diagram(((1,),))
+    assert trusted == SlotDiagram(((1,),)) and hash(trusted) == hash(SlotDiagram(((1,),)))
+    with pytest.raises(AttributeError):
+        trusted.rows = ()

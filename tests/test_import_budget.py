@@ -1,6 +1,7 @@
 """Start-up budget: the package, its CLI and its sampling modules load neither
-scipy nor numpy, the CLI does not load click, and every command runs with
-numpy, scipy or click absent, with the same output as when they are there.
+scipy nor numpy, nor dataclasses and inspect, the CLI does not load click,
+and every command runs with numpy, scipy or click absent, with the same
+output as when they are there.
 Every sampler draws from the standard library's ``random.Random``, and the
 CLI parses its arguments with ``argparse``; scipy, numpy and click (for
 ``CliRunner``) are test-only dependencies."""
@@ -47,6 +48,13 @@ def test_cli_import_loads_no_click():
 def test_sampling_modules_load_no_numpy_nor_scipy():
     for prefix in ("numpy", "scipy"):
         assert _loaded(prefix, "boxball.measures, boxball.line, boxball.stats") == "[]"
+
+
+def test_start_up_loads_no_dataclasses_nor_inspect():
+    # the value types are __slots__ classes on one small base, core._Value
+    every_module = "boxball, boxball.cli, boxball.measures, boxball.line, boxball.stats"
+    for prefix in ("dataclasses", "inspect"):
+        assert _loaded(prefix, every_module) == "[]"
 
 
 def test_names_and_submodules_load_on_first_use():
