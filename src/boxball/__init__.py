@@ -27,8 +27,6 @@ _EXPORTS = {
         "enumerate_excursions",
         "evolve",
         "excursions_of",
-        "is_record",
-        "record_position",
         "record_positions",
         "soliton_counts",
         "soliton_decompose",
@@ -58,19 +56,16 @@ _EXPORTS = {
         "expected_slot_counts",
         "explicit_weights",
         "fill_from_weights",
-        "in_admissible_set",
         "markov_weights",
         "max_size_distribution",
         "mean_record_gap",
         "mean_soliton_counts",
         "partition_function",
-        "partition_level",
         "partition_series",
         "sample_diagrams",
         "sample_excursions",
         "shift_weights",
         "weights_from_fill",
-        "weights_from_params_json",
     ),
     "slots": (
         "ComponentArray",

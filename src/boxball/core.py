@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError, ValidationError
 
-BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out or cut
+BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out
+GAP_BUDGET = 1 << 16  # the most boxes box 0 may lie from a window that is cut
 
 # ---------------------------------------------------------------------------
 # immutable values
@@ -204,23 +205,6 @@ def record_positions(config: BallConfig) -> tuple[int, ...]:
     return (config.origin - 1, *_records(loads, config.origin), config.end + loads[-1] + 1)
 
 
-def record_position(config: BallConfig, i: int) -> int:
-    """Position of record ``i``: the first box where the walk reaches ``-i``."""
-    recs = record_positions(config)
-    # the walk, at height 0 at box 0, stands at ``base`` at the first returned
-    # record and steps down to a new minimum at each record after it
-    base = -2 * config.bits.count(1, 0, max(1 - config.origin, 0)) - (config.origin - 1)
-    j = i + base
-    if j < 0:
-        return recs[0] + j
-    return recs[min(j, len(recs) - 1)] + max(j - len(recs) + 1, 0)
-
-
-def is_record(config: BallConfig, z: int) -> bool:
-    recs = record_positions(config)
-    return not recs[0] < z < recs[-1] or z in recs
-
-
 # ---------------------------------------------------------------------------
 # dynamics
 # ---------------------------------------------------------------------------
@@ -312,12 +296,12 @@ def _cut_window(config: BallConfig) -> tuple[tuple[int, ...], int, tuple[Excursi
 
     ``i_lo`` and ``excursions`` are what :func:`excursions_of` returns;
     excursion ``i_lo + j`` lies between records ``bounds[j]`` and
-    ``bounds[j + 1]``.  Box 0 may lie at most :data:`BOX_BUDGET` boxes from
+    ``bounds[j + 1]``.  Box 0 may lie at most :data:`GAP_BUDGET` boxes from
     the window, since each record between them bounds one more empty
-    excursion.
+    excursion, and so one more entry of every document that lists them.
     """
-    if max(config.origin, -config.end) > BOX_BUDGET:
-        raise PreconditionError(f"box 0 lies more than {BOX_BUDGET} boxes from the window")
+    if max(config.origin, -config.end) > GAP_BUDGET:
+        raise PreconditionError(f"box 0 lies more than {GAP_BUDGET} boxes from the window")
     inside, excursions, tail = _cut(config.bits)
     # the tail starts at load 0 and meets no record: the load at the window
     # end is its height, and that many empty boxes close it

@@ -8,6 +8,11 @@ parameter transform, which this module implements together with partition
 functions (closed form and series oracles), exact samplers, and the expected
 slot-count recursion.
 
+Under the Palm measure row k of the slot diagram is, given the rows above
+it, s_k i.i.d. Geometric(1 - q_k) entries.  So the mean number of
+k-solitons is ``E[n_k] = m_k beta_k`` in closed form, with
+``m_k = q_k / (1 - q_k)`` and ``beta_k = E[s_k]`` the expected slot count.
+
 Probabilities are accumulated in log space; the parameter transform runs on
 direct running products for precision, falling back to logs on underflow.
 The samplers draw from one ``random.Random``; the diagram sampler inverts
@@ -80,6 +85,14 @@ class GeometricTail(_Value):
         return self.coef * self.ratio**k
 
 
+def _strip_zeros(values: tuple[float, ...]) -> tuple[float, ...]:
+    """``values`` without its trailing zeros."""
+    end = len(values)
+    while end and values[end - 1] == 0.0:
+        end -= 1
+    return values[:end]
+
+
 class SolitonWeights(_Value):
     """Per-size weights alpha_k in [0, 1): an explicit head plus optional tail."""
 
@@ -88,10 +101,7 @@ class SolitonWeights(_Value):
     def __init__(self, head: tuple[float, ...] = (), tail: GeometricTail | None = None):
         if any(not 0 <= a < 1 for a in head):
             raise ValidationError("weights must lie in [0, 1)")
-        if tail is None:
-            while head and head[-1] == 0.0:
-                head = head[:-1]
-        _set(self, "head", head)
+        _set(self, "head", _strip_zeros(head) if tail is None else head)
         _set(self, "tail", tail)
 
     def alpha(self, k: int) -> float:
@@ -193,11 +203,6 @@ def family_weights(family: str, parameter) -> SolitonWeights:
         raise ValidationError(f"bad {family} parameter: {exc}") from exc
 
 
-def weights_from_params_json(text: str | bytes) -> SolitonWeights:
-    """Parameter file loader: bernoulli / markov / explicit families."""
-    return family_weights(*params_from_json(text))
-
-
 # ---------------------------------------------------------------------------
 # the parameter transform
 # ---------------------------------------------------------------------------
@@ -210,9 +215,7 @@ class SlotFill(_Value):
     def __init__(self, q: tuple[float, ...] = ()):
         if any(not 0 <= v < 1 for v in q):
             raise ValidationError("slot parameters must lie in [0, 1)")
-        while q and q[-1] == 0.0:
-            q = q[:-1]
-        _set(self, "q", q)
+        _set(self, "q", _strip_zeros(q))
 
     @property
     def levels(self) -> int:
@@ -236,8 +239,8 @@ def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> Slo
     (diverging partition function, weights outside the admissible set at this
     truncation).
     """
-    if levels is not None and levels < 0:
-        raise PreconditionError("levels must be >= 0")
+    if levels is not None and not 0 <= levels <= _MAX_LEVELS:
+        raise PreconditionError(f"levels must lie in [0, {_MAX_LEVELS}]")
     if levels is None and weights.finite_support:
         levels = len(weights.head)
     out = []
@@ -303,20 +306,6 @@ def shift_weights(alpha: Sequence[float]) -> tuple[float, ...]:
     )
 
 
-def in_admissible_set(weights: SolitonWeights, levels: int | None = None) -> bool:
-    """Whether the partition function converges, checked up to truncation.
-
-    For explicit finite vectors this is exact; analytic tails use their known
-    geometric decay.  Membership of arbitrary infinite families can only be
-    certified up to the inspected level.
-    """
-    try:
-        fill_from_weights(weights, levels)
-        return True
-    except DivergenceError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # partition functions
 # ---------------------------------------------------------------------------
@@ -331,22 +320,6 @@ def partition_function(weights: SolitonWeights, levels: int | None = None) -> fl
     return math.exp(log_partition(weights, levels))
 
 
-def partition_level(weights: SolitonWeights, m: int, levels: int | None = None) -> float:
-    """Total weight of excursions whose largest soliton has size m.
-
-    ``Z^0 = 1`` and ``Z^m = q_m prod_{j<=m} (1 - q_j)^(-1)``; the levels sum
-    back to Z.
-    """
-    if m == 0:
-        return 1.0
-    fill = fill_from_weights(weights, levels)
-    if m > fill.levels:
-        return 0.0
-    log_z = math.log(fill.at(m)) if fill.at(m) > 0 else -math.inf
-    log_z -= sum(math.log1p(-fill.at(j)) for j in range(1, m + 1))
-    return math.exp(log_z)
-
-
 class SeriesResult(_Value):
     """Partial sum over excursions of half-length <= n_max plus a tail bound."""
 
@@ -358,9 +331,9 @@ class SeriesResult(_Value):
         _set(self, "n_max", n_max)
 
 
-def _profile_sums(alpha: tuple[float, ...], n_max: int) -> tuple[float, dict[int, float]]:
-    """Total weight of the excursions of half-length <= n_max, and per size k
-    the weight-summed number of k-solitons, grouped by soliton-count profile.
+def _profile_sums(alpha: tuple[float, ...], n_max: int) -> float:
+    """Total weight of the excursions of half-length <= n_max, grouped by
+    soliton-count profile.
 
     A profile (n_1, ..., n_K) occurs in exactly ``prod_k C(n_k + s_k - 1,
     n_k)`` excursions, with s_k the slot counts implied by the higher levels;
@@ -368,16 +341,11 @@ def _profile_sums(alpha: tuple[float, ...], n_max: int) -> tuple[float, dict[int
     visited depth first from level K down, n_k ascending.
     """
     total = 0.0
-    sums: dict[int, float] = {}
-    counts = [0] * len(alpha)
 
     def rec(k: int, budget: int, weight: float, s_k: int, above: int) -> None:
         nonlocal total
         if k == 0:
             total += weight
-            for kk, c in enumerate(counts, start=1):
-                if c:
-                    sums[kk] = sums.get(kk, 0.0) + c * weight
             return
         a = alpha[k - 1]
         limit = budget // k if a > 0 else 0
@@ -385,15 +353,13 @@ def _profile_sums(alpha: tuple[float, ...], n_max: int) -> tuple[float, dict[int
         for n_k in range(limit + 1):
             if n_k:
                 ways = ways * (n_k + s_k - 1) // n_k
-            counts[k - 1] = n_k
             w = weight * a**n_k * ways
             if w == 0.0 and n_k > 0:
                 break
             rec(k - 1, budget - k * n_k, w, next_slot_count(s_k, above + n_k), above + n_k)
-        counts[k - 1] = 0
 
     rec(len(alpha), n_max, 1.0, 1, 0)
-    return total, sums
+    return total
 
 
 def _catalan_term(n: int, beta: float) -> float:
@@ -465,7 +431,7 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
             )
         return SeriesResult(value, bound, n_max)
     alpha = weights.head
-    value, _ = _profile_sums(alpha, n_max)
+    value = _profile_sums(alpha, n_max)
     beta = max((a ** (1.0 / k) for k, a in enumerate(alpha, start=1)), default=0.0)
     if beta == 0.0:
         bound = 0.0
@@ -474,19 +440,6 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
     else:
         bound = _catalan_term(n_max + 1, beta) / (1 - 4 * beta)
     return SeriesResult(value, bound, n_max)
-
-
-def mean_soliton_counts(weights: SolitonWeights, n_max: int) -> dict[int, float]:
-    """Series estimate of the mean number of k-solitons per excursion.
-
-    No closed form is available; this enumerates soliton-count profiles up to
-    half-length ``n_max`` and normalizes by the matching partial sum.
-    """
-    alpha = tuple(
-        weights.alpha(k) for k in range(1, max(n_max, len(weights.head)) + 1)
-    )
-    total, sums = _profile_sums(explicit_weights(alpha).head, n_max)
-    return {k: v / total for k, v in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +574,20 @@ def expected_slot_counts(fill: SlotFill) -> tuple[tuple[float, ...], float]:
             acc_l += k * m_k * b
     mean_size = 2 * acc_l
     return tuple(betas), mean_size
+
+
+def mean_soliton_counts(weights: SolitonWeights) -> dict[int, float]:
+    """Mean number of k-solitons per excursion, ``E[n_k] = m_k beta_k``, for
+    every size k with q_k > 0.
+
+    Given the rows above it, row k of the slot diagram is s_k i.i.d.
+    Geometric(1 - q_k) entries of mean ``m_k = q_k / (1 - q_k)``, so
+    ``E[n_k] = m_k E[s_k]``, and :func:`expected_slot_counts` gives
+    ``beta_k = E[s_k]``.
+    """
+    fill = fill_from_weights(weights)
+    betas, _ = expected_slot_counts(fill)
+    return {k: fill.mean_fill(k) * betas[k] for k, q in enumerate(fill.q, 1) if q}
 
 
 def mean_record_gap(weights: SolitonWeights, levels: int | None = None) -> float:

@@ -109,6 +109,8 @@ def geometric_gof(components: ComponentArray, k: int, p_expected: float) -> GofR
     _, values = components.row(k)
     if len(values) < _MIN_SAMPLES:
         raise InsufficientDataError(f"row {k} has {len(values)} labels, need {_MIN_SAMPLES}")
+    if p_expected == 1:
+        raise InsufficientDataError(f"row {k}: q_{k} = 0, the law is a point mass at 0")
     law = GeometricLaw(p_expected)
     n = len(values)
     vmax = max(values)

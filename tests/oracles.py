@@ -38,20 +38,6 @@ def naive_records(balls, origin=1):
     return out
 
 
-def naive_record_position(balls, origin, i):
-    """Record ``i``: the first box where the walk, at height 0 at box 0,
-    reaches ``-i``, by a scan from a box where it is still above ``-i``."""
-    z = min(origin, 0) - 1  # every box from here leftwards is empty
-    height = -sum(2 * _occ(balls, origin, y) - 1 for y in range(z + 1, 1))
-    while height <= -i:  # leftwards through empty boxes the walk climbs
-        z -= 1
-        height += 1
-    while height != -i:
-        z += 1
-        height += 2 * _occ(balls, origin, z) - 1
-    return z
-
-
 def naive_carrier(balls):
     load = 0
     out = []

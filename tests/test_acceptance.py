@@ -215,7 +215,11 @@ def test_criterion_10_component_shift():
         length = int(rng.integers(1, 201))
         density = rng.uniform(0.05, 0.45)
         cfg = BallConfig(1, tuple(int(v) for v in (rng.random(length) < density)))
-        if not component_shift_check(cfg).ok:
+        report = component_shift_check(cfg)
+        if not report.ok:
+            ok = False
+        # FNRW linearisation: one carrier sweep moves every nonempty k-row by k
+        if any(offset != k for k, offset in report.offsets.items() if offset is not None):
             ok = False
         if config_soliton_counts(cfg) != config_soliton_counts(evolve(cfg)):
             ok = False

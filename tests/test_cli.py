@@ -266,15 +266,27 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
         ["verify", "independence", "--lambda", "0.25", "--excursions", "3", "--seed", "-1"],
         ["verify", "t-invariance", "--lambda", "0.25", "--boxes", "1000", "--seed", "-1"],
         ["verify", "shift", "--configs", "3", "--seed", "-1"],
-        # box 0 more than 2^22 boxes from the window: as many empty excursions
+        # box 0 more than 2^16 boxes from the window: as many empty excursions to print
         ["decompose", "--origin", "5000000", "1"],
         ["render", "--origin", "-5000000", "1"],
+        ["decompose", "--origin", "65537", "1"],
+        ["render", "--origin", "-65537", "1"],
+        # more truncation levels than the automatic truncation may use
+        ["params", "--lambda", "0.25", "--levels", "5001"],
     ],
 )
 def test_out_of_range_integer_arguments_exit_4(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 4, result.output
     assert "Traceback" not in result.output
+
+
+def test_verify_geometric_at_a_level_with_q_zero_exits_4(runner):
+    result = runner.invoke(main, ["verify", "geometric", "--measure", "explicit", "--alpha",
+                                  "0.2,0,0.05", "--level", "2", "--excursions", "20000",
+                                  "--seed", "1"])
+    assert result.exit_code == 4, result.output
+    assert result.stderr.splitlines() == ["error: row 2: q_2 = 0, the law is a point mass at 0"]
 
 
 def test_decompose_runs_one_soliton_decomposition_per_excursion(runner, monkeypatch):

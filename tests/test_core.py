@@ -18,13 +18,11 @@ from boxball import (
     enumerate_excursions,
     evolve,
     excursions_of,
-    is_record,
-    record_position,
     record_positions,
     soliton_counts,
     soliton_decompose,
 )
-from boxball.core import BOX_BUDGET, AnchoredConfig, Soliton, _cut, assemble, map_distinct
+from boxball.core import BOX_BUDGET, GAP_BUDGET, AnchoredConfig, Soliton, _cut, assemble, map_distinct
 from boxball.measures import GeometricLaw, GeometricTail, SeriesResult, SlotFill, SolitonWeights
 from boxball.slots import ComponentArray, SlotDiagram, _trusted_diagram
 from boxball.stats import GofReport, ShiftReport
@@ -97,16 +95,12 @@ def test_segment_reads_boxes_with_zero_padding(cfg, lo, size):
 
 def test_records_empty_config():
     assert record_positions(BallConfig(1, ())) == (0, 1)
-    assert is_record(BallConfig(1, ()), -17)
-    assert is_record(BallConfig(1, ()), 23)
 
 
 def test_records_two_soliton_block():
     cfg = BallConfig.from_string("1100", origin=1)
     recs = record_positions(cfg)
     assert recs == (0, 5)
-    assert not any(is_record(cfg, z) for z in (1, 2, 3, 4))
-    assert is_record(cfg, 5) and is_record(cfg, 0) and is_record(cfg, -3)
 
 
 def test_records_single_excursion_figure():
@@ -119,28 +113,6 @@ def test_records_single_excursion_figure():
 def test_records_match_naive_scan(cfg):
     assert list(record_positions(cfg)) == oracles.naive_records(
         list(cfg.bits), cfg.origin
-    )
-
-
-@given(configs, st.integers(-12, 60))
-def test_is_record_matches_naive_scan(cfg, z):
-    recs = oracles.naive_records(list(cfg.bits), cfg.origin)
-    # every box left of the window, and right of the last returned record, is a record
-    assert is_record(cfg, z) == (z <= recs[0] or z >= recs[-1] or z in recs)
-
-
-def test_record_position_enumeration():
-    cfg = BallConfig.from_string("1100", origin=1)
-    assert record_position(cfg, 0) == 0
-    assert record_position(cfg, -2) == -2
-    assert record_position(cfg, 1) == 5
-    assert record_position(cfg, 4) == 8
-
-
-@given(configs, st.integers(-30, 60))
-def test_record_position_matches_naive_scan(cfg, i):
-    assert record_position(cfg, i) == oracles.naive_record_position(
-        list(cfg.bits), cfg.origin, i
     )
 
 
@@ -394,9 +366,18 @@ def test_cut_in_pieces_is_one_cut(bits, data):
 
 
 def test_excursions_of_refuses_box_0_far_from_the_window():
-    for cfg in (BallConfig(BOX_BUDGET + 1, (1, 0)), BallConfig(-BOX_BUDGET - 1, (1,))):
+    for cfg in (
+        BallConfig(BOX_BUDGET + 1, (1, 0)),
+        BallConfig(-BOX_BUDGET - 1, (1,)),
+        BallConfig(GAP_BUDGET + 1, (1, 0)),
+        BallConfig(-GAP_BUDGET - 1, (1,)),
+    ):
         with pytest.raises(PreconditionError):
             excursions_of(cfg)
+    # at the bound, each record from box 0 to the window starts one empty excursion
+    i_lo, excs = excursions_of(BallConfig(GAP_BUDGET, (1, 0)))
+    assert (i_lo, len(excs)) == (0, GAP_BUDGET)
+    assert [e.ball_string() for e in excs if e.n] == ["10"]
     # soliton counts do not depend on where the window sits
     assert config_soliton_counts(BallConfig(10 * BOX_BUDGET, (1, 1, 0, 1))) == {1: 1, 2: 1}
 

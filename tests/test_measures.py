@@ -21,20 +21,18 @@ from boxball import (
     expected_slot_counts,
     explicit_weights,
     fill_from_weights,
-    in_admissible_set,
     markov_weights,
     max_size_distribution,
     mean_record_gap,
     mean_soliton_counts,
     partition_function,
-    partition_level,
     partition_series,
     sample_diagrams,
     sample_excursions,
     shift_weights,
     weights_from_fill,
-    weights_from_params_json,
 )
+from boxball.measures import _MAX_LEVELS, SolitonWeights, family_weights, params_from_json
 
 import oracles
 
@@ -102,8 +100,26 @@ def test_divergent_weights_detected():
     # two-level family diverges once alpha_2 reaches (1 - alpha_1)^2 = 0.64
     with pytest.raises(DivergenceError):
         fill_from_weights(explicit_weights([0.2, 0.65]))
-    assert not in_admissible_set(explicit_weights([0.2, 0.8]))
-    assert in_admissible_set(explicit_weights([0.2, 0.63]))
+    with pytest.raises(DivergenceError):
+        fill_from_weights(explicit_weights([0.2, 0.8]))
+    assert fill_from_weights(explicit_weights([0.2, 0.63])).levels == 2
+
+
+def test_trailing_zeros_are_dropped_in_one_pass():
+    # a strip that copies the tuple once per zero would take about a minute here
+    zeros = (0.0,) * 200_000
+    assert SlotFill((0.2, 0.0, 0.1) + zeros).q == (0.2, 0.0, 0.1)
+    assert SolitonWeights((0.2, 0.0, 0.1) + zeros).head == (0.2, 0.0, 0.1)
+    assert SlotFill(zeros).q == () and SolitonWeights(zeros).head == ()
+
+
+def test_truncation_level_is_bounded():
+    weights = bernoulli_weights(0.25)
+    fill = fill_from_weights(weights)
+    assert fill_from_weights(weights, _MAX_LEVELS).q[: fill.levels] == fill.q
+    for levels in (-1, _MAX_LEVELS + 1):
+        with pytest.raises(PreconditionError):
+            fill_from_weights(weights, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +142,22 @@ def test_partition_bernoulli_and_markov_closed_forms():
 
 
 def test_partition_levels_sum_to_total():
-    weights = explicit_weights([0.2, 0.1, 0.05])
-    total = sum(partition_level(weights, m) for m in range(0, 4))
-    assert total == pytest.approx(partition_function(weights), abs=1e-12)
-    assert partition_level(weights, 0) == 1.0
+    # Z^m = Z P(M = m) weighs the excursions whose largest soliton has size
+    # m; its sums over half-lengths n <= 8 approach it from below
+    alpha = (0.2, 0.1, 0.05)
+    weights = explicit_weights(alpha)
+    z = partition_function(weights)
+    levels = [z * p for p in max_size_distribution(fill_from_weights(weights))]
+    assert sum(levels) == pytest.approx(z, rel=1e-12)
+    brute = [Fraction(0)] * len(levels)
+    for path, w in oracles.brute_excursion_probs(alpha, 8).items():
+        if w:
+            balls = [(s + 1) // 2 for s in path]
+            brute[max(oracles.naive_counts(balls), default=0)] += w
+    assert brute[0] == 1 and levels[0] == pytest.approx(1, rel=1e-12)
+    # the excursions holding only 1-solitons weigh 0.2^n at each half-length n
+    assert levels[1] == pytest.approx(float(brute[1]) + 0.2**9 / 0.8, rel=1e-12)
+    assert all(float(b) < level for b, level in zip(brute[2:], levels[2:]))
 
 
 def test_partition_series_trivial():
@@ -399,8 +427,38 @@ def test_slot_count_means_bernoulli_limit():
 
 def test_mean_soliton_counts_bernoulli():
     # sum_k k rho_k = lambda / (1 - 2 lambda) = 1/2 at lambda = 1/4
-    rho = mean_soliton_counts(bernoulli_weights(0.25), 30)
-    assert sum(k * v for k, v in rho.items()) == pytest.approx(0.5, abs=1e-4)
+    rho = mean_soliton_counts(bernoulli_weights(0.25))
+    assert sum(k * v for k, v in rho.items()) == pytest.approx(0.5, abs=1e-9)
+    # every ball belongs to one soliton: sum_k k E[n_k] = (kappa - 1) / 2
+    for weights in (
+        bernoulli_weights(0.25),
+        bernoulli_weights(0.45),
+        markov_weights(MARKOV_Q),
+        explicit_weights([0.2, 0.1, 0.05]),
+    ):
+        rho = mean_soliton_counts(weights)
+        kappa = mean_record_gap(weights)
+        assert sum(k * v for k, v in rho.items()) == pytest.approx((kappa - 1) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [explicit_weights([0.1, 0.02]), markov_weights([[0.95, 0.05], [0.8, 0.2]])],
+    ids=["explicit", "markov"],
+)
+def test_mean_soliton_counts_match_enumeration(weights):
+    n_max = 8
+    alpha = [weights.alpha(k) for k in range(1, n_max + 1)]
+    probs = oracles.brute_excursion_probs(alpha, n_max)
+    sums = Counter()
+    for path, w in probs.items():
+        for k, c in oracles.naive_counts([(s + 1) // 2 for s in path]).items():
+            sums[k] += c * w
+    total = sum(probs.values())
+    rho = mean_soliton_counts(weights)
+    assert all(v > 0 for v in rho.values())
+    for k in sums.keys() | rho.keys():
+        assert rho.get(k, 0.0) == pytest.approx(float(sums[k] / total), abs=1e-5), k
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +502,14 @@ def test_markov_without_double_balls():
 
 
 def test_params_json_families():
-    w = weights_from_params_json('{"family":"bernoulli","lambda":0.25}')
-    assert w.alpha(1) == pytest.approx(0.1875)
-    w = weights_from_params_json('{"family":"markov","Q":[[0.8,0.2],[0.6,0.4]]}')
-    assert w.tail.ratio == pytest.approx(0.32)
-    w = weights_from_params_json('{"family":"explicit","alpha":[0.2,0.1]}')
-    assert w.head == (0.2, 0.1)
+    def load(text):
+        return family_weights(*params_from_json(text))
+
+    assert load('{"family":"bernoulli","lambda":0.25}').alpha(1) == pytest.approx(0.1875)
+    assert load('{"family":"markov","Q":[[0.8,0.2],[0.6,0.4]]}').tail.ratio == pytest.approx(0.32)
+    assert load('{"family":"explicit","alpha":[0.2,0.1]}').head == (0.2, 0.1)
     with pytest.raises(ValidationError):
-        weights_from_params_json('{"family":"cauchy"}')
+        load('{"family":"cauchy"}')
 
 
 def test_geometric_law():
