@@ -16,9 +16,9 @@ the start of that run.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, groupby, islice
 from operator import attrgetter, eq, gt
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError, ValidationError
 
@@ -272,6 +272,13 @@ class Excursion(_Value):
 EMPTY_EXCURSION = Excursion()
 
 
+def _trusted_excursion(bits: bytes) -> Excursion:
+    """An excursion from 0/1 bytes that are one by construction, left unchecked."""
+    excursion = object.__new__(Excursion)
+    _set(excursion, "bits", bits)
+    return excursion
+
+
 def _cut(
     bits: bytes, limit: int | None = None, start: int = 0
 ) -> tuple[list[int], list[Excursion], bytes]:
@@ -329,12 +336,10 @@ def excursions_of(config: BallConfig) -> tuple[int, tuple[Excursion, ...]]:
     return _cut_window(config)[1:3]
 
 
-_K = TypeVar("_K")
-_T = TypeVar("_T")
 _MISSING = object()
 
 
-def map_distinct(fn: Callable[[_K], _T], items: Iterable[_K]) -> list[_T]:
+def map_distinct(fn: Callable, items: Iterable) -> list:
     """``[fn(x) for x in items]``, with ``fn`` called once per distinct item
     and its result shared by the repeats.
 
@@ -343,7 +348,7 @@ def map_distinct(fn: Callable[[_K], _T], items: Iterable[_K]) -> list[_T]:
     each shape once.  ``fn`` must be a pure function of the (hashable,
     frozen) item; the memo lives for this call only.
     """
-    done: dict[_K, _T] = {}
+    done = {}
     out = []
     for item in items:
         result = done.get(item, _MISSING)
@@ -515,7 +520,9 @@ def catalan_number(n: int) -> int:
 
 
 def enumerate_excursions(n: int) -> Iterator[Excursion]:
-    """All excursions of half-length n, via the first-return decomposition."""
+    """All excursions of half-length n, via the first-return decomposition:
+    an up step, an excursion, a down step and an excursion, so each shape is
+    one by construction and is not checked again."""
 
     def paths(m: int) -> Iterator[bytes]:
         if m == 0:
@@ -527,4 +534,4 @@ def enumerate_excursions(n: int) -> Iterator[Excursion]:
                     yield b"\x01" + inner + b"\x00" + rest
 
     for p in paths(n):
-        yield Excursion(p)
+        yield _trusted_excursion(p)

@@ -15,8 +15,8 @@ translation-invariant measure.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from itertools import repeat
-from typing import Callable, Sequence
 
 from .core import BallConfig, Excursion, _cut, assemble
 from .errors import PreconditionError

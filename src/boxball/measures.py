@@ -25,8 +25,8 @@ import json
 import math
 import random
 from bisect import bisect
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .core import Excursion, _set, _Value, catalan_number, map_distinct, soliton_counts
 from .errors import DivergenceError, PreconditionError, ValidationError

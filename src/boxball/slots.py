@@ -34,7 +34,7 @@ array reader and reflection build them consistent through ``_trusted_diagram``.
 from __future__ import annotations
 
 import json
-from typing import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .core import (
     BOX_BUDGET,

@@ -8,18 +8,18 @@ given their seed and parameters.
 p-values come from ``_chi2_sf``, a finite sum in the standard library, and
 contingency tables are lists, so no ``bbs`` command loads scipy or numpy;
 scipy is a test-only dependency, the oracle the tests check that sum against.
+``line`` and ``measures`` are imported inside :func:`t_invariance_test` and
+:func:`geometric_gof`, their only users, so ``verify shift`` loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import BallConfig, _set, _Value, carrier_trace, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError
-from .line import sample_anti_palm
-from .measures import GeometricLaw, SolitonWeights, _as_rng
 from .slots import ComponentArray, decompose
 
 _MIN_EXPECTED = 5.0
@@ -106,6 +106,8 @@ def _chi_square(observed: Sequence[float], expected: Sequence[float], labels) ->
 
 def geometric_gof(components: ComponentArray, k: int, p_expected: float) -> GofReport:
     """Goodness of fit of row k against Geometric(p_expected)."""
+    from .measures import GeometricLaw
+
     _, values = components.row(k)
     if len(values) < _MIN_SAMPLES:
         raise InsufficientDataError(f"row {k} has {len(values)} labels, need {_MIN_SAMPLES}")
@@ -232,6 +234,9 @@ def t_invariance_test(
     two-sample chi-square and the maximum per-block deviation in Monte-Carlo
     standard errors; exact invariance is replaced by this desk-scale proxy.
     """
+    from .line import sample_anti_palm
+    from .measures import _as_rng
+
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
     if block_len < 1:

@@ -290,7 +290,6 @@ def test_verify_geometric_at_a_level_with_q_zero_exits_4(runner):
 
 
 def test_decompose_runs_one_soliton_decomposition_per_excursion(runner, monkeypatch):
-    import boxball.cli
     import boxball.core
     import boxball.slots
 
@@ -301,7 +300,7 @@ def test_decompose_runs_one_soliton_decomposition_per_excursion(runner, monkeypa
         calls.append(exc)
         return original(exc)
 
-    monkeypatch.setattr(boxball.cli, "soliton_decompose", counted)
+    monkeypatch.setattr(boxball.core, "soliton_decompose", counted)  # what render imports
     monkeypatch.setattr(boxball.slots, "soliton_decompose", counted)
     excursions = [FIG_EXCURSION, "10", "111000", "1101001100"]
     result = runner.invoke(main, ["decompose", "0".join(excursions)])

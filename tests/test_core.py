@@ -311,6 +311,14 @@ def test_all_excursions_counted_by_catalan():
         assert sum(1 for _ in enumerate_excursions(n)) == catalan_number(n)
 
 
+def test_enumerated_excursions_are_the_dyck_paths_in_order():
+    # the enumeration builds its shapes unchecked: each must pass the check
+    for n in range(10):
+        shapes = list(enumerate_excursions(n))
+        assert [tuple(2 * b - 1 for b in e.bits) for e in shapes] == list(oracles.dyck_paths(n))
+        assert all(e == Excursion(e.bits) for e in shapes)
+
+
 def test_excursion_validation():
     with pytest.raises(ValidationError):
         Excursion((1, 0, 0, 1))  # a record inside

@@ -1,11 +1,13 @@
 """Start-up budget: the package, its CLI and its sampling modules load neither
-scipy nor numpy, nor dataclasses and inspect, the CLI does not load click,
-and every command runs with numpy, scipy or click absent, with the same
-output as when they are there.
+scipy nor numpy, nor dataclasses, inspect and typing, the CLI does not load
+click, each command loads only the boxball modules it runs, and every command
+runs with numpy, scipy or click absent, with the same output as when they are
+there.
 Every sampler draws from the standard library's ``random.Random``, and the
 CLI parses its arguments with ``argparse``; scipy, numpy and click (for
 ``CliRunner``) are test-only dependencies."""
 
+import ast
 import json
 import os
 import subprocess
@@ -55,6 +57,61 @@ def test_start_up_loads_no_dataclasses_nor_inspect():
     every_module = "boxball, boxball.cli, boxball.measures, boxball.line, boxball.stats"
     for prefix in ("dataclasses", "inspect"):
         assert _loaded(prefix, every_module) == "[]"
+
+
+def test_modules_load_no_typing():
+    # without site, whose hooks may load typing first
+    code = (
+        "import sys, boxball.cli, boxball.core, boxball.slots, boxball.measures, boxball.line, "
+        "boxball.stats\n"
+        "print('typing' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+def _command_loads(*args: str, stdin: str | None = None) -> set[str]:
+    """The modules that ``bbs ARGS`` loads on top of the interpreter's own,
+    as an ``atexit`` hook lists them after the command has run."""
+    code = (
+        "import atexit, sys\n"
+        "before = set(sys.modules)\n"
+        "atexit.register(lambda: print(sorted(set(sys.modules) - before), file=sys.stderr))\n"
+        "from boxball.cli import main\n"
+        "main()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *args], env=ENV, input=stdin,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(ast.literal_eval(done.stderr.splitlines()[-1]))
+
+
+def test_version_loads_no_layer_and_no_json():
+    loaded = _command_loads("--version")
+    assert {m for m in loaded if m.split(".")[0] == "boxball"} == {
+        "boxball", "boxball.cli", "boxball.errors"}
+    assert "json" not in loaded
+
+
+def test_evolve_and_render_load_core_but_not_slots():
+    for args in (("evolve", "--format", "json", "1100"), ("render", "--no-color", "1100")):
+        loaded = _command_loads(*args)
+        assert "boxball.core" in loaded and "boxball.slots" not in loaded, args
+
+
+def test_decompose_and_reconstruct_load_no_sampling_module():
+    doc = CliRunner().invoke(main, ["decompose", FIG_EXCURSION]).stdout
+    sampling = {"boxball.measures", "boxball.line", "boxball.stats"}
+    for loaded in (_command_loads("decompose", FIG_EXCURSION),
+                   _command_loads("reconstruct", "-", stdin=doc)):
+        assert "boxball.slots" in loaded and not loaded & sampling
+
+
+def test_verify_shift_loads_neither_measures_nor_line():
+    loaded = _command_loads("verify", "shift", "--configs", "5", "--seed", "1")
+    assert "boxball.stats" in loaded
+    assert not loaded & {"boxball.measures", "boxball.line"}
 
 
 def test_names_and_submodules_load_on_first_use():
