@@ -16,11 +16,13 @@ runs when it runs, so a process compiles only those.
   ``slots``;
 - ``verify shift`` loads ``core``, ``slots`` and ``stats``;
 - the commands that take a measure (``params``, ``sample`` and the other
-  ``verify`` commands) load ``core``, ``slots``, ``measures`` and ``line``,
-  and the chi-square checks ``stats`` as well.
+  ``verify`` commands) load ``core``, ``slots`` and ``measures``, those that
+  draw ``line`` as well, and the chi-square checks ``stats``.
 
-This module imports ``json`` and ``random`` only in the commands that read
-or write JSON or draw.  No command loads click or numpy.
+No layer imports ``json``: the layers take and give parsed documents, and
+this module parses (``_json``) and writes every JSON text, importing ``json``
+and ``random`` only in the commands that read or write JSON or draw.  No
+command loads click or numpy.
 """
 
 from __future__ import annotations
@@ -124,48 +126,72 @@ def _emit(doc: dict, out: str | None) -> None:
     _write(_indented({"v": 1, **doc}), out)
 
 
-def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonWeights, Walk | None]:
-    """The measure, and the walk ``(size, rng) -> excursions`` of the bernoulli
-    and markov families; explicit weights have none.  A parameter file gives
-    the family and its parameter as the flags do, so the family picks the
-    same sampler for both.  A parameter flag the run would not read, of
-    another family than ``measure`` or beside ``params``, is refused, and
-    so is a ``--measure`` given beside ``params`` (its default is None).
-    ``Walk`` is ``Callable[[int, random.Random], list[core.Excursion]]``."""
+# each measure family: its parameter flag, and the parameter's key in a
+# parameter file, which names the family under "family"
+_FAMILIES = {"bernoulli": ("--lambda", "lambda"), "markov": ("--Q", "Q"),
+             "explicit": ("--alpha", "alpha")}
+
+
+def _json(text: str | bytes, what: str):
+    """``json.loads(text)``, or exit 3 with one ``bad WHAT: ...`` line."""
     import json
 
-    from .line import bernoulli_excursions, markov_excursions
-    from .measures import family_weights, params_from_json
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested too deep
+        raise ValidationError(f"bad {what}: {exc}") from exc
+
+
+def _walk(chain, size: int, rng) -> list[Excursion]:
+    """``line.markov_excursions``: ``line`` loads only when a command draws."""
+    from .line import markov_excursions
+
+    return markov_excursions(chain, size, rng)
+
+
+def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonWeights, Palm]:
+    """The measure and its Palm sampler ``(size, rng) -> excursions``: the walk
+    of the chain for the bernoulli and markov families, the diagram sampler
+    for explicit weights.  A parameter flag the run would not read, of
+    another family than ``measure`` or beside ``params``, is refused, and so
+    is a ``--measure`` given beside ``params`` (its default is None)."""
+    from .measures import _bernoulli_chain, explicit_weights, markov_weights, sample_excursions
 
     if params and measure is not None:
         raise ValidationError("--measure does not apply beside --params")
-    measure = measure or "bernoulli"
-    flags = {"bernoulli": ("--lambda", lam), "markov": ("--Q", q_matrix),
-             "explicit": ("--alpha", alpha)}
-    for family, (flag, value) in flags.items():
-        if value is not None and (params or family != measure):
-            where = "beside --params" if params else f"to the {measure} measure"
-            raise ValidationError(f"{flag} does not apply {where}")
+    family = measure or "bernoulli"
+    values = dict(zip(_FAMILIES, (lam, q_matrix, alpha)))
+    for other, value in values.items():
+        if value is not None and (params or other != family):
+            where = "beside --params" if params else f"to the {family} measure"
+            raise ValidationError(f"{_FAMILIES[other][0]} does not apply {where}")
     if params:
-        family, parameter = params_from_json(_read_bytes(params))
+        doc = _json(_read_bytes(params), "parameter JSON")
+        try:
+            family = doc["family"]
+            if family not in _FAMILIES:
+                raise ValidationError(f"unknown family {family!r}")
+            parameter = doc[_FAMILIES[family][1]]
+        except KeyError as exc:
+            raise ValidationError(f"bad parameter JSON: missing key {exc}") from exc
+        except TypeError as exc:  # a document or a family of the wrong type
+            raise ValidationError(f"bad parameter JSON: {exc}") from exc
     else:
-        family = measure
-        flag, parameter = flags[measure]
+        parameter = values[family]
         if parameter is None:
-            raise ValidationError(f"{flag} is required for the {measure} measure")
-        if measure == "markov":
-            try:
-                parameter = json.loads(parameter)
-            except ValueError as exc:  # JSONDecodeError is a ValueError
-                raise ValidationError(f"bad --Q matrix: {exc}") from exc
-        elif measure == "explicit":
+            raise ValidationError(f"{_FAMILIES[family][0]} is required for the {family} measure")
+        if family == "markov":
+            parameter = _json(parameter, "--Q matrix")
+        elif family == "explicit":
             parameter = parameter.split(",")
-    weights = family_weights(family, parameter)
-    if family == "bernoulli":
-        return weights, partial(bernoulli_excursions, float(parameter))
-    if family == "markov":
-        return weights, partial(markov_excursions, parameter)
-    return weights, None
+    try:
+        if family == "explicit":
+            weights = explicit_weights(parameter)
+            return weights, partial(sample_excursions, weights)
+        chain = _bernoulli_chain(float(parameter)) if family == "bernoulli" else parameter
+        return markov_weights(chain), partial(_walk, chain)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {family} parameter: {exc}") from exc
 
 
 def _opt(*flags: str, **kwargs) -> tuple:
@@ -195,7 +221,7 @@ _SEED = _opt("--seed", type=_seed, required=True, help="the run is deterministic
 _EXCURSIONS = _opt("--excursions", dest="num", type=int, default=100_000)
 _SIGNIFICANCE = _opt("--significance", type=float, default=1e-3)
 _MEASURE = (
-    _opt("--measure", choices=["bernoulli", "markov", "explicit"], help="(default: bernoulli)"),
+    _opt("--measure", choices=list(_FAMILIES), help="(default: bernoulli)"),
     _opt("--lambda", dest="lam", metavar="LAMBDA", type=float, help="ball density"),
     _opt("--Q", dest="q_matrix", metavar="MATRIX",
          help='2x2 transition matrix as JSON, e.g. "[[0.8,0.2],[0.6,0.4]]"'),
@@ -319,6 +345,8 @@ def evolve_cmd(config, path, origin, steps, trace, fmt, out):
               _opt("--format", dest="fmt", choices=["text", "json"], default="json"), _OUT)
 def decompose_cmd(config, path, origin, fmt, out):
     """Solitons, slot diagrams, and components of a ball string."""
+    import json
+
     from .core import _cut_window, map_distinct
     from .slots import _read_excursion, concat_diagrams
 
@@ -354,7 +382,7 @@ def decompose_cmd(config, path, origin, fmt, out):
         lines = [f"excursions: {len(excs)} (first index {i_lo})"]
         lines.append("records: " + " ".join(map(str, recs)))
         lines += [f"  {sol['k']}-soliton head={sol['head']} tail={sol['tail']}" for sol in solitons]
-        lines.append(f"components: {components.to_json()}")
+        lines.append(f"components: {json.dumps(components.to_doc())}")
         _write("\n".join(lines), out)
 
 
@@ -362,8 +390,6 @@ def decompose_cmd(config, path, origin, fmt, out):
                                   help="decompose JSON document, or - for stdin"), _IN, _FORMAT, _OUT)
 def reconstruct_cmd(source, path, fmt, out):
     """Rebuild the ball string from a decompose JSON document (or stdin)."""
-    import json
-
     from .core import BallConfig
     from .slots import ComponentArray, reconstruct
 
@@ -371,10 +397,7 @@ def reconstruct_cmd(source, path, fmt, out):
         text = _read_bytes(path or "-")
     else:
         text = source
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError is a ValueError
-        raise ValidationError(f"bad JSON input: {exc}") from exc
+    doc = _json(text, "JSON input")
     payload = doc.get("components", doc) if isinstance(doc, dict) else doc
     components = ComponentArray.from_doc(payload)
     full = reconstruct(components)
@@ -447,18 +470,14 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
                f"kappa  = {kappa:.12g}\nlambda = {lam_out:.12g}", out)
 
 
-def _palm_excursions(weights, walk, total, seed) -> list[Excursion]:
-    """``total`` i.i.d. excursions of the measure from ``random.Random(seed)``:
-    from ``walk``, or from the diagram sampler when there is none."""
+def _palm_excursions(palm, total, seed) -> list[Excursion]:
+    """``total`` i.i.d. excursions that the Palm sampler ``palm`` draws from
+    ``random.Random(seed)``."""
     import random
-
-    from .measures import fill_from_weights, sample_excursions
 
     if total < 1:
         raise PreconditionError("--excursions must be >= 1")
-    if walk is None:
-        walk = partial(sample_excursions, weights, fill=fill_from_weights(weights))
-    return walk(total, random.Random(seed))
+    return palm(total, random.Random(seed))
 
 
 @main.command("sample", *_MEASURE, _opt("--excursions", dest="num", type=int, default=1000),
@@ -472,12 +491,12 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, see
     from .core import assemble, record_positions
     from .line import sample_anti_palm
 
-    weights, walk = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    weights, palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
         cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, random.Random(seed))
         anchored = None
     else:
-        excs = _palm_excursions(weights, walk, num, seed)
+        excs = _palm_excursions(palm, num, seed)
         anchored = assemble(excs, 0)
         cfg = anchored.config
     if fmt == "json":
@@ -514,9 +533,9 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, signif
     from .slots import palm_components
     from .stats import geometric_gof
 
-    weights, walk = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    weights, palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     fill = fill_from_weights(weights)
-    components = palm_components(_palm_excursions(weights, walk, num, seed))
+    components = palm_components(_palm_excursions(palm, num, seed))
     report = geometric_gof(components, k, 1 - fill.at(k))
     _verify_exit(
         {"check": "geometric", "level": k, "report": report.to_json_dict()},
@@ -531,8 +550,8 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, seed, signif
     from .slots import palm_components
     from .stats import independence_test
 
-    weights, walk = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-    components = palm_components(_palm_excursions(weights, walk, num, seed))
+    _, palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    components = palm_components(_palm_excursions(palm, num, seed))
     pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]
     reports = independence_test(components, pairs)
     passed = all(r.p_value > significance for r in reports.values())

@@ -286,14 +286,14 @@ def _cut(
 
     Returns the first ``limit`` records among the boxes (default: all), as
     indices into ``bits``; the excursion that ends at each, every distinct
-    shape built once; and the boxes after the last.  The first ``start``
-    boxes hold no record (an earlier cut's tail), so the carrier starts
-    after them, loaded with their height.
+    shape built once, unchecked since it is one by construction; and the
+    boxes after the last.  The first ``start`` boxes hold no record (an
+    earlier cut's tail): the carrier starts after them at their height.
     """
     head = 2 * bits.count(1, 0, start) - start
     records = list(islice(_records(_loads(bits[start:], head), start), limit))
     starts = [0, *(r + 1 for r in records)]
-    excursions = map_distinct(Excursion, [bits[a:b] for a, b in zip(starts, records)])
+    excursions = map_distinct(_trusted_excursion, [bits[a:b] for a, b in zip(starts, records)])
     return records, excursions, bits[starts[-1] :]
 
 

@@ -16,12 +16,12 @@ k-solitons is ``E[n_k] = m_k beta_k`` in closed form, with
 Probabilities are accumulated in log space; the parameter transform runs on
 direct running products for precision, falling back to logs on underflow.
 The samplers draw from one ``random.Random``; the diagram sampler inverts
-each of its ``random()`` draws through a closed-form law.
+each of its ``random()`` draws through a closed-form law.  The families take
+their parameters as values; the CLI reads them from flags and parameter files.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect
@@ -171,36 +171,6 @@ def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
         (),
         GeometricTail(coef=a, ratio=b, partition=1.0 / q00, fill_ratio=q11 / q00),
     )
-
-
-_PARAMETER = {"bernoulli": "lambda", "markov": "Q", "explicit": "alpha"}
-
-
-def params_from_json(text: str | bytes) -> tuple[str, object]:
-    """The family a parameter file names and its parameter as given: a
-    bernoulli ``lambda``, a markov ``Q`` or explicit ``alpha`` weights."""
-    try:
-        doc = json.loads(text)
-        family = doc["family"]
-        if family in _PARAMETER:
-            return family, doc[_PARAMETER[family]]
-    except KeyError as exc:
-        raise ValidationError(f"bad parameter JSON: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ValidationError(f"bad parameter JSON: {exc}") from exc
-    raise ValidationError(f"unknown family {family!r}")
-
-
-def family_weights(family: str, parameter) -> SolitonWeights:
-    """Weights of the bernoulli, markov or explicit family from its parameter."""
-    try:
-        if family == "bernoulli":
-            return bernoulli_weights(float(parameter))
-        if family == "markov":
-            return markov_weights(parameter)
-        return explicit_weights(parameter)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad {family} parameter: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

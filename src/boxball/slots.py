@@ -27,13 +27,13 @@ into diagrams in one pass per side of label 0, rebuilds each distinct
 diagram once and lays the excursions out as ``core.assemble`` does.
 
 Slot diagrams are validated at the boundary: ``SlotDiagram(rows)`` and
-``from_json`` check the rows, while the decomposition, the sampler, the
-array reader and reflection build them consistent through ``_trusted_diagram``.
+``from_doc``, which reads a parsed JSON document, check the rows, while the
+decomposition, the sampler, the array reader and reflection build them
+consistent through ``_trusted_diagram``.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Mapping, Sequence
 
 from .core import (
@@ -43,6 +43,7 @@ from .core import (
     Soliton,
     _lay_out,
     _set,
+    _trusted_excursion,
     _Value,
     excursions_of,
     map_distinct,
@@ -142,13 +143,10 @@ class SlotDiagram(_Value):
         """The JSON document ``{"M": M, "rows": [[...], ...]}`` as a dict."""
         return {"M": self.max_size, "rows": [list(r) for r in self.rows]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc())
-
     @classmethod
-    def from_json(cls, text: str | bytes) -> SlotDiagram:
-        """A validated diagram whose excursion fits in ``BOX_BUDGET`` boxes."""
-        doc = _json_loads(text, "slot diagram")
+    def from_doc(cls, doc) -> SlotDiagram:
+        """From parsed JSON ``{"M": M, "rows": [[...], ...]}`` (``M`` optional):
+        a validated diagram whose excursion fits in ``BOX_BUDGET`` boxes."""
         if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
             raise ValidationError("bad slot diagram JSON: expected an object with a list of rows")
         diagram = cls(tuple(_json_ints(row) for row in doc["rows"]))
@@ -244,7 +242,8 @@ def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
     once: each box of depth d, when reached, takes the next entry of rows
     1 .. d as the numbers of solitons inserted right after it, smallest size
     first.  No coordinate is stored or shifted; the cost is O(n + sum_k s_k).
-    Every :class:`SlotDiagram` is consistent, so each row is read to its end.
+    Every :class:`SlotDiagram` is consistent, so each row is read to its
+    end, and the bits are an excursion by construction, not checked again.
     """
     rows = diagram.rows
     read = [0] * len(rows)  # entries consumed per row
@@ -262,7 +261,7 @@ def excursion_from_diagram(diagram: SlotDiagram) -> Excursion:
             if count:
                 half = range(k - 1, -1, -1)
                 pending += ([(b, i) for i in half] + [(1 - b, i) for i in half]) * count
-    return Excursion(bytes(bits[1:]))
+    return _trusted_excursion(bytes(bits[1:]))
 
 
 def insert_soliton(config: BallConfig, k: int, j: int) -> BallConfig:
@@ -344,13 +343,6 @@ class ComponentArray(_Value):
         as a dict."""
         return {str(k): {"offset": off, "values": list(vals)} for k, off, vals in self.rows}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc())
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> ComponentArray:
-        return cls.from_doc(_json_loads(text, "component array"))
-
     @classmethod
     def from_doc(cls, doc) -> ComponentArray:
         """From parsed JSON ``{"k": {"offset": ..., "values": [...]}, ...}``."""
@@ -368,13 +360,6 @@ class ComponentArray(_Value):
         if any(str(k) != key for key, (k, _, _) in zip(doc, rows)):  # "01", "1_0", "+1" ...
             raise ValidationError("bad component array JSON: sizes must be plain integers")
         return cls(rows)
-
-
-def _json_loads(text: str | bytes, what: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ValidationError(f"bad {what} JSON: {exc}") from exc
 
 
 def _json_int(value) -> int:

@@ -219,6 +219,7 @@ def test_decompose_and_render_independent_of_window_padding(runner):
         ([], b'{"family":"markov","Q":[[0.8,0.2],[0.6,-Infinity]]}'),
         # a value that starts like a negative number is the option's value
         (["--measure", "explicit", "--alpha", "-0.1,0.2"], None),
+        ([], b'{"family":"cauchy","lambda":0.25}'),
     ],
 )
 def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
@@ -381,6 +382,8 @@ def test_params_from_file(runner, tmp_path):
         ('{"family":"bernoulli","lambda":0.25}', ["--lambda", "0.25"]),
         ('{"family":"markov","Q":[[0.8,0.2],[0.6,0.4]]}',
          ["--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]"]),
+        ('{"family":"explicit","alpha":[0.2,0.1,0.05]}',
+         ["--measure", "explicit", "--alpha", "0.2,0.1,0.05"]),
     ],
 )
 def test_params_file_samples_as_the_matching_flags(runner, tmp_path, params_file, flags):
@@ -397,6 +400,49 @@ def test_params_file_samples_as_the_matching_flags(runner, tmp_path, params_file
 
 
 Q_FLAGS = ["--Q", "[[0.8,0.2],[0.6,0.4]]"]
+
+
+_parameter_docs = st.fixed_dictionaries(
+    {"family": st.one_of(st.sampled_from(["bernoulli", "markov", "explicit"]), _json_values)},
+    optional={"lambda": _json_values, "Q": _json_values, "alpha": _json_values},
+)
+
+
+@given(st.one_of(
+    st.tuples(st.just("--params"), st.one_of(_json_values, _parameter_docs).map(json.dumps)),
+    st.tuples(st.just("--Q"), st.one_of(st.text(), _json_values.map(json.dumps))),
+    st.tuples(st.just("--alpha"), st.one_of(
+        st.text(), st.lists(st.one_of(st.floats(), st.integers(), st.text())).map(
+            lambda xs: ",".join(map(str, xs))))),
+))
+def test_params_reads_any_parameter_text_without_a_traceback(tmp_path_factory, source):
+    flag, text = source
+    if flag == "--params":
+        path = tmp_path_factory.getbasetemp() / "fuzzed-measure.json"
+        path.write_text(text)
+        args = ["--params", str(path)]
+    else:
+        args = ["--measure", "markov" if flag == "--Q" else "explicit", f"{flag}={text}"]
+    result = CliRunner().invoke(main, ["params", *args])
+    assert result.exit_code in (0, 3, 4), (args, result.output, result.exception)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) <= 1 and (result.exit_code == 0) == (result.stderr == ""), result.stderr
+
+
+def test_deeply_nested_json_exits_3(runner, tmp_path):
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for args, what in [
+        (["params", "--measure", "markov", "--Q", deep], "--Q matrix"),
+        (["params", "--params", str(path)], "parameter JSON"),
+        (["reconstruct", "--in", str(path)], "JSON input"),
+    ]:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, (what, result.output)
+        assert result.stderr.startswith(f"error: bad {what}: maximum recursion depth")
+        assert len(result.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -369,6 +369,7 @@ def test_cut_in_pieces_is_one_cut(bits, data):
     assert [e.bits for e in excursions] == [
         bits[a + 1 : b] for a, b in zip([-1, *records], records)
     ]
+    assert all(e == Excursion(e.bits) for e in excursions)  # built unchecked, checked here
     limit = data.draw(st.integers(0, len(records)))
     assert _cut(bits, limit)[:2] == (records[:limit], excursions[:limit])
 

@@ -1,8 +1,8 @@
 """Start-up budget: the package, its CLI and its sampling modules load neither
-scipy nor numpy, nor dataclasses, inspect and typing, the CLI does not load
-click, each command loads only the boxball modules it runs, and every command
-runs with numpy, scipy or click absent, with the same output as when they are
-there.
+scipy nor numpy, nor dataclasses, inspect and typing, no layer loads json,
+the CLI does not load click, each command loads only the boxball modules it
+runs, and every command runs with numpy, scipy or click absent, with the
+same output as when they are there.
 Every sampler draws from the standard library's ``random.Random``, and the
 CLI parses its arguments with ``argparse``; scipy, numpy and click (for
 ``CliRunner``) are test-only dependencies."""
@@ -59,16 +59,25 @@ def test_start_up_loads_no_dataclasses_nor_inspect():
         assert _loaded(prefix, every_module) == "[]"
 
 
-def test_modules_load_no_typing():
-    # without site, whose hooks may load typing first
-    code = (
-        "import sys, boxball.cli, boxball.core, boxball.slots, boxball.measures, boxball.line, "
-        "boxball.stats\n"
-        "print('typing' in sys.modules)"
-    )
+def _loads_without_site(module: str, imports: str) -> bool:
+    """Whether ``import IMPORTS`` loads ``module``, without site, whose hooks
+    may load it first."""
+    code = f"import sys, {imports}\nprint({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "False\n"
+    return done.stdout == "True\n"
+
+
+def test_modules_load_no_typing():
+    every_module = ("boxball.cli, boxball.core, boxball.slots, boxball.measures, boxball.line, "
+                    "boxball.stats")
+    assert not _loads_without_site("typing", every_module)
+
+
+def test_layers_load_no_json():
+    # only the CLI parses or writes JSON text; the layers take parsed documents
+    layers = "boxball.core, boxball.slots, boxball.measures, boxball.line, boxball.stats"
+    assert not _loads_without_site("json", layers)
 
 
 def _command_loads(*args: str, stdin: str | None = None) -> set[str]:
@@ -106,6 +115,21 @@ def test_decompose_and_reconstruct_load_no_sampling_module():
     for loaded in (_command_loads("decompose", FIG_EXCURSION),
                    _command_loads("reconstruct", "-", stdin=doc)):
         assert "boxball.slots" in loaded and not loaded & sampling
+
+
+def test_params_and_verify_partition_load_no_line():
+    # only a command that draws loads the walk sampler
+    for args in (("params", "--lambda", "0.25"), ("params", *MARKOV),
+                 ("verify", "partition", "--lambda", "0.25")):
+        loaded = _command_loads(*args)
+        assert "boxball.measures" in loaded and "boxball.line" not in loaded, args
+
+
+def test_text_output_of_a_measure_loads_no_json():
+    for args in (("sample", "--lambda", "0.25", "--excursions", "50", "--seed", "1"),
+                 ("params", "--lambda", "0.25")):
+        loaded = _command_loads(*args)
+        assert "boxball.measures" in loaded and "json" not in loaded, args
 
 
 def test_verify_shift_loads_neither_measures_nor_line():

@@ -243,6 +243,7 @@ WALK_PINS = [
 def test_walk_samplers_draw_pinned_excursions(draw, seed, digest):
     excursions = draw(random.Random(seed))
     assert hashlib.sha256(b"|".join(e.bits for e in excursions)).hexdigest() == digest
+    assert all(e == Excursion(e.bits) for e in excursions)  # cut unchecked, checked here
 
 
 def test_two_samplers_agree_on_excursion_law():

@@ -32,7 +32,7 @@ from boxball import (
     shift_weights,
     weights_from_fill,
 )
-from boxball.measures import _MAX_LEVELS, SolitonWeights, family_weights, params_from_json
+from boxball.measures import _MAX_LEVELS, SolitonWeights
 
 import oracles
 
@@ -499,17 +499,6 @@ def test_markov_without_double_balls():
     assert weights.head == (0.2 * 1.0,)
     assert weights.alpha(2) == 0.0
     assert partition_function(weights) == pytest.approx(1 / 0.8, rel=1e-12)
-
-
-def test_params_json_families():
-    def load(text):
-        return family_weights(*params_from_json(text))
-
-    assert load('{"family":"bernoulli","lambda":0.25}').alpha(1) == pytest.approx(0.1875)
-    assert load('{"family":"markov","Q":[[0.8,0.2],[0.6,0.4]]}').tail.ratio == pytest.approx(0.32)
-    assert load('{"family":"explicit","alpha":[0.2,0.1]}').head == (0.2, 0.1)
-    with pytest.raises(ValidationError):
-        load('{"family":"cauchy"}')
 
 
 def test_geometric_law():

@@ -136,7 +136,8 @@ def test_exhaustive_bijection_small():
             assert diagram.rows == tuple(
                 tuple(r) for r in oracles.naive_diagram(list(exc.bits))
             )
-            assert excursion_from_diagram(diagram) == exc
+            rebuilt = excursion_from_diagram(diagram)
+            assert rebuilt == exc == Excursion(rebuilt.bits)  # built unchecked, checked here
             solitons = oracles.naive_solitons(list(exc.bits))
             for k in range(1, diagram.max_size + 2):
                 assert list(slot_positions(exc, k)) == oracles.naive_slots(solitons, k)
@@ -257,16 +258,20 @@ def test_diagram_validation():
         SlotDiagram(((1, 1),))  # top row longer than one slot
 
 
+def diagram_from_text(text: str) -> SlotDiagram:
+    return SlotDiagram.from_doc(json.loads(text))
+
+
 def test_diagram_json_round_trip():
-    text = WORKED_DIAGRAM.to_json()
+    text = json.dumps(WORKED_DIAGRAM.to_doc())
     doc = json.loads(text)
     assert doc["M"] == 3
     assert doc["rows"][0] == [3, 0, 4, 1, 0, 0, 0, 0, 2, 0, 1]
-    assert SlotDiagram.from_json(text) == WORKED_DIAGRAM
+    assert diagram_from_text(text) == WORKED_DIAGRAM
     with pytest.raises(ValidationError):
-        SlotDiagram.from_json('{"M": 2, "rows": [[1]]}')
+        diagram_from_text('{"M": 2, "rows": [[1]]}')
     with pytest.raises(ValidationError):
-        SlotDiagram.from_json('{"rows": [[0, 0], [1]]}')
+        diagram_from_text('{"rows": [[0, 0], [1]]}')
 
 
 @pytest.mark.parametrize(
@@ -276,19 +281,19 @@ def test_diagram_json_round_trip():
 )
 def test_diagram_json_refuses_non_integer_documents(text):
     with pytest.raises(ValidationError):
-        SlotDiagram.from_json(text)
+        diagram_from_text(text)
 
 
 def test_diagram_json_refuses_a_diagram_over_the_box_budget():
     # n unit solitons: an excursion of 2n boxes and its left record; the
     # refusal comes before any excursion is built
     n = (BOX_BUDGET - 1) // 2
-    assert SlotDiagram.from_json(f'{{"rows": [[{n}]]}}').half_length == n
+    assert diagram_from_text(f'{{"rows": [[{n}]]}}').half_length == n
     for top in (n + 1, 10**12):
         with pytest.raises(PreconditionError):
-            SlotDiagram.from_json(f'{{"rows": [[{top}]]}}')
+            diagram_from_text(f'{{"rows": [[{top}]]}}')
     with pytest.raises(PreconditionError):
-        SlotDiagram.from_json(f'{{"M": 2, "rows": [[0, {n}, 0], [1]]}}')
+        diagram_from_text(f'{{"M": 2, "rows": [[0, {n}, 0], [1]]}}')
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +350,15 @@ def test_concat_matches_label_by_label_layout(seed, count, i_lo):
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(-9, 3))
 def test_to_doc_is_the_parsed_json(seed, count, i_lo):
+    # a document survives JSON text unchanged, and from_doc reads it back
     rng = np.random.default_rng(seed)
     diagrams = [random_diagram(rng) for _ in range(count)]
     for diagram in diagrams:
-        assert diagram.to_doc() == json.loads(diagram.to_json())
+        doc = json.loads(json.dumps(diagram.to_doc()))
+        assert doc == diagram.to_doc() and SlotDiagram.from_doc(doc) == diagram
     components = concat_diagrams(diagrams, i_lo)
-    assert components.to_doc() == json.loads(components.to_json())
+    doc = json.loads(json.dumps(components.to_doc()))
+    assert doc == components.to_doc() and ComponentArray.from_doc(doc) == components
 
 
 component_arrays = st.dictionaries(
@@ -384,10 +392,9 @@ def test_recovery_reflection_on_palindromic_arrays():
 
 def test_component_array_json_round_trip():
     arr = concat_diagrams([FIG_DIAGRAM, WORKED_DIAGRAM], -1)
-    text = arr.to_json()
-    assert ComponentArray.from_json(text) == arr
+    assert ComponentArray.from_doc(json.loads(json.dumps(arr.to_doc()))) == arr
     with pytest.raises(ValidationError):
-        ComponentArray.from_json('{"1": {"offset": 0}}')
+        ComponentArray.from_doc(json.loads('{"1": {"offset": 0}}'))
     assert ComponentArray.from_doc({"10": {"offset": -2, "values": [1]}}).sizes() == (10,)
 
 
