@@ -15,9 +15,15 @@ runs when it runs, so a process compiles only those.
 - ``decompose``, ``reconstruct`` and ``verify bijections`` load ``core`` and
   ``slots``;
 - ``verify shift`` loads ``core``, ``slots`` and ``stats``;
-- the commands that take a measure (``params``, ``sample`` and the other
-  ``verify`` commands) load ``core``, ``slots`` and ``measures``, those that
-  draw ``line`` as well, and the chi-square checks ``stats``.
+- of the commands that take a measure (``params``, ``sample`` and the
+  other ``verify`` commands), ``sample``, ``verify t-invariance`` and the
+  checks that walk a chain load ``line``, and the chi-square checks
+  ``slots`` and ``stats``;
+- ``measures`` and ``slots`` load where the soliton weights are read
+  (``params``, ``sample --anti-palm``, ``verify geometric``, ``verify
+  t-invariance`` and ``verify partition``) and for the explicit family,
+  whose Palm sampler draws diagrams.  A Palm ``sample`` of the bernoulli or
+  markov family walks the chain and loads only ``core`` and ``line``.
 
 No layer imports ``json``: the layers take and give parsed documents, and
 this module parses (``_json``) and writes every JSON text, importing ``json``
@@ -142,6 +148,18 @@ def _json(text: str | bytes, what: str):
         raise ValidationError(f"bad {what}: {exc}") from exc
 
 
+def _numbers(value) -> bool:
+    """Whether ``value`` is a JSON list of numbers; a bool is not a number."""
+    return type(value) is list and all(type(v) in (int, float) for v in value)
+
+
+# the JSON type of each family's parameter, in a file and as --Q, and its test
+_TYPES = {"bernoulli": ("a number", lambda lam: type(lam) in (int, float)),
+          "markov": ("a list of two lists of numbers",
+                     lambda q: type(q) is list and all(map(_numbers, q))),
+          "explicit": ("a list of numbers", _numbers)}
+
+
 def _walk(chain, size: int, rng) -> list[Excursion]:
     """``line.markov_excursions``: ``line`` loads only when a command draws."""
     from .line import markov_excursions
@@ -149,14 +167,25 @@ def _walk(chain, size: int, rng) -> list[Excursion]:
     return markov_excursions(chain, size, rng)
 
 
-def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonWeights, Palm]:
-    """The measure and its Palm sampler ``(size, rng) -> excursions``: the walk
-    of the chain for the bernoulli and markov families, the diagram sampler
-    for explicit weights.  A parameter flag the run would not read, of
-    another family than ``measure`` or beside ``params``, is refused, and so
-    is a ``--measure`` given beside ``params`` (its default is None)."""
-    from .measures import _bernoulli_chain, explicit_weights, markov_weights, sample_excursions
+def _chain_weights(chain) -> SolitonWeights:
+    """``measures.markov_weights``: ``measures`` loads only when a command
+    reads the soliton weights of a chain."""
+    from .measures import markov_weights
 
+    return markov_weights(chain)
+
+
+def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[Callable[[], SolitonWeights], Palm]:
+    """The measure's soliton weights, as a function of no argument, and its
+    Palm sampler ``(size, rng) -> excursions``: the walk of the chain for the
+    bernoulli and markov families, the diagram sampler for explicit weights.
+
+    The parameter is checked here, before anything is drawn: a parameter
+    flag the run would not read, of another family than ``measure`` or
+    beside ``params``, is refused, and so is a ``--measure`` given beside
+    ``params`` (its default is None).  The weights of a chain are computed
+    only when read, so a command that only walks the chain never loads
+    ``measures``."""
     if params and measure is not None:
         raise ValidationError("--measure does not apply beside --params")
     family = measure or "bernoulli"
@@ -182,16 +211,24 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[SolitonW
             raise ValidationError(f"{_FAMILIES[family][0]} is required for the {family} measure")
         if family == "markov":
             parameter = _json(parameter, "--Q matrix")
-        elif family == "explicit":
-            parameter = parameter.split(",")
     try:
+        if family == "explicit" and not params:
+            parameter = [float(v) for v in parameter.split(",")]
+        kind, typed = _TYPES[family]
+        if not typed(parameter):
+            raise ValidationError(f"bad {family} parameter: {_FAMILIES[family][1]} must be {kind}")
         if family == "explicit":
+            from .measures import explicit_weights, sample_excursions
+
             weights = explicit_weights(parameter)
-            return weights, partial(sample_excursions, weights)
-        chain = _bernoulli_chain(float(parameter)) if family == "bernoulli" else parameter
-        return markov_weights(chain), partial(_walk, chain)
+            return lambda: weights, partial(sample_excursions, weights)
+        from .core import _bernoulli_chain, _transition_matrix
+
+        chain = _transition_matrix(
+            _bernoulli_chain(float(parameter)) if family == "bernoulli" else parameter)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {family} parameter: {exc}") from exc
+    return partial(_chain_weights, chain), partial(_walk, chain)
 
 
 def _opt(*flags: str, **kwargs) -> tuple:
@@ -455,7 +492,7 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
     from .measures import ball_density, expected_slot_counts, fill_from_weights
     from .measures import mean_record_gap, partition_function
 
-    weights, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)[0]()
     fill = fill_from_weights(weights, levels)
     z = partition_function(weights, levels)
     betas, _ = expected_slot_counts(fill)
@@ -493,7 +530,7 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, see
 
     weights, palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
-        cfg = sample_anti_palm(weights, 1000 if boxes is None else boxes, random.Random(seed))
+        cfg = sample_anti_palm(weights(), 1000 if boxes is None else boxes, random.Random(seed))
         anchored = None
     else:
         excs = _palm_excursions(palm, num, seed)
@@ -534,7 +571,7 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, seed, signif
     from .stats import geometric_gof
 
     weights, palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-    fill = fill_from_weights(weights)
+    fill = fill_from_weights(weights())
     components = palm_components(_palm_excursions(palm, num, seed))
     report = geometric_gof(components, k, 1 - fill.at(k))
     _verify_exit(
@@ -574,7 +611,7 @@ def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, blo
 
     from .stats import t_invariance_test
 
-    weights, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)[0]()
     report = t_invariance_test(weights, steps, block_len, boxes, random.Random(seed))
     _verify_exit(
         {"check": "t-invariance", "report": report.to_json_dict()},
@@ -645,7 +682,7 @@ def verify_partition(measure, lam, q_matrix, alpha, params, n_max, tolerance, ou
     """Series partition sum against the closed-form product."""
     from .measures import partition_function, partition_series
 
-    weights, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)[0]()
     series = partition_series(weights, n_max)
     closed = partition_function(weights)
     gap = abs(series.value - closed)

@@ -11,6 +11,11 @@ excursions out between records again.  The Takahashi-Satsuma algorithm
 identifies the conserved solitons of an excursion in one left-to-right pass
 over its runs, pairing each run that is no longer than the run after it with
 the start of that run.
+
+The two-state chains of the bernoulli and markov families are checked here
+(``_bernoulli_chain``, ``_transition_matrix``), beside ``_as_rng``, the
+random source of every sampler: the walk sampler in ``line`` draws from a
+chain without loading ``measures``, which computes its soliton weights.
 """
 
 from __future__ import annotations
@@ -509,6 +514,48 @@ def config_soliton_counts(config: BallConfig) -> dict[int, int]:
         for k, c in exc_counts.items():
             counts[k] = counts.get(k, 0) + c
     return counts
+
+
+# ---------------------------------------------------------------------------
+# two-state chains
+# ---------------------------------------------------------------------------
+
+def _as_rng(rng) -> random.Random:
+    """``rng`` if it is a ``random.Random``, else a new one seeded with it
+    (an int seed, or None for fresh entropy).  ``random`` loads only when a
+    sampler asks for a source."""
+    import random
+
+    return rng if isinstance(rng, random.Random) else random.Random(rng)
+
+
+def _bernoulli_chain(lam: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """i.i.d. Bernoulli(lam) boxes as the two-state chain whose rows are both
+    ``(1 - lam, lam)``.  Requires ``lam < 1/2`` so the mean excursion length
+    stays finite."""
+    if not 0 <= lam < 0.5:
+        raise PreconditionError("lambda must lie in [0, 1/2)")
+    return (1 - lam, lam), (1 - lam, lam)
+
+
+def _transition_matrix(q_matrix: Sequence[Sequence[float]]) -> list[list[float]]:
+    """A two-state transition matrix Q as floats, checked: 2x2, entries in
+    [0, 1] (NaN is not), rows summing to 1, Q(0,1) < Q(1,0) (ball density
+    below 1/2), and Q(0,0) > 0.  Rows sum to 1 only up to rounding, so
+    Q(0,1) < Q(1,0) leaves Q(0,0) = 0 possible; then no two boxes in a row
+    are empty, no record follows the first and an excursion never ends."""
+    q = [[float(v) for v in row] for row in q_matrix]
+    if len(q) != 2 or any(len(row) != 2 for row in q):
+        raise ValidationError("transition matrix must be 2x2")
+    if not all(0 <= v <= 1 for row in q for v in row):
+        raise ValidationError("transition probabilities must lie in [0, 1]")
+    if abs(sum(q[0]) - 1) > 1e-12 or abs(sum(q[1]) - 1) > 1e-12:
+        raise ValidationError("rows must sum to 1")
+    if not q[0][1] < q[1][0]:
+        raise PreconditionError("need Q(0,1) < Q(1,0) for density below 1/2")
+    if not q[0][0]:
+        raise PreconditionError("need Q(0,0) > 0 for a record to follow")
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ concatenated at record 0 (``core.assemble``, also reachable here as
 so for Bernoulli, the chain with equal rows: it runs the chain right of a
 record one box per ``random()`` draw, in batches, and cuts the boxes with
 the one record cut, ``core._cut``, until it has the excursions it needs.
-The anti-Palm sampler tilts the block covering the origin by its length and
-places the origin uniformly inside it, producing a window of the
-translation-invariant measure.
+The walk sampler takes its chain, checked, from ``core``.  The anti-Palm
+sampler tilts the block covering the origin by its length and places the
+origin uniformly inside it, producing a window of the translation-invariant
+measure; it reads the soliton weights, and imports ``measures`` when it runs,
+so a Palm walk loads only ``core`` and this module.
 """
 
 from __future__ import annotations
@@ -18,17 +20,8 @@ import math
 from collections.abc import Callable, Sequence
 from itertools import repeat
 
-from .core import BallConfig, Excursion, _cut, assemble
+from .core import BallConfig, Excursion, _as_rng, _bernoulli_chain, _cut, _transition_matrix, assemble
 from .errors import PreconditionError
-from .measures import (
-    SolitonWeights,
-    _as_rng,
-    _bernoulli_chain,
-    _transition_matrix,
-    fill_from_weights,
-    mean_record_gap,
-    sample_excursions,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +30,7 @@ from .measures import (
 
 def bernoulli_excursions(lam: float, size: int, rng) -> list[Excursion]:
     """Excursions of a walk stepping up with probability lam, in bulk:
-    :func:`markov_excursions` of its ``measures._bernoulli_chain``."""
+    :func:`markov_excursions` of its ``core._bernoulli_chain``."""
     return markov_excursions(_bernoulli_chain(lam), size, rng)
 
 
@@ -106,6 +99,8 @@ def sample_anti_palm(
     ``n_boxes - 1``.  When ``report`` is supplied it receives the number of
     proposals, the number of cap clips, and the resulting bias bound.
     """
+    from .measures import fill_from_weights, mean_record_gap, sample_excursions
+
     if n_boxes < 1:
         raise PreconditionError("n_boxes must be >= 1")
     rng = _as_rng(rng)

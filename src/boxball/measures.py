@@ -23,12 +23,21 @@ their parameters as values; the CLI reads them from flags and parameter files.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect
 from collections.abc import Sequence
 from itertools import accumulate
 
-from .core import Excursion, _set, _Value, catalan_number, map_distinct, soliton_counts
+from .core import (
+    Excursion,
+    _as_rng,
+    _bernoulli_chain,
+    _set,
+    _transition_matrix,
+    _Value,
+    catalan_number,
+    map_distinct,
+    soliton_counts,
+)
 from .errors import DivergenceError, PreconditionError, ValidationError
 from .slots import (
     EMPTY_DIAGRAM,
@@ -122,36 +131,11 @@ def explicit_weights(values: Sequence[float]) -> SolitonWeights:
     return SolitonWeights(tuple(float(v) for v in values))
 
 
-def _bernoulli_chain(lam: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """i.i.d. Bernoulli(lam) boxes as the two-state chain whose rows are both
-    ``(1 - lam, lam)``.  Requires ``lam < 1/2`` so the mean excursion length
-    stays finite."""
-    if not 0 <= lam < 0.5:
-        raise PreconditionError("lambda must lie in [0, 1/2)")
-    return (1 - lam, lam), (1 - lam, lam)
-
-
 def bernoulli_weights(lam: float) -> SolitonWeights:
     """Weights of the excursion law of a walk stepping up with probability
     lam: :func:`markov_weights` of its :func:`_bernoulli_chain`,
     ``alpha_k = (lam (1 - lam))^k`` with partition function 1 / (1 - lam)."""
     return markov_weights(_bernoulli_chain(lam))
-
-
-def _transition_matrix(q_matrix: Sequence[Sequence[float]]) -> list[list[float]]:
-    """A two-state transition matrix Q as floats, checked: 2x2, entries in
-    [0, 1] (NaN is not), rows summing to 1, and Q(0,1) < Q(1,0) (ball
-    density below 1/2)."""
-    q = [[float(v) for v in row] for row in q_matrix]
-    if len(q) != 2 or any(len(row) != 2 for row in q):
-        raise ValidationError("transition matrix must be 2x2")
-    if not all(0 <= v <= 1 for row in q for v in row):
-        raise ValidationError("transition probabilities must lie in [0, 1]")
-    if abs(sum(q[0]) - 1) > 1e-12 or abs(sum(q[1]) - 1) > 1e-12:
-        raise ValidationError("rows must sum to 1")
-    if not q[0][1] < q[1][0]:
-        raise PreconditionError("need Q(0,1) < Q(1,0) for density below 1/2")
-    return q
 
 
 def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
@@ -446,12 +430,6 @@ def diagram_prob(fill: SlotFill, diagram: SlotDiagram) -> float:
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
-
-def _as_rng(rng) -> random.Random:
-    """``rng`` if it is a ``random.Random``, else a new one seeded with it
-    (an int seed, or None for fresh entropy)."""
-    return rng if isinstance(rng, random.Random) else random.Random(rng)
-
 
 def max_size_distribution(fill: SlotFill) -> list[float]:
     """P(M = m) = q_m * prod_{l > m} (1 - q_l) for m = 0 .. levels, q_0 = 1."""

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 
-from .core import BallConfig, _set, _Value, carrier_trace, evolve, record_positions
+from .core import BallConfig, _as_rng, _set, _Value, carrier_trace, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError
 from .slots import ComponentArray, decompose
 
@@ -235,7 +235,6 @@ def t_invariance_test(
     standard errors; exact invariance is replaced by this desk-scale proxy.
     """
     from .line import sample_anti_palm
-    from .measures import _as_rng
 
     if steps < 1:
         raise PreconditionError("steps must be >= 1")

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given
 
 from boxball.cli import _indented, main
+from boxball.core import GAP_BUDGET
 
 CARRIER_INPUT = "01101011010001111010000"
 CARRIER_LOAD = "01212123232101234343210"
@@ -220,6 +221,16 @@ def test_decompose_and_render_independent_of_window_padding(runner):
         # a value that starts like a negative number is the option's value
         (["--measure", "explicit", "--alpha", "-0.1,0.2"], None),
         ([], b'{"family":"cauchy","lambda":0.25}'),
+        # a parameter of another JSON type, once cast to a float or read
+        # character by character; a bool is not a number
+        ([], b'{"family":"explicit","alpha":{"0.2":"x"}}'),
+        ([], b'{"family":"explicit","alpha":"0"}'),
+        ([], b'{"family":"explicit","alpha":[false,0.2]}'),
+        ([], b'{"family":"bernoulli","lambda":"0.25"}'),
+        ([], b'{"family":"bernoulli","lambda":false}'),
+        (["--measure", "markov", "--Q", '["10","10"]'], None),
+        ([], b'{"family":"markov","Q":["10","10"]}'),
+        (["--measure", "markov", "--Q", "[[true,false],[true,false]]"], None),
     ],
 )
 def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
@@ -233,12 +244,58 @@ def test_malformed_measure_flags_exit_3(runner, tmp_path, flags, params_file):
         # the nested verify group reports through the same boundary
         ["verify", "partition"],
         ["verify", "geometric", "--excursions", "10", "--seed", "1"],
+        ["verify", "independence", "--excursions", "10", "--seed", "1"],
     ):
         result = runner.invoke(main, [*command, *flags])
         assert result.exit_code == 3, (command, result.output)
         assert "Traceback" not in result.output
         errors = result.stderr.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: "), (command, result.stderr)
+
+
+_MEASURE_COMMANDS = (
+    # each command, and an argument of it that is refused too when it runs
+    (["sample", "--excursions", "3", "--seed", "1"], ["--excursions", "-1"]),
+    (["sample", "--anti-palm", "--boxes", "100", "--seed", "1"], ["--boxes", "0"]),
+    (["verify", "independence", "--excursions", "3", "--seed", "1"], ["--excursions", "-1"]),
+    (["verify", "geometric", "--excursions", "3", "--seed", "1"], ["--excursions", "-1"]),
+    (["params"], ["--levels", "-1"]),
+)
+
+
+@pytest.mark.parametrize(
+    "flags, params_file, code, message",
+    [
+        (["--lambda", "0.5"], None, 4, "lambda must lie in [0, 1/2)"),
+        ([], '{"family":"bernoulli","lambda":0.75}', 4, "lambda must lie in [0, 1/2)"),
+        (["--measure", "markov", "--Q", "[[0.4,0.6],[0.6,0.4]]"], None, 4,
+         "need Q(0,1) < Q(1,0) for density below 1/2"),
+        (["--measure", "markov", "--Q", "[[0.8,0.2],[0.6]]"], None, 3,
+         "transition matrix must be 2x2"),
+        ([], '{"family":"markov","Q":[[0.8,0.2],[0.6,0.4],[1,0]]}', 3,
+         "transition matrix must be 2x2"),
+        (["--measure", "markov", "--Q", '[[0.8,"x"],[0.6,0.4]]'], None, 3,
+         "bad markov parameter: Q must be a list of two lists of numbers"),
+        (["--measure", "markov", "--Q", "[[0.8,0.3],[0.6,0.4]]"], None, 3, "rows must sum to 1"),
+        # rows sum to 1 up to rounding: with Q(0,0) = 0 no record would ever follow
+        (["--measure", "markov", "--Q", "[[0,0.9999999999998],[0.9999999999999,1e-13]]"], None,
+         4, "need Q(0,0) > 0 for a record to follow"),
+    ],
+)
+def test_every_command_refuses_a_bad_measure_alike(runner, tmp_path, flags, params_file, code,
+                                                   message):
+    # the measure is checked before anything else, whether or not the command
+    # reads its soliton weights
+    if params_file is not None:
+        path = tmp_path / "measure.json"
+        path.write_text(params_file)
+        flags = ["--params", str(path)]
+    for command, count in _MEASURE_COMMANDS:
+        for args in ([*command, *flags], [*command, *flags, *count]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == code, (args, result.output)
+            assert result.stdout == ""
+            assert result.stderr == f"error: {message}\n", args
 
 
 @pytest.mark.parametrize(
@@ -428,6 +485,62 @@ def test_params_reads_any_parameter_text_without_a_traceback(tmp_path_factory, s
     assert "Traceback" not in result.output
     errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) <= 1 and (result.exit_code == 0) == (result.stderr == ""), result.stderr
+
+
+def _ends_in_one_line(result) -> None:
+    """Exit 0 with nothing on stderr, or 3 or 4 with one ``error:`` line; never a traceback."""
+    assert result.exit_code in (0, 3, 4), (result.output, result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code:
+        errors = result.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), result.stderr
+    else:
+        assert result.stderr == ""
+
+
+_ball_texts = st.one_of(st.text(alphabet="01", max_size=60), st.text(max_size=20))
+# near box 0, or with box 0 farther from the window than decompose and render lay out
+_far = st.integers(2 * GAP_BUDGET, 10**30)
+_origins = st.one_of(st.integers(-100, 100), _far, _far.map(lambda n: -n))
+
+
+@given(st.sampled_from(["evolve", "decompose", "render"]), _ball_texts, _origins)
+def test_inline_ball_strings_end_in_one_line(command, text, origin):
+    # after "--" a text that starts with "-" is the ball string, not an option
+    _ends_in_one_line(CliRunner().invoke(main, [command, f"--origin={origin}", "--", text]))
+
+
+@given(st.sampled_from(["evolve", "decompose", "render"]),
+       st.one_of(_ball_texts.map(str.encode), st.binary(max_size=40)))
+def test_ball_strings_read_through_in_end_in_one_line(tmp_path_factory, command, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-line.txt"
+    path.write_bytes(data)
+    _ends_in_one_line(CliRunner().invoke(main, [command, "--in", str(path)]))
+
+
+_component_rows = st.dictionaries(
+    st.one_of(st.integers(-2, 12).map(str), st.text(max_size=3)),
+    st.one_of(
+        st.fixed_dictionaries({"offset": st.one_of(st.integers(-40, 40), _json_values),
+                               "values": st.one_of(st.lists(st.integers(-1, 4), max_size=6),
+                                                   _json_values)}),
+        _json_values,
+    ),
+    max_size=4,
+)
+
+
+@given(st.one_of(
+    _component_rows.map(json.dumps),
+    _component_rows.map(lambda rows: json.dumps({"components": rows})),
+    _json_values.map(json.dumps),
+    st.text(),
+))
+def test_reconstruct_reads_any_component_text_in_one_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-components.json"
+    path.write_text(text)
+    for args, stdin in ((["reconstruct", "--in", str(path)], None), (["reconstruct", "-"], text)):
+        _ends_in_one_line(CliRunner().invoke(main, args, input=stdin))
 
 
 def test_deeply_nested_json_exits_3(runner, tmp_path):

@@ -1,8 +1,9 @@
 """Start-up budget: the package, its CLI and its sampling modules load neither
 scipy nor numpy, nor dataclasses, inspect and typing, no layer loads json,
 the CLI does not load click, each command loads only the boxball modules it
-runs, and every command runs with numpy, scipy or click absent, with the
-same output as when they are there.
+runs (a Palm sample of a chain only ``core`` and ``line``, ``verify
+independence`` of a chain no ``measures``), and every command runs with
+numpy, scipy or click absent, with the same output as when they are there.
 Every sampler draws from the standard library's ``random.Random``, and the
 CLI parses its arguments with ``argparse``; scipy, numpy and click (for
 ``CliRunner``) are test-only dependencies."""
@@ -126,10 +127,19 @@ def test_params_and_verify_partition_load_no_line():
 
 
 def test_text_output_of_a_measure_loads_no_json():
-    for args in (("sample", "--lambda", "0.25", "--excursions", "50", "--seed", "1"),
-                 ("params", "--lambda", "0.25")):
-        loaded = _command_loads(*args)
-        assert "boxball.measures" in loaded and "json" not in loaded, args
+    loaded = _command_loads("sample", "--lambda", "0.25", "--excursions", "50", "--seed", "1")
+    assert not loaded & {"boxball.measures", "boxball.slots", "json"}
+    loaded = _command_loads("params", "--lambda", "0.25")
+    assert "boxball.measures" in loaded and "json" not in loaded
+
+
+def test_palm_walks_of_a_chain_load_no_measures():
+    # a Palm sampler of a chain walks it; the soliton weights are never computed
+    loaded = _command_loads("sample", *MARKOV, "--excursions", "50", "--seed", "1")
+    assert {m for m in loaded if m.split(".")[0] == "boxball"} == {
+        "boxball", "boxball.cli", "boxball.errors", "boxball.core", "boxball.line"}
+    loaded = _command_loads("verify", "independence", *MARKOV, "--excursions", "2000", "--seed", "1")
+    assert "boxball.stats" in loaded and "boxball.measures" not in loaded
 
 
 def test_verify_shift_loads_neither_measures_nor_line():
