@@ -30,6 +30,14 @@ from .errors import PreconditionError, ValidationError
 BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out
 GAP_BUDGET = 1 << 16  # the most boxes box 0 may lie from a window that is cut
 
+
+def _check_budget(boxes: int, what: str) -> None:
+    """Refuse ``what``, an excursion and its record of ``boxes`` boxes, past
+    :data:`BOX_BUDGET`: no slot-diagram reader nor sampler lays out more."""
+    if boxes > BOX_BUDGET:
+        raise PreconditionError(f"{what} more than {BOX_BUDGET} boxes")
+
+
 # ---------------------------------------------------------------------------
 # immutable values
 # ---------------------------------------------------------------------------

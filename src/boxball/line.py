@@ -20,7 +20,8 @@ import math
 from collections.abc import Callable, Sequence
 from itertools import repeat
 
-from .core import BallConfig, Excursion, _as_rng, _bernoulli_chain, _cut, _transition_matrix, assemble
+from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _check_budget, _cut
+from .core import _transition_matrix, assemble
 from .errors import PreconditionError
 
 
@@ -58,7 +59,8 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
     box takes the next draw whatever the batches, so the excursions are
     those of one long cut.  A record is an empty box, so the chain is in
     its empty state there, as it would be restarted: the excursions are
-    i.i.d.
+    i.i.d.  The boxes since the last record never pass ``BOX_BUDGET``:
+    the walk is refused when they reach it.
     """
     q = _transition_matrix(q_matrix)
     uniform = _as_rng(rng).random
@@ -69,6 +71,8 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
     drawn = 0
     n = 4096
     while len(out) < size:
+        _check_budget(len(tail) + 1, "a drawn excursion would lay out")
+        n = min(n, BOX_BUDGET - len(tail))
         boxes = _chain(uniform, n, up_from, boxes[-1])
         drawn += n
         _, excursions, tail = _cut(tail + boxes, size - len(out), len(tail))

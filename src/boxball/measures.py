@@ -31,6 +31,7 @@ from .core import (
     Excursion,
     _as_rng,
     _bernoulli_chain,
+    _check_budget,
     _set,
     _transition_matrix,
     _Value,
@@ -77,17 +78,15 @@ class GeometricLaw(_Value):
 class GeometricTail(_Value):
     """Analytic continuation ``alpha_k = coef * ratio**k`` past the explicit head.
 
-    ``partition`` is the exact partition function of the full weight family
-    and ``fill_ratio`` a strict upper bound on consecutive slot-parameter
-    ratios q_{k+1} / q_k, both known in closed form for the supported tails.
+    ``fill_ratio``, a strict upper bound on the slot-parameter ratios q_{k+1} / q_k
+    in closed form, sets where :func:`fill_from_weights` truncates the tail.
     """
 
-    __slots__ = ("coef", "ratio", "partition", "fill_ratio")
+    __slots__ = ("coef", "ratio", "fill_ratio")
 
-    def __init__(self, coef: float, ratio: float, partition: float, fill_ratio: float):
+    def __init__(self, coef: float, ratio: float, fill_ratio: float):
         _set(self, "coef", coef)
         _set(self, "ratio", ratio)
-        _set(self, "partition", partition)
         _set(self, "fill_ratio", fill_ratio)
 
     def alpha(self, k: int) -> float:
@@ -122,10 +121,6 @@ class SolitonWeights(_Value):
             return 0.0
         return self.tail.alpha(k)
 
-    @property
-    def finite_support(self) -> bool:
-        return self.tail is None
-
 
 def explicit_weights(values: Sequence[float]) -> SolitonWeights:
     return SolitonWeights(tuple(float(v) for v in values))
@@ -153,7 +148,7 @@ def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
     b = q11 * q00
     return SolitonWeights(
         (),
-        GeometricTail(coef=a, ratio=b, partition=1.0 / q00, fill_ratio=q11 / q00),
+        GeometricTail(coef=a, ratio=b, fill_ratio=q11 / q00),
     )
 
 
@@ -195,7 +190,7 @@ def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> Slo
     """
     if levels is not None and not 0 <= levels <= _MAX_LEVELS:
         raise PreconditionError(f"levels must lie in [0, {_MAX_LEVELS}]")
-    if levels is None and weights.finite_support:
+    if levels is None and weights.tail is None:
         levels = len(weights.head)
     out = []
     prod = 1.0  # prod_{j<=k} (1 - q_j)
@@ -277,12 +272,11 @@ def partition_function(weights: SolitonWeights, levels: int | None = None) -> fl
 class SeriesResult(_Value):
     """Partial sum over excursions of half-length <= n_max plus a tail bound."""
 
-    __slots__ = ("value", "tail_bound", "n_max")
+    __slots__ = ("value", "tail_bound")
 
-    def __init__(self, value: float, tail_bound: float, n_max: int):
+    def __init__(self, value: float, tail_bound: float):
         _set(self, "value", value)
         _set(self, "tail_bound", tail_bound)
-        _set(self, "n_max", n_max)
 
 
 def _profile_sums(alpha: tuple[float, ...], n_max: int) -> float:
@@ -326,6 +320,18 @@ def _catalan_term(n: int, beta: float) -> float:
         return math.exp(math.log(count) + n * math.log(beta))
 
 
+def _catalan_tail(n_max: int, beta: float) -> float:
+    """Strict bound ``C_{n_max+1} beta^(n_max+1) / (1 - 4 beta)`` on the weight
+    of the excursions longer than ``n_max`` when each weighs at most ``beta^n``
+    (``C_{n+1} < 4 C_n``); 0 at beta = 0, which ``_catalan_term`` cannot take
+    once ``C_n`` leaves float range, and inf once 4 beta >= 1."""
+    if beta == 0.0:
+        return 0.0
+    if 4 * beta >= 1:
+        return math.inf
+    return _catalan_term(n_max + 1, beta) / (1 - 4 * beta)
+
+
 def _narayana_term(n: int, a: float, b: float) -> float:
     """``b^n sum_k N(n, k) a^k``: the weight of the excursions of half-length n
     when each weighs ``a^(#peaks) b^n``, term by term in logs once the direct
@@ -362,11 +368,7 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
         # weight of an excursion of half-length n is ratio^n: Catalan series
         beta = tail.ratio
         value = sum(_catalan_term(n, beta) for n in range(n_max + 1))
-        if 4 * beta >= 1:
-            bound = math.inf
-        else:
-            bound = _catalan_term(n_max + 1, beta) / (1 - 4 * beta)
-        return SeriesResult(value, bound, n_max)
+        return SeriesResult(value, _catalan_tail(n_max, beta))
     if tail is not None:
         # weight is coef^(#solitons) * ratio^n; solitons of an excursion are
         # its peaks, counted by the Narayana triangle
@@ -383,28 +385,20 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
                 * rho ** (n_max + 1)
                 / ((n_max + 1) * (1 - rho))
             )
-        return SeriesResult(value, bound, n_max)
+        return SeriesResult(value, bound)
     alpha = weights.head
     value = _profile_sums(alpha, n_max)
     beta = max((a ** (1.0 / k) for k, a in enumerate(alpha, start=1)), default=0.0)
-    if beta == 0.0:
-        bound = 0.0
-    elif 4 * beta >= 1:
-        bound = math.inf
-    else:
-        bound = _catalan_term(n_max + 1, beta) / (1 - 4 * beta)
-    return SeriesResult(value, bound, n_max)
+    return SeriesResult(value, _catalan_tail(n_max, beta))
 
 
 # ---------------------------------------------------------------------------
 # probabilities
 # ---------------------------------------------------------------------------
 
-def excursion_prob(
-    weights: SolitonWeights, excursion: Excursion, levels: int | None = None
-) -> float:
+def excursion_prob(weights: SolitonWeights, excursion: Excursion) -> float:
     """Normalized weight ``prod_k alpha_k^(n_k) / Z`` of one excursion."""
-    log_p = -log_partition(weights, levels)
+    log_p = -log_partition(weights)
     for k, n_k in soliton_counts(excursion).items():
         a = weights.alpha(k)
         if a == 0.0:
@@ -467,6 +461,8 @@ def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
         return math.log(1.0 - uniform())
 
     def draw(k: int, s_k: int) -> tuple[int, ...]:
+        # s_k <= 2n + 1, so a row too long refuses the excursion before it is laid out
+        _check_budget(s_k, "a drawn excursion would lay out")
         entries = [0] * s_k
         if logs[k - 1] is not None:
             log_q, log_p = logs[k - 1]
@@ -491,11 +487,16 @@ def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
 def sample_excursions(
     weights: SolitonWeights, size: int, rng, fill: SlotFill | None = None
 ) -> list[Excursion]:
-    """Excursions with the normalized weight law, drawn through their
-    diagrams; each distinct diagram is rebuilt once."""
+    """Excursions with the normalized weight law, drawn through their diagrams;
+    each distinct diagram is rebuilt once, or refused if that passes ``BOX_BUDGET``."""
     if fill is None:
         fill = fill_from_weights(weights)
-    return map_distinct(excursion_from_diagram, sample_diagrams(fill, size, rng))
+    return map_distinct(_rebuilt, sample_diagrams(fill, size, rng))
+
+
+def _rebuilt(diagram: SlotDiagram) -> Excursion:
+    _check_budget(2 * diagram.half_length + 1, "a drawn excursion would lay out")
+    return excursion_from_diagram(diagram)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .core import (
     BallConfig,
     Excursion,
     Soliton,
+    _check_budget,
     _lay_out,
     _set,
     _trusted_excursion,
@@ -152,8 +153,7 @@ class SlotDiagram(_Value):
         diagram = cls(tuple(_json_ints(row) for row in doc["rows"]))
         if "M" in doc and _json_int(doc["M"]) != diagram.max_size:
             raise ValidationError("declared M does not match rows")
-        if 2 * diagram.half_length + 1 > BOX_BUDGET:
-            raise PreconditionError(f"the slot diagram encodes more than {BOX_BUDGET} boxes")
+        _check_budget(2 * diagram.half_length + 1, "the slot diagram encodes")
         return diagram
 
 

@@ -153,6 +153,21 @@ def naive_counts(balls):
     return counts
 
 
+def exact_fill(alpha):
+    """The parameter transform in rationals: ``q_k = alpha_k / prod_{j<k}
+    (1 - q_j)^(2(k-j))`` for ``Fraction`` weights, level by level, stopping
+    after the first q_k >= 1, past which the weights are not admissible."""
+    q = []
+    for k, a in enumerate(alpha, 1):
+        denom = Fraction(1)
+        for j, q_j in enumerate(q, 1):
+            denom *= (1 - q_j) ** (2 * (k - j))
+        q.append(a / denom)
+        if q[-1] >= 1:
+            break
+    return q
+
+
 def brute_partition_terms(alpha, n_max):
     """Per-half-length weight sums by full excursion enumeration."""
     terms = []

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -8,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given
 
 from boxball.cli import _indented, main
-from boxball.core import GAP_BUDGET
+from boxball.core import BOX_BUDGET, GAP_BUDGET
 
 CARRIER_INPUT = "01101011010001111010000"
 CARRIER_LOAD = "01212123232101234343210"
@@ -337,6 +341,34 @@ def test_out_of_range_integer_arguments_exit_4(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 4, result.output
     assert "Traceback" not in result.output
+
+
+# the chain alternates balls and empty boxes: a record waits about 4e9 boxes
+HUGE_GAP = ["--measure", "markov", "--Q", "[[1e-9,0.999999999],[0.9999999995,5e-10]]"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", *HUGE_GAP, "--excursions", "3"],
+        ["sample", "--anti-palm", *HUGE_GAP],
+        ["verify", "geometric", *HUGE_GAP],
+        ["verify", "independence", *HUGE_GAP],
+        ["verify", "t-invariance", *HUGE_GAP],
+        # q_2 near 1: a drawn row 1 would hold about 2e9 slots
+        ["sample", "--measure", "explicit", "--alpha", "0,0.999999999", "--excursions", "3"],
+    ],
+)
+def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args):
+    # in a process of its own, so that a walk that never ends, or its memory, stops at the timeout
+    done = subprocess.run(
+        [sys.executable, "-m", "boxball.cli", *args, "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"error: a drawn excursion would lay out more than {BOX_BUDGET} boxes\n"
 
 
 def test_verify_geometric_at_a_level_with_q_zero_exits_4(runner):
@@ -777,6 +809,18 @@ def test_verify_shift_small(runner):
         main, ["verify", "shift", "--configs", "60", "--max-boxes", "80", "--seed", "23"]
     )
     assert result.exit_code == 0, result.output
+
+
+def test_verify_shift_fails_rows_that_move_by_other_than_k(runner, monkeypatch):
+    # two sweeps keep every component row but move row k by 2k labels: only
+    # the offsets show it
+    import boxball.stats
+
+    one_sweep = boxball.stats.evolve
+    monkeypatch.setattr(boxball.stats, "evolve", lambda config, steps=1: one_sweep(config, 2 * steps))
+    result = runner.invoke(main, ["verify", "shift", "--configs", "200", "--seed", "1"])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["failures"] > 0
 
 
 def test_verify_failure_exit_code(runner):

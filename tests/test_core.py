@@ -413,7 +413,7 @@ def _values():
     """One value of every value type, with its fields in declaration order."""
     anchored = assemble([Excursion.from_string("10")])
     assert type(anchored) is AnchoredConfig
-    tail = GeometricTail(coef=0.5, ratio=0.25, partition=2.0, fill_ratio=0.5)
+    tail = GeometricTail(coef=0.5, ratio=0.25, fill_ratio=0.5)
     return [
         (BallConfig(3, b"\x01\x00\x01"), ("origin", "bits")),
         (Excursion.from_string("1100"), ("bits",)),
@@ -422,13 +422,13 @@ def _values():
         (SlotDiagram(((1,),)), ("rows",)),
         (ComponentArray(((1, 0, (1, 2)),)), ("rows",)),
         (GeometricLaw(0.25), ("p",)),
-        (tail, ("coef", "ratio", "partition", "fill_ratio")),
+        (tail, ("coef", "ratio", "fill_ratio")),
         (SolitonWeights((0.2, 0.1), tail), ("head", "tail")),
         (SlotFill((0.3,)), ("q",)),
-        (SeriesResult(1.5, 1e-9, 10), ("value", "tail_bound", "n_max")),
+        (SeriesResult(1.5, 1e-9), ("value", "tail_bound")),
         (GofReport(1.0, 2, 0.5, (("0", 1.0, 1.5),), max_dev_se=0.5),
          ("statistic", "dof", "p_value", "bins", "max_dev_se")),
-        (ShiftReport(True, {1: 2}), ("ok", "offsets", "counts_conserved")),
+        (ShiftReport(True, {1: 2}), ("ok", "offsets")),
     ]
 
 

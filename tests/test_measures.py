@@ -3,8 +3,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given
 
 from boxball import (
     DivergenceError,
@@ -103,6 +105,23 @@ def test_divergent_weights_detected():
     with pytest.raises(DivergenceError):
         fill_from_weights(explicit_weights([0.2, 0.8]))
     assert fill_from_weights(explicit_weights([0.2, 0.63])).levels == 2
+
+
+@given(st.lists(st.fractions(0, 1, max_denominator=40).filter(lambda a: a < 1), min_size=1,
+                max_size=6))
+def test_fill_matches_the_exact_rational_transform(alpha):
+    # every nonzero weight is at least 1/40, so a q_j near 1 is followed only
+    # by zeros or divergence, and the float recursion stays near rounding
+    floats = [float(a) for a in alpha]
+    exact = oracles.exact_fill([Fraction(f) for f in floats])
+    assume(all(abs(q - 1) >= Fraction(1, 10**9) for q in exact))
+    if exact[-1] >= 1:
+        with pytest.raises(DivergenceError, match=f"q_{len(exact)} >= 1"):
+            fill_from_weights(explicit_weights(floats))
+        return
+    fill = fill_from_weights(explicit_weights(floats))
+    for k, q in enumerate(exact, 1):
+        assert abs(Fraction(fill.at(k)) - q) <= q * Fraction(1, 10**12), (k, floats)
 
 
 def test_trailing_zeros_are_dropped_in_one_pass():
@@ -478,7 +497,7 @@ def test_markov_weights_values():
     weights = markov_weights(MARKOV_Q)
     assert weights.tail.coef == pytest.approx(0.375)
     assert weights.tail.ratio == pytest.approx(0.32)
-    assert weights.tail.partition == pytest.approx(1.25)
+    assert partition_function(weights) == pytest.approx(1.25, rel=1e-12)
     with pytest.raises(PreconditionError):
         markov_weights([[0.4, 0.6], [0.5, 0.5]])
     with pytest.raises(ValidationError):

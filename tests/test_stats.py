@@ -280,9 +280,11 @@ def test_shift_random_sweep():
 
 @given(st.lists(st.integers(0, 1), max_size=60).map(tuple))
 def test_shift_counts_conserved_is_config_soliton_counts_conservation(bits):
+    # equal trimmed rows have equal sums, so ``ok`` also means the soliton
+    # count of every size is conserved
     cfg = BallConfig(1, bits)
-    expected = config_soliton_counts(cfg) == config_soliton_counts(evolve(cfg))
-    assert component_shift_check(cfg).counts_conserved == expected
+    assert component_shift_check(cfg).ok
+    assert config_soliton_counts(cfg) == config_soliton_counts(evolve(cfg))
 
 
 def test_shift_check_is_deterministic():
