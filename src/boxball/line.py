@@ -10,8 +10,8 @@ the one record cut, ``core._cut``, until it has the excursions it needs.
 The walk sampler takes its chain, checked, from ``core``.  The anti-Palm
 sampler tilts the block covering the origin by its length and places the
 origin uniformly inside it, producing a window of the translation-invariant
-measure; it reads the soliton weights, and imports ``measures`` when it runs,
-so a Palm walk loads only ``core`` and this module.
+measure; it takes the measure's slot fill, and imports ``measures`` when it
+runs, so a Palm walk loads only ``core`` and this module.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
 # ---------------------------------------------------------------------------
 
 def sample_anti_palm(
-    weights: SolitonWeights,
+    fill: SlotFill,
     n_boxes: int,
     rng,
     block_cap: int = 2001,
@@ -103,13 +103,12 @@ def sample_anti_palm(
     ``n_boxes - 1``.  When ``report`` is supplied it receives the number of
     proposals, the number of cap clips, and the resulting bias bound.
     """
-    from .measures import fill_from_weights, mean_record_gap, sample_excursions
+    from .measures import mean_record_gap, sample_excursions
 
     if n_boxes < 1:
         raise PreconditionError("n_boxes must be >= 1")
     rng = _as_rng(rng)
-    fill = fill_from_weights(weights)
-    kappa = mean_record_gap(weights)
+    kappa = mean_record_gap(fill)
     if not math.isfinite(kappa):
         raise PreconditionError("mean record gap diverges; no stationary version")
 
@@ -118,7 +117,7 @@ def sample_anti_palm(
     origin_block: Excursion | None = None
     while origin_block is None:
         batch = max(16, int(2 * block_cap / kappa))
-        for exc in sample_excursions(weights, batch, rng, fill):
+        for exc in sample_excursions(fill, batch, rng):
             proposals += 1
             boxes = 2 * exc.n + 1
             accept = boxes / block_cap
@@ -140,9 +139,7 @@ def sample_anti_palm(
     pieces = [origin_block]
     right_record = -offset + block_boxes
     while right_record < n_boxes:
-        batch = sample_excursions(
-            weights, max(4, int((n_boxes - right_record) / kappa)), rng, fill
-        )
+        batch = sample_excursions(fill, max(4, int((n_boxes - right_record) / kappa)), rng)
         for exc in batch:
             pieces.append(exc)
             right_record += 2 * exc.n + 1

@@ -12,6 +12,12 @@ Under the Palm measure row k of the slot diagram is, given the rows above
 it, s_k i.i.d. Geometric(1 - q_k) entries.  So the mean number of
 k-solitons is ``E[n_k] = m_k beta_k`` in closed form, with
 ``m_k = q_k / (1 - q_k)`` and ``beta_k = E[s_k]`` the expected slot count.
+Every quantity of the measure is a function of the slot fill and takes a
+:class:`SlotFill`: Z, the slot means, the mean record gap kappa, the ball
+density, the mean soliton counts and the samplers.  The weights are read
+only by :func:`fill_from_weights`, where a truncation ``levels`` acts, and
+by the weight-side oracles :func:`partition_series`, :func:`excursion_prob`,
+:func:`weights_from_fill` and :func:`shift_weights`.
 
 Probabilities are accumulated in log space; the parameter transform runs on
 direct running products for precision, falling back to logs on underflow.
@@ -56,24 +62,6 @@ _MAX_LEVELS = 5000
 # ---------------------------------------------------------------------------
 # parameter families
 # ---------------------------------------------------------------------------
-
-class GeometricLaw(_Value):
-    """P(Y = j) = p * (1 - p)^j on j = 0, 1, 2, ...; mean (1 - p) / p."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: float):
-        if not 0 < p <= 1:
-            raise ValidationError("geometric parameter must lie in (0, 1]")
-        _set(self, "p", p)
-
-    def pmf(self, j: int) -> float:
-        return self.p * (1 - self.p) ** j if j >= 0 else 0.0
-
-    @property
-    def mean(self) -> float:
-        return (1 - self.p) / self.p
-
 
 class GeometricTail(_Value):
     """Analytic continuation ``alpha_k = coef * ratio**k`` past the explicit head.
@@ -259,14 +247,9 @@ def shift_weights(alpha: Sequence[float]) -> tuple[float, ...]:
 # partition functions
 # ---------------------------------------------------------------------------
 
-def log_partition(weights: SolitonWeights, levels: int | None = None) -> float:
-    fill = fill_from_weights(weights, levels)
-    return -sum(math.log1p(-q) for q in fill.q)
-
-
-def partition_function(weights: SolitonWeights, levels: int | None = None) -> float:
-    """Z as the closed product ``prod_k (1 - q_k)^(-1)`` over the transform."""
-    return math.exp(log_partition(weights, levels))
+def partition_function(fill: SlotFill) -> float:
+    """Z as the closed product ``prod_k (1 - q_k)^(-1)`` over the slot fill."""
+    return math.exp(-sum(math.log1p(-q) for q in fill.q))
 
 
 class SeriesResult(_Value):
@@ -398,7 +381,7 @@ def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
 
 def excursion_prob(weights: SolitonWeights, excursion: Excursion) -> float:
     """Normalized weight ``prod_k alpha_k^(n_k) / Z`` of one excursion."""
-    log_p = -log_partition(weights)
+    log_p = sum(math.log1p(-q) for q in fill_from_weights(weights).q)  # -log Z
     for k, n_k in soliton_counts(excursion).items():
         a = weights.alpha(k)
         if a == 0.0:
@@ -484,13 +467,9 @@ def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
     return out
 
 
-def sample_excursions(
-    weights: SolitonWeights, size: int, rng, fill: SlotFill | None = None
-) -> list[Excursion]:
+def sample_excursions(fill: SlotFill, size: int, rng) -> list[Excursion]:
     """Excursions with the normalized weight law, drawn through their diagrams;
     each distinct diagram is rebuilt once, or refused if that passes ``BOX_BUDGET``."""
-    if fill is None:
-        fill = fill_from_weights(weights)
     return map_distinct(_rebuilt, sample_diagrams(fill, size, rng))
 
 
@@ -525,7 +504,7 @@ def expected_slot_counts(fill: SlotFill) -> tuple[tuple[float, ...], float]:
     return tuple(betas), mean_size
 
 
-def mean_soliton_counts(weights: SolitonWeights) -> dict[int, float]:
+def mean_soliton_counts(fill: SlotFill) -> dict[int, float]:
     """Mean number of k-solitons per excursion, ``E[n_k] = m_k beta_k``, for
     every size k with q_k > 0.
 
@@ -534,18 +513,17 @@ def mean_soliton_counts(weights: SolitonWeights) -> dict[int, float]:
     ``E[n_k] = m_k E[s_k]``, and :func:`expected_slot_counts` gives
     ``beta_k = E[s_k]``.
     """
-    fill = fill_from_weights(weights)
     betas, _ = expected_slot_counts(fill)
     return {k: fill.mean_fill(k) * betas[k] for k, q in enumerate(fill.q, 1) if q}
 
 
-def mean_record_gap(weights: SolitonWeights, levels: int | None = None) -> float:
+def mean_record_gap(fill: SlotFill) -> float:
     """Mean distance between consecutive records: one plus the mean excursion length."""
-    _, mean_size = expected_slot_counts(fill_from_weights(weights, levels))
+    _, mean_size = expected_slot_counts(fill)
     return 1.0 + mean_size
 
 
-def ball_density(weights: SolitonWeights, levels: int | None = None) -> float:
+def ball_density(fill: SlotFill) -> float:
     """Stationary ball density (kappa - 1) / (2 kappa) of the assembled line."""
-    kappa = mean_record_gap(weights, levels)
+    kappa = mean_record_gap(fill)
     return (kappa - 1) / (2 * kappa)

@@ -8,8 +8,8 @@ given their seed and parameters.
 p-values come from ``_chi2_sf``, a finite sum in the standard library, and
 contingency tables are lists, so no ``bbs`` command loads scipy or numpy;
 scipy is a test-only dependency, the oracle the tests check that sum against.
-``line`` and ``measures`` are imported inside :func:`t_invariance_test` and
-:func:`geometric_gof`, their only users, so ``verify shift`` loads neither.
+Each check takes its sample (a component array, or a window with the number
+of boxes it must cover) and the law it tests against, and draws nothing.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 
-from .core import BallConfig, _as_rng, _set, _Value, carrier_trace, evolve, record_positions
-from .errors import InsufficientDataError, PreconditionError
+from .core import BallConfig, _set, _Value, carrier_trace, evolve, record_positions
+from .errors import InsufficientDataError, PreconditionError, ValidationError
 from .slots import ComponentArray, decompose
 
 _MIN_EXPECTED = 5.0
@@ -105,22 +105,22 @@ def _chi_square(observed: Sequence[float], expected: Sequence[float], labels) ->
 
 
 def geometric_gof(components: ComponentArray, k: int, p_expected: float) -> GofReport:
-    """Goodness of fit of row k against Geometric(p_expected)."""
-    from .measures import GeometricLaw
-
+    """Goodness of fit of row k against Geometric(p_expected): ``P(j) = p (1 - p)^j``
+    on j = 0, 1, 2, ..."""
     _, values = components.row(k)
     if len(values) < _MIN_SAMPLES:
         raise InsufficientDataError(f"row {k} has {len(values)} labels, need {_MIN_SAMPLES}")
     if p_expected == 1:
         raise InsufficientDataError(f"row {k}: q_{k} = 0, the law is a point mass at 0")
-    law = GeometricLaw(p_expected)
+    if not 0 < p_expected <= 1:
+        raise ValidationError("geometric parameter must lie in (0, 1]")
     n = len(values)
     vmax = max(values)
     counts = Counter(values)
     observed = [counts.get(j, 0) for j in range(vmax + 1)]
-    expected = [n * law.pmf(j) for j in range(vmax + 1)]
+    expected = [n * (p_expected * (1 - p_expected) ** j) for j in range(vmax + 1)]
     # the final cell absorbs the entire remaining tail mass
-    expected.append(n * (1 - law.p) ** (vmax + 1))
+    expected.append(n * (1 - p_expected) ** (vmax + 1))
     observed.append(0)
     return _chi_square(observed, expected, list(range(vmax + 1)) + [f">{vmax}"])
 
@@ -220,28 +220,19 @@ def block_frequencies(bits: Sequence[int], block_len: int) -> tuple[Counter, int
     return counter, n
 
 
-def t_invariance_test(
-    weights: SolitonWeights,
-    steps: int,
-    block_len: int,
-    n_boxes: int,
-    rng,
-) -> GofReport:
+def t_invariance_test(config: BallConfig, steps: int, block_len: int, n_boxes: int) -> GofReport:
     """Block-frequency comparison of a stationary window before and after evolution.
 
-    Draws an anti-Palm window, evolves it, and compares the frequencies of
-    all non-overlapping blocks over the interior.  The report carries a
+    Evolves ``config``, a window covering boxes ``0 .. n_boxes - 1`` such as
+    ``line.sample_anti_palm`` draws, and compares the frequencies of all
+    non-overlapping blocks over the interior.  The report carries a
     two-sample chi-square and the maximum per-block deviation in Monte-Carlo
     standard errors; exact invariance is replaced by this desk-scale proxy.
     """
-    from .line import sample_anti_palm
-
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
     if block_len < 1:
         raise PreconditionError("block_len must be >= 1")
-    rng = _as_rng(rng)
-    config = sample_anti_palm(weights, n_boxes, rng)
     evolved = evolve(config, steps)
     max_soliton = 0
     if steps > 1:
@@ -286,8 +277,9 @@ def t_invariance_test(
 
 class ShiftReport(_Value):
     """``ok``: whether every trimmed component row, and so every soliton count,
-    is conserved; ``offsets``: the label offset of each conserved nonempty
-    row k, None for the others, a fresh empty dict by default."""
+    is conserved and each nonempty row k moves by exactly k labels;
+    ``offsets``: the label offset of each conserved nonempty row k, None for
+    the others, a fresh empty dict by default."""
 
     __slots__ = ("ok", "offsets")
 
@@ -301,7 +293,8 @@ def component_shift_check(config: BallConfig) -> ShiftReport:
 
     Decomposes the configuration and its image, anchoring the image at its
     nearest record at or left of the origin, and compares the rows with
-    zero padding stripped.  FNRW's linearisation moves row k by k labels.
+    zero padding stripped.  FNRW's linearisation moves row k by k labels:
+    a row that changes, or that moves by any other offset, fails the check.
     """
     before = decompose(config)
     image = evolve(config)
@@ -322,4 +315,5 @@ def component_shift_check(config: BallConfig) -> ShiftReport:
             offsets[k] = None
         else:
             offsets[k] = t_after[0] - t_before[0]
+            ok = ok and offsets[k] == k
     return ShiftReport(ok, offsets)

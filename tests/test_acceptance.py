@@ -37,6 +37,7 @@ from boxball import (
     markov_weights,
     partition_series,
     reconstruct,
+    sample_anti_palm,
     sample_excursions,
     assemble,
     soliton_decompose,
@@ -179,7 +180,7 @@ def test_criterion_08_sampler_law_agreement():
 
     direct = histogram(bernoulli_excursions(lam, draws, random.Random(SEED)))
     via_diagrams = histogram(
-        sample_excursions(bernoulli_weights(lam), draws, random.Random(SEED + 1))
+        sample_excursions(fill_from_weights(bernoulli_weights(lam)), draws, random.Random(SEED + 1))
     )
     worst = 0.0
     for key in set(direct) | set(via_diagrams):
@@ -195,11 +196,10 @@ def test_criterion_08_sampler_law_agreement():
 
 def test_criterion_09_t_invariance():
     start = time.perf_counter()
-    bern = t_invariance_test(
-        bernoulli_weights(0.3), 1, 4, 200_000, random.Random(SEED)
-    )
-    markov = t_invariance_test(
-        markov_weights(MARKOV_Q), 1, 4, 200_000, random.Random(SEED + 1)
+    bern, markov = (
+        t_invariance_test(sample_anti_palm(fill_from_weights(weights), 200_000, random.Random(seed)),
+                          1, 4, 200_000)
+        for weights, seed in ((bernoulli_weights(0.3), SEED), (markov_weights(MARKOV_Q), SEED + 1))
     )
     elapsed = time.perf_counter() - start
     ok = bern.max_dev_se <= 4.0 and markov.max_dev_se <= 4.0

@@ -427,6 +427,41 @@ def test_verify_geometric_decomposes_each_distinct_excursion_once(runner, monkey
     assert outputs[0] == outputs[1]
 
 
+_FAMILY_FLAGS = {
+    "bernoulli": ("--lambda", "0.25"),
+    "markov": ("--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]"),
+    "explicit": ("--measure", "explicit", "--alpha", "0.2,0.1,0.05"),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_FLAGS))
+def test_each_command_builds_the_slot_fill_once(runner, monkeypatch, family):
+    import boxball.measures
+
+    calls = []
+    original = boxball.measures.fill_from_weights
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(boxball.measures, "fill_from_weights", counted)
+    flags = _FAMILY_FLAGS[family]
+    for args, builds in (
+        (["params", *flags], 1),
+        (["sample", "--anti-palm", *flags, "--boxes", "500", "--seed", "1"], 1),
+        (["verify", "t-invariance", *flags, "--boxes", "20000", "--seed", "5"], 1),
+        (["verify", "geometric", *flags, "--excursions", "4000", "--seed", "5"], 1),
+        # a chain's Palm sampler walks it; the explicit one draws diagrams of the fill
+        (["verify", "independence", *flags, "--excursions", "4000", "--seed", "5"],
+         1 if family == "explicit" else 0),
+    ):
+        calls.clear()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        assert len(calls) == builds, (args, len(calls))
+
+
 @pytest.mark.parametrize(
     "doc, code",
     [

@@ -23,7 +23,7 @@ from boxball import (
     soliton_decompose,
 )
 from boxball.core import BOX_BUDGET, GAP_BUDGET, AnchoredConfig, Soliton, _cut, assemble, map_distinct
-from boxball.measures import GeometricLaw, GeometricTail, SeriesResult, SlotFill, SolitonWeights
+from boxball.measures import GeometricTail, SeriesResult, SlotFill, SolitonWeights
 from boxball.slots import ComponentArray, SlotDiagram, _trusted_diagram
 from boxball.stats import GofReport, ShiftReport
 
@@ -421,7 +421,6 @@ def _values():
         (Soliton(1, (1,), (2,)), ("k", "head", "tail")),
         (SlotDiagram(((1,),)), ("rows",)),
         (ComponentArray(((1, 0, (1, 2)),)), ("rows",)),
-        (GeometricLaw(0.25), ("p",)),
         (tail, ("coef", "ratio", "fill_ratio")),
         (SolitonWeights((0.2, 0.1), tail), ("head", "tail")),
         (SlotFill((0.3,)), ("q",)),
@@ -434,7 +433,7 @@ def _values():
 
 def test_value_types_are_immutable_slotted_values():
     values = _values()
-    assert len({type(v) for v, _ in values}) == 13
+    assert len({type(v) for v, _ in values}) == 12
     for value, names in values:
         cls = type(value)
         fields = tuple(getattr(value, name) for name in names)

@@ -2,7 +2,8 @@
 scipy nor numpy, nor dataclasses, inspect and typing, no layer loads json,
 the CLI does not load click, each command loads only the boxball modules it
 runs (a Palm sample of a chain only ``core`` and ``line``, ``verify
-independence`` of a chain no ``measures``), and every command runs with
+independence`` of a chain no ``measures``), the chi-square checks load
+neither ``line`` nor ``measures``, and every command runs with
 numpy, scipy or click absent, with the same output as when they are there.
 Every sampler draws from the standard library's ``random.Random``, and the
 CLI parses its arguments with ``argparse``; scipy, numpy and click (for
@@ -146,6 +147,22 @@ def test_verify_shift_loads_neither_measures_nor_line():
     loaded = _command_loads("verify", "shift", "--configs", "5", "--seed", "1")
     assert "boxball.stats" in loaded
     assert not loaded & {"boxball.measures", "boxball.line"}
+
+
+def test_chi_square_checks_load_neither_line_nor_measures():
+    # each check takes its sample, a component array or a window, and draws nothing
+    code = (
+        "import sys\n"
+        "from boxball.core import BallConfig\n"
+        "from boxball.slots import ComponentArray\n"
+        "from boxball.stats import geometric_gof, t_invariance_test\n"
+        "geometric_gof(ComponentArray.from_dict({1: (0, (0, 1, 0, 2) * 500)}), 1, 0.5)\n"
+        "t_invariance_test(BallConfig.from_string('0110' * 500), 1, 4, 2000)\n"
+        "print(sorted({'boxball.line', 'boxball.measures'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_names_and_submodules_load_on_first_use():

@@ -23,6 +23,7 @@ from boxball import (
     excursion_prob,
     explicit_weights,
     excursions_of,
+    fill_from_weights,
     markov_excursions,
     markov_weights,
     mean_record_gap,
@@ -55,7 +56,7 @@ def test_assemble_single_excursion_at_zero():
 
 def test_assemble_record_spacing():
     rng = random.Random(2)
-    excs = sample_excursions(bernoulli_weights(0.3), 200, rng)
+    excs = sample_excursions(fill_from_weights(bernoulli_weights(0.3)), 200, rng)
     i_lo = -60
     anchored = assemble(excs, i_lo)
     assert anchored.record(0) == 0
@@ -69,7 +70,7 @@ def test_assemble_extract_round_trip():
     for _ in range(50):
         count = rng.randint(1, 11)
         i_lo = -rng.randrange(count)
-        excs = sample_excursions(bernoulli_weights(0.3), count, rng)
+        excs = sample_excursions(fill_from_weights(bernoulli_weights(0.3)), count, rng)
         anchored = assemble(excs, i_lo)
         got_lo, got = excursions_of(anchored.config)
         by_index = dict(enumerate(got, start=got_lo))
@@ -259,7 +260,7 @@ def test_two_samplers_agree_on_excursion_law():
     )
     b = Counter(
         e.bits if e.n <= 4 else "big"
-        for e in sample_excursions(bernoulli_weights(lam), draws, random.Random(17))
+        for e in sample_excursions(fill_from_weights(bernoulli_weights(lam)), draws, random.Random(17))
     )
     stat = 0.0
     cells = 0
@@ -274,7 +275,7 @@ def test_two_samplers_agree_on_excursion_law():
 
 
 def test_palm_sampler_anchoring():
-    excursions = sample_excursions(bernoulli_weights(0.25), 100, random.Random(18))
+    excursions = sample_excursions(fill_from_weights(bernoulli_weights(0.25)), 100, random.Random(18))
     anchored = assemble(excursions, 0)
     assert anchored.i_lo == 0
     assert anchored.record(0) == 0
@@ -298,12 +299,12 @@ def test_direct_palm_samplers_assemble():
 # ---------------------------------------------------------------------------
 
 def test_anti_palm_zero_weights():
-    cfg = sample_anti_palm(explicit_weights([]), 100, random.Random(0))
+    cfg = sample_anti_palm(fill_from_weights(explicit_weights([])), 100, random.Random(0))
     assert cfg.ball_count() == 0
 
 
 def test_anti_palm_covers_requested_window():
-    cfg = sample_anti_palm(bernoulli_weights(0.3), 5000, random.Random(19))
+    cfg = sample_anti_palm(fill_from_weights(bernoulli_weights(0.3)), 5000, random.Random(19))
     assert cfg.origin <= 0
     assert cfg.end >= 4999
     assert cfg.origin in record_positions(cfg)  # the window starts at a record
@@ -312,7 +313,7 @@ def test_anti_palm_covers_requested_window():
 def test_anti_palm_density_identities():
     lam = 0.25
     n_boxes = 200_000
-    cfg = sample_anti_palm(bernoulli_weights(lam), n_boxes, random.Random(20))
+    cfg = sample_anti_palm(fill_from_weights(bernoulli_weights(lam)), n_boxes, random.Random(20))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     density = sum(window) / n_boxes
     se = math.sqrt(lam * (1 - lam) / n_boxes)
@@ -326,7 +327,7 @@ def test_anti_palm_block_frequencies_match_product_measure():
     # the stationary law of the bernoulli family is the product measure
     lam = 0.3
     n_boxes = 120_000
-    cfg = sample_anti_palm(bernoulli_weights(lam), n_boxes, random.Random(21))
+    cfg = sample_anti_palm(fill_from_weights(bernoulli_weights(lam)), n_boxes, random.Random(21))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     blocks = Counter(
         tuple(window[t : t + 3]) for t in range(0, n_boxes - 3, 3)
@@ -341,7 +342,7 @@ def test_anti_palm_block_frequencies_match_product_measure():
 def test_anti_palm_report_and_cap():
     report = {}
     sample_anti_palm(
-        bernoulli_weights(0.25), 500, random.Random(22),
+        fill_from_weights(bernoulli_weights(0.25)), 500, random.Random(22),
         block_cap=31, report=report,
     )
     assert report["proposals"] >= 1
@@ -353,6 +354,6 @@ def test_mean_record_gap_markov():
     # kappa = 1 / (record density); for the chain the density of records is
     # 1 - 2 p_1 with p_1 = Q01 / (Q01 + Q10)
     p1 = 0.2 / 0.8
-    assert mean_record_gap(markov_weights(MARKOV_Q)) == pytest.approx(
+    assert mean_record_gap(fill_from_weights(markov_weights(MARKOV_Q))) == pytest.approx(
         1 / (1 - 2 * p1), rel=1e-9
     )

@@ -11,7 +11,6 @@ from hypothesis import assume, given
 from boxball import (
     DivergenceError,
     Excursion,
-    GeometricLaw,
     PreconditionError,
     SlotFill,
     ValidationError,
@@ -146,16 +145,16 @@ def test_truncation_level_is_bounded():
 # ---------------------------------------------------------------------------
 
 def test_partition_two_param_closed_form():
-    assert partition_function(explicit_weights([0.2, 0.1])) == pytest.approx(
+    assert partition_function(fill_from_weights(explicit_weights([0.2, 0.1]))) == pytest.approx(
         Z_TWO_PARAM, abs=1e-12
     )
 
 
 def test_partition_bernoulli_and_markov_closed_forms():
-    assert partition_function(bernoulli_weights(0.25)) == pytest.approx(
+    assert partition_function(fill_from_weights(bernoulli_weights(0.25))) == pytest.approx(
         4 / 3, abs=1e-10
     )
-    assert partition_function(markov_weights(MARKOV_Q)) == pytest.approx(
+    assert partition_function(fill_from_weights(markov_weights(MARKOV_Q))) == pytest.approx(
         1.25, abs=1e-10
     )
 
@@ -164,9 +163,9 @@ def test_partition_levels_sum_to_total():
     # Z^m = Z P(M = m) weighs the excursions whose largest soliton has size
     # m; its sums over half-lengths n <= 8 approach it from below
     alpha = (0.2, 0.1, 0.05)
-    weights = explicit_weights(alpha)
-    z = partition_function(weights)
-    levels = [z * p for p in max_size_distribution(fill_from_weights(weights))]
+    fill = fill_from_weights(explicit_weights(alpha))
+    z = partition_function(fill)
+    levels = [z * p for p in max_size_distribution(fill)]
     assert sum(levels) == pytest.approx(z, rel=1e-12)
     brute = [Fraction(0)] * len(levels)
     for path, w in oracles.brute_excursion_probs(alpha, 8).items():
@@ -265,7 +264,7 @@ def test_excursion_prob_examples():
 
 def test_excursion_prob_normalizes():
     weights = explicit_weights([0.2, 0.1])
-    z = partition_function(weights)
+    z = partition_function(fill_from_weights(weights))
     running = 0.0
     last = -1.0
     for n in range(9):
@@ -334,13 +333,13 @@ def test_max_size_distribution_normalizes():
 def test_sampler_trivial_cases():
     rng = random.Random(0)
     assert sample_diagrams(SlotFill(()), 1, rng)[0].max_size == 0
-    assert sample_excursions(explicit_weights([]), 1, rng) == [Excursion()]
+    assert sample_excursions(fill_from_weights(explicit_weights([])), 1, rng) == [Excursion()]
 
 
 def test_sampler_reproducible():
-    weights = bernoulli_weights(0.25)
-    a = sample_excursions(weights, 50, random.Random(42))
-    b = sample_excursions(weights, 50, random.Random(42))
+    fill = fill_from_weights(bernoulli_weights(0.25))
+    a = sample_excursions(fill, 50, random.Random(42))
+    b = sample_excursions(fill, 50, random.Random(42))
     assert a == b
 
 
@@ -413,9 +412,9 @@ def test_sampled_rows_are_geometric(k):
     )
     n = sum(entries.values())
     top = max(entries)
-    law = GeometricLaw(1 - q)
     observed = [entries[j] for j in range(top + 1)] + [0]
-    expected = [n * law.pmf(j) for j in range(top + 1)] + [n * q ** (top + 1)]
+    p = 1 - q  # the pmf of Geometric(p) is p (1 - p)^j
+    expected = [n * (p * (1 - p) ** j) for j in range(top + 1)] + [n * q ** (top + 1)]
     report = _chi_square(observed, expected, range(top + 2))
     assert report.p_value > 1e-3
 
@@ -441,12 +440,12 @@ def test_slot_count_means_bernoulli_limit():
     betas, mean_size = expected_slot_counts(fill)
     assert betas[0] == pytest.approx(2.0, abs=1e-9)
     assert mean_size == pytest.approx(betas[0] - 1.0, abs=1e-12)
-    assert mean_record_gap(bernoulli_weights(0.25)) == pytest.approx(2.0, abs=1e-9)
+    assert mean_record_gap(fill_from_weights(bernoulli_weights(0.25))) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_mean_soliton_counts_bernoulli():
     # sum_k k rho_k = lambda / (1 - 2 lambda) = 1/2 at lambda = 1/4
-    rho = mean_soliton_counts(bernoulli_weights(0.25))
+    rho = mean_soliton_counts(fill_from_weights(bernoulli_weights(0.25)))
     assert sum(k * v for k, v in rho.items()) == pytest.approx(0.5, abs=1e-9)
     # every ball belongs to one soliton: sum_k k E[n_k] = (kappa - 1) / 2
     for weights in (
@@ -455,8 +454,9 @@ def test_mean_soliton_counts_bernoulli():
         markov_weights(MARKOV_Q),
         explicit_weights([0.2, 0.1, 0.05]),
     ):
-        rho = mean_soliton_counts(weights)
-        kappa = mean_record_gap(weights)
+        fill = fill_from_weights(weights)
+        rho = mean_soliton_counts(fill)
+        kappa = mean_record_gap(fill)
         assert sum(k * v for k, v in rho.items()) == pytest.approx((kappa - 1) / 2, rel=1e-12)
 
 
@@ -474,7 +474,7 @@ def test_mean_soliton_counts_match_enumeration(weights):
         for k, c in oracles.naive_counts([(s + 1) // 2 for s in path]).items():
             sums[k] += c * w
     total = sum(probs.values())
-    rho = mean_soliton_counts(weights)
+    rho = mean_soliton_counts(fill_from_weights(weights))
     assert all(v > 0 for v in rho.values())
     for k in sums.keys() | rho.keys():
         assert rho.get(k, 0.0) == pytest.approx(float(sums[k] / total), abs=1e-5), k
@@ -497,7 +497,7 @@ def test_markov_weights_values():
     weights = markov_weights(MARKOV_Q)
     assert weights.tail.coef == pytest.approx(0.375)
     assert weights.tail.ratio == pytest.approx(0.32)
-    assert partition_function(weights) == pytest.approx(1.25, rel=1e-12)
+    assert partition_function(fill_from_weights(weights)) == pytest.approx(1.25, rel=1e-12)
     with pytest.raises(PreconditionError):
         markov_weights([[0.4, 0.6], [0.5, 0.5]])
     with pytest.raises(ValidationError):
@@ -517,14 +517,5 @@ def test_markov_without_double_balls():
     weights = markov_weights([[0.8, 0.2], [1.0, 0.0]])
     assert weights.head == (0.2 * 1.0,)
     assert weights.alpha(2) == 0.0
-    assert partition_function(weights) == pytest.approx(1 / 0.8, rel=1e-12)
+    assert partition_function(fill_from_weights(weights)) == pytest.approx(1 / 0.8, rel=1e-12)
 
-
-def test_geometric_law():
-    law = GeometricLaw(0.8)
-    assert law.pmf(0) == pytest.approx(0.8)
-    assert law.pmf(2) == pytest.approx(0.8 * 0.04)
-    assert law.mean == pytest.approx(0.25)
-    assert sum(law.pmf(j) for j in range(50)) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        GeometricLaw(0.0)

@@ -10,6 +10,7 @@ from boxball import (
     ComponentArray,
     InsufficientDataError,
     PreconditionError,
+    ValidationError,
     assemble,
     bernoulli_excursions,
     block_frequencies,
@@ -18,9 +19,12 @@ from boxball import (
     config_soliton_counts,
     decompose,
     evolve,
+    explicit_weights,
+    fill_from_weights,
     geometric_gof,
     independence_test,
     markov_weights,
+    sample_anti_palm,
     t_invariance_test,
 )
 from boxball.stats import _chi2_sf
@@ -56,6 +60,13 @@ def test_gof_requires_enough_labels():
     comp = synthetic_components(rng, 0.5, 100)
     with pytest.raises(InsufficientDataError):
         geometric_gof(comp, 1, 0.5)
+
+
+def test_gof_refuses_a_parameter_outside_the_unit_interval():
+    comp = synthetic_components(np.random.default_rng(3), 0.5, 2_000)
+    for p in (0.0, -0.5, 1.5):
+        with pytest.raises(ValidationError):
+            geometric_gof(comp, 1, p)
 
 
 def test_gof_null_calibration():
@@ -184,40 +195,41 @@ def test_block_frequencies_disjoint():
     assert counts[(0, 1)] == 3
 
 
+def _window(weights, n_boxes: int, seed: int) -> BallConfig:
+    """An anti-Palm window of ``n_boxes`` boxes of the measure of ``weights``."""
+    return sample_anti_palm(fill_from_weights(weights), n_boxes, random.Random(seed))
+
+
 def test_t_invariance_bernoulli():
-    report = t_invariance_test(
-        bernoulli_weights(0.3), 1, 4, 60_000, random.Random(10)
-    )
+    report = t_invariance_test(_window(bernoulli_weights(0.3), 60_000, 10), 1, 4, 60_000)
     assert report.max_dev_se is not None and report.max_dev_se <= 4
     assert len(report.bins) <= 16
 
 
 def test_t_invariance_markov():
-    report = t_invariance_test(
-        markov_weights([[0.8, 0.2], [0.6, 0.4]]), 1, 4, 60_000, random.Random(11)
-    )
+    window = _window(markov_weights([[0.8, 0.2], [0.6, 0.4]]), 60_000, 11)
+    report = t_invariance_test(window, 1, 4, 60_000)
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_multi_step():
-    report = t_invariance_test(
-        bernoulli_weights(0.2), 3, 3, 60_000, random.Random(12)
-    )
+    report = t_invariance_test(_window(bernoulli_weights(0.2), 60_000, 12), 3, 3, 60_000)
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_window_guard():
     with pytest.raises(PreconditionError):
-        t_invariance_test(bernoulli_weights(0.3), 1, 40, 20, random.Random(0))
+        t_invariance_test(_window(bernoulli_weights(0.3), 20, 0), 1, 40, 20)
+    window = _window(bernoulli_weights(0.3), 1000, 0)
     for block_len in (0, -2):  # no blocks to compare, so nothing would be checked
         with pytest.raises(PreconditionError):
-            t_invariance_test(bernoulli_weights(0.3), 1, block_len, 1000, random.Random(0))
+            t_invariance_test(window, 1, block_len, 1000)
+    with pytest.raises(PreconditionError):
+        t_invariance_test(window, 0, 4, 1000)
 
 
 def test_t_invariance_empty_measure_trivial():
-    from boxball import explicit_weights
-
-    report = t_invariance_test(explicit_weights([]), 1, 4, 1000, random.Random(0))
+    report = t_invariance_test(_window(explicit_weights([]), 1000, 0), 1, 4, 1000)
     assert report.max_dev_se == 0.0
     assert report.bins == (("0000", 250.0, 250.0),)
 
@@ -285,6 +297,17 @@ def test_shift_counts_conserved_is_config_soliton_counts_conservation(bits):
     cfg = BallConfig(1, bits)
     assert component_shift_check(cfg).ok
     assert config_soliton_counts(cfg) == config_soliton_counts(evolve(cfg))
+
+
+def test_shift_check_fails_rows_that_move_by_other_than_k(monkeypatch):
+    # two sweeps keep every component row but move row k by 2k labels
+    import boxball.stats
+
+    one_sweep = boxball.stats.evolve
+    monkeypatch.setattr(boxball.stats, "evolve", lambda config, steps=1: one_sweep(config, 2 * steps))
+    report = component_shift_check(BallConfig.from_string("1100"))
+    assert report.offsets[2] == 4
+    assert report.ok is False
 
 
 def test_shift_check_is_deterministic():
