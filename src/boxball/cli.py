@@ -20,13 +20,15 @@ runs when it runs, so a process compiles only those.
   checks that walk a chain load ``line``, and the chi-square checks
   ``slots`` and ``stats``;
 - ``measures`` and ``slots`` load where the slot fill is read (``params``,
-  ``sample --anti-palm``, ``verify geometric``, ``verify t-invariance`` and
-  ``verify partition``) and for the explicit family, whose Palm sampler
-  draws diagrams; each of these commands builds the fill once.  A Palm
-  ``sample`` of the bernoulli or markov family walks the chain and loads
-  only ``core`` and ``line``.
-- ``verify t-invariance`` draws its window with ``line.sample_anti_palm``
-  and hands it to ``stats``, which draws nothing.
+  ``verify geometric`` and ``verify partition``) and for the explicit
+  family, whose Palm sampler draws diagrams; each of these commands builds
+  the fill once.  A ``sample`` of the bernoulli or markov family, Palm or
+  ``--anti-palm``, walks the chain and loads only ``core`` and ``line``.
+- ``sample --anti-palm`` and ``verify t-invariance`` draw their window with
+  ``line.sample_anti_palm`` from the family's Palm sampler, after refusing
+  a window of more than ``core.BOX_BUDGET`` boxes; ``verify t-invariance``
+  refuses its steps and block length before it draws, and hands the window
+  to ``stats``, which draws nothing.
 
 No layer imports ``json``: the layers take and give parsed documents, and
 this module parses (``_json``) and writes every JSON text, importing ``json``
@@ -194,8 +196,9 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[
     """The measure's soliton weights and its slot fill, each as a function of
     no argument, and its Palm sampler ``(size, rng) -> excursions``: the walk
     of the chain for the bernoulli and markov families, the diagram sampler
-    of the fill for explicit weights.  A command builds the fill once, on
-    its first call.
+    of the fill for explicit weights.  Both the Palm samples and the
+    anti-Palm window draw from the Palm sampler.  A command builds the fill
+    once, on its first call, so a chain's walks never build it.
 
     The parameter is checked here, before anything is drawn: a parameter
     flag the run would not read, of another family than ``measure`` or
@@ -513,14 +516,14 @@ def render_cmd(config, path, origin, color):
 def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
     """Partition function, slot parameters, and mean sizes of a measure."""
     from .measures import ball_density, expected_slot_counts, fill_from_weights
-    from .measures import mean_record_gap, partition_function
+    from .measures import partition_function
 
     weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)[0]()
     fill = fill_from_weights(weights, levels)
     z = partition_function(fill)
-    betas, _ = expected_slot_counts(fill)
-    kappa = mean_record_gap(fill)
-    lam_out = ball_density(fill)
+    betas, mean_size = expected_slot_counts(fill)  # the one solve of the slot-count recursion
+    kappa = 1.0 + mean_size  # measures.mean_record_gap
+    lam_out = ball_density(kappa)
     doc = {"Z": z, "q": list(fill.q), "beta0": betas[0], "kappa": kappa, "lambda": lam_out}
     if fmt == "json":
         _emit(doc, out)
@@ -546,9 +549,9 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, rng
     from .core import assemble, record_positions
     from .line import sample_anti_palm
 
-    _, fill, palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)[2]
     if anti_palm:
-        cfg = sample_anti_palm(fill(), 1000 if boxes is None else boxes, rng)
+        cfg = sample_anti_palm(palm, 1000 if boxes is None else boxes, rng)
         anchored = None
     else:
         excs = _palm_excursions(palm, num, rng)
@@ -625,10 +628,11 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, rng, signifi
 def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, block_len, max_se, rng, out):
     """Block frequencies before and after evolution on a stationary window."""
     from .line import sample_anti_palm
-    from .stats import t_invariance_test
+    from .stats import _check_t_invariance, t_invariance_test
 
-    fill = _weights_from_flags(measure, lam, q_matrix, alpha, params)[1]()
-    report = t_invariance_test(sample_anti_palm(fill, boxes, rng), steps, block_len, boxes)
+    palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)[2]
+    _check_t_invariance(steps, block_len)
+    report = t_invariance_test(sample_anti_palm(palm, boxes, rng), steps, block_len, boxes)
     _verify_exit(
         {"check": "t-invariance", "report": report.to_json_dict()},
         report.max_dev_se is not None and report.max_dev_se <= max_se,

@@ -10,14 +10,15 @@ the one record cut, ``core._cut``, until it has the excursions it needs.
 The walk sampler takes its chain, checked, from ``core``.  The anti-Palm
 sampler tilts the block covering the origin by its length and places the
 origin uniformly inside it, producing a window of the translation-invariant
-measure; it takes the measure's slot fill, and imports ``measures`` when it
-runs, so a Palm walk loads only ``core`` and this module.
+measure; it draws every excursion from the family's Palm sampler, which it
+is given (the walk of a chain, or the diagram sampler of a slot fill), and
+reads no measure quantity.  So this module imports only ``core`` and
+``errors``.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import repeat
 
 from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _check_budget, _cut
@@ -53,14 +54,17 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
 
     Runs the chain (:func:`_chain`) in batches and cuts each batch at its
     records (``core._cut``), carrying the boxes after the last record into
-    the next, until ``size`` excursions are out.  The first batch is 4096
-    boxes; the next is the boxes the missing excursions take at the mean so
-    far, at least 4096, or twice the last while no record has come.  Each
-    box takes the next draw whatever the batches, so the excursions are
-    those of one long cut.  A record is an empty box, so the chain is in
-    its empty state there, as it would be restarted: the excursions are
-    i.i.d.  The boxes since the last record never pass ``BOX_BUDGET``:
-    the walk is refused when they reach it.
+    the next, until ``size`` excursions are out.  The first batch is
+    ``size`` boxes, no more than the excursions take, since each takes its
+    record at least.  The next is the boxes the missing excursions take at
+    the mean so far, at least one each and at least the boxes since the
+    last record, or twice the last while no record has come.  So a call
+    draws few boxes past its last excursion, however few it asks for.
+    Each box takes the next draw whatever the batches, so the excursions
+    are those of one long cut.  A record is an empty box, so the chain is
+    in its empty state there, as it would be restarted: the excursions are
+    i.i.d.  The boxes since the last record never pass ``BOX_BUDGET``: the
+    walk is refused when they reach it.
     """
     q = _transition_matrix(q_matrix)
     uniform = _as_rng(rng).random
@@ -69,7 +73,7 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
     tail = b""  # boxes since the last record
     boxes = b"\x00"  # the last box drawn: the empty record left of the first
     drawn = 0
-    n = 4096
+    n = size
     while len(out) < size:
         _check_budget(len(tail) + 1, "a drawn excursion would lay out")
         n = min(n, BOX_BUDGET - len(tail))
@@ -77,7 +81,8 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
         drawn += n
         _, excursions, tail = _cut(tail + boxes, size - len(out), len(tail))
         out += excursions
-        n = max(4096, (size - len(out)) * (drawn - len(tail)) // len(out)) if out else 2 * n
+        missing = size - len(out)
+        n = max(missing, len(tail), missing * (drawn - len(tail)) // len(out)) if out else 2 * n
     return out
 
 
@@ -85,48 +90,66 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
 # anti-Palm sampler
 # ---------------------------------------------------------------------------
 
+def _blocks(palm: Callable[[int, random.Random], list[Excursion]], rng,
+            wanted: Callable[[], int]) -> Iterator[Excursion]:
+    """The excursions that ``palm`` draws from ``rng``, one at a time.
+
+    ``palm`` draws them in batches: 16 first, then as many as cover the
+    ``wanted()`` boxes at the mean block length (an excursion and its
+    record) drawn so far, at least 16.
+    """
+    drawn = boxes = 0
+    size = 16
+    while True:
+        batch = palm(size, rng)
+        drawn += len(batch)
+        boxes += sum(len(e.bits) + 1 for e in batch)
+        yield from batch
+        size = max(16, wanted() * drawn // boxes)
+
+
 def sample_anti_palm(
-    fill: SlotFill,
+    palm: Callable[[int, random.Random], list[Excursion]],
     n_boxes: int,
     rng,
     block_cap: int = 2001,
     report: dict | None = None,
 ) -> BallConfig:
     """Translation-invariant window: boxes ``0 .. n_boxes - 1`` carry the
-    stationary law of the assembled measure.
+    stationary law of the measure whose Palm sampler is ``palm``.
 
-    The block (record plus excursion) covering the origin is drawn by
-    rejection with acceptance proportional to its box count, capped at
-    ``block_cap`` boxes; the origin lands uniformly inside it and further
-    i.i.d. excursions extend the window on both sides.  The returned window
-    spans whole excursions, so it may start before box 0 and end past
-    ``n_boxes - 1``.  When ``report`` is supplied it receives the number of
-    proposals, the number of cap clips, and the resulting bias bound.
+    ``palm(size, rng)`` returns ``size`` i.i.d. excursions of the measure:
+    :func:`markov_excursions` of a chain, or ``measures.sample_excursions``
+    of a slot fill.  The block (record plus excursion) covering the origin
+    is drawn by rejection with acceptance proportional to its box count,
+    capped at ``block_cap`` boxes; the origin lands uniformly inside it and
+    further i.i.d. excursions extend the window to its right.  The
+    excursions after the accepted one in its batch are independent of the
+    acceptance, so they extend the window first.  The returned window spans
+    whole excursions, so it may start before box 0 and end past
+    ``n_boxes - 1``.  A window of more than ``BOX_BUDGET`` boxes is refused
+    before anything is drawn.  When ``report`` is supplied it receives the
+    number of proposals, the number of cap clips, and the resulting bias
+    bound.
     """
-    from .measures import mean_record_gap, sample_excursions
-
     if n_boxes < 1:
         raise PreconditionError("n_boxes must be >= 1")
+    _check_budget(n_boxes, "an anti-Palm window would lay out")
     rng = _as_rng(rng)
-    kappa = mean_record_gap(fill)
-    if not math.isfinite(kappa):
-        raise PreconditionError("mean record gap diverges; no stationary version")
+    right_record = None  # the last record laid out, once the origin block is drawn
+    blocks = _blocks(palm, rng, lambda: block_cap if right_record is None else n_boxes - right_record)
 
     proposals = 0
     clipped = 0
-    origin_block: Excursion | None = None
-    while origin_block is None:
-        batch = max(16, int(2 * block_cap / kappa))
-        for exc in sample_excursions(fill, batch, rng):
-            proposals += 1
-            boxes = 2 * exc.n + 1
-            accept = boxes / block_cap
-            if accept > 1.0:
-                clipped += 1
-                accept = 1.0
-            if rng.random() < accept:
-                origin_block = exc
-                break
+    for origin_block in blocks:
+        proposals += 1
+        block_boxes = len(origin_block.bits) + 1
+        accept = block_boxes / block_cap
+        if accept > 1.0:
+            clipped += 1
+            accept = 1.0
+        if rng.random() < accept:
+            break
     if report is not None:
         report["proposals"] = proposals
         report["clipped"] = clipped
@@ -134,16 +157,12 @@ def sample_anti_palm(
         # mass of blocks longer than the cap, crudely dominated
         report["bias_bound"] = clipped / max(proposals, 1)
 
-    block_boxes = 2 * origin_block.n + 1
     offset = rng.randrange(block_boxes)  # the block's record sits at -offset
     pieces = [origin_block]
     right_record = -offset + block_boxes
     while right_record < n_boxes:
-        batch = sample_excursions(fill, max(4, int((n_boxes - right_record) / kappa)), rng)
-        for exc in batch:
-            pieces.append(exc)
-            right_record += 2 * exc.n + 1
-            if right_record >= n_boxes:
-                break
+        exc = next(blocks)
+        pieces.append(exc)
+        right_record += len(exc.bits) + 1
     anchored = assemble(pieces, 0)
     return anchored.config.shifted(-offset)

@@ -13,11 +13,11 @@ it, s_k i.i.d. Geometric(1 - q_k) entries.  So the mean number of
 k-solitons is ``E[n_k] = m_k beta_k`` in closed form, with
 ``m_k = q_k / (1 - q_k)`` and ``beta_k = E[s_k]`` the expected slot count.
 Every quantity of the measure is a function of the slot fill and takes a
-:class:`SlotFill`: Z, the slot means, the mean record gap kappa, the ball
-density, the mean soliton counts and the samplers.  The weights are read
-only by :func:`fill_from_weights`, where a truncation ``levels`` acts, and
-by the weight-side oracles :func:`partition_series`, :func:`excursion_prob`,
-:func:`weights_from_fill` and :func:`shift_weights`.
+:class:`SlotFill`: Z, the slot means, the mean record gap kappa, the mean
+soliton counts and the samplers; the ball density takes kappa.  The weights
+are read only by :func:`fill_from_weights`, where a truncation ``levels``
+acts, and by the weight-side oracles :func:`partition_series`,
+:func:`excursion_prob`, :func:`weights_from_fill` and :func:`shift_weights`.
 
 Probabilities are accumulated in log space; the parameter transform runs on
 direct running products for precision, falling back to logs on underflow.
@@ -523,7 +523,7 @@ def mean_record_gap(fill: SlotFill) -> float:
     return 1.0 + mean_size
 
 
-def ball_density(fill: SlotFill) -> float:
-    """Stationary ball density (kappa - 1) / (2 kappa) of the assembled line."""
-    kappa = mean_record_gap(fill)
+def ball_density(kappa: float) -> float:
+    """Stationary ball density (kappa - 1) / (2 kappa) of the line assembled
+    with mean record gap ``kappa``, as :func:`mean_record_gap` gives it."""
     return (kappa - 1) / (2 * kappa)

@@ -220,19 +220,28 @@ def block_frequencies(bits: Sequence[int], block_len: int) -> tuple[Counter, int
     return counter, n
 
 
-def t_invariance_test(config: BallConfig, steps: int, block_len: int, n_boxes: int) -> GofReport:
-    """Block-frequency comparison of a stationary window before and after evolution.
-
-    Evolves ``config``, a window covering boxes ``0 .. n_boxes - 1`` such as
-    ``line.sample_anti_palm`` draws, and compares the frequencies of all
-    non-overlapping blocks over the interior.  The report carries a
-    two-sample chi-square and the maximum per-block deviation in Monte-Carlo
-    standard errors; exact invariance is replaced by this desk-scale proxy.
-    """
+def _check_t_invariance(steps: int, block_len: int) -> None:
+    """Refuse the steps and block length that :func:`t_invariance_test`
+    cannot compare; a caller that draws the window checks them first."""
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
     if block_len < 1:
         raise PreconditionError("block_len must be >= 1")
+
+
+def t_invariance_test(config: BallConfig, steps: int, block_len: int, n_boxes: int) -> GofReport:
+    """Block-frequency comparison of a stationary window before and after evolution.
+
+    Evolves ``config``, a window covering boxes ``0 .. n_boxes - 1`` such as
+    ``line.sample_anti_palm`` draws from a measure's Palm sampler, and
+    compares the frequencies of all non-overlapping blocks over the
+    interior.  The report carries a two-sample chi-square and the maximum
+    per-block deviation in Monte-Carlo standard errors; exact invariance is
+    replaced by this desk-scale proxy.  ``steps`` and ``block_len`` are
+    refused as :func:`_check_t_invariance` refuses them, which a caller may
+    run before it draws the window.
+    """
+    _check_t_invariance(steps, block_len)
     evolved = evolve(config, steps)
     max_soliton = 0
     if steps > 1:

@@ -343,6 +343,54 @@ def test_out_of_range_integer_arguments_exit_4(runner, args):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--block-len"])
+def test_t_invariance_refuses_its_blocks_before_drawing(runner, monkeypatch, flag):
+    import boxball.line
+
+    def sample_anti_palm(*args, **kwargs):
+        raise AssertionError("drew the window")
+
+    monkeypatch.setattr(boxball.line, "sample_anti_palm", sample_anti_palm)
+    result = runner.invoke(main, ["verify", "t-invariance", "--lambda", "0.25", flag, "0",
+                                  "--seed", "1"])
+    assert result.exit_code == 4, result.output
+    name = flag[2:].replace("-", "_")
+    assert result.stderr == f"error: {name} must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample", "--anti-palm", "--lambda", "0.25"],
+        ["sample", "--anti-palm", "--measure", "explicit", "--alpha", "0.2,0.1"],
+        ["verify", "t-invariance", "--lambda", "0.25"],
+    ],
+    ids=["sample-walk", "sample-diagrams", "t-invariance"],
+)
+def test_anti_palm_windows_past_the_box_budget_exit_4_before_drawing(runner, monkeypatch,
+                                                                     command):
+    import boxball.line
+    import boxball.measures
+
+    # a draw, by walking or of diagrams, would fail with a TypeError
+    monkeypatch.setattr(boxball.line, "markov_excursions", None)
+    monkeypatch.setattr(boxball.measures, "sample_excursions", None)
+    for boxes in (BOX_BUDGET + 1, 10**12):
+        result = runner.invoke(main, [*command, "--boxes", str(boxes), "--seed", "1"])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == (
+            f"error: an anti-Palm window would lay out more than {BOX_BUDGET} boxes\n")
+
+
+def test_anti_palm_window_of_diverging_weights_exits_4(runner):
+    result = runner.invoke(main, ["sample", "--anti-palm", "--measure", "explicit",
+                                  "--alpha", "0.5,0.5", "--seed", "1"])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: "), result.stderr
+
+
 # the chain alternates balls and empty boxes: a record waits about 4e9 boxes
 HUGE_GAP = ["--measure", "markov", "--Q", "[[1e-9,0.999999999],[0.9999999995,5e-10]]"]
 
@@ -449,10 +497,13 @@ def test_each_command_builds_the_slot_fill_once(runner, monkeypatch, family):
     flags = _FAMILY_FLAGS[family]
     for args, builds in (
         (["params", *flags], 1),
-        (["sample", "--anti-palm", *flags, "--boxes", "500", "--seed", "1"], 1),
-        (["verify", "t-invariance", *flags, "--boxes", "20000", "--seed", "5"], 1),
         (["verify", "geometric", *flags, "--excursions", "4000", "--seed", "5"], 1),
-        # a chain's Palm sampler walks it; the explicit one draws diagrams of the fill
+        # a chain's Palm sampler walks it, and so does its anti-Palm window;
+        # the explicit one draws diagrams of the fill
+        (["sample", "--anti-palm", *flags, "--boxes", "500", "--seed", "1"],
+         1 if family == "explicit" else 0),
+        (["verify", "t-invariance", *flags, "--boxes", "20000", "--seed", "5"],
+         1 if family == "explicit" else 0),
         (["verify", "independence", *flags, "--excursions", "4000", "--seed", "5"],
          1 if family == "explicit" else 0),
     ):

@@ -1,8 +1,9 @@
 """Start-up budget: the package, its CLI and its sampling modules load neither
 scipy nor numpy, nor dataclasses, inspect and typing, no layer loads json,
 the CLI does not load click, each command loads only the boxball modules it
-runs (a Palm sample of a chain only ``core`` and ``line``, ``verify
-independence`` of a chain no ``measures``), the chi-square checks load
+runs (a Palm or anti-Palm sample of a chain only ``core`` and ``line``,
+``verify independence`` and ``verify t-invariance`` of a chain no
+``measures``), the chi-square checks load
 neither ``line`` nor ``measures``, and every command runs with
 numpy, scipy or click absent, with the same output as when they are there.
 Every sampler draws from the standard library's ``random.Random``, and the
@@ -140,6 +141,16 @@ def test_palm_walks_of_a_chain_load_no_measures():
     assert {m for m in loaded if m.split(".")[0] == "boxball"} == {
         "boxball", "boxball.cli", "boxball.errors", "boxball.core", "boxball.line"}
     loaded = _command_loads("verify", "independence", *MARKOV, "--excursions", "2000", "--seed", "1")
+    assert "boxball.stats" in loaded and "boxball.measures" not in loaded
+
+
+def test_anti_palm_windows_of_a_chain_load_no_measures():
+    # the window draws from the chain's walk; no slot fill is built
+    loaded = _command_loads("sample", "--anti-palm", *MARKOV, "--boxes", "500", "--seed", "1")
+    assert {m for m in loaded if m.split(".")[0] == "boxball"} == {
+        "boxball", "boxball.cli", "boxball.errors", "boxball.core", "boxball.line"}
+    loaded = _command_loads("verify", "t-invariance", "--lambda", "0.25", "--boxes", "20000",
+                            "--seed", "1")
     assert "boxball.stats" in loaded and "boxball.measures" not in loaded
 
 

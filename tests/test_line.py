@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -31,7 +32,7 @@ from boxball import (
     sample_anti_palm,
     sample_excursions,
 )
-from boxball.core import _cut
+from boxball.core import BOX_BUDGET, _cut
 from boxball.line import _chain
 
 MARKOV_Q = [[0.8, 0.2], [0.6, 0.4]]
@@ -198,24 +199,25 @@ def test_chain_kernel_matches_per_box_rule(run):
         (MARKOV_Q, 1, None),
         ([[0.75, 0.25], [0.75, 0.25]], 2, None),
         ([[0.5, 0.5], [0.9, 0.1]], 3, None),
-        # the first record lies past the first 4096 boxes: no excursion is out
-        # until the second, doubled batch
+        # the first batch is one box per excursion asked for, ``first``; the
+        # first record lies past it: no excursion is out until the second,
+        # doubled batch
         ([[0.55, 0.45], [0.46, 0.54]], 149,
-         lambda boxes, uniforms: _cut(boxes[:4096])[1] == []),
+         lambda boxes, uniforms, first: _cut(boxes[:first])[1] == []),
         # a sticky chain, whose box copies the one before when its draw lies in
         # [0.1, 0.85): the first batch ends on a ball and the next draw lies in
-        # that range, so box 4096 is a ball only if the second batch starts
-        # from the state the first one left
+        # that range, so box ``first`` is a ball only if the second batch
+        # starts from the state the first one left
         ([[0.9, 0.1], [0.15, 0.85]], 1,
-         lambda boxes, uniforms: boxes[4095] == 1 and 0.1 <= uniforms[4096] < 0.85),
+         lambda boxes, uniforms, first: boxes[first - 1] == 1 and 0.1 <= uniforms[first] < 0.85),
     ],
 )
 def test_cutting_in_batches_is_one_cut(q, seed, covers):
     rng = random.Random(seed)
     uniforms = [rng.random() for _ in range(60_000)]
     boxes = _chain(iter(uniforms).__next__, len(uniforms), (q[0][1], q[1][1]), 0)
-    assert covers is None or covers(boxes, uniforms)
     _, whole, _ = _cut(boxes)
+    assert covers is None or covers(boxes, uniforms, len(whole))
     assert markov_excursions(q, len(whole), random.Random(seed)) == whole
 
 
@@ -299,12 +301,13 @@ def test_direct_palm_samplers_assemble():
 # ---------------------------------------------------------------------------
 
 def test_anti_palm_zero_weights():
-    cfg = sample_anti_palm(fill_from_weights(explicit_weights([])), 100, random.Random(0))
+    palm = partial(sample_excursions, fill_from_weights(explicit_weights([])))
+    cfg = sample_anti_palm(palm, 100, random.Random(0))
     assert cfg.ball_count() == 0
 
 
 def test_anti_palm_covers_requested_window():
-    cfg = sample_anti_palm(fill_from_weights(bernoulli_weights(0.3)), 5000, random.Random(19))
+    cfg = sample_anti_palm(partial(bernoulli_excursions, 0.3), 5000, random.Random(19))
     assert cfg.origin <= 0
     assert cfg.end >= 4999
     assert cfg.origin in record_positions(cfg)  # the window starts at a record
@@ -313,7 +316,7 @@ def test_anti_palm_covers_requested_window():
 def test_anti_palm_density_identities():
     lam = 0.25
     n_boxes = 200_000
-    cfg = sample_anti_palm(fill_from_weights(bernoulli_weights(lam)), n_boxes, random.Random(20))
+    cfg = sample_anti_palm(partial(bernoulli_excursions, lam), n_boxes, random.Random(20))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     density = sum(window) / n_boxes
     se = math.sqrt(lam * (1 - lam) / n_boxes)
@@ -324,10 +327,12 @@ def test_anti_palm_density_identities():
 
 
 def test_anti_palm_block_frequencies_match_product_measure():
-    # the stationary law of the bernoulli family is the product measure
+    # the stationary law of the bernoulli family is the product measure; the
+    # window draws diagrams of the slot fill, as the explicit family does
     lam = 0.3
     n_boxes = 120_000
-    cfg = sample_anti_palm(fill_from_weights(bernoulli_weights(lam)), n_boxes, random.Random(21))
+    palm = partial(sample_excursions, fill_from_weights(bernoulli_weights(lam)))
+    cfg = sample_anti_palm(palm, n_boxes, random.Random(21))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     blocks = Counter(
         tuple(window[t : t + 3]) for t in range(0, n_boxes - 3, 3)
@@ -339,12 +344,49 @@ def test_anti_palm_block_frequencies_match_product_measure():
         assert abs(count / total - p) <= 5 * se, pattern
 
 
+def test_anti_palm_block_frequencies_match_markov_chain():
+    # the stationary law of the markov family is the stationary chain: a block
+    # b_1 .. b_3 has probability pi(b_1) Q(b_1, b_2) Q(b_2, b_3), pi(1) = 1/4;
+    # the window walks the chain, and its blocks lie one box apart
+    pi = (0.75, 0.25)
+    n_boxes = 120_000
+    cfg = sample_anti_palm(partial(markov_excursions, MARKOV_Q), n_boxes, random.Random(23))
+    window = [cfg.occupied(z) for z in range(n_boxes)]
+    blocks = Counter(tuple(window[t : t + 3]) for t in range(0, n_boxes - 3, 4))
+    total = sum(blocks.values())
+    assert len(blocks) == 8
+    for pattern, count in blocks.items():
+        p = pi[pattern[0]] * MARKOV_Q[pattern[0]][pattern[1]] * MARKOV_Q[pattern[1]][pattern[2]]
+        se = math.sqrt(p * (1 - p) / total)
+        assert abs(count / total - p) <= 5 * se, pattern
+
+
+def test_anti_palm_refuses_a_window_past_the_budget_before_drawing():
+    def palm(size, rng):
+        raise AssertionError("drew from the Palm sampler")
+
+    with pytest.raises(PreconditionError, match="anti-Palm window"):
+        sample_anti_palm(palm, BOX_BUDGET + 1, random.Random(0))
+
+
+def test_anti_palm_draws_few_boxes_past_its_window():
+    # the proposals left in the accepted one's batch extend the window, and
+    # each batch asks for the boxes still wanted at the mean block length
+    sizes = []
+
+    def palm(size, rng):
+        sizes.append(size)
+        return markov_excursions(MARKOV_Q, size, rng)
+
+    sample_anti_palm(palm, 30_000, random.Random(24))
+    # at kappa = 2, about 15_000 excursions fill the window and 1_000 propose its origin block
+    assert sizes[0] == 16 and len(sizes) <= 8 and sum(sizes) < 17_500, sizes
+
+
 def test_anti_palm_report_and_cap():
     report = {}
-    sample_anti_palm(
-        fill_from_weights(bernoulli_weights(0.25)), 500, random.Random(22),
-        block_cap=31, report=report,
-    )
+    sample_anti_palm(partial(bernoulli_excursions, 0.25), 500, random.Random(22),
+                     block_cap=31, report=report)
     assert report["proposals"] >= 1
     assert 0 <= report["bias_bound"] <= 1
     assert report["block_cap"] == 31

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from boxball import (
     assemble,
     bernoulli_excursions,
     block_frequencies,
-    bernoulli_weights,
     component_shift_check,
     config_soliton_counts,
     decompose,
@@ -23,8 +23,9 @@ from boxball import (
     fill_from_weights,
     geometric_gof,
     independence_test,
-    markov_weights,
+    markov_excursions,
     sample_anti_palm,
+    sample_excursions,
     t_invariance_test,
 )
 from boxball.stats import _chi2_sf
@@ -195,32 +196,32 @@ def test_block_frequencies_disjoint():
     assert counts[(0, 1)] == 3
 
 
-def _window(weights, n_boxes: int, seed: int) -> BallConfig:
-    """An anti-Palm window of ``n_boxes`` boxes of the measure of ``weights``."""
-    return sample_anti_palm(fill_from_weights(weights), n_boxes, random.Random(seed))
+def _window(palm, n_boxes: int, seed: int) -> BallConfig:
+    """An anti-Palm window of ``n_boxes`` boxes of the measure whose Palm sampler is ``palm``."""
+    return sample_anti_palm(palm, n_boxes, random.Random(seed))
 
 
 def test_t_invariance_bernoulli():
-    report = t_invariance_test(_window(bernoulli_weights(0.3), 60_000, 10), 1, 4, 60_000)
+    report = t_invariance_test(_window(partial(bernoulli_excursions, 0.3), 60_000, 10), 1, 4, 60_000)
     assert report.max_dev_se is not None and report.max_dev_se <= 4
     assert len(report.bins) <= 16
 
 
 def test_t_invariance_markov():
-    window = _window(markov_weights([[0.8, 0.2], [0.6, 0.4]]), 60_000, 11)
+    window = _window(partial(markov_excursions, [[0.8, 0.2], [0.6, 0.4]]), 60_000, 11)
     report = t_invariance_test(window, 1, 4, 60_000)
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_multi_step():
-    report = t_invariance_test(_window(bernoulli_weights(0.2), 60_000, 12), 3, 3, 60_000)
+    report = t_invariance_test(_window(partial(bernoulli_excursions, 0.2), 60_000, 12), 3, 3, 60_000)
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_window_guard():
     with pytest.raises(PreconditionError):
-        t_invariance_test(_window(bernoulli_weights(0.3), 20, 0), 1, 40, 20)
-    window = _window(bernoulli_weights(0.3), 1000, 0)
+        t_invariance_test(_window(partial(bernoulli_excursions, 0.3), 20, 0), 1, 40, 20)
+    window = _window(partial(bernoulli_excursions, 0.3), 1000, 0)
     for block_len in (0, -2):  # no blocks to compare, so nothing would be checked
         with pytest.raises(PreconditionError):
             t_invariance_test(window, 1, block_len, 1000)
@@ -229,7 +230,7 @@ def test_t_invariance_window_guard():
 
 
 def test_t_invariance_empty_measure_trivial():
-    report = t_invariance_test(_window(explicit_weights([]), 1000, 0), 1, 4, 1000)
+    report = t_invariance_test(_window(partial(sample_excursions, fill_from_weights(explicit_weights([]))), 1000, 0), 1, 4, 1000)
     assert report.max_dev_se == 0.0
     assert report.bins == (("0000", 250.0, 250.0),)
 
