@@ -17,8 +17,8 @@ runs when it runs, so a process compiles only those.
 - ``verify shift`` loads ``core``, ``slots`` and ``stats``;
 - of the commands that take a measure (``params``, ``sample`` and the
   other ``verify`` commands), ``sample``, ``verify t-invariance`` and the
-  checks that walk a chain load ``line``, and the chi-square checks
-  ``slots`` and ``stats``;
+  checks that walk a chain load ``line``, the chi-square checks ``stats``,
+  and ``verify geometric`` and ``independence`` also ``slots``;
 - ``measures`` and ``slots`` load where the slot fill is read (``params``,
   ``verify geometric`` and ``verify partition``) and for the explicit
   family, whose Palm sampler draws diagrams; each of these commands builds

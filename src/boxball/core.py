@@ -410,28 +410,26 @@ class AnchoredConfig(_Value):
         }
 
 
-def _lay_out(
-    excursions: Sequence[Excursion], i_lo: int
-) -> tuple[BallConfig, tuple[int, ...]]:
+def _lay_out(excursions: Sequence[Excursion], i_lo: int) -> BallConfig:
     """The excursions ``i_lo, i_lo + 1, ...`` separated by records, record 0
-    at box 0: the boxes from the first record to the last, and the records.
+    at box 0: the boxes from the first record to the last.
 
     Excursion ``i_lo + t`` occupies the ``2 n`` boxes after record
     ``i_lo + t``; consecutive records are ``2 n + 1`` apart.
     """
     start = -sum(2 * e.n + 1 for e in excursions[:-i_lo])
-    bits = b"\x00".join([b"", *(e.bits for e in excursions), b""])
-    records = accumulate((2 * e.n + 1 for e in excursions), initial=start)
-    return BallConfig(start, bits), tuple(records)
+    return BallConfig(start, b"\x00".join([b"", *(e.bits for e in excursions), b""]))
 
 
 def assemble(excursions: Sequence[Excursion], i_lo: int = 0) -> AnchoredConfig:
     """Concatenate excursions, separated by records, with record 0 at box 0
-    (laid out by :func:`_lay_out`); the window must contain excursion 0."""
+    (laid out by :func:`_lay_out`), and keep the records; the window must
+    contain excursion 0."""
     if i_lo > 0 or i_lo + len(excursions) < 1:
         raise PreconditionError("the excursion window must contain index 0")
-    config, records = _lay_out(excursions, i_lo)
-    return AnchoredConfig(config, i_lo, records)
+    config = _lay_out(excursions, i_lo)
+    records = accumulate((2 * e.n + 1 for e in excursions), initial=config.origin)
+    return AnchoredConfig(config, i_lo, tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,24 @@ the one record cut, ``core._cut``, until it has the excursions it needs.
 The walk sampler takes its chain, checked, from ``core``.  The anti-Palm
 sampler tilts the block covering the origin by its length and places the
 origin uniformly inside it, producing a window of the translation-invariant
-measure; it draws every excursion from the family's Palm sampler, which it
-is given (the walk of a chain, or the diagram sampler of a slot fill), and
+measure.  It is one loop over whole batches of the family's Palm sampler,
+which it is given (the walk of a chain, or the diagram sampler of a slot
+fill): it proposes the origin block, then cuts the filler excursions where
+their cumulative block lengths cover the window, and lays the window out
+with ``core._lay_out``, the one excursion layout, building no records.  It
 reads no measure quantity.  So this module imports only ``core`` and
-``errors``.
+``errors`` of the package.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
-from itertools import repeat
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
+from itertools import accumulate, repeat
+from random import Random
 
 from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _check_budget, _cut
-from .core import _transition_matrix, assemble
+from .core import _lay_out, _transition_matrix, assemble
 from .errors import PreconditionError
 
 
@@ -90,26 +95,8 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
 # anti-Palm sampler
 # ---------------------------------------------------------------------------
 
-def _blocks(palm: Callable[[int, random.Random], list[Excursion]], rng,
-            wanted: Callable[[], int]) -> Iterator[Excursion]:
-    """The excursions that ``palm`` draws from ``rng``, one at a time.
-
-    ``palm`` draws them in batches: 16 first, then as many as cover the
-    ``wanted()`` boxes at the mean block length (an excursion and its
-    record) drawn so far, at least 16.
-    """
-    drawn = boxes = 0
-    size = 16
-    while True:
-        batch = palm(size, rng)
-        drawn += len(batch)
-        boxes += sum(len(e.bits) + 1 for e in batch)
-        yield from batch
-        size = max(16, wanted() * drawn // boxes)
-
-
 def sample_anti_palm(
-    palm: Callable[[int, random.Random], list[Excursion]],
+    palm: Callable[[int, Random], list[Excursion]],
     n_boxes: int,
     rng,
     block_cap: int = 2001,
@@ -120,49 +107,53 @@ def sample_anti_palm(
 
     ``palm(size, rng)`` returns ``size`` i.i.d. excursions of the measure:
     :func:`markov_excursions` of a chain, or ``measures.sample_excursions``
-    of a slot fill.  The block (record plus excursion) covering the origin
-    is drawn by rejection with acceptance proportional to its box count,
-    capped at ``block_cap`` boxes; the origin lands uniformly inside it and
-    further i.i.d. excursions extend the window to its right.  The
-    excursions after the accepted one in its batch are independent of the
-    acceptance, so they extend the window first.  The returned window spans
-    whole excursions, so it may start before box 0 and end past
+    of a slot fill.  One loop draws them in batches, 16 first, then enough
+    to cover the boxes still wanted (``block_cap``, then the rest of the
+    window) at the mean block length so far.  The block covering the origin
+    is drawn by rejection, accepted with probability its box count over
+    ``block_cap``, clipped at 1, and the origin lands uniformly inside it.
+    The rest of its batch, independent of the acceptance, and then later
+    batches extend the window to the right, up to the excursion whose
+    cumulative length covers it; ``core._lay_out`` lays it out.  The window
+    spans whole excursions, so it may start before box 0 and end past
     ``n_boxes - 1``.  A window of more than ``BOX_BUDGET`` boxes is refused
-    before anything is drawn.  When ``report`` is supplied it receives the
-    number of proposals, the number of cap clips, and the resulting bias
-    bound.
+    before anything is drawn.  ``report``, if given, receives the number of
+    proposals and of cap clips, the cap and the resulting bias bound.
     """
     if n_boxes < 1:
         raise PreconditionError("n_boxes must be >= 1")
     _check_budget(n_boxes, "an anti-Palm window would lay out")
     rng = _as_rng(rng)
-    right_record = None  # the last record laid out, once the origin block is drawn
-    blocks = _blocks(palm, rng, lambda: block_cap if right_record is None else n_boxes - right_record)
-
-    proposals = 0
-    clipped = 0
-    for origin_block in blocks:
-        proposals += 1
-        block_boxes = len(origin_block.bits) + 1
-        accept = block_boxes / block_cap
-        if accept > 1.0:
-            clipped += 1
-            accept = 1.0
-        if rng.random() < accept:
+    drawn = boxes = proposals = clipped = 0
+    wanted = block_cap  # the boxes the next batch should cover
+    right = None  # the last record laid out, once the origin block is drawn
+    pieces: list[Excursion] = []
+    while True:
+        batch = palm(max(16, wanted * drawn // boxes) if drawn else 16, rng)
+        lengths = [len(e.bits) + 1 for e in batch]
+        drawn += len(batch)
+        boxes += sum(lengths)
+        i = 0  # the first excursion of the batch that may extend the window
+        if right is None:
+            for i, block in enumerate(lengths, 1):
+                proposals += 1
+                clipped += block > block_cap
+                if rng.random() < block / block_cap:
+                    break
+            else:
+                continue
+            offset = rng.randrange(block)  # the block's record sits at -offset
+            right = block - offset
+            pieces.append(batch[i - 1])
+        ends = list(accumulate(lengths[i:], initial=right))
+        j = bisect_left(ends, n_boxes)  # the excursions laid out before the window is covered
+        pieces += batch[i : i + j]
+        if j < len(ends):
             break
+        right = ends[-1]
+        wanted = n_boxes - right
     if report is not None:
-        report["proposals"] = proposals
-        report["clipped"] = clipped
-        report["block_cap"] = block_cap
-        # mass of blocks longer than the cap, crudely dominated
-        report["bias_bound"] = clipped / max(proposals, 1)
-
-    offset = rng.randrange(block_boxes)  # the block's record sits at -offset
-    pieces = [origin_block]
-    right_record = -offset + block_boxes
-    while right_record < n_boxes:
-        exc = next(blocks)
-        pieces.append(exc)
-        right_record += len(exc.bits) + 1
-    anchored = assemble(pieces, 0)
-    return anchored.config.shifted(-offset)
+        # the bias bound: the mass of blocks longer than the cap, crudely dominated
+        report.update(proposals=proposals, clipped=clipped, block_cap=block_cap,
+                      bias_bound=clipped / max(proposals, 1))
+    return _lay_out(pieces, 0).shifted(-offset)

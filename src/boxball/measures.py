@@ -20,7 +20,8 @@ acts, and by the weight-side oracles :func:`partition_series`,
 :func:`excursion_prob`, :func:`weights_from_fill` and :func:`shift_weights`.
 
 Probabilities are accumulated in log space; the parameter transform runs on
-direct running products for precision, falling back to logs on underflow.
+direct running products for precision, falling back to logs where they, or
+a geometric tail's weight, leave the normal float range.
 The samplers draw from one ``random.Random``; the diagram sampler inverts
 each of its ``random()`` draws through a closed-form law.  The families take
 their parameters as values; the CLI reads them from flags and parameter files.
@@ -29,6 +30,7 @@ their parameters as values; the CLI reads them from flags and parameter files.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect
 from collections.abc import Sequence
 from itertools import accumulate
@@ -193,15 +195,19 @@ def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> Slo
         if levels is None and k > _MAX_LEVELS:
             raise DivergenceError("slot parameters do not decay; truncation failed")
         a = weights.alpha(k)
-        if a == 0.0:
+        tail = weights.tail if k > len(weights.head) else None
+        if tail is not None and a < sys.float_info.min and tail.coef > 0.0 < tail.ratio:
+            # coef * ratio**k is subnormal, short of digits, or 0: take it in logs
+            qk = math.exp(math.log(tail.coef) + k * math.log(tail.ratio) - log_denom)
+        elif a == 0.0:
             qk = 0.0
         else:
             qk = a / denom if denom > 0.0 else math.exp(math.log(a) - log_denom)
-            if qk >= 1.0:
-                raise DivergenceError(
-                    f"q_{k} >= 1: weights outside the admissible set "
-                    f"(checked up to level {k})"
-                )
+        if qk >= 1.0:
+            raise DivergenceError(
+                f"q_{k} >= 1: weights outside the admissible set "
+                f"(checked up to level {k})"
+            )
         out.append(qk)
         prod *= 1.0 - qk
         denom *= prod * prod

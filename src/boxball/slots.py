@@ -24,7 +24,8 @@ rows in one pass.  :func:`palm_components` reads the component array of an
 i.i.d. excursion sample straight off the excursions, without assembling
 them into a configuration first.  :func:`reconstruct` splits an array back
 into diagrams in one pass per side of label 0, rebuilds each distinct
-diagram once and lays the excursions out as ``core.assemble`` does.
+diagram once and lays the excursions out with ``core._lay_out``, as
+``core.assemble`` does, without the records.
 
 Slot diagrams are validated at the boundary: ``SlotDiagram(rows)`` and
 ``from_doc``, which reads a parsed JSON document, check the rows, while the
@@ -518,5 +519,4 @@ def reconstruct(components: ComponentArray) -> BallConfig:
             "and diagram entries"
         )
     i_lo, diagrams = diagrams_from_components(components)
-    config, _ = _lay_out(map_distinct(excursion_from_diagram, diagrams), i_lo)
-    return config
+    return _lay_out(map_distinct(excursion_from_diagram, diagrams), i_lo)

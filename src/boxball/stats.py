@@ -10,6 +10,8 @@ contingency tables are lists, so no ``bbs`` command loads scipy or numpy;
 scipy is a test-only dependency, the oracle the tests check that sum against.
 Each check takes its sample (a component array, or a window with the number
 of boxes it must cover) and the law it tests against, and draws nothing.
+``slots`` is loaded by the one check that decomposes, so the block test of
+a window (``verify t-invariance``) does without it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from collections.abc import Sequence
 
 from .core import BallConfig, _set, _Value, carrier_trace, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError, ValidationError
-from .slots import ComponentArray, decompose
 
 _MIN_EXPECTED = 5.0
 _MIN_SAMPLES = 1000  # labels of a row, or pairs, a test needs
@@ -305,6 +306,8 @@ def component_shift_check(config: BallConfig) -> ShiftReport:
     zero padding stripped.  FNRW's linearisation moves row k by k labels:
     a row that changes, or that moves by any other offset, fails the check.
     """
+    from .slots import decompose
+
     before = decompose(config)
     image = evolve(config)
     recs = record_positions(image)

@@ -30,6 +30,13 @@ draws.
 ``sample-anti-palm-markov`` was recaptured again when the anti-Palm window
 came to draw its excursions from the family's Palm sampler, for a chain its
 walk, and no longer from the diagram sampler of its slot fill.
+
+``sample-anti-palm-explicit``, ``sample-anti-palm-bernoulli`` and
+``t-invariance-markov`` pin the window's other routes (the diagram sampler of
+an explicit fill, the walk of a Bernoulli chain, and the window that ``verify
+t-invariance`` evolves and tests); they were captured before the window came
+to be drawn in one loop over whole Palm batches and laid out without its
+records.
 """
 
 import hashlib
@@ -110,6 +117,20 @@ GOLDEN = {
         ["sample", "--anti-palm", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
          "--boxes", "3000", "--seed", "5"],
         "c638d864266fb51cc8048103f0bae0daeb92624cf92f2b69b77588bb942114e9",
+    ),
+    "sample-anti-palm-explicit": (
+        ["sample", "--anti-palm", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",
+         "--boxes", "3000", "--seed", "5"],
+        "9a5c4a04c541f34a6db6c551d9dde9806dccf47f65b0ad47b77b48bbf4420578",
+    ),
+    "sample-anti-palm-bernoulli": (
+        ["sample", "--anti-palm", "--lambda", "0.25", "--boxes", "3000", "--seed", "5"],
+        "6dd4531983b4fb6bb8a312a3e3ee5a526af1d4ca3ea347f4e4d597e2736849bd",
+    ),
+    "t-invariance-markov": (
+        ["verify", "t-invariance", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
+         "--boxes", "20000", "--steps", "3", "--seed", "5"],
+        "b94529b6ed62b95f3b635e3ddc8c639035f958bb13ce574e880102b48071eb31",
     ),
     "evolve-json-trace": (
         ["evolve", "--format", "json", "--trace", "--steps", "3", LINE],

@@ -2,8 +2,8 @@
 scipy nor numpy, nor dataclasses, inspect and typing, no layer loads json,
 the CLI does not load click, each command loads only the boxball modules it
 runs (a Palm or anti-Palm sample of a chain only ``core`` and ``line``,
-``verify independence`` and ``verify t-invariance`` of a chain no
-``measures``), the chi-square checks load
+``verify t-invariance`` of a chain only those and ``stats``, ``verify
+independence`` of a chain no ``measures``), the chi-square checks load
 neither ``line`` nor ``measures``, and every command runs with
 numpy, scipy or click absent, with the same output as when they are there.
 Every sampler draws from the standard library's ``random.Random``, and the
@@ -149,9 +149,11 @@ def test_anti_palm_windows_of_a_chain_load_no_measures():
     loaded = _command_loads("sample", "--anti-palm", *MARKOV, "--boxes", "500", "--seed", "1")
     assert {m for m in loaded if m.split(".")[0] == "boxball"} == {
         "boxball", "boxball.cli", "boxball.errors", "boxball.core", "boxball.line"}
+    # nor does its block test decompose, so it loads no slots either
     loaded = _command_loads("verify", "t-invariance", "--lambda", "0.25", "--boxes", "20000",
                             "--seed", "1")
-    assert "boxball.stats" in loaded and "boxball.measures" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "boxball"} == {
+        "boxball", "boxball.cli", "boxball.errors", "boxball.core", "boxball.line", "boxball.stats"}
 
 
 def test_verify_shift_loads_neither_measures_nor_line():

@@ -33,7 +33,7 @@ from boxball import (
     shift_weights,
     weights_from_fill,
 )
-from boxball.measures import _MAX_LEVELS, SolitonWeights
+from boxball.measures import _MAX_LEVELS, _TAIL_TOL, SolitonWeights
 
 import oracles
 
@@ -43,6 +43,7 @@ Q3_BERNOULLI_QUARTER = 27 / 1600
 Z_TWO_PARAM = 40 / 27  # (1 - 0.2) / ((1 - 0.2)^2 - 0.1)
 
 MARKOV_Q = [[0.8, 0.2], [0.6, 0.4]]
+NEAR_CRITICAL_Q = ((0.55, 0.45), (0.46, 0.54))
 
 
 def random_fill(rng, max_levels=6, high=0.6) -> SlotFill:
@@ -138,6 +139,27 @@ def test_truncation_level_is_bounded():
     for levels in (-1, _MAX_LEVELS + 1):
         with pytest.raises(PreconditionError):
             fill_from_weights(weights, levels)
+
+
+def _chain_slot_parameter(q_matrix, k: int) -> float:
+    """q_k of a two-state chain in closed form: c r^k / (1 - rho r^k)^2."""
+    (q00, q01), (q10, q11) = q_matrix
+    r, rho = q11 / q00, q01 / q10
+    c = q01 * (q10 - q01) ** 2 / (q00 * q10 * q11)
+    return c * r**k / (1 - rho * r**k) ** 2
+
+
+@pytest.mark.parametrize("q_matrix", [((0.51, 0.49), (0.51, 0.49)), NEAR_CRITICAL_Q])
+def test_near_critical_fill_follows_the_closed_form_to_its_truncation(q_matrix):
+    # alpha_k = coef * ratio**k leaves the normal float range at level 511
+    # (lambda = 0.49) or 584 (the chain), and reaches 0 at 538 or 614, while
+    # q_k is still far above the truncation rule's bound
+    fill = fill_from_weights(markov_weights(q_matrix))
+    for k in range(1, fill.levels + 1):
+        assert fill.at(k) == pytest.approx(_chain_slot_parameter(q_matrix, k), rel=1e-10), k
+    dropped = math.fsum(_chain_slot_parameter(q_matrix, k)
+                        for k in range(fill.levels + 1, 20 * fill.levels))
+    assert dropped < _TAIL_TOL
 
 
 # ---------------------------------------------------------------------------
