@@ -44,7 +44,6 @@ _EXPORTS = {
         "sample_anti_palm",
     ),
     "measures": (
-        "GeometricTail",
         "SeriesResult",
         "SlotFill",
         "SolitonWeights",

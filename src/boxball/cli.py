@@ -534,9 +534,13 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
 
 
 def _palm_excursions(palm, total, rng) -> list[Excursion]:
-    """``total`` i.i.d. excursions that the Palm sampler ``palm`` draws from ``rng``."""
+    """``total`` i.i.d. excursions that the Palm sampler ``palm`` draws from
+    ``rng``, refused past ``BOX_BUDGET``: each lays out at least its record box."""
+    from .core import _check_budget
+
     if total < 1:
         raise PreconditionError("--excursions must be >= 1")
+    _check_budget(total, "--excursions would lay out")
     return palm(total, rng)
 
 

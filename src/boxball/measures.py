@@ -19,9 +19,10 @@ are read only by :func:`fill_from_weights`, where a truncation ``levels``
 acts, and by the weight-side oracles :func:`partition_series`,
 :func:`excursion_prob`, :func:`weights_from_fill` and :func:`shift_weights`.
 
-Probabilities are accumulated in log space; the parameter transform runs on
-direct running products for precision, falling back to logs where they, or
-a geometric tail's weight, leave the normal float range.
+Probabilities are accumulated in log space.  The parameter transform of a
+chain is a closed form; that of an explicit head runs on direct running
+products for precision, falling back to logs where they leave the normal
+float range.
 The samplers draw from one ``random.Random``; the diagram sampler inverts
 each of its ``random()`` draws through a closed-form law.  The families take
 their parameters as values; the CLI reads them from flags and parameter files.
@@ -30,7 +31,6 @@ their parameters as values; the CLI reads them from flags and parameter files.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect
 from collections.abc import Sequence
 from itertools import accumulate
@@ -65,24 +65,6 @@ _MAX_LEVELS = 5000
 # parameter families
 # ---------------------------------------------------------------------------
 
-class GeometricTail(_Value):
-    """Analytic continuation ``alpha_k = coef * ratio**k`` past the explicit head.
-
-    ``fill_ratio``, a strict upper bound on the slot-parameter ratios q_{k+1} / q_k
-    in closed form, sets where :func:`fill_from_weights` truncates the tail.
-    """
-
-    __slots__ = ("coef", "ratio", "fill_ratio")
-
-    def __init__(self, coef: float, ratio: float, fill_ratio: float):
-        _set(self, "coef", coef)
-        _set(self, "ratio", ratio)
-        _set(self, "fill_ratio", fill_ratio)
-
-    def alpha(self, k: int) -> float:
-        return self.coef * self.ratio**k
-
-
 def _strip_zeros(values: tuple[float, ...]) -> tuple[float, ...]:
     """``values`` without its trailing zeros."""
     end = len(values)
@@ -92,24 +74,30 @@ def _strip_zeros(values: tuple[float, ...]) -> tuple[float, ...]:
 
 
 class SolitonWeights(_Value):
-    """Per-size weights alpha_k in [0, 1): an explicit head plus optional tail."""
+    """Per-size weights alpha_k in [0, 1): an explicit head, zero past it, or
+    the weights ``alpha_k = a b^k`` of a checked two-state ``chain``."""
 
-    __slots__ = ("head", "tail")
+    __slots__ = ("head", "chain")
 
-    def __init__(self, head: tuple[float, ...] = (), tail: GeometricTail | None = None):
+    def __init__(self, head: tuple[float, ...] = (), chain: tuple | None = None):
         if any(not 0 <= a < 1 for a in head):
             raise ValidationError("weights must lie in [0, 1)")
-        _set(self, "head", _strip_zeros(head) if tail is None else head)
-        _set(self, "tail", tail)
+        _set(self, "head", _strip_zeros(head))
+        _set(self, "chain", chain)
 
     def alpha(self, k: int) -> float:
         if k < 1:
             raise PreconditionError("sizes are k >= 1")
-        if k <= len(self.head):
-            return self.head[k - 1]
-        if self.tail is None:
-            return 0.0
-        return self.tail.alpha(k)
+        if self.chain is not None:
+            a, b = _chain_weight(self.chain)
+            return a * b**k
+        return self.head[k - 1] if k <= len(self.head) else 0.0
+
+
+def _chain_weight(chain) -> tuple[float, float]:
+    """``(a, b)`` of the chain's weights ``alpha_k = a b^k`` (:func:`markov_weights`)."""
+    (q00, q01), (q10, q11) = chain
+    return q01 * q10 / (q11 * q00), q11 * q00
 
 
 def explicit_weights(values: Sequence[float]) -> SolitonWeights:
@@ -128,18 +116,15 @@ def markov_weights(q_matrix: Sequence[Sequence[float]]) -> SolitonWeights:
 
     For transition matrix Q with Q(0,1) < Q(1,0) (ball density below 1/2):
     ``alpha_k = a b^k`` with ``a = Q(0,1)Q(1,0) / (Q(1,1)Q(0,0))`` and
-    ``b = Q(1,1)Q(0,0)``; the partition function is 1 / Q(0,0).
+    ``b = Q(1,1)Q(0,0)``; the partition function is 1 / Q(0,0).  The weights
+    hold the checked chain, or, when Q(1,1) = 0, their one nonzero weight.
     """
-    (q00, q01), (q10, q11) = _transition_matrix(q_matrix)
+    chain = tuple(map(tuple, _transition_matrix(q_matrix)))
+    (_, q01), (q10, q11) = chain
     if q11 == 0.0:
         # no two consecutive balls: only 1-solitons, alpha_1 = lim a b
         return SolitonWeights((q01 * q10,))
-    a = q01 * q10 / (q11 * q00)
-    b = q11 * q00
-    return SolitonWeights(
-        (),
-        GeometricTail(coef=a, ratio=b, fill_ratio=q11 / q00),
-    )
+    return SolitonWeights(chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -170,36 +155,50 @@ class SlotFill(_Value):
 
 
 def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> SlotFill:
-    """Slot parameters of the weight family: q_1 = alpha_1 and
-    ``q_k = alpha_k / prod_{j<k} (1 - q_j)^(2(k-j))``.
+    """Slot parameters of the weight family, ``levels`` of them: q_1 = alpha_1
+    and ``q_k = alpha_k / prod_{j<k} (1 - q_j)^(2(k-j))``.
 
-    With an analytic tail the truncation level is chosen so the dropped mass
-    ``sum_{k > K} q_k`` is provably below ``_TAIL_TOL``; raises when some q_k >= 1
-    (diverging partition function, weights outside the admissible set at this
-    truncation).
+    An explicit head runs this recursion, by default over its own length, and
+    raises once some q_k >= 1 (weights outside the admissible set).  A chain
+    takes the closed form ``q_k = q_1 r^(k-1) ((1 - rho r) / (1 - rho r^k))^2``
+    with ``r = Q(1,1) / Q(0,0)`` and ``rho = Q(0,1) / Q(1,0)``.  Proof sketch,
+    by induction on k: q_k is the first weight after k - 1 level shifts
+    (:func:`shift_weights`), which map ``alpha_k = A B^k`` to
+    ``(AB) (B / (1 - AB)^2)^k``, so ``q_{k+1} = q_k b / prod_{j<=k} (1 - q_j)^2``;
+    the closed form has ``1 - q_k = (1 - rho r^(k-1)) (1 - rho r^(k+1)) /
+    (1 - rho r^k)^2``, whose product telescopes to ``Q(0,0) (1 - rho r^(k+1)) /
+    (1 - rho r^k)``, and ``b = Q(0,0)^2 r``.
+
+    By default a chain's fill stops at the first K with ``q_K / (1 - r) <
+    _TAIL_TOL``: ``1 - rho r^l`` grows with l, so ``q_{l+1} < r q_l`` and the
+    dropped mass ``sum_{l>K} q_l`` is below ``r _TAIL_TOL``.
     """
     if levels is not None and not 0 <= levels <= _MAX_LEVELS:
         raise PreconditionError(f"levels must lie in [0, {_MAX_LEVELS}]")
-    if levels is None and weights.tail is None:
-        levels = len(weights.head)
+    if weights.chain is not None:
+        (q00, q01), (q10, q11) = weights.chain
+        a, b = _chain_weight(weights.chain)
+        r, rho = q11 / q00, q01 / q10
+        if not r < 1:  # rows that sum to 1 only up to rounding can have Q(1,1) >= Q(0,0)
+            raise DivergenceError("slot parameters do not decay: need Q(1,1) < Q(0,0)")
+
+        def q(k: int) -> float:
+            return a * b * r ** (k - 1) * ((1 - rho * r) / (1 - rho * r**k)) ** 2
+
+        if levels is None:
+            stops = (k for k in range(1, _MAX_LEVELS + 1) if q(k) / (1 - r) < _TAIL_TOL)
+            levels = next(stops, None)
+            if levels is None:
+                raise DivergenceError("slot parameters do not decay; truncation failed")
+        return SlotFill(tuple(map(q, range(1, levels + 1))))
     out = []
     prod = 1.0  # prod_{j<=k} (1 - q_j)
     denom = 1.0  # prod_{j<k} (1 - q_j)^(2(k-j)) for the current k
     log_prod = 0.0  # log-space shadows, used when the products underflow
     log_denom = 0.0
-    k = 0
-    while True:
-        k += 1
-        if levels is not None and k > levels:
-            break
-        if levels is None and k > _MAX_LEVELS:
-            raise DivergenceError("slot parameters do not decay; truncation failed")
+    for k in range(1, (len(weights.head) if levels is None else levels) + 1):
         a = weights.alpha(k)
-        tail = weights.tail if k > len(weights.head) else None
-        if tail is not None and a < sys.float_info.min and tail.coef > 0.0 < tail.ratio:
-            # coef * ratio**k is subnormal, short of digits, or 0: take it in logs
-            qk = math.exp(math.log(tail.coef) + k * math.log(tail.ratio) - log_denom)
-        elif a == 0.0:
+        if a == 0.0:
             qk = 0.0
         else:
             qk = a / denom if denom > 0.0 else math.exp(math.log(a) - log_denom)
@@ -213,10 +212,6 @@ def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> Slo
         denom *= prod * prod
         log_prod += math.log1p(-qk)
         log_denom += 2 * log_prod
-        if levels is None and weights.tail is not None:
-            r = weights.tail.fill_ratio
-            if qk == 0.0 or (r < 1 and qk * r / (1 - r) < _TAIL_TOL):
-                break
     return SlotFill(tuple(out))
 
 
@@ -344,41 +339,39 @@ def _narayana_term(n: int, a: float, b: float) -> float:
 def partition_series(weights: SolitonWeights, n_max: int) -> SeriesResult:
     """Desk-scale series oracle for Z, summing half-lengths up to ``n_max``.
 
-    Uses the Catalan series for pure-geometric weights, the Narayana series
-    for two-parameter geometric weights, and the profile-grouped sum for
+    Uses the Catalan series for a chain with a = 1 (rows alike, Bernoulli),
+    the Narayana series for other chains, and the profile-grouped sum for
     explicit finite vectors.  The tail bound is strict in every case.  Path
     counts beyond float range are weighed in logs, so the partial sums of a
     convergent series stay finite at any ``n_max``.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
-    tail = weights.tail
-    if tail is not None and tail.coef == 1.0:
-        # weight of an excursion of half-length n is ratio^n: Catalan series
-        beta = tail.ratio
-        value = sum(_catalan_term(n, beta) for n in range(n_max + 1))
+    if weights.chain is None:
+        alpha = weights.head
+        value = _profile_sums(alpha, n_max)
+        beta = max((a ** (1.0 / k) for k, a in enumerate(alpha, start=1)), default=0.0)
         return SeriesResult(value, _catalan_tail(n_max, beta))
-    if tail is not None:
-        # weight is coef^(#solitons) * ratio^n; solitons of an excursion are
-        # its peaks, counted by the Narayana triangle
-        a, b = tail.coef, tail.ratio
-        value = 1.0
-        for n in range(1, n_max + 1):
-            value += _narayana_term(n, a, b)
-        rho = b * (1 + math.sqrt(a)) ** 2
-        if rho >= 1:
-            bound = math.inf
-        else:
-            bound = (
-                math.sqrt(a)
-                * rho ** (n_max + 1)
-                / ((n_max + 1) * (1 - rho))
-            )
-        return SeriesResult(value, bound)
-    alpha = weights.head
-    value = _profile_sums(alpha, n_max)
-    beta = max((a ** (1.0 / k) for k, a in enumerate(alpha, start=1)), default=0.0)
-    return SeriesResult(value, _catalan_tail(n_max, beta))
+    a, b = _chain_weight(weights.chain)
+    if a == 1.0:
+        # weight of an excursion of half-length n is b^n: Catalan series
+        value = sum(_catalan_term(n, b) for n in range(n_max + 1))
+        return SeriesResult(value, _catalan_tail(n_max, b))
+    # weight is a^(#solitons) * b^n; solitons of an excursion are
+    # its peaks, counted by the Narayana triangle
+    value = 1.0
+    for n in range(1, n_max + 1):
+        value += _narayana_term(n, a, b)
+    rho = b * (1 + math.sqrt(a)) ** 2
+    if rho >= 1:
+        bound = math.inf
+    else:
+        bound = (
+            math.sqrt(a)
+            * rho ** (n_max + 1)
+            / ((n_max + 1) * (1 - rho))
+        )
+    return SeriesResult(value, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,31 @@ def test_anti_palm_windows_past_the_box_budget_exit_4_before_drawing(runner, mon
             f"error: an anti-Palm window would lay out more than {BOX_BUDGET} boxes\n")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample", "--lambda", "0.25"],
+        ["sample", "--measure", "explicit", "--alpha", "0.2,0.1"],
+        ["verify", "independence", "--lambda", "0.25"],
+    ],
+    ids=["sample-walk", "sample-diagrams", "independence"],
+)
+def test_palm_samples_past_the_box_budget_exit_4_before_drawing(runner, monkeypatch, command):
+    import boxball.line
+    import boxball.measures
+
+    def draw(*args):
+        raise AssertionError("a Palm sample was drawn")
+
+    monkeypatch.setattr(boxball.line, "markov_excursions", draw)
+    monkeypatch.setattr(boxball.measures, "sample_excursions", draw)
+    # each excursion lays out at least its record box
+    for total in (BOX_BUDGET + 1, 10**9):
+        result = runner.invoke(main, [*command, "--excursions", str(total), "--seed", "1"])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: --excursions would lay out more than {BOX_BUDGET} boxes\n"
+
+
 def test_anti_palm_window_of_diverging_weights_exits_4(runner):
     result = runner.invoke(main, ["sample", "--anti-palm", "--measure", "explicit",
                                   "--alpha", "0.5,0.5", "--seed", "1"])

@@ -23,7 +23,7 @@ from boxball import (
     soliton_decompose,
 )
 from boxball.core import BOX_BUDGET, GAP_BUDGET, AnchoredConfig, Soliton, _cut, assemble, map_distinct
-from boxball.measures import GeometricTail, SeriesResult, SlotFill, SolitonWeights
+from boxball.measures import SeriesResult, SlotFill, SolitonWeights
 from boxball.slots import ComponentArray, SlotDiagram, _trusted_diagram
 from boxball.stats import GofReport, ShiftReport
 
@@ -413,7 +413,6 @@ def _values():
     """One value of every value type, with its fields in declaration order."""
     anchored = assemble([Excursion.from_string("10")])
     assert type(anchored) is AnchoredConfig
-    tail = GeometricTail(coef=0.5, ratio=0.25, fill_ratio=0.5)
     return [
         (BallConfig(3, b"\x01\x00\x01"), ("origin", "bits")),
         (Excursion.from_string("1100"), ("bits",)),
@@ -421,8 +420,8 @@ def _values():
         (Soliton(1, (1,), (2,)), ("k", "head", "tail")),
         (SlotDiagram(((1,),)), ("rows",)),
         (ComponentArray(((1, 0, (1, 2)),)), ("rows",)),
-        (tail, ("coef", "ratio", "fill_ratio")),
-        (SolitonWeights((0.2, 0.1), tail), ("head", "tail")),
+        (SolitonWeights((0.2, 0.1)), ("head", "chain")),
+        (SolitonWeights(chain=((0.8, 0.2), (0.6, 0.4))), ("head", "chain")),
         (SlotFill((0.3,)), ("q",)),
         (SeriesResult(1.5, 1e-9), ("value", "tail_bound")),
         (GofReport(1.0, 2, 0.5, (("0", 1.0, 1.5),), max_dev_se=0.5),
@@ -433,7 +432,7 @@ def _values():
 
 def test_value_types_are_immutable_slotted_values():
     values = _values()
-    assert len({type(v) for v, _ in values}) == 12
+    assert len({type(v) for v, _ in values}) == 11
     for value, names in values:
         cls = type(value)
         fields = tuple(getattr(value, name) for name in names)

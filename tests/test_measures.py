@@ -6,7 +6,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from boxball import (
     DivergenceError,
@@ -105,6 +105,11 @@ def test_divergent_weights_detected():
     with pytest.raises(DivergenceError):
         fill_from_weights(explicit_weights([0.2, 0.8]))
     assert fill_from_weights(explicit_weights([0.2, 0.63])).levels == 2
+    # rows sum to 1 only up to rounding, so a chain can pass with Q(1,1) = Q(0,0)
+    weights = markov_weights([[0.5, 0.4999999999999], [0.5000000000001, 0.5]])
+    for levels in (None, 3):
+        with pytest.raises(DivergenceError, match="need Q"):
+            fill_from_weights(weights, levels)
 
 
 @given(st.lists(st.fractions(0, 1, max_denominator=40).filter(lambda a: a < 1), min_size=1,
@@ -149,17 +154,41 @@ def _chain_slot_parameter(q_matrix, k: int) -> float:
     return c * r**k / (1 - rho * r**k) ** 2
 
 
-@pytest.mark.parametrize("q_matrix", [((0.51, 0.49), (0.51, 0.49)), NEAR_CRITICAL_Q])
+@pytest.mark.parametrize("q_matrix", [
+    ((0.75, 0.25), (0.75, 0.25)), ((0.55, 0.45), (0.55, 0.45)), MARKOV_Q,
+    ((0.51, 0.49), (0.51, 0.49)), NEAR_CRITICAL_Q])
 def test_near_critical_fill_follows_the_closed_form_to_its_truncation(q_matrix):
-    # alpha_k = coef * ratio**k leaves the normal float range at level 511
-    # (lambda = 0.49) or 584 (the chain), and reaches 0 at 538 or 614, while
-    # q_k is still far above the truncation rule's bound
+    # near criticality alpha_k = a b^k leaves the normal float range at level
+    # 511 (lambda = 0.49) or 584 (the chain) while q_k is still far above the
+    # truncation rule's bound; away from it the fill stops after a few levels
     fill = fill_from_weights(markov_weights(q_matrix))
     for k in range(1, fill.levels + 1):
         assert fill.at(k) == pytest.approx(_chain_slot_parameter(q_matrix, k), rel=1e-10), k
     dropped = math.fsum(_chain_slot_parameter(q_matrix, k)
                         for k in range(fill.levels + 1, 20 * fill.levels))
     assert dropped < _TAIL_TOL
+
+
+@given(st.fractions(0, 1, max_denominator=40), st.fractions(0, 1, max_denominator=40))
+@example(Fraction(0), Fraction(1, 2))
+def test_chain_fill_matches_the_exact_rational_transform(q01, q10):
+    # the closed form against the recursion on alpha_k = a b^k in rationals
+    assume(q01 < q10 < 1)
+    q00, q11 = 1 - q01, 1 - q10
+    weights = markov_weights([[float(q00), float(q01)], [float(q10), float(q11)]])
+    a, b = q01 * q10 / (q11 * q00), q11 * q00
+    exact = oracles.exact_fill([a * b**k for k in range(1, 26)])
+    fill = fill_from_weights(weights, 25)
+    assert fill.at(1) == weights.alpha(1)
+    for k, q in enumerate(exact, 1):
+        assert abs(Fraction(fill.at(k)) - q) <= q * Fraction(1, 10**12), (k, q01, q10)
+    # the truncated fill is a prefix whose next q_k, over 1 - r, is below the tolerance
+    truncated = fill_from_weights(weights)
+    assert truncated.q[:25] == fill.q[: truncated.levels]
+    if truncated.levels < 25:
+        assert exact[truncated.levels] / (1 - q11 / q00) < Fraction(_TAIL_TOL)
+    if q01 == 0:
+        assert truncated.q == ()
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +546,8 @@ def test_bernoulli_weights_values():
 
 def test_markov_weights_values():
     weights = markov_weights(MARKOV_Q)
-    assert weights.tail.coef == pytest.approx(0.375)
-    assert weights.tail.ratio == pytest.approx(0.32)
+    assert weights.chain == ((0.8, 0.2), (0.6, 0.4))
+    assert weights.alpha(3) == pytest.approx(0.375 * 0.32**3)
     assert partition_function(fill_from_weights(weights)) == pytest.approx(1.25, rel=1e-12)
     with pytest.raises(PreconditionError):
         markov_weights([[0.4, 0.6], [0.5, 0.5]])
@@ -537,7 +566,8 @@ def test_markov_reduces_to_bernoulli_when_rows_match():
 
 def test_markov_without_double_balls():
     weights = markov_weights([[0.8, 0.2], [1.0, 0.0]])
-    assert weights.head == (0.2 * 1.0,)
+    assert weights.head == (0.2 * 1.0,) and weights.chain is None
     assert weights.alpha(2) == 0.0
+    assert fill_from_weights(weights).q == (0.2,)
     assert partition_function(fill_from_weights(weights)) == pytest.approx(1 / 0.8, rel=1e-12)
 
