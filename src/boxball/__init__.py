@@ -40,6 +40,7 @@ _EXPORTS = {
     ),
     "line": (
         "bernoulli_excursions",
+        "chain_window",
         "markov_excursions",
         "sample_anti_palm",
     ),

@@ -19,16 +19,21 @@ runs when it runs, so a process compiles only those.
   other ``verify`` commands), ``sample``, ``verify t-invariance`` and the
   checks that walk a chain load ``line``, the chi-square checks ``stats``,
   and ``verify geometric`` and ``independence`` also ``slots``;
-- ``measures`` and ``slots`` load where the slot fill is read (``params``,
-  ``verify geometric`` and ``verify partition``) and for the explicit
-  family, whose Palm sampler draws diagrams; each of these commands builds
-  the fill once.  A ``sample`` of the bernoulli or markov family, Palm or
+- ``measures`` and ``slots`` load where the slot fill is read (``params``
+  and ``verify partition``) and for the explicit family, whose Palm sampler
+  draws diagrams and whose q_k ``verify geometric`` reads from the fill;
+  each of these commands builds the fill once.  A chain's q_k is its closed
+  form in ``core``, so ``verify geometric`` of a chain loads no
+  ``measures``, and a ``sample`` of the bernoulli or markov family, Palm or
   ``--anti-palm``, walks the chain and loads only ``core`` and ``line``.
-- ``sample --anti-palm`` and ``verify t-invariance`` draw their window with
-  ``line.sample_anti_palm`` from the family's Palm sampler, after refusing
-  a window of more than ``core.BOX_BUDGET`` boxes; ``verify t-invariance``
-  refuses its steps and block length before it draws, and hands the window
-  to ``stats``, which draws nothing.
+- ``sample --anti-palm`` and ``verify t-invariance`` draw the family's
+  stationary window after refusing one of more than ``core.BOX_BUDGET``
+  boxes: for the bernoulli and markov families ``line.chain_window``, exact
+  and uncapped, which walks the carrier chain; for explicit weights
+  ``line.sample_anti_palm``, which draws its origin block by capped
+  rejection from the diagram sampler.  ``verify t-invariance`` refuses its
+  steps and block length before it draws, and hands the window to
+  ``stats``, which draws nothing.
 
 No layer imports ``json``: the layers take and give parsed documents, and
 this module parses (``_json``) and writes every JSON text, importing ``json``
@@ -172,6 +177,21 @@ def _walk(chain, size: int, rng) -> list[Excursion]:
     return markov_excursions(chain, size, rng)
 
 
+def _chain_window(chain, n_boxes: int, rng) -> BallConfig:
+    """``line.chain_window``, loaded when a command draws it."""
+    from .line import chain_window
+
+    return chain_window(chain, n_boxes, rng)
+
+
+def _anti_palm(palm: Palm, n_boxes: int, rng) -> BallConfig:
+    """``line.sample_anti_palm`` from the Palm sampler ``palm``, loaded when a
+    command draws it."""
+    from .line import sample_anti_palm
+
+    return sample_anti_palm(palm, n_boxes, rng)
+
+
 def _chain_weights(chain) -> SolitonWeights:
     """``measures.markov_weights``: ``measures`` loads only when a command
     reads the soliton weights of a chain."""
@@ -180,25 +200,18 @@ def _chain_weights(chain) -> SolitonWeights:
     return markov_weights(chain)
 
 
-def _fill_of(weights: Callable[[], SolitonWeights]) -> Callable[[], SlotFill]:
-    """The slot fill of ``weights()``, built on the first call and kept."""
-    @cache
-    def fill() -> SlotFill:
-        from .measures import fill_from_weights
-
-        return fill_from_weights(weights())
-
-    return fill
-
-
 def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[
-        Callable[[], SolitonWeights], Callable[[], SlotFill], Palm]:
-    """The measure's soliton weights and its slot fill, each as a function of
-    no argument, and its Palm sampler ``(size, rng) -> excursions``: the walk
-    of the chain for the bernoulli and markov families, the diagram sampler
-    of the fill for explicit weights.  Both the Palm samples and the
-    anti-Palm window draw from the Palm sampler.  A command builds the fill
-    once, on its first call, so a chain's walks never build it.
+        Callable[[], SolitonWeights], Callable[[int], float], Palm, Window]:
+    """The measure's soliton weights, as a function of no argument; its slot
+    parameter ``k -> q_k``; its Palm sampler ``(size, rng) -> excursions``;
+    and its stationary window ``(n_boxes, rng) -> BallConfig``.  For the
+    bernoulli and markov families q_k is the chain's closed form
+    (``core._slot_parameters``), the Palm sampler walks the chain and the
+    window is ``line.chain_window``, exact and with no cap; none of them
+    builds the slot fill.  For explicit weights q_k reads the fill, the Palm
+    sampler draws diagrams of it, and the window is ``line.sample_anti_palm``
+    over that Palm sampler; the fill is built once, on the first call that
+    reads it.
 
     The parameter is checked here, before anything is drawn: a parameter
     flag the run would not read, of another family than ``measure`` or
@@ -238,19 +251,20 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[
         if not typed(parameter):
             raise ValidationError(f"bad {family} parameter: {_FAMILIES[family][1]} must be {kind}")
         if family == "explicit":
-            from .measures import explicit_weights, sample_excursions
+            from .measures import explicit_weights, fill_from_weights, sample_excursions
 
             weights = explicit_weights(parameter)
-            fill = _fill_of(lambda: weights)
-            return lambda: weights, fill, lambda size, rng: sample_excursions(fill(), size, rng)
-        from .core import _bernoulli_chain, _transition_matrix
+            fill = cache(partial(fill_from_weights, weights))
+            palm = lambda size, rng: sample_excursions(fill(), size, rng)
+            return lambda: weights, lambda k: fill().at(k), palm, partial(_anti_palm, palm)
+        from .core import _bernoulli_chain, _slot_parameters, _transition_matrix
 
         chain = _transition_matrix(
             _bernoulli_chain(float(parameter)) if family == "bernoulli" else parameter)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {family} parameter: {exc}") from exc
-    weights = cache(partial(_chain_weights, chain))
-    return weights, _fill_of(weights), partial(_walk, chain)
+    return (cache(partial(_chain_weights, chain)), lambda k: _slot_parameters(chain)(k),
+            partial(_walk, chain), partial(_chain_window, chain))
 
 
 def _opt(*flags: str, **kwargs) -> tuple:
@@ -551,11 +565,10 @@ def _palm_excursions(palm, total, rng) -> list[Excursion]:
 def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, rng, fmt, out):
     """Draw a random configuration; prints the ball string and its records."""
     from .core import assemble, record_positions
-    from .line import sample_anti_palm
 
-    palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)[2]
+    _, _, palm, window = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
-        cfg = sample_anti_palm(palm, 1000 if boxes is None else boxes, rng)
+        cfg = window(1000 if boxes is None else boxes, rng)
         anchored = None
     else:
         excs = _palm_excursions(palm, num, rng)
@@ -594,8 +607,8 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, rng, signifi
     from .slots import palm_components
     from .stats import geometric_gof
 
-    _, fill, palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-    q_k = fill().at(k)
+    _, slot, palm, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    q_k = slot(k)
     components = palm_components(_palm_excursions(palm, num, rng))
     report = geometric_gof(components, k, 1 - q_k)
     _verify_exit(
@@ -631,12 +644,11 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, rng, signifi
                       _opt("--max-se", type=float, default=4.0), _SEED, _OUT)
 def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, block_len, max_se, rng, out):
     """Block frequencies before and after evolution on a stationary window."""
-    from .line import sample_anti_palm
     from .stats import _check_t_invariance, t_invariance_test
 
-    palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)[2]
+    window = _weights_from_flags(measure, lam, q_matrix, alpha, params)[3]
     _check_t_invariance(steps, block_len)
-    report = t_invariance_test(sample_anti_palm(palm, boxes, rng), steps, block_len, boxes)
+    report = t_invariance_test(window(boxes, rng), steps, block_len, boxes)
     _verify_exit(
         {"check": "t-invariance", "report": report.to_json_dict()},
         report.max_dev_se is not None and report.max_dev_se <= max_se,
@@ -699,11 +711,11 @@ def verify_bijections(n_max, out):
                       _opt("--tolerance", type=float, default=1e-6), _OUT)
 def verify_partition(measure, lam, q_matrix, alpha, params, n_max, tolerance, out):
     """Series partition sum against the closed-form product."""
-    from .measures import partition_function, partition_series
+    from .measures import fill_from_weights, partition_function, partition_series
 
-    weights, fill, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
-    series = partition_series(weights(), n_max)
-    closed = partition_function(fill())
+    weights = _weights_from_flags(measure, lam, q_matrix, alpha, params)[0]()
+    series = partition_series(weights, n_max)
+    closed = partition_function(fill_from_weights(weights))
     gap = abs(series.value - closed)
     _verify_exit(
         {

@@ -14,8 +14,12 @@ the start of that run.
 
 The two-state chains of the bernoulli and markov families are checked here
 (``_bernoulli_chain``, ``_transition_matrix``), beside ``_as_rng``, the
-random source of every sampler: the walk sampler in ``line`` draws from a
-chain without loading ``measures``, which computes its soliton weights.
+random source of every sampler, and beside the closed forms that need only
+the chain: its weight constants (``_chain_weight``), the ratio r of its
+carrier law (``_carrier_ratio``) and its slot parameters q_k
+(``_slot_parameters``).  So the samplers in ``line`` draw from a chain, and
+a check reads its q_k, without loading ``measures``, which builds slot
+fills.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, groupby, islice
 from operator import attrgetter, eq, gt
 
-from .errors import PreconditionError, ValidationError
+from .errors import DivergenceError, PreconditionError, ValidationError
 
 BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out
 GAP_BUDGET = 1 << 16  # the most boxes box 0 may lie from a window that is cut
@@ -561,6 +565,44 @@ def _transition_matrix(q_matrix: Sequence[Sequence[float]]) -> list[list[float]]
         raise PreconditionError("need Q(0,1) < Q(1,0) for density below 1/2")
     if not q[0][0]:
         raise PreconditionError("need Q(0,0) > 0 for a record to follow")
+    return q
+
+
+def _carrier_ratio(chain: Sequence[Sequence[float]]) -> float:
+    """``r = Q(1,1) / Q(0,0)`` of a checked chain: the ratio of its slot
+    parameters and of its carrier's stationary law, both geometric in the
+    load.  Rows that sum to 1 only up to rounding let Q(1,1) reach Q(0,0);
+    then neither decays, and the chain is refused."""
+    r = chain[1][1] / chain[0][0]
+    if not r < 1:
+        raise DivergenceError("slot parameters do not decay: need Q(1,1) < Q(0,0)")
+    return r
+
+
+def _chain_weight(chain: Sequence[Sequence[float]]) -> tuple[float, float]:
+    """``(a, b)`` of a chain's soliton weights ``alpha_k = a b^k``:
+    ``a = Q(0,1)Q(1,0) / (Q(1,1)Q(0,0))`` and ``b = Q(1,1)Q(0,0)``."""
+    (q00, q01), (q10, q11) = chain
+    return q01 * q10 / (q11 * q00), q11 * q00
+
+
+def _slot_parameters(chain: Sequence[Sequence[float]]) -> Callable[[int], float]:
+    """``k -> q_k``, the slot parameters of a checked chain's Palm measure in
+    closed form, 0 for k < 1: ``q_k = q_1 r^(k-1) ((1 - rho r) / (1 - rho
+    r^k))^2`` with ``q_1 = a b`` (:func:`_chain_weight`), ``r`` the
+    :func:`_carrier_ratio` and ``rho = Q(0,1) / Q(1,0)``
+    (``measures.fill_from_weights`` gives the proof).  With Q(1,1) = 0 no two
+    balls are adjacent: only 1-solitons exist, and q_1 = Q(0,1) Q(1,0)."""
+    (_, q01), (q10, q11) = chain
+    if q11 == 0.0:
+        q1 = q01 * q10
+        return lambda k: q1 if k == 1 else 0.0
+    r, rho = _carrier_ratio(chain), q01 / q10
+    a, b = _chain_weight(chain)
+
+    def q(k: int) -> float:
+        return a * b * r ** (k - 1) * ((1 - rho * r) / (1 - rho * r**k)) ** 2 if k >= 1 else 0.0
+
     return q
 
 

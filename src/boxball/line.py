@@ -7,27 +7,36 @@ concatenated at record 0 (``core.assemble``, also reachable here as
 so for Bernoulli, the chain with equal rows: it runs the chain right of a
 record one box per ``random()`` draw, in batches, and cuts the boxes with
 the one record cut, ``core._cut``, until it has the excursions it needs.
-The walk sampler takes its chain, checked, from ``core``.  The anti-Palm
-sampler tilts the block covering the origin by its length and places the
-origin uniformly inside it, producing a window of the translation-invariant
-measure.  It is one loop over whole batches of the family's Palm sampler,
-which it is given (the walk of a chain, or the diagram sampler of a slot
-fill): it proposes the origin block, then cuts the filler excursions where
-their cumulative block lengths cover the window, and lays the window out
-with ``core._lay_out``, the one excursion layout, building no records.  It
-reads no measure quantity.  So this module imports only ``core`` and
+
+A stationary (anti-Palm) window tilts the block covering the origin by its
+length and places the origin uniformly inside it.  Each family has one:
+
+- the bernoulli and markov families draw :func:`chain_window`, exact and
+  uncapped: the carrier load and the box form a Markov chain with an
+  explicit stationary law and a constant-rate time reversal, so it draws
+  the state at box 0, walks the reversal left to a record and the chain
+  right over the window, each box once;
+- explicit weights draw :func:`sample_anti_palm`, one loop over whole
+  batches of the family's Palm sampler, the diagram sampler of its slot
+  fill: it proposes the origin block by rejection under a cap, then cuts
+  the filler excursions where their cumulative block lengths cover the
+  window, and lays it out with ``core._lay_out``, building no records.
+
+Both read no measure quantity: the samplers take their chain, checked, and
+its carrier ratio from ``core``.  So this module imports only ``core`` and
 ``errors`` of the package.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from itertools import accumulate, repeat
 from random import Random
 
-from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _check_budget, _cut
-from .core import _lay_out, _transition_matrix, assemble
+from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _carrier_ratio
+from .core import _check_budget, _cut, _lay_out, _loads, _records, _transition_matrix, assemble
 from .errors import PreconditionError
 
 
@@ -92,6 +101,86 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
 
 
 # ---------------------------------------------------------------------------
+# stationary windows
+# ---------------------------------------------------------------------------
+
+def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> BallConfig:
+    """Stationary window of a two-state chain, drawn exactly: boxes ``0 ..
+    n_boxes - 1`` carry the chain's stationary law.
+
+    The carrier load L after a box and the box b form a Markov chain: the
+    next box is b' ~ Q(b, .), and L goes up by 1 after a ball and down to
+    max(L - 1, 0) after an empty box.  With r the ``core._carrier_ratio``
+    and ``C = 1 / (1 + Q(0,1) (1 + r) / (1 - r))`` its stationary law is
+    ``pi(0,0) = C``, ``pi(l,0) = C Q(0,1) r^l`` and ``pi(l,1) = C Q(0,1)
+    r^(l-1)`` for l >= 1, and its time reversal has constant rates.  Before
+    (1, 1) lies (0, 0); before (l, 1), l >= 2, an empty box with
+    probability Q(0,1) at load l - 1; before (l, 0), l >= 1, an empty box
+    with probability Q(1,1) at load l + 1; before (0, 0), with probability
+    Q(0,0), the state (0, 0), which makes the box a record, else (1, 0) with
+    probability Q(0,1) Q(1,1) and (1, 1) with Q(0,1) Q(1,0).
+
+    So (L, b) at box 0 is drawn from pi: one draw for the atom (0, 0), one
+    for b and a geometric one for l, none when r = 0, where l = 1.  The
+    reversal walks left from it to the first record, and :func:`_chain`
+    walks right over the window and on to the first record from box
+    ``n_boxes`` on.  The window spans whole excursions, from a record at or
+    left of box 0 to a record past ``n_boxes - 1``; no draw is rejected and
+    no block is clipped.  A window of more than ``BOX_BUDGET`` boxes is
+    refused before anything is drawn, and the walk as soon as the boxes it
+    has laid out, with those the carrier needs to empty and reach a record,
+    would pass it.
+    """
+    if n_boxes < 1:
+        raise PreconditionError("n_boxes must be >= 1")
+    _check_budget(n_boxes, "an anti-Palm window would lay out")
+    q = _transition_matrix(q_matrix)
+    (q00, q01), (_, q11) = q
+    r = _carrier_ratio(q)
+    uniform = _as_rng(rng).random
+    if uniform() < 1 / (1 + q01 * (1 + r) / (1 - r)):
+        load, box = 0, False
+    else:  # pi(l, 0) / pi(l, 1) = r, and l - 1 is Geometric(1 - r) either way
+        box = uniform() * (1 + r) >= r
+        load = 1 + int(math.log(1.0 - uniform()) / math.log(r)) if r else 1
+    # boxes 1 .. n_boxes - 1, the carrier's emptying and the closing record
+    right = max(n_boxes, load + 1)
+    left = bytearray()  # box 0, then the boxes left of it down to the record
+    level, b = load, box
+    while True:
+        left.append(b)
+        # the record lies at least ``level`` boxes further left
+        _check_budget(len(left) + level + right, "a drawn excursion would lay out")
+        if not level:  # (0, 0)
+            u = uniform()
+            if u < q00:
+                break
+            level, b = 1, u >= q00 + q01 * q11
+        elif b:
+            level -= 1
+            b = level > 0 and uniform() >= q01
+        else:
+            level += 1
+            b = uniform() >= q11
+    left.reverse()
+    up_from = (q01, q11)
+    boxes = _chain(uniform, n_boxes - 1, up_from, box)
+    pieces = [bytes(left), boxes]
+    size, load, last = len(left) + len(boxes), _loads(boxes, load)[-1], (boxes or left)[-1]
+    chunk = 16
+    while True:  # on to the first record from box n_boxes on, in doubling chunks
+        _check_budget(size + load + 1, "a drawn excursion would lay out")
+        boxes = _chain(uniform, min(chunk, BOX_BUDGET - size), up_from, last)
+        loads = _loads(boxes, load)
+        end = next(_records(loads), None)
+        if end is not None:
+            pieces.append(boxes[: end + 1])
+            return BallConfig(1 - len(left), b"".join(pieces))
+        pieces.append(boxes)
+        size, load, last, chunk = size + len(boxes), loads[-1], boxes[-1], 2 * chunk
+
+
+# ---------------------------------------------------------------------------
 # anti-Palm sampler
 # ---------------------------------------------------------------------------
 
@@ -103,11 +192,14 @@ def sample_anti_palm(
     report: dict | None = None,
 ) -> BallConfig:
     """Translation-invariant window: boxes ``0 .. n_boxes - 1`` carry the
-    stationary law of the measure whose Palm sampler is ``palm``.
+    stationary law of the measure whose Palm sampler is ``palm``, up to the
+    clipping of origin blocks longer than ``block_cap``.  Explicit weights
+    draw their window here; the bernoulli and markov families draw the
+    exact :func:`chain_window`.
 
     ``palm(size, rng)`` returns ``size`` i.i.d. excursions of the measure:
-    :func:`markov_excursions` of a chain, or ``measures.sample_excursions``
-    of a slot fill.  One loop draws them in batches, 16 first, then enough
+    ``measures.sample_excursions`` of a slot fill, or :func:`markov_excursions`
+    of a chain.  One loop draws them in batches, 16 first, then enough
     to cover the boxes still wanted (``block_cap``, then the rest of the
     window) at the mean block length so far.  The block covering the origin
     is drawn by rejection, accepted with probability its box count over

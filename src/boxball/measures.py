@@ -20,9 +20,9 @@ acts, and by the weight-side oracles :func:`partition_series`,
 :func:`excursion_prob`, :func:`weights_from_fill` and :func:`shift_weights`.
 
 Probabilities are accumulated in log space.  The parameter transform of a
-chain is a closed form; that of an explicit head runs on direct running
-products for precision, falling back to logs where they leave the normal
-float range.
+chain is a closed form, kept in ``core`` beside the chain; that of an
+explicit head runs on direct running products for precision, falling back
+to logs where they leave the normal float range.
 The samplers draw from one ``random.Random``; the diagram sampler inverts
 each of its ``random()`` draws through a closed-form law.  The families take
 their parameters as values; the CLI reads them from flags and parameter files.
@@ -39,8 +39,11 @@ from .core import (
     Excursion,
     _as_rng,
     _bernoulli_chain,
+    _carrier_ratio,
+    _chain_weight,
     _check_budget,
     _set,
+    _slot_parameters,
     _transition_matrix,
     _Value,
     catalan_number,
@@ -92,12 +95,6 @@ class SolitonWeights(_Value):
             a, b = _chain_weight(self.chain)
             return a * b**k
         return self.head[k - 1] if k <= len(self.head) else 0.0
-
-
-def _chain_weight(chain) -> tuple[float, float]:
-    """``(a, b)`` of the chain's weights ``alpha_k = a b^k`` (:func:`markov_weights`)."""
-    (q00, q01), (q10, q11) = chain
-    return q01 * q10 / (q11 * q00), q11 * q00
 
 
 def explicit_weights(values: Sequence[float]) -> SolitonWeights:
@@ -161,10 +158,12 @@ def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> Slo
     An explicit head runs this recursion, by default over its own length, and
     raises once some q_k >= 1 (weights outside the admissible set).  A chain
     takes the closed form ``q_k = q_1 r^(k-1) ((1 - rho r) / (1 - rho r^k))^2``
-    with ``r = Q(1,1) / Q(0,0)`` and ``rho = Q(0,1) / Q(1,0)``.  Proof sketch,
-    by induction on k: q_k is the first weight after k - 1 level shifts
-    (:func:`shift_weights`), which map ``alpha_k = A B^k`` to
-    ``(AB) (B / (1 - AB)^2)^k``, so ``q_{k+1} = q_k b / prod_{j<=k} (1 - q_j)^2``;
+    with ``r = Q(1,1) / Q(0,0)`` and ``rho = Q(0,1) / Q(1,0)``: the one
+    expression ``core._slot_parameters``, which a check of one level reads
+    without building the fill.  Proof sketch, by induction on k: q_k is the
+    first weight after k - 1 level shifts (:func:`shift_weights`), which map
+    ``alpha_k = A B^k`` to ``(AB) (B / (1 - AB)^2)^k``, so
+    ``q_{k+1} = q_k b / prod_{j<=k} (1 - q_j)^2``;
     the closed form has ``1 - q_k = (1 - rho r^(k-1)) (1 - rho r^(k+1)) /
     (1 - rho r^k)^2``, whose product telescopes to ``Q(0,0) (1 - rho r^(k+1)) /
     (1 - rho r^k)``, and ``b = Q(0,0)^2 r``.
@@ -176,15 +175,7 @@ def fill_from_weights(weights: SolitonWeights, levels: int | None = None) -> Slo
     if levels is not None and not 0 <= levels <= _MAX_LEVELS:
         raise PreconditionError(f"levels must lie in [0, {_MAX_LEVELS}]")
     if weights.chain is not None:
-        (q00, q01), (q10, q11) = weights.chain
-        a, b = _chain_weight(weights.chain)
-        r, rho = q11 / q00, q01 / q10
-        if not r < 1:  # rows that sum to 1 only up to rounding can have Q(1,1) >= Q(0,0)
-            raise DivergenceError("slot parameters do not decay: need Q(1,1) < Q(0,0)")
-
-        def q(k: int) -> float:
-            return a * b * r ** (k - 1) * ((1 - rho * r) / (1 - rho * r**k)) ** 2
-
+        q, r = _slot_parameters(weights.chain), _carrier_ratio(weights.chain)
         if levels is None:
             stops = (k for k in range(1, _MAX_LEVELS + 1) if q(k) / (1 - r) < _TAIL_TOL)
             levels = next(stops, None)

@@ -219,3 +219,34 @@ def naive_components(rows_of, i_lo):
                     out[(k, label)] = v
                 label += 1
     return out
+
+
+def chain_block_law(q, n_max):
+    """``[p_0, ..., p_n_max]``: p_n is the probability that a Palm block of
+    the two-state chain ``q`` (its record and the excursion after it) holds
+    n balls, in the number type of ``q``'s entries: ``Fraction`` entries give
+    exact values, for small ``n_max``, and floats serve beyond.
+
+    The boxes after a record form an excursion of half-length n when their
+    walk, up at a ball and down at an empty box, stays at or above 0 and is
+    back at 0 after 2n boxes, and the next box is empty, so a record.  A
+    dynamic program over (height, last box) carries the weight of every such
+    walk, box by box: a ball from height h - 1 and an empty box from height
+    h + 1, never from 0, which would make that box a record.  Heights from
+    which the walk cannot return by box ``2 n_max`` are dropped.
+    """
+    (q00, q01), (q10, q11) = q
+    zero = q00 - q00
+    empty, ball = [zero + 1], [zero]  # by height, after the record's empty box
+    out = [q00]
+    for t in range(1, 2 * n_max + 1):
+        top = min(t, 2 * n_max - t)
+        empty += (zero, zero)
+        ball += (zero, zero)
+        empty, ball = (
+            [e * q00 + b * q10 for e, b in zip(empty[1 : top + 2], ball[1 : top + 2])],
+            [zero, *(e * q01 + b * q11 for e, b in zip(empty[:top], ball[:top]))],
+        )
+        if t % 2 == 0:
+            out.append(empty[0] * q00)
+    return out

@@ -372,9 +372,11 @@ def test_anti_palm_windows_past_the_box_budget_exit_4_before_drawing(runner, mon
     import boxball.line
     import boxball.measures
 
-    # a draw, by walking or of diagrams, would fail with a TypeError
+    # a draw, by walking or of diagrams, would fail with a TypeError, and so
+    # would a window's first use of its random source
     monkeypatch.setattr(boxball.line, "markov_excursions", None)
     monkeypatch.setattr(boxball.measures, "sample_excursions", None)
+    monkeypatch.setattr(boxball.line, "_as_rng", None)
     for boxes in (BOX_BUDGET + 1, 10**12):
         result = runner.invoke(main, [*command, "--boxes", str(boxes), "--seed", "1"])
         assert result.exit_code == 4, result.output
@@ -442,6 +444,19 @@ def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args):
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"error: a drawn excursion would lay out more than {BOX_BUDGET} boxes\n"
+
+
+def test_verify_geometric_of_a_chain_reads_only_its_level(runner):
+    # q_1 at lambda = 0.499 is its closed form, while the whole slot fill
+    # would need more levels than the fill builds
+    result = runner.invoke(main, ["verify", "geometric", "--lambda", "0.499", "--excursions",
+                                  "2000", "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["passed"] is True
+    for command in (["params"], ["verify", "partition"]):
+        result = runner.invoke(main, [*command, "--lambda", "0.499"])
+        assert result.exit_code == 4, (command, result.output)
+        assert result.stderr == "error: slot parameters do not decay; truncation failed\n"
 
 
 def test_verify_geometric_at_a_level_with_q_zero_exits_4(runner):
@@ -522,7 +537,9 @@ def test_each_command_builds_the_slot_fill_once(runner, monkeypatch, family):
     flags = _FAMILY_FLAGS[family]
     for args, builds in (
         (["params", *flags], 1),
-        (["verify", "geometric", *flags, "--excursions", "4000", "--seed", "5"], 1),
+        # a chain's q_k is its closed form
+        (["verify", "geometric", *flags, "--excursions", "4000", "--seed", "5"],
+         1 if family == "explicit" else 0),
         # a chain's Palm sampler walks it, and so does its anti-Palm window;
         # the explicit one draws diagrams of the fill
         (["sample", "--anti-palm", *flags, "--boxes", "500", "--seed", "1"],

@@ -38,6 +38,14 @@ t-invariance`` evolves and tests); they were captured before the window came
 to be drawn in one loop over whole Palm batches and laid out without its
 records.
 
+``sample-anti-palm-markov``, ``sample-anti-palm-bernoulli`` and
+``t-invariance-markov`` were recaptured when the stationary window of a
+chain came to be drawn exactly from its carrier chain (``line.chain_window``:
+the load and box at box 0 from their stationary law, the time reversal
+walked left to a record, the chain walked right), and no longer by capped
+rejection from Palm batches; ``sample-anti-palm-explicit`` was not, since
+explicit weights keep that window.
+
 ``params-json-markov``, ``partition-bernoulli`` and ``partition-markov``
 were recaptured when a chain's slot parameters came to be computed from
 their closed form, and no longer by the recursion on its weights, with the
@@ -125,7 +133,7 @@ GOLDEN = {
     "sample-anti-palm-markov": (
         ["sample", "--anti-palm", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
          "--boxes", "3000", "--seed", "5"],
-        "c638d864266fb51cc8048103f0bae0daeb92624cf92f2b69b77588bb942114e9",
+        "6abe37f514111145424af570d6041191413c5803864cd5a460b446d44dcdcf8d",
     ),
     "sample-anti-palm-explicit": (
         ["sample", "--anti-palm", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",
@@ -134,12 +142,12 @@ GOLDEN = {
     ),
     "sample-anti-palm-bernoulli": (
         ["sample", "--anti-palm", "--lambda", "0.25", "--boxes", "3000", "--seed", "5"],
-        "6dd4531983b4fb6bb8a312a3e3ee5a526af1d4ca3ea347f4e4d597e2736849bd",
+        "d9a009b56470b8290bfaf06c0c052370185d308174316502df3887b4e4e68aed",
     ),
     "t-invariance-markov": (
         ["verify", "t-invariance", "--measure", "markov", "--Q", "[[0.8,0.2],[0.6,0.4]]",
          "--boxes", "20000", "--steps", "3", "--seed", "5"],
-        "b94529b6ed62b95f3b635e3ddc8c639035f958bb13ce574e880102b48071eb31",
+        "c41e35dd1a91f76181425499eb92b861e2a9d143637fad4d818771aa3f01f962",
     ),
     "evolve-json-trace": (
         ["evolve", "--format", "json", "--trace", "--steps", "3", LINE],

@@ -3,9 +3,10 @@ scipy nor numpy, nor dataclasses, inspect and typing, no layer loads json,
 the CLI does not load click, each command loads only the boxball modules it
 runs (a Palm or anti-Palm sample of a chain only ``core`` and ``line``,
 ``verify t-invariance`` of a chain only those and ``stats``, ``verify
-independence`` of a chain no ``measures``), the chi-square checks load
-neither ``line`` nor ``measures``, and every command runs with
-numpy, scipy or click absent, with the same output as when they are there.
+geometric`` of a chain those and ``slots``, ``verify independence`` of a
+chain no ``measures``), the chi-square checks load neither ``line`` nor
+``measures``, and every command runs with numpy, scipy or click absent,
+with the same output as when they are there.
 Every sampler draws from the standard library's ``random.Random``, and the
 CLI parses its arguments with ``argparse``; scipy, numpy and click (for
 ``CliRunner``) are test-only dependencies."""
@@ -142,6 +143,15 @@ def test_palm_walks_of_a_chain_load_no_measures():
         "boxball", "boxball.cli", "boxball.errors", "boxball.core", "boxball.line"}
     loaded = _command_loads("verify", "independence", *MARKOV, "--excursions", "2000", "--seed", "1")
     assert "boxball.stats" in loaded and "boxball.measures" not in loaded
+
+
+def test_geometric_check_of_a_chain_loads_no_measures():
+    # q_k of a chain is its closed form in core: no slot fill is built
+    for flags in (("--lambda", "0.25"), MARKOV):
+        loaded = _command_loads("verify", "geometric", *flags, "--excursions", "2000", "--seed", "1")
+        assert {m for m in loaded if m.split(".")[0] == "boxball"} == {
+            "boxball", "boxball.cli", "boxball.errors", "boxball.core", "boxball.line",
+            "boxball.slots", "boxball.stats"}, flags
 
 
 def test_anti_palm_windows_of_a_chain_load_no_measures():

@@ -2,7 +2,9 @@ import hashlib
 import math
 import random
 from collections import Counter
-from functools import partial
+from fractions import Fraction
+from functools import cache, partial
+from itertools import product, repeat
 
 import hypothesis.strategies as st
 import pytest
@@ -12,15 +14,19 @@ import oracles
 from boxball import (
     AnchoredConfig,
     BallConfig,
+    DivergenceError,
     Excursion,
     PreconditionError,
     ValidationError,
     assemble,
     bernoulli_excursions,
     bernoulli_weights,
+    catalan_number,
+    chain_window,
     concat_diagrams,
     decompose,
     diagram_from_excursion,
+    evolve,
     excursion_prob,
     explicit_weights,
     excursions_of,
@@ -34,6 +40,7 @@ from boxball import (
 )
 from boxball.core import BOX_BUDGET, _cut
 from boxball.line import _chain
+from boxball.stats import _chi_square
 
 MARKOV_Q = [[0.8, 0.2], [0.6, 0.4]]
 
@@ -327,30 +334,32 @@ def test_anti_palm_density_identities():
 
 
 def test_anti_palm_block_frequencies_match_product_measure():
-    # the stationary law of the bernoulli family is the product measure; the
-    # window draws diagrams of the slot fill, as the explicit family does
+    # the stationary law of the bernoulli family is the product measure: of
+    # the chain window, and of the capped window over diagrams of the slot
+    # fill, as the explicit family draws it
     lam = 0.3
     n_boxes = 120_000
     palm = partial(sample_excursions, fill_from_weights(bernoulli_weights(lam)))
-    cfg = sample_anti_palm(palm, n_boxes, random.Random(21))
-    window = [cfg.occupied(z) for z in range(n_boxes)]
-    blocks = Counter(
-        tuple(window[t : t + 3]) for t in range(0, n_boxes - 3, 3)
-    )
-    total = sum(blocks.values())
-    for pattern, count in blocks.items():
-        p = math.prod(lam if b else 1 - lam for b in pattern)
-        se = math.sqrt(p * (1 - p) / total)
-        assert abs(count / total - p) <= 5 * se, pattern
+    for cfg in (sample_anti_palm(palm, n_boxes, random.Random(21)),
+                chain_window([[1 - lam, lam], [1 - lam, lam]], n_boxes, random.Random(21))):
+        window = [cfg.occupied(z) for z in range(n_boxes)]
+        blocks = Counter(
+            tuple(window[t : t + 3]) for t in range(0, n_boxes - 3, 3)
+        )
+        total = sum(blocks.values())
+        for pattern, count in blocks.items():
+            p = math.prod(lam if b else 1 - lam for b in pattern)
+            se = math.sqrt(p * (1 - p) / total)
+            assert abs(count / total - p) <= 5 * se, pattern
 
 
 def test_anti_palm_block_frequencies_match_markov_chain():
     # the stationary law of the markov family is the stationary chain: a block
     # b_1 .. b_3 has probability pi(b_1) Q(b_1, b_2) Q(b_2, b_3), pi(1) = 1/4;
-    # the window walks the chain, and its blocks lie one box apart
+    # the window walks the carrier chain, and its blocks lie one box apart
     pi = (0.75, 0.25)
     n_boxes = 120_000
-    cfg = sample_anti_palm(partial(markov_excursions, MARKOV_Q), n_boxes, random.Random(23))
+    cfg = chain_window(MARKOV_Q, n_boxes, random.Random(23))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     blocks = Counter(tuple(window[t : t + 3]) for t in range(0, n_boxes - 3, 4))
     total = sum(blocks.values())
@@ -399,3 +408,163 @@ def test_mean_record_gap_markov():
     assert mean_record_gap(fill_from_weights(markov_weights(MARKOV_Q))) == pytest.approx(
         1 / (1 - 2 * p1), rel=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# chain windows, against the exact block law
+# ---------------------------------------------------------------------------
+
+def _bernoulli(lam):
+    return [[1 - lam, lam], [1 - lam, lam]]
+
+
+def test_chain_block_law_is_catalan_for_bernoulli():
+    lam = Fraction(1, 4)
+    assert oracles.chain_block_law(_bernoulli(lam), 12) == [
+        catalan_number(n) * lam**n * (1 - lam) ** (n + 1) for n in range(13)]
+
+
+@pytest.mark.parametrize("q", [MARKOV_Q, _bernoulli(0.45)], ids=["markov", "bernoulli-0.45"])
+def test_chain_block_law_sums_to_one(q):
+    assert abs(sum(oracles.chain_block_law(q, 3000)) - 1) < 1e-6
+
+
+def _kappa(q):
+    """Mean record gap of the chain: (Q(0,1) + Q(1,0)) / (Q(1,0) - Q(0,1))."""
+    return (q[0][1] + q[1][0]) / (q[1][0] - q[0][1])
+
+
+@cache
+def _origin_blocks(q, draws, seed):
+    """(length, offset of box 0) of the block covering box 0, in ``draws``
+    one-box chain windows: the window is that block and its closing record."""
+    rng = random.Random(seed)
+    windows = (chain_window(q, 1, rng) for _ in range(draws))
+    return [(len(cfg.bits) - 1, -cfg.origin) for cfg in windows]
+
+
+# each chain with the half-lengths its law is computed to; the walk from
+# Q(1,1) = 0 alternates balls and empty boxes
+ORIGIN_CHAINS = [
+    pytest.param(((0.75, 0.25), (0.75, 0.25)), 60, id="bernoulli-0.25"),
+    pytest.param(((0.55, 0.45), (0.55, 0.45)), 800, id="bernoulli-0.45"),
+    pytest.param(tuple(map(tuple, MARKOV_Q)), 60, id="markov"),
+    pytest.param(((0.7, 0.3), (1.0, 0.0)), 60, id="markov-q11-zero"),
+]
+
+
+@pytest.mark.parametrize("q, n_max", ORIGIN_CHAINS)
+def test_chain_window_origin_block_is_size_biased(q, n_max):
+    # box 0 falls in a block of half-length n with probability (2n + 1) p_n / kappa
+    blocks = _origin_blocks(q, 20_000, 31)
+    draws = len(blocks)
+    law = oracles.chain_block_law(q, n_max)
+    counts = Counter(length // 2 for length, _ in blocks)
+    expected = [draws * (2 * n + 1) * p / _kappa(q) for n, p in enumerate(law)]
+    observed = [counts[n] for n in range(n_max + 1)]
+    tail = draws - sum(expected)
+    assert tail > -1e-6 * draws
+    report = _chi_square([*observed, draws - sum(observed)], [*expected, max(tail, 0.0)],
+                         [*range(n_max + 1), f">{n_max}"])
+    assert report.dof >= 2 and report.p_value > 1e-3, report
+
+
+@pytest.mark.parametrize("q, n_max", ORIGIN_CHAINS)
+def test_chain_window_origin_is_uniform_in_its_block(q, n_max):
+    # ten bins of the offset: a block of length L puts ceil((j + 1) L / 10) -
+    # ceil(j L / 10) of its L offsets in bin j, so plain bins are not uniform
+    # for small L
+    observed = [0] * 10
+    expected = [0.0] * 10
+    for length, offset in _origin_blocks(q, 20_000, 31):
+        assert 0 <= offset < length
+        observed[10 * offset // length] += 1
+        edges = [-(-j * length // 10) for j in range(11)]
+        for j in range(10):
+            expected[j] += (edges[j + 1] - edges[j]) / length
+    report = _chi_square(observed, expected, range(10))
+    assert report.dof == 9 and report.p_value > 1e-3, report
+
+
+def test_chain_window_keeps_the_blocks_a_cap_would_clip():
+    # at lambda = 0.49, 0.3782 of the size-biased mass lies in blocks of more
+    # than 2001 boxes, which the rejection window of sample_anti_palm clips
+    q = _bernoulli(0.49)
+    law = oracles.chain_block_law(q, 1000)
+    share = 1 - sum((2 * n + 1) * p for n, p in enumerate(law)) / _kappa(q)
+    assert abs(share - 0.3782) < 1e-4
+    draws = 2000
+    rng = random.Random(32)
+    long = sum(len(chain_window(q, 1, rng).bits) - 1 > 2001 for _ in range(draws))
+    assert abs(long / draws - share) <= 4 * math.sqrt(share * (1 - share) / draws)
+
+
+@pytest.mark.parametrize("q", [MARKOV_Q, _bernoulli(0.3)], ids=["markov", "bernoulli-0.3"])
+def test_chain_window_one_step_image_is_stationary(q):
+    # the window starts at a record, so the carrier enters it empty and one
+    # evolve step is exact on every box from its left end: the image of
+    # boxes 0 .. n - 1 has the stationary law of the chain, and its 3-blocks,
+    # one box apart, have probability pi(b_1) Q(b_1, b_2) Q(b_2, b_3)
+    n_boxes = 120_000
+    image = evolve(chain_window(q, n_boxes, random.Random(33))).segment(0, n_boxes)
+    blocks = Counter(image[t : t + 3] for t in range(0, n_boxes - 3, 4))
+    total = sum(blocks.values())
+    pi = (q[1][0] / (q[0][1] + q[1][0]), q[0][1] / (q[0][1] + q[1][0]))
+    patterns = [bytes(p) for p in product((0, 1), repeat=3)]
+    expected = [total * pi[a] * q[a][b] * q[b][c] for a, b, c in patterns]
+    report = _chi_square([blocks[p] for p in patterns], expected, patterns)
+    assert report.dof == 7 and report.p_value > 1e-3, report
+
+
+@pytest.mark.parametrize("q", [MARKOV_Q, _bernoulli(0.45), [[0.7, 0.3], [1, 0]], [[1, 0], [0.5, 0.5]]])
+def test_chain_window_spans_whole_excursions(q):
+    for seed, n_boxes in enumerate((1, 2, 57, 3000)):
+        cfg = chain_window(q, n_boxes, random.Random(seed))
+        records = record_positions(cfg)
+        # a record at each end, and every other record inside boxes 1 .. n_boxes - 1
+        assert records[1] == cfg.origin <= 0 and records[-2] == cfg.end >= n_boxes, records
+        assert all(0 < r < n_boxes for r in records[2:-2]), records
+    if q[0][1] == 0:  # no ball ever: every box is a record
+        assert cfg == BallConfig(0, bytes(3001))
+    if q[1][1] == 0:  # no two balls in a row
+        assert b"\x01\x01" not in cfg.bits
+
+
+class _Uniforms(random.Random):
+    """A random source whose ``random()`` returns ``values``, then fails."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return next(self.values)
+
+
+def test_chain_window_refuses_a_load_past_the_budget():
+    # r = 1 - 2e-8: the largest uniform below 1 draws a load of about 1.8e9
+    # at box 0, and the origin block must hold that many boxes on each side
+    q = [[0.5, 0.5], [0.50000001, 0.49999999]]
+    uniforms = _Uniforms([0.99, 0.99, 1 - 2**-53])
+    with pytest.raises(PreconditionError, match=f"more than {BOX_BUDGET} boxes"):
+        chain_window(q, 1000, uniforms)
+    assert uniforms.calls == 3
+
+
+def test_chain_window_refuses_a_walk_that_never_returns():
+    # every draw 0: box 0 is a record, and every box right of it a ball
+    uniforms = _Uniforms(repeat(0.0))
+    with pytest.raises(PreconditionError, match=f"more than {BOX_BUDGET} boxes"):
+        chain_window(MARKOV_Q, 1000, uniforms)
+    assert uniforms.calls <= BOX_BUDGET + 2
+
+
+def test_chain_window_refuses_before_drawing():
+    for n_boxes, error in ((0, ">= 1"), (BOX_BUDGET + 1, "anti-Palm window")):
+        with pytest.raises(PreconditionError, match=error):
+            chain_window(MARKOV_Q, n_boxes, _Uniforms(()))
+    # rows that sum to 1 only up to rounding: Q(1,1) = Q(0,0), no stationary law
+    with pytest.raises(DivergenceError, match="need Q"):
+        chain_window([[0.5, 0.4999999999999], [0.5000000000001, 0.5]], 10, _Uniforms(()))

@@ -33,6 +33,7 @@ from boxball import (
     shift_weights,
     weights_from_fill,
 )
+from boxball.core import _slot_parameters
 from boxball.measures import _MAX_LEVELS, _TAIL_TOL, SolitonWeights
 
 import oracles
@@ -171,6 +172,7 @@ def test_near_critical_fill_follows_the_closed_form_to_its_truncation(q_matrix):
 
 @given(st.fractions(0, 1, max_denominator=40), st.fractions(0, 1, max_denominator=40))
 @example(Fraction(0), Fraction(1, 2))
+@example(Fraction(1, 17), Fraction(1, 16))  # r = 255/256: the rule needs 5629 levels
 def test_chain_fill_matches_the_exact_rational_transform(q01, q10):
     # the closed form against the recursion on alpha_k = a b^k in rationals
     assume(q01 < q10 < 1)
@@ -182,13 +184,34 @@ def test_chain_fill_matches_the_exact_rational_transform(q01, q10):
     assert fill.at(1) == weights.alpha(1)
     for k, q in enumerate(exact, 1):
         assert abs(Fraction(fill.at(k)) - q) <= q * Fraction(1, 10**12), (k, q01, q10)
-    # the truncated fill is a prefix whose next q_k, over 1 - r, is below the tolerance
+    # the truncated fill is a prefix whose next q_k, over 1 - r, is below the
+    # tolerance; a chain so near criticality that no level up to _MAX_LEVELS
+    # meets the rule is refused, which the exact closed form confirms
+    r = q11 / q00
+    if _chain_slot_parameter(((q00, q01), (q10, q11)), _MAX_LEVELS) / (1 - r) >= Fraction(_TAIL_TOL):
+        with pytest.raises(DivergenceError, match="truncation failed"):
+            fill_from_weights(weights)
+        return
     truncated = fill_from_weights(weights)
     assert truncated.q[:25] == fill.q[: truncated.levels]
     if truncated.levels < 25:
         assert exact[truncated.levels] / (1 - q11 / q00) < Fraction(_TAIL_TOL)
     if q01 == 0:
         assert truncated.q == ()
+
+
+@pytest.mark.parametrize("q_matrix", [
+    ((0.75, 0.25), (0.75, 0.25)), ((0.55, 0.45), (0.55, 0.45)), MARKOV_Q,
+    ((0.51, 0.49), (0.51, 0.49)), NEAR_CRITICAL_Q, ((0.7, 0.3), (1.0, 0.0)),
+    ((1.0, 0.0), (0.5, 0.5)), ((1.0, 0.0), (1.0, 0.0))])
+def test_one_level_of_a_chain_is_its_fill_level(q_matrix):
+    # what verify geometric reads of a chain, level by level, is the fill's
+    # value bit for bit; past the fill the closed form goes on, and it is 0
+    # below level 1
+    fill = fill_from_weights(markov_weights(q_matrix))
+    slot = _slot_parameters(q_matrix)
+    assert [slot(k) for k in range(-1, fill.levels + 1)] == [0.0, 0.0, *fill.q]
+    assert 0 <= slot(fill.levels + 1) < _TAIL_TOL
 
 
 # ---------------------------------------------------------------------------
