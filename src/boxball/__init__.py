@@ -64,6 +64,7 @@ _EXPORTS = {
         "sample_diagrams",
         "sample_excursions",
         "shift_weights",
+        "size_biased_excursion",
         "weights_from_fill",
     ),
     "slots": (

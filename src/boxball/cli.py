@@ -27,13 +27,14 @@ runs when it runs, so a process compiles only those.
   ``measures``, and a ``sample`` of the bernoulli or markov family, Palm or
   ``--anti-palm``, walks the chain and loads only ``core`` and ``line``.
 - ``sample --anti-palm`` and ``verify t-invariance`` draw the family's
-  stationary window after refusing one of more than ``core.BOX_BUDGET``
-  boxes: for the bernoulli and markov families ``line.chain_window``, exact
-  and uncapped, which walks the carrier chain; for explicit weights
-  ``line.sample_anti_palm``, which draws its origin block by capped
-  rejection from the diagram sampler.  ``verify t-invariance`` refuses its
-  steps and block length before it draws, and hands the window to
-  ``stats``, which draws nothing.
+  stationary window, exact and uncapped, after refusing one of more than
+  ``core.BOX_BUDGET`` boxes: ``line.chain_window`` for the bernoulli and
+  markov families, and for explicit weights ``line.sample_anti_palm``, whose
+  origin block is ``measures.size_biased_excursion`` of the fill.  ``verify
+  t-invariance`` refuses its steps and block length before it draws, and
+  hands the window to ``stats``, which draws nothing.  A Palm ``sample`` is
+  refused before it draws when its mean length, ``--excursions`` times the
+  mean record gap, passes the budget.
 
 No layer imports ``json``: the layers take and give parsed documents, and
 this module parses (``_json``) and writes every JSON text, importing ``json``
@@ -184,12 +185,12 @@ def _chain_window(chain, n_boxes: int, rng) -> BallConfig:
     return chain_window(chain, n_boxes, rng)
 
 
-def _anti_palm(palm: Palm, n_boxes: int, rng) -> BallConfig:
-    """``line.sample_anti_palm`` from the Palm sampler ``palm``, loaded when a
-    command draws it."""
+def _anti_palm(origin, palm: Palm, n_boxes: int, rng) -> BallConfig:
+    """``line.sample_anti_palm`` from the origin-block and Palm samplers
+    ``origin`` and ``palm``, loaded when a command draws it."""
     from .line import sample_anti_palm
 
-    return sample_anti_palm(palm, n_boxes, rng)
+    return sample_anti_palm(origin, palm, n_boxes, rng)
 
 
 def _chain_weights(chain) -> SolitonWeights:
@@ -201,17 +202,18 @@ def _chain_weights(chain) -> SolitonWeights:
 
 
 def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[
-        Callable[[], SolitonWeights], Callable[[int], float], Palm, Window]:
+        Callable[[], SolitonWeights], Callable[[int], float], Palm, Window, Callable[[], float]]:
     """The measure's soliton weights, as a function of no argument; its slot
     parameter ``k -> q_k``; its Palm sampler ``(size, rng) -> excursions``;
-    and its stationary window ``(n_boxes, rng) -> BallConfig``.  For the
-    bernoulli and markov families q_k is the chain's closed form
-    (``core._slot_parameters``), the Palm sampler walks the chain and the
-    window is ``line.chain_window``, exact and with no cap; none of them
-    builds the slot fill.  For explicit weights q_k reads the fill, the Palm
-    sampler draws diagrams of it, and the window is ``line.sample_anti_palm``
-    over that Palm sampler; the fill is built once, on the first call that
-    reads it.
+    its stationary window ``(n_boxes, rng) -> BallConfig``; and its mean
+    record gap kappa, as a function of no argument.  For the bernoulli and
+    markov families q_k and kappa are the chain's closed forms in ``core``,
+    the Palm sampler walks the chain and the window is ``line.chain_window``;
+    none of them builds the slot fill.  For explicit weights q_k and kappa
+    read the fill, the Palm sampler draws diagrams of it, and the window is
+    ``line.sample_anti_palm`` over that sampler and
+    ``measures.size_biased_excursion``; the fill is built once, on the first
+    call that reads it.
 
     The parameter is checked here, before anything is drawn: a parameter
     flag the run would not read, of another family than ``measure`` or
@@ -251,20 +253,23 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[
         if not typed(parameter):
             raise ValidationError(f"bad {family} parameter: {_FAMILIES[family][1]} must be {kind}")
         if family == "explicit":
-            from .measures import explicit_weights, fill_from_weights, sample_excursions
+            from .measures import explicit_weights, fill_from_weights, mean_record_gap
+            from .measures import sample_excursions, size_biased_excursion
 
             weights = explicit_weights(parameter)
             fill = cache(partial(fill_from_weights, weights))
             palm = lambda size, rng: sample_excursions(fill(), size, rng)
-            return lambda: weights, lambda k: fill().at(k), palm, partial(_anti_palm, palm)
-        from .core import _bernoulli_chain, _slot_parameters, _transition_matrix
+            origin = lambda rng: size_biased_excursion(fill(), rng)
+            return (lambda: weights, lambda k: fill().at(k), palm,
+                    partial(_anti_palm, origin, palm), lambda: mean_record_gap(fill()))
+        from .core import _bernoulli_chain, _mean_record_gap, _slot_parameters, _transition_matrix
 
         chain = _transition_matrix(
             _bernoulli_chain(float(parameter)) if family == "bernoulli" else parameter)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {family} parameter: {exc}") from exc
     return (cache(partial(_chain_weights, chain)), lambda k: _slot_parameters(chain)(k),
-            partial(_walk, chain), partial(_chain_window, chain))
+            partial(_walk, chain), partial(_chain_window, chain), partial(_mean_record_gap, chain))
 
 
 def _opt(*flags: str, **kwargs) -> tuple:
@@ -547,15 +552,15 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
                f"kappa  = {kappa:.12g}\nlambda = {lam_out:.12g}", out)
 
 
-def _palm_excursions(palm, total, rng) -> list[Excursion]:
-    """``total`` i.i.d. excursions that the Palm sampler ``palm`` draws from
-    ``rng``, refused past ``BOX_BUDGET``: each lays out at least its record box."""
+def _excursion_count(total: int) -> int:
+    """``total``, the excursions a Palm sample asks for, refused past
+    ``BOX_BUDGET``: each lays out at least its record box."""
     from .core import _check_budget
 
     if total < 1:
         raise PreconditionError("--excursions must be >= 1")
     _check_budget(total, "--excursions would lay out")
-    return palm(total, rng)
+    return total
 
 
 @main.command("sample", *_MEASURE, _opt("--excursions", dest="num", type=int, default=1000),
@@ -564,15 +569,17 @@ def _palm_excursions(palm, total, rng) -> list[Excursion]:
               _opt("--boxes", type=int, help="window size for --anti-palm"), _SEED, _FORMAT, _OUT)
 def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, rng, fmt, out):
     """Draw a random configuration; prints the ball string and its records."""
-    from .core import assemble, record_positions
+    from .core import _check_budget, assemble, record_positions
 
-    _, _, palm, window = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    _, _, palm, window, mean_gap = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
         cfg = window(1000 if boxes is None else boxes, rng)
         anchored = None
     else:
-        excs = _palm_excursions(palm, num, rng)
-        anchored = assemble(excs, 0)
+        # the sample is laid out whole: refuse it when its mean length passes the budget
+        _check_budget(_excursion_count(num) * mean_gap(),
+                      "--excursions at the mean record gap would lay out")
+        anchored = assemble(palm(num, rng), 0)
         cfg = anchored.config
     if fmt == "json":
         doc = (
@@ -607,9 +614,9 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, rng, signifi
     from .slots import palm_components
     from .stats import geometric_gof
 
-    _, slot, palm, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    _, slot, palm, _, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     q_k = slot(k)
-    components = palm_components(_palm_excursions(palm, num, rng))
+    components = palm_components(palm(_excursion_count(num), rng))
     report = geometric_gof(components, k, 1 - q_k)
     _verify_exit(
         {"check": "geometric", "level": k, "report": report.to_json_dict()},
@@ -625,7 +632,7 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, rng, signifi
     from .stats import independence_test
 
     palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)[2]
-    components = palm_components(_palm_excursions(palm, num, rng))
+    components = palm_components(palm(_excursion_count(num), rng))
     pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]
     reports = independence_test(components, pairs)
     passed = all(r.p_value > significance for r in reports.values())

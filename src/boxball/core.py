@@ -579,6 +579,16 @@ def _carrier_ratio(chain: Sequence[Sequence[float]]) -> float:
     return r
 
 
+def _mean_record_gap(chain: Sequence[Sequence[float]]) -> float:
+    """kappa = (Q(0,1) + Q(1,0)) / (Q(1,0) - Q(0,1)) of a checked chain, the
+    mean distance between records: balls have density p = Q(0,1) / (Q(0,1) +
+    Q(1,0)), each matched to one empty box, so the records, the empty boxes
+    left, have density 1 - 2p = 1 / kappa.  ``measures.mean_record_gap`` of
+    the chain's slot fill is the same number."""
+    (_, q01), (q10, _) = chain
+    return (q01 + q10) / (q10 - q01)
+
+
 def _chain_weight(chain: Sequence[Sequence[float]]) -> tuple[float, float]:
     """``(a, b)`` of a chain's soliton weights ``alpha_k = a b^k``:
     ``a = Q(0,1)Q(1,0) / (Q(1,1)Q(0,0))`` and ``b = Q(1,1)Q(0,0)``."""

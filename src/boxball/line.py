@@ -16,14 +16,17 @@ length and places the origin uniformly inside it.  Each family has one:
   explicit stationary law and a constant-rate time reversal, so it draws
   the state at box 0, walks the reversal left to a record and the chain
   right over the window, each box once;
-- explicit weights draw :func:`sample_anti_palm`, one loop over whole
-  batches of the family's Palm sampler, the diagram sampler of its slot
-  fill: it proposes the origin block by rejection under a cap, then cuts
-  the filler excursions where their cumulative block lengths cover the
-  window, and lays it out with ``core._lay_out``, building no records.
+- explicit weights draw :func:`sample_anti_palm`, exact and uncapped too:
+  it takes the block covering the origin from a sampler of size-biased
+  Palm excursions, ``measures.size_biased_excursion`` of the family's slot
+  fill, places the origin uniformly inside it, extends the window to the
+  right with whole batches of the family's Palm sampler, the diagram
+  sampler of the same fill, cut where their cumulative block lengths cover
+  the window, and lays it out with ``core._lay_out``, building no records.
 
-Both read no measure quantity: the samplers take their chain, checked, and
-its carrier ratio from ``core``.  So this module imports only ``core`` and
+Neither reads a measure quantity: the chain window takes its chain,
+checked, and its carrier ratio from ``core``, and :func:`sample_anti_palm`
+takes its two samplers.  So this module imports only ``core`` and
 ``errors`` of the package.
 """
 
@@ -126,7 +129,7 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
     walks right over the window and on to the first record from box
     ``n_boxes`` on.  The window spans whole excursions, from a record at or
     left of box 0 to a record past ``n_boxes - 1``; no draw is rejected and
-    no block is clipped.  A window of more than ``BOX_BUDGET`` boxes is
+    no block is cut short.  A window of more than ``BOX_BUDGET`` boxes is
     refused before anything is drawn, and the walk as soon as the boxes it
     has laid out, with those the carrier needs to empty and reach a record,
     would pass it.
@@ -180,72 +183,45 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
         size, load, last, chunk = size + len(boxes), loads[-1], boxes[-1], 2 * chunk
 
 
-# ---------------------------------------------------------------------------
-# anti-Palm sampler
-# ---------------------------------------------------------------------------
-
 def sample_anti_palm(
+    origin: Callable[[Random], Excursion],
     palm: Callable[[int, Random], list[Excursion]],
     n_boxes: int,
     rng,
-    block_cap: int = 2001,
-    report: dict | None = None,
 ) -> BallConfig:
-    """Translation-invariant window: boxes ``0 .. n_boxes - 1`` carry the
-    stationary law of the measure whose Palm sampler is ``palm``, up to the
-    clipping of origin blocks longer than ``block_cap``.  Explicit weights
-    draw their window here; the bernoulli and markov families draw the
-    exact :func:`chain_window`.
+    """Stationary window of the measure whose Palm sampler is ``palm``:
+    boxes ``0 .. n_boxes - 1`` carry its stationary law.  Explicit weights
+    draw their window here; the bernoulli and markov families draw
+    :func:`chain_window`.
 
-    ``palm(size, rng)`` returns ``size`` i.i.d. excursions of the measure:
-    ``measures.sample_excursions`` of a slot fill, or :func:`markov_excursions`
-    of a chain.  One loop draws them in batches, 16 first, then enough
-    to cover the boxes still wanted (``block_cap``, then the rest of the
-    window) at the mean block length so far.  The block covering the origin
-    is drawn by rejection, accepted with probability its box count over
-    ``block_cap``, clipped at 1, and the origin lands uniformly inside it.
-    The rest of its batch, independent of the acceptance, and then later
-    batches extend the window to the right, up to the excursion whose
-    cumulative length covers it; ``core._lay_out`` lays it out.  The window
-    spans whole excursions, so it may start before box 0 and end past
-    ``n_boxes - 1``.  A window of more than ``BOX_BUDGET`` boxes is refused
-    before anything is drawn.  ``report``, if given, receives the number of
-    proposals and of cap clips, the cap and the resulting bias bound.
+    ``origin(rng)`` draws the block covering box 0, a Palm excursion
+    size-biased by its length (``measures.size_biased_excursion`` of a slot
+    fill), and box 0 lands uniformly among its boxes.  ``palm(size, rng)``
+    returns ``size`` i.i.d. excursions of the measure
+    (``measures.sample_excursions`` of the same fill), which extend the
+    window to the right up to the excursion whose cumulative length covers
+    it.  They are drawn in batches, 16 first, then the boxes still wanted at
+    the mean block length so far, but at most four times the excursions
+    drawn before, so that a mean of few excursions cannot overshoot the
+    window by much; ``core._lay_out`` lays the window out.  It spans whole
+    excursions, so it may start before box 0 and end past ``n_boxes - 1``.  A window of more than ``BOX_BUDGET`` boxes is refused
+    before anything is drawn.
     """
     if n_boxes < 1:
         raise PreconditionError("n_boxes must be >= 1")
     _check_budget(n_boxes, "an anti-Palm window would lay out")
     rng = _as_rng(rng)
-    drawn = boxes = proposals = clipped = 0
-    wanted = block_cap  # the boxes the next batch should cover
-    right = None  # the last record laid out, once the origin block is drawn
-    pieces: list[Excursion] = []
-    while True:
-        batch = palm(max(16, wanted * drawn // boxes) if drawn else 16, rng)
-        lengths = [len(e.bits) + 1 for e in batch]
-        drawn += len(batch)
-        boxes += sum(lengths)
-        i = 0  # the first excursion of the batch that may extend the window
-        if right is None:
-            for i, block in enumerate(lengths, 1):
-                proposals += 1
-                clipped += block > block_cap
-                if rng.random() < block / block_cap:
-                    break
-            else:
-                continue
-            offset = rng.randrange(block)  # the block's record sits at -offset
-            right = block - offset
-            pieces.append(batch[i - 1])
-        ends = list(accumulate(lengths[i:], initial=right))
+    pieces = [origin(rng)]
+    block = len(pieces[0].bits) + 1
+    offset = rng.randrange(block)  # the block's record sits at -offset
+    right = block - offset  # the last record laid out
+    drawn = boxes = 0
+    while right < n_boxes:
+        # the boxes still wanted at the mean so far, at most four times the excursions drawn
+        batch = palm(max(16, min(4 * drawn, (n_boxes - right) * drawn // max(boxes, 1))), rng)
+        ends = list(accumulate((len(e.bits) + 1 for e in batch), initial=right))
         j = bisect_left(ends, n_boxes)  # the excursions laid out before the window is covered
-        pieces += batch[i : i + j]
-        if j < len(ends):
-            break
-        right = ends[-1]
-        wanted = n_boxes - right
-    if report is not None:
-        # the bias bound: the mass of blocks longer than the cap, crudely dominated
-        report.update(proposals=proposals, clipped=clipped, block_cap=block_cap,
-                      bias_bound=clipped / max(proposals, 1))
+        pieces += batch[:j]
+        drawn, boxes = drawn + len(batch), boxes + ends[-1] - right
+        right = ends[min(j, len(batch))]
     return _lay_out(pieces, 0).shifted(-offset)

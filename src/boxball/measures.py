@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import accumulate
 
 from .core import (
@@ -403,37 +403,40 @@ def max_size_distribution(fill: SlotFill) -> list[float]:
     K = fill.levels
     probs = [0.0] * (K + 1)
     suffix = 1.0
-    for m in range(K, -1, -1):
-        qm = 1.0 if m == 0 else fill.at(m)
+    for m in range(K, 0, -1):
+        qm = fill.q[m - 1]
         probs[m] = qm * suffix
-        if m > 0:
-            suffix *= 1 - fill.at(m)
+        suffix *= 1 - qm
+    probs[0] = suffix
     total = sum(probs)
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValidationError("max-size distribution does not normalize")
     return [p / total for p in probs]
 
 
-def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
-    """Slot diagrams with the geometric row law.
-
-    Each chooses the maximal size M, then the top count (geometric
-    conditioned positive), then each lower row as s_k independent
-    Geometric(1 - q_k) entries, top to bottom.  Every draw inverts one
-    uniform U in (0, 1]: M by bisection on the cumulative
-    :func:`max_size_distribution`; a positive count as 1 + floor(log U /
-    log q_k); and the zeros before a row's next positive entry as
-    floor(log U / log(1 - q_k)), so a row costs one draw per positive entry
-    and one more.
-    """
-    uniform = _as_rng(rng).random
+def _geometric_draws(fill: SlotFill, uniform: Callable[[], float]) -> tuple[
+        Callable[[], int], Callable[[int], int], Callable[[int, int], tuple[int, ...]]]:
+    """The fill's draws, each inverting one ``uniform()`` draw U: ``largest()``,
+    the largest soliton size M of a Palm diagram, by bisection of U on the
+    cumulative :func:`max_size_distribution`; and, through ``log(1 - U)``,
+    ``geometric(k)``, one Geometric(1 - q_k) count floor(log U / log q_k)
+    for q_k > 0, and ``row(k, s_k)``, s_k i.i.d. counts, where the zeros
+    before the next positive entry take one draw, floor(log U / log(1 -
+    q_k)), and the entry 1 + floor(log U / log q_k), so a row costs one draw
+    per positive entry and one more."""
     cumulative = list(accumulate(max_size_distribution(fill)))
     logs = [(math.log(q), math.log1p(-q)) if q else None for q in fill.q]
+
+    def largest() -> int:
+        return bisect(cumulative, uniform() * cumulative[-1])
 
     def log_u() -> float:
         return math.log(1.0 - uniform())
 
-    def draw(k: int, s_k: int) -> tuple[int, ...]:
+    def geometric(k: int) -> int:
+        return int(log_u() / logs[k - 1][0])
+
+    def row(k: int, s_k: int) -> tuple[int, ...]:
         # s_k <= 2n + 1, so a row too long refuses the excursion before it is laid out
         _check_budget(s_k, "a drawn excursion would lay out")
         entries = [0] * s_k
@@ -446,15 +449,77 @@ def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
                 i += 1
         return tuple(entries)
 
+    return largest, geometric, row
+
+
+def sample_diagrams(fill: SlotFill, size: int, rng) -> list[SlotDiagram]:
+    """Slot diagrams with the geometric row law.
+
+    Each chooses the maximal size M, then the top count, 1 + a
+    Geometric(1 - q_M) count (geometric conditioned positive), then each
+    lower row as s_k independent Geometric(1 - q_k) entries, top to bottom,
+    all drawn as :func:`_geometric_draws` draws them.
+    """
+    largest, geometric, row = _geometric_draws(fill, _as_rng(rng).random)
     out = []
     for _ in range(size):
-        m = bisect(cumulative, uniform() * cumulative[-1])
-        if m == 0:
-            out.append(EMPTY_DIAGRAM)
-        else:
-            top = 1 + int(log_u() / logs[m - 1][0])
-            out.append(_trusted_diagram(slot_rows(top, m, draw)))
+        m = largest()
+        out.append(_trusted_diagram(slot_rows(1 + geometric(m), m, row)) if m else EMPTY_DIAGRAM)
     return out
+
+
+def size_biased_excursion(fill: SlotFill, rng) -> Excursion:
+    """One Palm excursion drawn with its probability times its length 2n + 1,
+    over the mean record gap: the block of a stationary line that covers box 0.
+
+    The length is the level-0 slot count, 2n + 1 = s_0, and ``s_k = 1 +
+    sum_{l>k} 2 (l - k) n_l`` has mean beta_k (:func:`expected_slot_counts`).
+    So the law biased by s_k is a mixture: with probability 1 / beta_k the
+    plain law, and with probability ``2 (l - k) E[n_l] / beta_k``, for each
+    l > k, the law biased by n_l, with ``E[n_l] = m_l beta_l``
+    (:func:`mean_soliton_counts`).  Given the rows above it, row l is s_l
+    i.i.d. Geometric(1 - q_l) entries of sum n_l, so the law biased by n_l
+    biases the rows above l by s_l, one uniform slot of row l by its count,
+    which makes it 1 + two Geometric(1 - q_l) counts, and nothing else.
+
+    A spine of marked levels is walked up from 0 by that mixture until it
+    takes the plain branch at level t.  The rows above t are plain: their
+    largest soliton M is drawn as for a Palm diagram, and when M <= t they
+    are empty and row t, of one slot, is the top row.  Then the rows are
+    drawn top-down, each plain but for one uniform slot of each marked row.
+    The excursion is rebuilt from its diagram, or refused past ``BOX_BUDGET``.
+    """
+    rng = _as_rng(rng)
+    uniform = rng.random
+    means = mean_soliton_counts(fill)
+    marked = set()
+    t = 0
+    while True:
+        branches = [(l, 2 * (l - t) * mean) for l, mean in means.items() if l > t]
+        u = uniform() * (1 + sum(w for _, w in branches)) - 1  # beta_t; the plain law takes 1
+        if u < 0:
+            break
+        for t, w in branches:  # past the last one, by rounding, the last is taken
+            if (u := u - w) < 0:
+                break
+        marked.add(t)
+    largest, geometric, plain = _geometric_draws(fill, uniform)
+
+    def row(k: int, s_k: int) -> tuple[int, ...]:
+        entries = plain(k, s_k)
+        if k not in marked:
+            return entries
+        j = rng.randrange(s_k)
+        return (*entries[:j], entries[j] + 1 + geometric(k), *entries[j + 1 :])
+
+    m = largest()
+    if m > t:
+        top = 1 + geometric(m)
+    elif t:  # the rows above t are empty: row t, of one slot, is the top row
+        m, top = t, row(t, 1)[0]
+    else:
+        return Excursion()
+    return _rebuilt(_trusted_diagram(slot_rows(top, m, row)))
 
 
 def sample_excursions(fill: SlotFill, size: int, rng) -> list[Excursion]:

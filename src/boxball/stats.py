@@ -234,7 +234,8 @@ def t_invariance_test(config: BallConfig, steps: int, block_len: int, n_boxes: i
     """Block-frequency comparison of a stationary window before and after evolution.
 
     Evolves ``config``, a window covering boxes ``0 .. n_boxes - 1`` such as
-    ``line.sample_anti_palm`` draws from a measure's Palm sampler, and
+    a family's stationary window draws it (``line.chain_window`` of a chain,
+    ``line.sample_anti_palm`` over the slot fill of explicit weights), and
     compares the frequencies of all non-overlapping blocks over the
     interior.  The report carries a two-sample chi-square and the maximum
     per-block deviation in Monte-Carlo standard errors; exact invariance is

@@ -250,3 +250,25 @@ def chain_block_law(q, n_max):
         if t % 2 == 0:
             out.append(empty[0] * q00)
     return out
+
+
+def chain_height_law(q, m):
+    """P(M <= m): the probability that the largest soliton of a Palm
+    excursion of the two-state chain ``q``, its highest carrier load, is at
+    most ``m``, in the number type of ``q``'s entries.
+
+    After the record the walk goes up at a ball and down at an empty box; it
+    succeeds at an empty box from height 0, the next record, and fails at a
+    ball to height m + 1.  With g_h and e_h the chances of success from
+    height h after an empty box and after a ball, the linear system on
+    (height <= m, last box) is ``g_h = Q(0,1) e_{h+1} + Q(0,0) g_{h-1}`` and
+    ``e_h = Q(1,1) e_{h+1} + Q(1,0) g_{h-1}``, with g_{-1} = 1 and e_{m+1} =
+    0, and P(M <= m) = g_0.  It is solved by elimination from the top:
+    e_h = A_h g_{h-1} with A_{m+1} = 0 and ``A_h = Q(1,0) + Q(1,1) Q(0,0)
+    A_{h+1} / (1 - Q(0,1) A_{h+1})``, so g_0 = Q(0,0) / (1 - Q(0,1) A_1).
+    """
+    (q00, q01), (q10, q11) = q
+    a = 0  # A_{m+1}
+    for _ in range(m):
+        a = q10 + q11 * q00 * a / (1 - q01 * a)
+    return q00 / (1 - q01 * a)

@@ -41,6 +41,7 @@ from boxball import (
     reconstruct,
     sample_anti_palm,
     sample_excursions,
+    size_biased_excursion,
     assemble,
     soliton_decompose,
     t_invariance_test,
@@ -199,12 +200,14 @@ def test_criterion_08_sampler_law_agreement():
 def test_criterion_09_t_invariance():
     start = time.perf_counter()
     # the chain windows of the bernoulli and markov families walk the carrier
-    # chain; the capped window over diagrams of a slot fill is the explicit
-    # family's, here drawn for the bernoulli fill
+    # chain; the window over a slot fill, its size-biased origin block and
+    # diagram-sampled filler, is the explicit family's, here drawn for the
+    # bernoulli fill
+    fill = fill_from_weights(bernoulli_weights(0.3))
     windows = (
         chain_window([[0.7, 0.3], [0.7, 0.3]], 200_000, random.Random(SEED)),
         chain_window(MARKOV_Q, 200_000, random.Random(SEED + 1)),
-        sample_anti_palm(partial(sample_excursions, fill_from_weights(bernoulli_weights(0.3))),
+        sample_anti_palm(partial(size_biased_excursion, fill), partial(sample_excursions, fill),
                          200_000, random.Random(SEED)),
     )
     reports = [t_invariance_test(window, 1, 4, 200_000) for window in windows]

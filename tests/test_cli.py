@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -343,16 +344,21 @@ def test_out_of_range_integer_arguments_exit_4(runner, args):
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--block-len"])
-def test_t_invariance_refuses_its_blocks_before_drawing(runner, monkeypatch, flag):
+@pytest.mark.parametrize("flag, window, measure", [
+    pytest.param(flag, window, measure, id=f"{prefix}{flag}")
+    for prefix, window, measure in (
+        ("", "chain_window", ["--lambda", "0.25"]),
+        ("explicit", "sample_anti_palm", ["--measure", "explicit", "--alpha", "0.2,0.1,0.05"]))
+    for flag in ("--steps", "--block-len")])
+def test_t_invariance_refuses_its_blocks_before_drawing(runner, monkeypatch, flag, window, measure):
+    # each family's window: the chain window of a chain, the fill's of explicit weights
     import boxball.line
 
-    def sample_anti_palm(*args, **kwargs):
+    def draw(*args, **kwargs):
         raise AssertionError("drew the window")
 
-    monkeypatch.setattr(boxball.line, "sample_anti_palm", sample_anti_palm)
-    result = runner.invoke(main, ["verify", "t-invariance", "--lambda", "0.25", flag, "0",
-                                  "--seed", "1"])
+    monkeypatch.setattr(boxball.line, window, draw)
+    result = runner.invoke(main, ["verify", "t-invariance", *measure, flag, "0", "--seed", "1"])
     assert result.exit_code == 4, result.output
     name = flag[2:].replace("-", "_")
     assert result.stderr == f"error: {name} must be >= 1\n"
@@ -422,16 +428,19 @@ def test_anti_palm_window_of_diverging_weights_exits_4(runner):
 HUGE_GAP = ["--measure", "markov", "--Q", "[[1e-9,0.999999999],[0.9999999995,5e-10]]"]
 
 
+# q_2 near 1: a drawn row 1 would hold about 2e9 slots
+HUGE_ROW = ["--measure", "explicit", "--alpha", "0,0.999999999"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ["sample", *HUGE_GAP, "--excursions", "3"],
+        ["verify", "independence", *HUGE_ROW],
         ["sample", "--anti-palm", *HUGE_GAP],
         ["verify", "geometric", *HUGE_GAP],
         ["verify", "independence", *HUGE_GAP],
         ["verify", "t-invariance", *HUGE_GAP],
-        # q_2 near 1: a drawn row 1 would hold about 2e9 slots
-        ["sample", "--measure", "explicit", "--alpha", "0,0.999999999", "--excursions", "3"],
+        ["sample", "--anti-palm", *HUGE_ROW],
     ],
 )
 def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args):
@@ -444,6 +453,37 @@ def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args):
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"error: a drawn excursion would lay out more than {BOX_BUDGET} boxes\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # kappa = 50: about 2e8 boxes, from a count the budget allows
+        ["--lambda", "0.49", "--excursions", "4000000"],
+        # kappa about 4e9 and 4e9: three excursions are too many
+        [*HUGE_GAP, "--excursions", "3"],
+        [*HUGE_ROW, "--excursions", "3"],
+    ],
+    ids=["lambda-0.49", "huge-gap", "huge-row"],
+)
+def test_sample_refuses_excursions_past_the_box_budget_at_the_mean_record_gap(
+        runner, monkeypatch, args):
+    # the sample is laid out whole, so its mean length is refused before the walk
+    import boxball.line
+    import boxball.measures
+
+    def draw(*args):
+        raise AssertionError("a Palm sample was drawn")
+
+    monkeypatch.setattr(boxball.line, "markov_excursions", draw)
+    monkeypatch.setattr(boxball.measures, "sample_excursions", draw)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["sample", *args, "--seed", "1"])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: --excursions at the mean record gap would lay out more than {BOX_BUDGET} boxes\n")
 
 
 def test_verify_geometric_of_a_chain_reads_only_its_level(runner):

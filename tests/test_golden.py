@@ -44,7 +44,13 @@ chain came to be drawn exactly from its carrier chain (``line.chain_window``:
 the load and box at box 0 from their stationary law, the time reversal
 walked left to a record, the chain walked right), and no longer by capped
 rejection from Palm batches; ``sample-anti-palm-explicit`` was not, since
-explicit weights keep that window.
+explicit weights kept that window.
+
+``sample-anti-palm-explicit`` was recaptured when the stationary window of
+explicit weights came to be drawn exactly too: its origin block is a Palm
+excursion size-biased by its length through the slot counts
+(``measures.size_biased_excursion``), and no longer one accepted by capped
+rejection from Palm batches.
 
 ``params-json-markov``, ``partition-bernoulli`` and ``partition-markov``
 were recaptured when a chain's slot parameters came to be computed from
@@ -138,7 +144,7 @@ GOLDEN = {
     "sample-anti-palm-explicit": (
         ["sample", "--anti-palm", "--measure", "explicit", "--alpha", "0.2,0.1,0.05",
          "--boxes", "3000", "--seed", "5"],
-        "9a5c4a04c541f34a6db6c551d9dde9806dccf47f65b0ad47b77b48bbf4420578",
+        "bdd87ff8f31a06cf53f3c14d1dc0167887f69a541dd0ece85b202cc498e1c867",
     ),
     "sample-anti-palm-bernoulli": (
         ["sample", "--anti-palm", "--lambda", "0.25", "--boxes", "3000", "--seed", "5"],

@@ -34,9 +34,11 @@ from boxball import (
     markov_excursions,
     markov_weights,
     mean_record_gap,
+    partition_function,
     record_positions,
     sample_anti_palm,
     sample_excursions,
+    size_biased_excursion,
 )
 from boxball.core import BOX_BUDGET, _cut
 from boxball.line import _chain
@@ -307,14 +309,20 @@ def test_direct_palm_samplers_assemble():
 # anti-Palm sampler
 # ---------------------------------------------------------------------------
 
+def _fill_window(fill, n_boxes, rng):
+    """The stationary window of the measure with slot fill ``fill``, as the
+    explicit family draws it: its size-biased origin block, Palm filler."""
+    return sample_anti_palm(partial(size_biased_excursion, fill),
+                            partial(sample_excursions, fill), n_boxes, rng)
+
+
 def test_anti_palm_zero_weights():
-    palm = partial(sample_excursions, fill_from_weights(explicit_weights([])))
-    cfg = sample_anti_palm(palm, 100, random.Random(0))
+    cfg = _fill_window(fill_from_weights(explicit_weights([])), 100, random.Random(0))
     assert cfg.ball_count() == 0
 
 
 def test_anti_palm_covers_requested_window():
-    cfg = sample_anti_palm(partial(bernoulli_excursions, 0.3), 5000, random.Random(19))
+    cfg = _fill_window(fill_from_weights(bernoulli_weights(0.3)), 5000, random.Random(19))
     assert cfg.origin <= 0
     assert cfg.end >= 4999
     assert cfg.origin in record_positions(cfg)  # the window starts at a record
@@ -323,7 +331,7 @@ def test_anti_palm_covers_requested_window():
 def test_anti_palm_density_identities():
     lam = 0.25
     n_boxes = 200_000
-    cfg = sample_anti_palm(partial(bernoulli_excursions, lam), n_boxes, random.Random(20))
+    cfg = _fill_window(fill_from_weights(bernoulli_weights(lam)), n_boxes, random.Random(20))
     window = [cfg.occupied(z) for z in range(n_boxes)]
     density = sum(window) / n_boxes
     se = math.sqrt(lam * (1 - lam) / n_boxes)
@@ -335,12 +343,12 @@ def test_anti_palm_density_identities():
 
 def test_anti_palm_block_frequencies_match_product_measure():
     # the stationary law of the bernoulli family is the product measure: of
-    # the chain window, and of the capped window over diagrams of the slot
-    # fill, as the explicit family draws it
+    # the chain window, and of the window over the slot fill, as the explicit
+    # family draws it
     lam = 0.3
     n_boxes = 120_000
-    palm = partial(sample_excursions, fill_from_weights(bernoulli_weights(lam)))
-    for cfg in (sample_anti_palm(palm, n_boxes, random.Random(21)),
+    fill = fill_from_weights(bernoulli_weights(lam))
+    for cfg in (_fill_window(fill, n_boxes, random.Random(21)),
                 chain_window([[1 - lam, lam], [1 - lam, lam]], n_boxes, random.Random(21))):
         window = [cfg.occupied(z) for z in range(n_boxes)]
         blocks = Counter(
@@ -371,34 +379,26 @@ def test_anti_palm_block_frequencies_match_markov_chain():
 
 
 def test_anti_palm_refuses_a_window_past_the_budget_before_drawing():
-    def palm(size, rng):
-        raise AssertionError("drew from the Palm sampler")
+    def draw(*args):
+        raise AssertionError("drew from a sampler")
 
     with pytest.raises(PreconditionError, match="anti-Palm window"):
-        sample_anti_palm(palm, BOX_BUDGET + 1, random.Random(0))
+        sample_anti_palm(draw, draw, BOX_BUDGET + 1, random.Random(0))
 
 
 def test_anti_palm_draws_few_boxes_past_its_window():
-    # the proposals left in the accepted one's batch extend the window, and
-    # each batch asks for the boxes still wanted at the mean block length
+    # the filler batches ask for the boxes still wanted at the mean block
+    # length so far, and the origin block is drawn once, by itself
     sizes = []
 
     def palm(size, rng):
         sizes.append(size)
         return markov_excursions(MARKOV_Q, size, rng)
 
-    sample_anti_palm(palm, 30_000, random.Random(24))
-    # at kappa = 2, about 15_000 excursions fill the window and 1_000 propose its origin block
-    assert sizes[0] == 16 and len(sizes) <= 8 and sum(sizes) < 17_500, sizes
-
-
-def test_anti_palm_report_and_cap():
-    report = {}
-    sample_anti_palm(partial(bernoulli_excursions, 0.25), 500, random.Random(22),
-                     block_cap=31, report=report)
-    assert report["proposals"] >= 1
-    assert 0 <= report["bias_bound"] <= 1
-    assert report["block_cap"] == 31
+    origin = partial(size_biased_excursion, fill_from_weights(markov_weights(MARKOV_Q)))
+    sample_anti_palm(origin, palm, 30_000, random.Random(24))
+    # at kappa = 2, about 15_000 excursions fill the window
+    assert sizes[0] == 16 and len(sizes) <= 8 and sum(sizes) < 16_500, sizes
 
 
 def test_mean_record_gap_markov():
@@ -469,14 +469,13 @@ def test_chain_window_origin_block_is_size_biased(q, n_max):
     assert report.dof >= 2 and report.p_value > 1e-3, report
 
 
-@pytest.mark.parametrize("q, n_max", ORIGIN_CHAINS)
-def test_chain_window_origin_is_uniform_in_its_block(q, n_max):
+def _assert_uniform_offsets(blocks):
     # ten bins of the offset: a block of length L puts ceil((j + 1) L / 10) -
     # ceil(j L / 10) of its L offsets in bin j, so plain bins are not uniform
     # for small L
     observed = [0] * 10
     expected = [0.0] * 10
-    for length, offset in _origin_blocks(q, 20_000, 31):
+    for length, offset in blocks:
         assert 0 <= offset < length
         observed[10 * offset // length] += 1
         edges = [-(-j * length // 10) for j in range(11)]
@@ -486,17 +485,77 @@ def test_chain_window_origin_is_uniform_in_its_block(q, n_max):
     assert report.dof == 9 and report.p_value > 1e-3, report
 
 
+@pytest.mark.parametrize("q, n_max", ORIGIN_CHAINS)
+def test_chain_window_origin_is_uniform_in_its_block(q, n_max):
+    _assert_uniform_offsets(_origin_blocks(q, 20_000, 31))
+
+
 def test_chain_window_keeps_the_blocks_a_cap_would_clip():
     # at lambda = 0.49, 0.3782 of the size-biased mass lies in blocks of more
-    # than 2001 boxes, which the rejection window of sample_anti_palm clips
+    # than 2001 boxes, which a window accepting its origin block with
+    # probability its length over 2001 would clip; both windows keep it: the
+    # chain window, and the window over the slot fill, as explicit weights
+    # draw it (about 3 ms a block in pure Python, so it draws fewer)
     q = _bernoulli(0.49)
     law = oracles.chain_block_law(q, 1000)
     share = 1 - sum((2 * n + 1) * p for n, p in enumerate(law)) / _kappa(q)
     assert abs(share - 0.3782) < 1e-4
-    draws = 2000
-    rng = random.Random(32)
-    long = sum(len(chain_window(q, 1, rng).bits) - 1 > 2001 for _ in range(draws))
-    assert abs(long / draws - share) <= 4 * math.sqrt(share * (1 - share) / draws)
+    fill = fill_from_weights(bernoulli_weights(0.49))
+    for window, draws in ((partial(chain_window, q), 2000), (partial(_fill_window, fill), 1000)):
+        rng = random.Random(32)
+        long = sum(len(window(1, rng).bits) - 1 > 2001 for _ in range(draws))
+        assert abs(long / draws - share) <= 4 * math.sqrt(share * (1 - share) / draws), window
+
+
+# explicit weights, and the same scaled to 0.95 of the factor past which
+# the fill diverges (q_3 = 0.776, kappa = 57.9)
+EXPLICIT = (0.2, 0.1, 0.05)
+NEAR_DIVERGENCE = tuple(0.95 * 1.6426922930570744 * a for a in EXPLICIT)
+ORIGIN_WEIGHTS = [pytest.param(EXPLICIT, id="explicit"),
+                  pytest.param(NEAR_DIVERGENCE, id="explicit-near-divergence")]
+
+
+@cache
+def _fill_origin_blocks(alpha, draws, seed):
+    """(length, offset of box 0) of the block covering box 0, in ``draws``
+    one-box windows over the slot fill of the weights ``alpha``."""
+    fill = fill_from_weights(explicit_weights(alpha))
+    rng = random.Random(seed)
+    windows = (_fill_window(fill, 1, rng) for _ in range(draws))
+    return [(len(cfg.bits) - 1, -cfg.origin) for cfg in windows]
+
+
+def test_near_divergence_weights_sit_at_their_scale():
+    with pytest.raises(DivergenceError):
+        fill_from_weights(explicit_weights([a / 0.95 * 1.000001 for a in NEAR_DIVERGENCE]))
+    fill = fill_from_weights(explicit_weights(NEAR_DIVERGENCE))
+    assert abs(fill.at(3) - 0.776) < 1e-3 and abs(mean_record_gap(fill) - 57.9) < 0.05
+
+
+@pytest.mark.parametrize("alpha", ORIGIN_WEIGHTS)
+def test_fill_window_origin_block_is_size_biased(alpha):
+    # box 0 falls in a block of half-length n with probability (2n + 1) p_n /
+    # kappa, p_n the weight of the excursions of half-length n over Z
+    n_max = 8
+    fill = fill_from_weights(explicit_weights(alpha))
+    weights = oracles.brute_excursion_probs([Fraction(a) for a in alpha], n_max)
+    law = [0.0] * (n_max + 1)
+    for path, weight in weights.items():
+        law[len(path) // 2] += float(weight)
+    z, kappa = partition_function(fill), mean_record_gap(fill)
+    blocks = _fill_origin_blocks(alpha, 20_000, 31)
+    draws = len(blocks)
+    counts = Counter(length // 2 for length, _ in blocks)
+    expected = [draws * (2 * n + 1) * p / z / kappa for n, p in enumerate(law)]
+    observed = [counts[n] for n in range(n_max + 1)]
+    report = _chi_square([*observed, draws - sum(observed)], [*expected, draws - sum(expected)],
+                         [*range(n_max + 1), f">{n_max}"])
+    assert report.dof >= 2 and report.p_value > 1e-3, report
+
+
+@pytest.mark.parametrize("alpha", ORIGIN_WEIGHTS)
+def test_fill_window_origin_is_uniform_in_its_block(alpha):
+    _assert_uniform_offsets(_fill_origin_blocks(alpha, 20_000, 31))
 
 
 @pytest.mark.parametrize("q", [MARKOV_Q, _bernoulli(0.3)], ids=["markov", "bernoulli-0.3"])

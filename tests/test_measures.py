@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import hypothesis.strategies as st
 import numpy as np
@@ -33,7 +34,7 @@ from boxball import (
     shift_weights,
     weights_from_fill,
 )
-from boxball.core import _slot_parameters
+from boxball.core import _mean_record_gap, _slot_parameters
 from boxball.measures import _MAX_LEVELS, _TAIL_TOL, SolitonWeights
 
 import oracles
@@ -198,6 +199,44 @@ def test_chain_fill_matches_the_exact_rational_transform(q01, q10):
         assert exact[truncated.levels] / (1 - q11 / q00) < Fraction(_TAIL_TOL)
     if q01 == 0:
         assert truncated.q == ()
+
+
+@pytest.mark.parametrize("q_matrix, rel", [
+    (((0.75, 0.25), (0.75, 0.25)), 1e-9), (((0.55, 0.45), (0.55, 0.45)), 1e-9), (MARKOV_Q, 1e-9),
+    (((0.7, 0.3), (1.0, 0.0)), 1e-9), (((1.0, 0.0), (0.5, 0.5)), 1e-9),
+    # near criticality the fill's truncation drops 1.1e-9 and 2.4e-9 of kappa
+    (((0.51, 0.49), (0.51, 0.49)), 5e-9), (NEAR_CRITICAL_Q, 5e-9)])
+def test_a_chains_mean_record_gap_is_its_closed_form(q_matrix, rel):
+    # what sample reads of a chain, with no fill, is the fill's kappa
+    kappa = _mean_record_gap(q_matrix)
+    assert kappa == pytest.approx(mean_record_gap(fill_from_weights(markov_weights(q_matrix))),
+                                  rel=rel)
+
+
+@pytest.mark.parametrize("q_matrix", [
+    ((0.75, 0.25), (0.75, 0.25)), ((0.55, 0.45), (0.55, 0.45)), ((0.51, 0.49), (0.51, 0.49)),
+    MARKOV_Q, NEAR_CRITICAL_Q])
+def test_largest_soliton_law_is_the_chains_height_law(q_matrix):
+    # under the Palm theorem P(M > m) of the fill, prod_{l>m} (1 - q_l) short
+    # of 1, is the chance that the chain's walk climbs above height m before
+    # its next record, at every level; the fill drops less than _TAIL_TOL
+    probs = max_size_distribution(fill_from_weights(markov_weights(q_matrix)))
+    tails = list(accumulate(reversed(probs[1:])))[::-1]  # P(M > m), m = 0 .. levels - 1
+    for m, tail in enumerate(tails):
+        assert abs(tail - (1 - oracles.chain_height_law(q_matrix, m))) < _TAIL_TOL, m
+    assert 1 - oracles.chain_height_law(q_matrix, len(tails)) < _TAIL_TOL
+
+
+def test_chain_height_law_is_exact_in_rationals():
+    # lambda = 1/4: P(M <= 1) = prod_{l>1} (1 - q_l) of the Bernoulli fill,
+    # and P(M = 0) = 1 / Z = Q(0,0)
+    lam = Fraction(1, 4)
+    q = [[1 - lam, lam], [1 - lam, lam]]
+    assert oracles.chain_height_law(q, 0) == 1 - lam
+    assert oracles.chain_height_law(q, 1) == Fraction(12, 13)
+    fill = fill_from_weights(bernoulli_weights(0.25))
+    assert float(oracles.chain_height_law(q, 1)) == pytest.approx(
+        math.prod(1 - v for v in fill.q[1:]), abs=_TAIL_TOL)
 
 
 @pytest.mark.parametrize("q_matrix", [

@@ -15,6 +15,7 @@ from boxball import (
     assemble,
     bernoulli_excursions,
     block_frequencies,
+    chain_window,
     component_shift_check,
     config_soliton_counts,
     decompose,
@@ -23,9 +24,9 @@ from boxball import (
     fill_from_weights,
     geometric_gof,
     independence_test,
-    markov_excursions,
     sample_anti_palm,
     sample_excursions,
+    size_biased_excursion,
     t_invariance_test,
 )
 from boxball.stats import _chi2_sf
@@ -196,32 +197,36 @@ def test_block_frequencies_disjoint():
     assert counts[(0, 1)] == 3
 
 
-def _window(palm, n_boxes: int, seed: int) -> BallConfig:
-    """An anti-Palm window of ``n_boxes`` boxes of the measure whose Palm sampler is ``palm``."""
-    return sample_anti_palm(palm, n_boxes, random.Random(seed))
+def _window(q, n_boxes: int, seed: int) -> BallConfig:
+    """A stationary window of ``n_boxes`` boxes of the two-state chain ``q``."""
+    return chain_window(q, n_boxes, random.Random(seed))
+
+
+def _bernoulli(lam):
+    return [[1 - lam, lam], [1 - lam, lam]]
 
 
 def test_t_invariance_bernoulli():
-    report = t_invariance_test(_window(partial(bernoulli_excursions, 0.3), 60_000, 10), 1, 4, 60_000)
+    report = t_invariance_test(_window(_bernoulli(0.3), 60_000, 10), 1, 4, 60_000)
     assert report.max_dev_se is not None and report.max_dev_se <= 4
     assert len(report.bins) <= 16
 
 
 def test_t_invariance_markov():
-    window = _window(partial(markov_excursions, [[0.8, 0.2], [0.6, 0.4]]), 60_000, 11)
+    window = _window([[0.8, 0.2], [0.6, 0.4]], 60_000, 11)
     report = t_invariance_test(window, 1, 4, 60_000)
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_multi_step():
-    report = t_invariance_test(_window(partial(bernoulli_excursions, 0.2), 60_000, 12), 3, 3, 60_000)
+    report = t_invariance_test(_window(_bernoulli(0.2), 60_000, 12), 3, 3, 60_000)
     assert report.max_dev_se <= 4
 
 
 def test_t_invariance_window_guard():
     with pytest.raises(PreconditionError):
-        t_invariance_test(_window(partial(bernoulli_excursions, 0.3), 20, 0), 1, 40, 20)
-    window = _window(partial(bernoulli_excursions, 0.3), 1000, 0)
+        t_invariance_test(_window(_bernoulli(0.3), 20, 0), 1, 40, 20)
+    window = _window(_bernoulli(0.3), 1000, 0)
     for block_len in (0, -2):  # no blocks to compare, so nothing would be checked
         with pytest.raises(PreconditionError):
             t_invariance_test(window, 1, block_len, 1000)
@@ -230,7 +235,11 @@ def test_t_invariance_window_guard():
 
 
 def test_t_invariance_empty_measure_trivial():
-    report = t_invariance_test(_window(partial(sample_excursions, fill_from_weights(explicit_weights([]))), 1000, 0), 1, 4, 1000)
+    # the window of explicit weights, all zero: its fill has no level
+    fill = fill_from_weights(explicit_weights([]))
+    window = sample_anti_palm(partial(size_biased_excursion, fill), partial(sample_excursions, fill),
+                              1000, random.Random(0))
+    report = t_invariance_test(window, 1, 4, 1000)
     assert report.max_dev_se == 0.0
     assert report.bins == (("0000", 250.0, 250.0),)
 
