@@ -19,13 +19,15 @@ reaches it, and emits the bits in that one traversal.
 
 A configuration, and a Palm sample above all, repeats most of its
 excursions, so :func:`decompose` and :func:`palm_components` compute one
-diagram per distinct excursion (``core.map_distinct``) and concatenate the
-rows in one pass.  :func:`palm_components` reads the component array of an
-i.i.d. excursion sample straight off the excursions, without assembling
-them into a configuration first.  :func:`reconstruct` splits an array back
-into diagrams in one pass per side of label 0, rebuilds each distinct
-diagram once and lays the excursions out with ``core._lay_out``, as
-``core.assemble`` does, without the records.
+diagram per distinct excursion (``core.map_distinct`` over their bits) and
+lay the component rows out level by level: row k only over the diagrams
+that have a row k, whose indices are filtered from those of row k - 1, the
+zero runs between them filled in bulk.  :func:`palm_components` reads the
+component array of an i.i.d. excursion sample straight off the excursions,
+without assembling them into a configuration first.  :func:`reconstruct`
+trims an array once, splits it back into diagrams in one pass per side of
+label 0, rebuilds each distinct diagram once and lays the excursions out
+with ``core._lay_out``, as ``core.assemble`` does, without the records.
 
 Slot diagrams are validated at the boundary: ``SlotDiagram(rows)`` and
 ``from_doc``, which reads a parsed JSON document, check the rows, while the
@@ -35,7 +37,10 @@ consistent through ``_trusted_diagram``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, gt, itemgetter, mul, sub
 
 from .core import (
     BOX_BUDGET,
@@ -329,11 +334,12 @@ class ComponentArray(_Value):
         """Drop zero rows and strip leading/trailing zeros of each row."""
         rows = []
         for k, off, values in self.rows:
-            nz = [j for j, v in enumerate(values) if v]
-            if not nz:
+            first = next(compress(count(), values), None)  # first nonzero entry
+            if first is None:
                 continue
-            rows.append((k, off + nz[0], tuple(values[nz[0] : nz[-1] + 1])))
-        return ComponentArray(tuple(rows))
+            end = len(values) - next(compress(count(), reversed(values)))
+            rows.append((k, off + first, tuple(values[first:end])))
+        return _trusted_components(tuple(rows))
 
     def same_as(self, other: ComponentArray) -> bool:
         """Equality up to zero padding."""
@@ -363,6 +369,14 @@ class ComponentArray(_Value):
         return cls(rows)
 
 
+def _trusted_components(rows: tuple[tuple[int, int, tuple[int, ...]], ...]) -> ComponentArray:
+    """A component array from rows of distinct sizes k >= 1 in increasing
+    order and nonnegative counts, consistent by construction, left unchecked."""
+    components = object.__new__(ComponentArray)
+    _set(components, "rows", rows)
+    return components
+
+
 def _json_int(value) -> int:
     """A JSON integer as given: bools, floats and strings are refused, not cast."""
     if type(value) is not int:
@@ -373,7 +387,10 @@ def _json_int(value) -> int:
 def _json_ints(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ValidationError(f"expected a list of integers, got {type(value).__name__}")
-    return tuple(_json_int(v) for v in value)
+    if not set(map(type, value)) <= {int}:
+        for v in value:  # name the first entry that is not an int
+            _json_int(v)
+    return tuple(value)
 
 
 def concat_diagrams(
@@ -384,32 +401,33 @@ def concat_diagrams(
     Diagram ``i_lo + t`` occupies, on row k, the ``s_k`` labels starting at
     the cumulative slot count of its predecessors; diagram 0 starts at label
     0.  Empty diagrams, including those implicit outside the window, consume
-    one label per row.  One pass over the diagrams' rows: a row k only
-    catches up with the zeros of the diagrams below size k when the next
-    diagram of size k or more reaches it.
+    one label per row.  Row k is laid out level by level over the diagrams
+    that have a row k, their indices filtered from those of level k - 1:
+    each of their rows k in index order, after a run of zeros, one per
+    diagram between it and the previous one, which has no row k.
     """
-    K = max((d.max_size for d in diagrams), default=0)
-    values: list[list[int]] = [[] for _ in range(K)]
-    laid = [0] * K  # diagrams laid out on each row so far
-    for t, d in enumerate(diagrams):
-        for k, row in enumerate(d.rows):
-            if laid[k] < t:
-                values[k] += [0] * (t - laid[k])
-            values[k] += row
-            laid[k] = t + 1
+    n = len(diagrams)
+    shapes = list(map(attrgetter("rows"), diagrams))
+    sizes = list(map(len, shapes))
     # labels left of label 0 on each row: the diagrams of negative index
     # (past the window: the implicit empties between it and index 0)
-    negative = min(max(-i_lo, 0), len(diagrams))
-    left = [negative + max(0, -(i_lo + len(diagrams)))] * K
-    for d in diagrams[:negative]:
-        for k, row in enumerate(d.rows):
-            left[k] += len(row) - 1
+    negative = min(max(-i_lo, 0), n)
+    past = max(0, -(i_lo + n))
+    index: Sequence[int] = range(n)  # the diagrams with a row k
     rows = []
-    for k in range(K):
-        values[k] += [0] * (len(diagrams) - laid[k])
-        offset = -left[k] if i_lo <= 0 else i_lo  # implicit empties at 0 .. i_lo - 1
-        rows.append((k + 1, offset, tuple(values[k])))
-    return ComponentArray(tuple(rows))
+    for k in range(max(sizes, default=0)):
+        index = list(compress(index, map(gt, map(sizes.__getitem__, index), repeat(k))))
+        row_k = list(map(itemgetter(k), map(shapes.__getitem__, index)))
+        gaps = map(sub, index, chain((0,), map(add, index, repeat(1))))
+        runs = zip(map(mul, repeat((0,)), gaps), row_k)
+        values = (*chain.from_iterable(chain.from_iterable(runs)), *(0,) * (n - 1 - index[-1]))
+        if i_lo > 0:
+            offset = i_lo  # implicit empties at 0 .. i_lo - 1
+        else:
+            below = bisect_left(index, negative)  # rows k of negative index
+            offset = below - negative - past - sum(map(len, row_k[:below]))
+        rows.append((k + 1, offset, values))
+    return _trusted_components(tuple(rows))
 
 
 def _read_diagrams(lines: Mapping[int, tuple[int, ...]]) -> list[SlotDiagram]:
@@ -445,8 +463,13 @@ def diagrams_from_components(
     Returns ``(i_lo, diagrams)`` covering every diagram that consumes a
     nonzero entry; all others are empty.
     """
+    return _split_trimmed(components.trimmed())
+
+
+def _split_trimmed(trimmed: ComponentArray) -> tuple[int, tuple[SlotDiagram, ...]]:
+    """:func:`diagrams_from_components` of an array already trimmed."""
     right, left = {}, {}  # per row: the entries at labels 0, 1, ... and -1, -2, ...
-    for k, off, values in components.trimmed().rows:
+    for k, off, values in trimmed.rows:
         below = max(-off, 0)  # entries left of label 0; (0,) * n is () for n <= 0
         right[k] = (0,) * off + values[below:]
         left[k] = (0,) * -(off + len(values)) + values[:below][::-1]
@@ -466,7 +489,21 @@ def decompose(config: BallConfig) -> ComponentArray:
     with one diagram per distinct excursion.
     """
     i_lo, excs = excursions_of(config)
-    return concat_diagrams(map_distinct(diagram_from_excursion, excs), i_lo)
+    return concat_diagrams(_diagrams_of(excs), i_lo)
+
+
+def _diagrams_of(excursions: Iterable[Excursion]) -> list[SlotDiagram]:
+    """The slot diagram of each excursion, computed once per distinct one.
+
+    Keyed by the bits, whose hash ``bytes`` computes in C and caches, so no
+    Python-level ``Excursion.__hash__`` runs per excursion; equal excursions
+    share a diagram whether or not they are one object.
+    """
+    return map_distinct(_diagram_of_bits, map(attrgetter("bits"), excursions))
+
+
+def _diagram_of_bits(bits: bytes) -> SlotDiagram:
+    return diagram_from_excursion(_trusted_excursion(bits))
 
 
 def palm_components(excursions: Sequence[Excursion]) -> ComponentArray:
@@ -479,12 +516,12 @@ def palm_components(excursions: Sequence[Excursion]) -> ComponentArray:
     """
     if not excursions:
         raise PreconditionError("the excursion window must contain index 0")
-    diagrams = map_distinct(diagram_from_excursion, excursions)
-    return concat_diagrams([EMPTY_DIAGRAM, *diagrams, EMPTY_DIAGRAM], -1)
+    return concat_diagrams([EMPTY_DIAGRAM, *_diagrams_of(excursions), EMPTY_DIAGRAM], -1)
 
 
-def _rebuild_size(components: ComponentArray) -> int:
-    """Boxes plus diagram entries that rebuilding an array lays out, at most.
+def _rebuild_size(trimmed: ComponentArray) -> int:
+    """Boxes plus diagram entries that rebuilding a trimmed array lays out,
+    at most.
 
     The configuration has 2k boxes per k-soliton, one record box per diagram
     and a closing record.  Every diagram consumes at least one label of every
@@ -495,10 +532,10 @@ def _rebuild_size(components: ComponentArray) -> int:
     """
     boxes = 1
     entries = right = left = top = 0
-    for k, off, values in components.trimmed().rows:
-        count = sum(values)
-        boxes += 2 * k * count
-        entries += k * (k - 1) * count
+    for k, off, values in trimmed.rows:
+        solitons = sum(values)
+        boxes += 2 * k * solitons
+        entries += k * (k - 1) * solitons
         right = max(right, off + len(values))
         left = max(left, -off)
         top = max(top, k)
@@ -513,10 +550,11 @@ def reconstruct(components: ComponentArray) -> BallConfig:
     Arrays whose rebuild could lay out more than :data:`core.BOX_BUDGET`
     boxes and diagram entries are refused before anything is built.
     """
-    if _rebuild_size(components) > BOX_BUDGET:
+    trimmed = components.trimmed()
+    if _rebuild_size(trimmed) > BOX_BUDGET:
         raise PreconditionError(
             f"the component array asks for more than {BOX_BUDGET} boxes "
             "and diagram entries"
         )
-    i_lo, diagrams = diagrams_from_components(components)
+    i_lo, diagrams = _split_trimmed(trimmed)
     return _lay_out(map_distinct(excursion_from_diagram, diagrams), i_lo)

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 
-from .core import BallConfig, _set, _Value, carrier_trace, evolve, record_positions
+from .core import BallConfig, _loads, _set, _Value, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError, ValidationError
 
 _MIN_EXPECTED = 5.0
@@ -132,24 +132,24 @@ PairSpec = tuple[tuple[int, int], tuple[int, int]]
 def _pair_samples(
     components: ComponentArray, pair: PairSpec
 ) -> tuple[list[int], list[int]]:
+    """The entries at lags a of row k and b of row l that a pair reads.
+
+    A same-row pair takes one entry of each at every start t = 0, stride,
+    2 stride, ... whose window ``t .. t + stride - 1`` fits in the row: two
+    strided slices.  A cross-row pair takes every t at which both lags fit:
+    two offset slices of one length.
+    """
     (k, a), (l, b) = pair
+    if min(a, b) < 0:
+        raise PreconditionError(f"pair {pair}: lags must be >= 0")
     _, row_k = components.row(k)
     _, row_l = components.row(l)
-    xs: list[int] = []
-    ys: list[int] = []
     if k == l:
         stride = max(a, b) + 1  # disjoint windows keep the pairs independent
-        t = 0
-        while t + stride <= len(row_k):
-            xs.append(row_k[t + a])
-            ys.append(row_k[t + b])
-            t += stride
-    else:
-        m = min(len(row_k) - a, len(row_l) - b)
-        for t in range(m):
-            xs.append(row_k[t + a])
-            ys.append(row_l[t + b])
-    return xs, ys
+        end = len(row_k) // stride * stride
+        return list(row_k[a:end:stride]), list(row_k[b:end:stride])
+    m = max(min(len(row_k) - a, len(row_l) - b), 0)
+    return list(row_k[a : a + m]), list(row_l[b : b + m])
 
 
 def independence_test(components: ComponentArray, pairs: Sequence[PairSpec]) -> dict[PairSpec, GofReport]:
@@ -199,9 +199,10 @@ def independence_test(components: ComponentArray, pairs: Sequence[PairSpec]) -> 
 
 def _cap_for(values: Sequence[int], n: int) -> int:
     counts = Counter(values)
+    top = max(values, default=0)
     cap = 0
     running = n
-    while running - counts.get(cap, 0) >= _MIN_EXPECTED and cap < max(values or [0]):
+    while running - counts.get(cap, 0) >= _MIN_EXPECTED and cap < top:
         running -= counts.get(cap, 0)
         cap += 1
     return max(cap, 1)
@@ -212,13 +213,16 @@ def _cap_for(values: Sequence[int], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def block_frequencies(bits: Sequence[int], block_len: int) -> tuple[Counter, int]:
-    """Counts of non-overlapping 0/1 blocks; returns (counter, sample size)."""
-    counter: Counter = Counter()
-    n = 0
-    for t in range(0, len(bits) - block_len + 1, block_len):
-        counter[tuple(bits[t : t + block_len])] += 1
-        n += 1
-    return counter, n
+    """Counts of non-overlapping 0/1 blocks; returns (counter, sample size).
+
+    The blocks are ``bits[t : t + block_len]`` for t = 0, block_len, ...,
+    as tuples, a ragged tail left out.  They are counted in bulk: ``zip``
+    over ``block_len`` references to one iterator over the bits cuts them
+    off in order, and stops at the first block it cannot fill.
+    """
+    if block_len < 1:
+        raise PreconditionError("block_len must be >= 1")
+    return Counter(zip(*[iter(bits)] * block_len)), len(bits) // block_len
 
 
 def _check_t_invariance(steps: int, block_len: int) -> None:
@@ -249,8 +253,8 @@ def t_invariance_test(config: BallConfig, steps: int, block_len: int, n_boxes: i
     if steps > 1:
         # one evolution step is exact right of the leftmost record; deeper
         # iterations can leak boundary effects inward, so trim a margin.  The
-        # largest soliton is the highest carrier load.
-        max_soliton = max(carrier_trace(config), default=0)
+        # largest soliton is the highest carrier load, reached in the window
+        max_soliton = max(_loads(config.bits))
     margin = steps * max_soliton * 2
     if margin + block_len > n_boxes:
         raise PreconditionError("window too small for the interior margin")

@@ -221,6 +221,28 @@ def naive_components(rows_of, i_lo):
     return out
 
 
+def naive_rows(rows_of, i_lo):
+    """Rows ``(k, offset, values)`` of the component array of diagrams
+    ``rows_of[t]`` at indices ``i_lo + t``, zero padding included, by the
+    definition: row k lists, diagram by diagram, that diagram's row k, or
+    one zero for a diagram without one, from the first label of diagram
+    ``i_lo``.  Label 0 is where diagram 0 starts, and each diagram between
+    the window and index 0 is empty, one label per row."""
+    top = max((len(rows) for rows in rows_of), default=0)
+    out = []
+    for k in range(1, top + 1):
+        values = []
+        for rows in rows_of:
+            values.extend(rows[k - 1] if k <= len(rows) else [0])
+        offset = i_lo if i_lo > 0 else 0
+        for i in range(i_lo, 0):  # the labels of diagrams i_lo .. -1
+            t = i - i_lo
+            rows = rows_of[t] if t < len(rows_of) else []
+            offset -= len(rows[k - 1]) if k <= len(rows) else 1
+        out.append((k, offset, tuple(values)))
+    return tuple(out)
+
+
 def chain_block_law(q, n_max):
     """``[p_0, ..., p_n_max]``: p_n is the probability that a Palm block of
     the two-state chain ``q`` (its record and the excursion after it) holds

@@ -30,7 +30,7 @@ from boxball import (
     sample_diagrams,
     slot_positions,
 )
-from boxball.core import BOX_BUDGET
+from boxball.core import BOX_BUDGET, _cut
 from boxball.line import assemble
 from boxball.slots import palm_components
 
@@ -336,16 +336,34 @@ def test_concat_recovery_round_trip_random():
         assert concat_diagrams(got, got_lo).same_as(arr)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(-9, 3))
-def test_concat_matches_label_by_label_layout(seed, count, i_lo):
-    # windows left of index 0 with a gap, through 0, and right of 0
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 8), st.integers(-12, 4))
+@example(seed=1, max_size=0, count=3, i_lo=-1)  # empty diagrams only
+@example(seed=2, max_size=1, count=6, i_lo=0)  # empty and one-row diagrams
+@example(seed=3, max_size=4, count=5, i_lo=-3)  # through index 0
+@example(seed=4, max_size=4, count=4, i_lo=3)  # right of index 0, after implicit empties
+@example(seed=5, max_size=4, count=3, i_lo=-12)  # left of index 0, with a gap
+def test_concat_matches_label_by_label_layout(seed, max_size, count, i_lo):
+    # the rows, laid out level by level, are the per-diagram layout with its
+    # zero padding and offsets, and a valid array
     rng = np.random.default_rng(seed)
-    diagrams = [random_diagram(rng, max_size=4) for _ in range(count)]
+    diagrams = [random_diagram(rng, max_size=max_size) for _ in range(count)]
     arr = concat_diagrams(diagrams, i_lo)
     entries = {
         (k, off + j): v for k, off, values in arr.rows for j, v in enumerate(values) if v
     }
     assert entries == oracles.naive_components([list(d.rows) for d in diagrams], i_lo)
+    assert arr.rows == oracles.naive_rows([d.rows for d in diagrams], i_lo)
+    assert ComponentArray(arr.rows) == arr
+
+
+@pytest.mark.parametrize(
+    "values, name", [([1, True, 2.0], "bool"), ([0, 2.5], "float"), ([3, "2", True], "str")]
+)
+def test_json_rows_name_the_first_entry_that_is_not_an_integer(values, name):
+    with pytest.raises(ValidationError, match=f"^expected an integer, got {name}$"):
+        ComponentArray.from_doc({"1": {"offset": 0, "values": values}})
+    with pytest.raises(ValidationError, match=f"^expected an integer, got {name}$"):
+        SlotDiagram.from_doc({"rows": [values]})
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(-9, 3))
@@ -361,11 +379,23 @@ def test_to_doc_is_the_parsed_json(seed, count, i_lo):
     assert doc == components.to_doc() and ComponentArray.from_doc(doc) == components
 
 
-component_arrays = st.dictionaries(
+component_rows = st.dictionaries(
     st.integers(1, 4),
     st.tuples(st.integers(-12, 12), st.lists(st.integers(0, 2), max_size=8)),
     max_size=4,
-).map(ComponentArray.from_dict)
+)
+component_arrays = component_rows.map(ComponentArray.from_dict)
+
+
+@given(component_rows)
+def test_trimmed_strips_the_zero_padding_of_each_row(data):
+    arr = ComponentArray.from_dict(data)
+    want = []
+    for k, (off, values) in sorted(data.items()):
+        nonzero = [j for j, v in enumerate(values) if v]
+        if nonzero:
+            want.append((k, off + nonzero[0], tuple(values[nonzero[0] : nonzero[-1] + 1])))
+    assert arr.trimmed() == ComponentArray(tuple(want))
 
 
 @given(component_arrays)
@@ -477,6 +507,12 @@ palm_excursions = st.lists(
 @given(palm_excursions)
 def test_palm_components_equal_decomposed_assembly(excs):
     assert palm_components(excs) == decompose(assemble(excs, 0).config)
+    # two cuts of one sequence build its excursions again, as other objects
+    bits = b"".join(e.bits + b"\x00" for e in excs)
+    first, second = _cut(bits)[1], _cut(bits)[1]
+    assert first == second == excs and all(a is not b for a, b in zip(first, second))
+    both = [*first, *second]
+    assert palm_components(both) == decompose(assemble(both, 0).config)
 
 
 def test_palm_components_of_no_excursion_is_refused_like_assemble():

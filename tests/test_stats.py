@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from boxball import (
@@ -29,7 +30,8 @@ from boxball import (
     size_biased_excursion,
     t_invariance_test,
 )
-from boxball.stats import _chi2_sf
+from boxball.core import _loads, carrier_trace
+from boxball.stats import _chi2_sf, _pair_samples
 
 
 def synthetic_components(rng, p, n, k=1):
@@ -162,6 +164,48 @@ def test_independence_rejects_lag_correlation():
     assert reports[((1, 0), (1, 1))].p_value < 1e-10
 
 
+def _pairs_by_loop(components, pair):
+    """The entries a pair reads, one start t at a time."""
+    (k, a), (l, b) = pair
+    _, row_k = components.row(k)
+    _, row_l = components.row(l)
+    xs, ys = [], []
+    if k == l:
+        stride = max(a, b) + 1
+        t = 0
+        while t + stride <= len(row_k):
+            xs.append(row_k[t + a])
+            ys.append(row_k[t + b])
+            t += stride
+    else:
+        for t in range(min(len(row_k) - a, len(row_l) - b)):
+            xs.append(row_k[t + a])
+            ys.append(row_l[t + b])
+    return xs, ys
+
+
+_rows = st.lists(st.integers(0, 3), max_size=12)
+
+
+@given(_rows, _rows, st.integers(1, 3), st.integers(0, 5), st.integers(1, 3), st.integers(0, 5))
+@example([0, 1], [2], 1, 0, 1, 4)  # a row shorter than the stride
+@example([0, 1, 2, 3, 1], [2], 1, 1, 1, 2)  # a row ending inside a window
+@example([0, 1, 2], [2], 1, 0, 2, 3)  # min(len_k - a, len_l - b) < 0, with a = 0
+@example([0, 1, 2], [2, 1], 1, 1, 2, 2)  # min(len_k - a, len_l - b) = 0
+def test_pair_samples_read_the_entries_the_loop_reads(row_1, row_2, k, a, l, b):
+    # row 3 is absent: an empty row
+    components = ComponentArray.from_dict({1: (0, row_1), 2: (-3, row_2)})
+    pair = ((k, a), (l, b))
+    assert _pair_samples(components, pair) == _pairs_by_loop(components, pair)
+
+
+@pytest.mark.parametrize("pair", [((1, -1), (1, 0)), ((1, 0), (2, -1))])
+def test_independence_refuses_a_negative_lag(pair):
+    rng = np.random.default_rng(3)
+    with pytest.raises(PreconditionError):
+        independence_test(_two_row_components(rng, 4000), [pair])
+
+
 def test_independence_insufficient_data():
     rng = np.random.default_rng(8)
     comp = _two_row_components(rng, 300)
@@ -195,6 +239,29 @@ def test_block_frequencies_disjoint():
     counts, n = block_frequencies([0, 1, 0, 1, 0, 1], 2)
     assert n == 3
     assert counts[(0, 1)] == 3
+
+
+@given(st.lists(st.integers(0, 1), max_size=40), st.integers(1, 6))
+@example([1, 0], 3)  # shorter than one block
+@example([1, 0, 1, 1, 0], 2)  # a ragged tail
+def test_block_frequencies_count_the_blocks_one_by_one(bits, block_len):
+    blocks = [tuple(bits[t : t + block_len]) for t in range(0, len(bits) - block_len + 1, block_len)]
+    assert block_frequencies(bits, block_len) == (Counter(blocks), len(blocks))
+    assert block_frequencies(bytes(bits), block_len) == (Counter(blocks), len(blocks))
+
+
+@pytest.mark.parametrize("block_len", [0, -2])
+def test_block_frequencies_refuse_a_block_length_below_one(block_len):
+    with pytest.raises(PreconditionError):
+        block_frequencies([0, 1, 1, 0], block_len)
+
+
+@given(st.lists(st.integers(0, 1), max_size=60))
+def test_the_margins_largest_soliton_is_the_highest_carrier_load(bits):
+    # t_invariance_test reads it off the loads in the window: the trace's
+    # final descent past the window starts below the last of them
+    config = BallConfig(1, bits)
+    assert max(_loads(config.bits)) == max(carrier_trace(config), default=0)
 
 
 def _window(q, n_boxes: int, seed: int) -> BallConfig:
