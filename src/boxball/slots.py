@@ -25,8 +25,9 @@ that have a row k, whose indices are filtered from those of row k - 1, the
 zero runs between them filled in bulk.  :func:`palm_components` reads the
 component array of an i.i.d. excursion sample straight off the excursions,
 without assembling them into a configuration first.  :func:`reconstruct`
-trims an array once, splits it back into diagrams in one pass per side of
-label 0, rebuilds each distinct diagram once and lays the excursions out
+trims an array once and splits it back into diagrams the same way, top down
+on each side of label 0, counting exactly the boxes and diagram entries it
+lays out; it rebuilds each distinct diagram once and lays the excursions out
 with ``core._lay_out``, as ``core.assemble`` does, without the records.
 
 Slot diagrams are validated at the boundary: ``SlotDiagram(rows)`` and
@@ -305,21 +306,18 @@ class ComponentArray(_Value):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, int, tuple[int, ...]], ...] = ()):
-        seen = set()
-        for k, _, values in rows:
-            if k < 1 or k in seen:
-                raise ValidationError("rows must have distinct sizes k >= 1")
-            seen.add(k)
-            if values and min(values) < 0:
-                raise ValidationError("component counts must be >= 0")
-        _set(self, "rows", tuple(sorted(rows)))
+    def __init__(self, rows: Iterable[tuple[int, int, Sequence[int]]] = ()):
+        rows = tuple(sorted((k, off, tuple(values)) for k, off, values in rows))
+        sizes = [k for k, _, _ in rows]
+        if min(sizes, default=1) < 1 or len(set(sizes)) < len(sizes):
+            raise ValidationError("rows must have distinct sizes k >= 1")
+        if any(values and min(values) < 0 for _, _, values in rows):
+            raise ValidationError("component counts must be >= 0")
+        _set(self, "rows", rows)
 
     @classmethod
     def from_dict(cls, data: Mapping[int, tuple[int, Sequence[int]]]) -> ComponentArray:
-        return cls(
-            tuple((k, off, tuple(vals)) for k, (off, vals) in sorted(data.items()))
-        )
+        return cls((k, off, vals) for k, (off, vals) in data.items())
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(k for k, _, _ in self.rows)
@@ -430,27 +428,60 @@ def concat_diagrams(
     return _trusted_components(tuple(rows))
 
 
-def _read_diagrams(lines: Mapping[int, tuple[int, ...]]) -> list[SlotDiagram]:
-    """Split rows ``lines[k]``, each read from label 0 away from it and
-    ending at its last nonzero entry, into consecutive diagrams."""
-    at = dict.fromkeys(lines, 0)  # next entry of each row
+def _spend(room: int, n: int) -> int:
+    """``room`` less ``n`` boxes or diagram entries, or the refusal."""
+    if n > room:
+        raise PreconditionError(f"the component array asks for more than {BOX_BUDGET} "
+                                "boxes and diagram entries")
+    return room - n
 
-    def read_row(k: int, s_k: int) -> tuple[int, ...]:
-        a = at.get(k, 0)
-        row = lines.get(k, ())[a : a + s_k]
-        return row + (0,) * (s_k - len(row))
 
-    out = []
-    while any(at[k] < len(line) for k, line in lines.items()):
-        m = max(
-            (k for k, line in lines.items() if at[k] < len(line) and line[at[k]]),
-            default=0,
-        )
-        rows = slot_rows(lines[m][at[m]], m, read_row) if m else ()
-        for k in lines:
-            at[k] += len(rows[k - 1]) if k <= m else 1
-        out.append(_trusted_diagram(rows) if m else EMPTY_DIAGRAM)
-    return out
+def _read_diagrams(
+    lines: Mapping[int, tuple[int, tuple[int, ...]]], room: int
+) -> tuple[list[SlotDiagram], int]:
+    """Split the labels 0, 1, ... of rows ``lines[k] = (first, values)`` into
+    consecutive diagrams up to the last nonempty one, top down over k as
+    :func:`concat_diagrams` lays them out; also the ``room`` left.
+
+    At level k the diagrams with solitons above k take their s_k labels of
+    row k in index order, every other one a label, and a nonzero entry at a
+    one-label position opens a diagram whose top row it is.  A level's
+    entries are spent before they are cut, the record boxes and top rows
+    before the list is laid out, in O(entries of ``lines`` + entries cut).
+    """
+    diagrams: list[list] = []  # [index, s_k, solitons above k, rows] in index order
+    top = max((k for k, (first, values) in lines.items() if first + len(values) > 0), default=0)
+    for k in range(top, 0, -1):
+        first, values = lines.get(k, (0, ()))
+
+        def opened(label: int, index: int, stop: int) -> Iterable[list]:
+            # a diagram per nonzero entry at one-label positions label .. stop - 1
+            lo = max(label - first, 0)
+            part = values[lo : max(stop - first, lo)]
+            for p, v in zip(compress(count(first + lo), part), filter(None, part)):
+                yield [index + p - label, 1, v, [(v,)]]
+
+        for d in diagrams:
+            d[1] = next_slot_count(d[1], d[2])
+        room = _spend(room, sum(map(itemgetter(1), diagrams)))
+        level, label, index = [], 0, 0  # and the next one-label position, its diagram
+        for d in diagrams:
+            start = label + d[0] - index  # d's first label on row k
+            level += opened(label, index, start)
+            lo, s = start - first, d[1]
+            row = (0,) * min(-lo, s) + values[max(lo, 0) : max(lo + s, 0)]
+            row += (0,) * (s - len(row))
+            d[2] += sum(row)
+            d[3].append(row)
+            level.append(d)
+            label, index = start + s, d[0] + 1
+        diagrams = level + list(opened(label, index, first + len(values)))
+    n = diagrams[-1][0] + 1 if diagrams else 0
+    room = _spend(room, n + len(diagrams))  # the record boxes and top rows
+    out = [EMPTY_DIAGRAM] * n
+    for i, _, _, rows in diagrams:
+        out[i] = _trusted_diagram(tuple(reversed(rows)))
+    return out, room
 
 
 def diagrams_from_components(
@@ -458,24 +489,20 @@ def diagrams_from_components(
 ) -> tuple[int, tuple[SlotDiagram, ...]]:
     """Split a component array back into per-excursion slot diagrams.
 
-    Nonnegative indices are read left-to-right starting at label 0; negative
-    ones from label -1 leftwards, each recovered diagram reflected back.
+    Each side of label 0 of the trimmed array is split level by level
+    (:func:`_read_diagrams`), the left one on the array reflected about
+    label -1/2 and each diagram there reflected back.  The boxes and diagram
+    entries are counted exactly, and an array that asks for more than
+    :data:`core.BOX_BUDGET` of them is refused before they are laid out.
     Returns ``(i_lo, diagrams)`` covering every diagram that consumes a
     nonzero entry; all others are empty.
     """
-    return _split_trimmed(components.trimmed())
-
-
-def _split_trimmed(trimmed: ComponentArray) -> tuple[int, tuple[SlotDiagram, ...]]:
-    """:func:`diagrams_from_components` of an array already trimmed."""
-    right, left = {}, {}  # per row: the entries at labels 0, 1, ... and -1, -2, ...
-    for k, off, values in trimmed.rows:
-        below = max(-off, 0)  # entries left of label 0; (0,) * n is () for n <= 0
-        right[k] = (0,) * off + values[below:]
-        left[k] = (0,) * -(off + len(values)) + values[:below][::-1]
-    left_diagrams = [d.reflected() for d in _read_diagrams(left)]
-    diagrams = tuple(reversed(left_diagrams)) + tuple(_read_diagrams(right))
-    return -len(left_diagrams), diagrams
+    rows = components.trimmed().rows
+    # the solitons' boxes and the closing record; each side spends the rest
+    room = _spend(BOX_BUDGET, 1 + sum(2 * k * sum(v) for k, _, v in rows))
+    left, room = _read_diagrams({k: (-off - len(v), v[::-1]) for k, off, v in rows}, room)
+    right = _read_diagrams({k: (off, v) for k, off, v in rows}, room)[0]
+    return -len(left), (*(d.reflected() for d in reversed(left)), *right)
 
 
 # ---------------------------------------------------------------------------
@@ -519,42 +546,12 @@ def palm_components(excursions: Sequence[Excursion]) -> ComponentArray:
     return concat_diagrams([EMPTY_DIAGRAM, *_diagrams_of(excursions), EMPTY_DIAGRAM], -1)
 
 
-def _rebuild_size(trimmed: ComponentArray) -> int:
-    """Boxes plus diagram entries that rebuilding a trimmed array lays out,
-    at most.
-
-    The configuration has 2k boxes per k-soliton, one record box per diagram
-    and a closing record.  Every diagram consumes at least one label of every
-    row, so the diagrams number at most the labels from the leftmost to the
-    rightmost nonzero entry, counted on each side of label 0.  A diagram of
-    largest size M spells out rows 1 .. M, at least one entry each, and each
-    of its l-solitons adds 2(l - k) entries to every row k < l: l(l - 1) in all.
-    """
-    boxes = 1
-    entries = right = left = top = 0
-    for k, off, values in trimmed.rows:
-        solitons = sum(values)
-        boxes += 2 * k * solitons
-        entries += k * (k - 1) * solitons
-        right = max(right, off + len(values))
-        left = max(left, -off)
-        top = max(top, k)
-    diagrams = right + left
-    return boxes + diagrams + entries + top * diagrams
-
-
 def reconstruct(components: ComponentArray) -> BallConfig:
     """Configuration with record 0 at the origin whose decomposition is given.
 
-    Inverse of :func:`decompose` up to zero padding of the array window.
-    Arrays whose rebuild could lay out more than :data:`core.BOX_BUDGET`
-    boxes and diagram entries are refused before anything is built.
+    Inverse of :func:`decompose` up to zero padding of the array window: the
+    diagrams of :func:`diagrams_from_components`, which refuses an array past
+    :data:`core.BOX_BUDGET` before any is built, each distinct one rebuilt once.
     """
-    trimmed = components.trimmed()
-    if _rebuild_size(trimmed) > BOX_BUDGET:
-        raise PreconditionError(
-            f"the component array asks for more than {BOX_BUDGET} boxes "
-            "and diagram entries"
-        )
-    i_lo, diagrams = _split_trimmed(trimmed)
+    i_lo, diagrams = diagrams_from_components(components)
     return _lay_out(map_distinct(excursion_from_diagram, diagrams), i_lo)

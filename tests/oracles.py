@@ -221,6 +221,41 @@ def naive_components(rows_of, i_lo):
     return out
 
 
+def naive_split(entries):
+    """``(i_lo, rows_of)`` of the component array whose nonzero entries are
+    ``{(k, label): value}``: the diagrams read one at a time away from label
+    0 on each side, row lists as from :func:`naive_diagram`.  A diagram's
+    top is the largest k whose next unread label holds a nonzero entry; it
+    takes the next s_k labels of each row k up to its top, and one label of
+    every row above.  Left of label 0 the rows are read mirrored, from label
+    -1, and each diagram mirrored back; the reading stops at the last
+    nonzero entry of each side."""
+
+    def side(sign, base):
+        ends = {}  # per row: one past its last nonzero entry, in read order
+        for k, label in entries:
+            j = (label - base) * sign
+            if j >= 0:
+                ends[k] = max(ends.get(k, 0), j + 1)
+        at = dict.fromkeys(ends, 0)
+        out = []
+        while any(at[k] < ends[k] for k in ends):
+            top = max((k for k in ends if entries.get((k, base + sign * at[k]))), default=0)
+            rows, s, above = [], 1, 0
+            for k in range(top, 0, -1):
+                row = [entries.get((k, base + sign * (at.get(k, 0) + j)), 0) for j in range(s)]
+                rows.insert(0, row[::sign])
+                above += sum(row)
+                s += 2 * above
+            for k in ends:
+                at[k] += len(rows[k - 1]) if k <= top else 1
+            out.append(rows)
+        return out
+
+    left = side(-1, -1)
+    return -len(left), left[::-1] + side(1, 0)
+
+
 def naive_rows(rows_of, i_lo):
     """Rows ``(k, offset, values)`` of the component array of diagrams
     ``rows_of[t]`` at indices ``i_lo + t``, zero padding included, by the

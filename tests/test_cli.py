@@ -613,6 +613,16 @@ def test_reconstruct_refuses_arrays_over_its_budget(runner, doc, code):
     assert "Traceback" not in result.output
 
 
+def test_reconstruct_refuses_a_soliton_past_the_budget_at_once(runner):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["reconstruct", "-"],
+                           input='{"1000000000": {"offset": 0, "values": [1]}}')
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 4
+    assert result.stderr == (
+        f"error: the component array asks for more than {BOX_BUDGET} boxes and diagram entries\n")
+
+
 def test_params_bernoulli(runner):
     result = runner.invoke(
         main, ["params", "--measure", "bernoulli", "--lambda", "0.25", "--format", "json"]

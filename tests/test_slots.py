@@ -1,5 +1,7 @@
 import json
+import random
 from itertools import accumulate
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -30,8 +32,9 @@ from boxball import (
     sample_diagrams,
     slot_positions,
 )
-from boxball.core import BOX_BUDGET, _cut
-from boxball.line import assemble
+from boxball import slots
+from boxball.core import BOX_BUDGET, _bernoulli_chain, _cut
+from boxball.line import assemble, markov_excursions
 from boxball.slots import palm_components
 
 import oracles
@@ -407,6 +410,88 @@ def test_recovery_round_trip_on_arbitrary_arrays(arr):
     assert concat_diagrams(*reversed(diagrams_from_components(arr))).same_as(arr)
 
 
+@given(component_arrays)
+@example(ComponentArray.from_dict({3: (-4, (1,)), 1: (-30, (2, 0, 1))}))  # left of -1, a gap
+@example(ComponentArray.from_dict({2: (1, (1, 0, 0, 0, 1)), 1: (2, (1,))}))  # inside a diagram
+def test_split_reads_as_label_by_label(arr):
+    # the level-by-level split gives the diagrams that a reading one diagram
+    # at a time from label 0 gives, empty ones included
+    _assert_split_reads_as_label_by_label(arr)
+
+
+def test_split_of_decomposed_lines_reads_as_label_by_label():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        bits = rng.random(int(rng.integers(1, 150))) < rng.uniform(0.05, 0.48)
+        _assert_split_reads_as_label_by_label(decompose(BallConfig(1, tuple(map(int, bits)))))
+
+
+def _assert_split_reads_as_label_by_label(arr):
+    entries = {(k, off + j): v for k, off, values in arr.rows for j, v in enumerate(values) if v}
+    i_lo, diagrams = diagrams_from_components(arr)
+    assert (i_lo, [list(map(list, d.rows)) for d in diagrams]) == oracles.naive_split(entries)
+
+
+def _rebuild_count(arr):
+    """Boxes plus diagram entries that rebuilding ``arr`` lays out, counted
+    on what it lays out."""
+    _, diagrams = diagrams_from_components(arr)
+    boxes = len(reconstruct(arr).bits)
+    assert boxes == 1 + len(diagrams) + sum(2 * k * sum(v) for k, _, v in arr.rows)
+    return boxes + sum(len(row) for d in diagrams for row in d.rows)
+
+
+def test_reconstruct_spends_its_budget_exactly(monkeypatch):
+    # a 2-soliton at label 0 and a 1-soliton at row-1 label 4: diagrams
+    # [[0, 0, 0], [1]], [] and [[1]], 5 entries; 3 + 1 records and 4 + 2
+    # soliton boxes
+    arr = ComponentArray.from_dict({2: (0, (1,)), 1: (4, (1,))})
+    assert _rebuild_count(arr) == 15
+    want = reconstruct(arr)
+    monkeypatch.setattr(slots, "BOX_BUDGET", 15)
+    assert reconstruct(arr) == want
+    monkeypatch.setattr(slots, "BOX_BUDGET", 14)
+    for split in (reconstruct, diagrams_from_components):
+        with pytest.raises(PreconditionError, match="^the component array asks for more than "
+                           "14 boxes and diagram entries$"):
+            split(arr)
+
+
+@given(component_arrays)
+def test_split_accepts_an_array_at_its_exact_count_and_refuses_it_below(arr):
+    need = _rebuild_count(arr)
+    want = diagrams_from_components(arr)
+    with patch.object(slots, "BOX_BUDGET", need):
+        assert diagrams_from_components(arr) == want
+    with patch.object(slots, "BOX_BUDGET", need - 1):
+        with pytest.raises(PreconditionError):
+            diagrams_from_components(arr)
+
+
+def test_reconstruct_takes_a_wide_array_whose_exact_count_fits():
+    # a 40-soliton at label 0 spans the 79 labels of its row 1, so a
+    # 1-soliton at row-1 label 110 000 is diagram 109 922: 110 006 boxes and
+    # 1 601 entries; a bound that charged every label of the span with the
+    # top row, 40 * 110 001, came to 4 511 684, past the budget of 4 194 304
+    arr = ComponentArray.from_dict({40: (0, (1,)), 1: (110_000, (1,))})
+    assert _rebuild_count(arr) == 110_006 + 1_601
+    i_lo, diagrams = diagrams_from_components(arr)
+    assert (i_lo, len(diagrams), diagrams[-1]) == (0, 109_923, SlotDiagram(((1,),)))
+    assert decompose(reconstruct(arr)).same_as(arr)
+
+
+def test_reconstruct_round_trips_a_near_critical_palm_line():
+    # a Bernoulli(0.45) Palm line of 20 000 excursions, 197 203 boxes, lays
+    # out 197 197 boxes and 286 482 diagram entries when rebuilt (the last
+    # empty excursions are padding); the label span times the top row
+    # charged 4 605 839 and refused it
+    excursions = markov_excursions(_bernoulli_chain(0.45), 20_000, random.Random(1))
+    line = assemble(excursions, 0).config
+    assert len(line.bits) == 197_203
+    arr = palm_components(excursions)
+    assert reconstruct(arr).trimmed() == line.trimmed()
+
+
 def test_recovery_reflection_on_palindromic_arrays():
     rng = np.random.default_rng(17)
     for _ in range(100):
@@ -426,6 +511,18 @@ def test_component_array_json_round_trip():
     with pytest.raises(ValidationError):
         ComponentArray.from_doc(json.loads('{"1": {"offset": 0}}'))
     assert ComponentArray.from_doc({"10": {"offset": -2, "values": [1]}}).sizes() == (10,)
+
+
+def test_component_arrays_keep_their_rows_as_tuples():
+    # values given as a list build the array of the same values as a tuple
+    arr = ComponentArray(((2, -1, (0, 1)), (1, 0, [1, 2])))
+    same = ComponentArray(((1, 0, (1, 2)), (2, -1, (0, 1))))
+    assert arr == same and hash(arr) == hash(same)
+    assert arr.rows == ((1, 0, (1, 2)), (2, -1, (0, 1)))
+    assert ComponentArray.from_dict({1: (0, [1, 2]), 2: (-1, [0, 1])}) == same
+    for rows in (((0, 0, (1,)),), ((1, 0, (1,)), (1, 2, [1])), ((1, 0, [1, -1]),)):
+        with pytest.raises(ValidationError):
+            ComponentArray(rows)
 
 
 @pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "+1", "01", "-0", "\u0663", "1.0", "x", ""])
