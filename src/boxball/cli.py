@@ -398,16 +398,19 @@ main = _Command("bbs", "Box-ball system toolkit: dynamics, soliton calculus, ran
               _FORMAT, _OUT)
 def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     """Apply the carrier sweep STEPS times to a ball string."""
-    from .core import carrier_trace, evolve
+    from .core import BallConfig, _sweep, _trace, evolve
 
     if steps < 0:
         raise PreconditionError("--steps must be >= 0")
     cfg = _read_config(config, path, origin)
     if trace:
-        states = [cfg]
+        # one sweep per step gives both the next state and the step's trace
+        states, traces = [cfg], []
         for _ in range(steps):
-            states.append(evolve(states[-1]))
-        traces = [carrier_trace(state) for state in states[:-1]]
+            bits = states[-1].bits
+            image = _sweep(bits)
+            traces.append(_trace(bits, image))
+            states.append(BallConfig(cfg.origin, image))
     else:
         states, traces = [cfg, evolve(cfg, steps)], []
     if fmt == "json":

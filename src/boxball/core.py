@@ -4,13 +4,14 @@ A configuration is a 0/1 occupancy of the integer lattice with finite support,
 stored as a window of boxes plus implicit zero padding.  Box contents have one
 format everywhere: immutable ``bytes`` of 0s and 1s, checked once by
 ``_boxes``.  The walk that steps up at occupied boxes and down at empty ones
-is only ever read through the carrier (``_loads``), whose load is the walk
-minus its running minimum: the boxes it reaches empty are the records, which
-split the configuration into finite excursions, and :func:`assemble` lays
-excursions out between records again.  The Takahashi-Satsuma algorithm
-identifies the conserved solitons of an excursion in one left-to-right pass
-over its runs, pairing each run that is no longer than the run after it with
-the start of that run.
+is only ever read through the carrier, whose load is the walk minus its
+running minimum.  One sweep of it (``_sweep``) writes the image of the
+dynamics, and the rest is read off the boxes and that image: the boxes
+empty in both are the records, which split the configuration into finite
+excursions, and :func:`assemble` lays excursions out between records
+again.  The Takahashi-Satsuma algorithm identifies the conserved solitons
+of an excursion in one left-to-right pass over its runs, pairing each run
+that is no longer than the run after it with the start of that run.
 
 The two-state chains of the bernoulli and markov families are checked here
 (``_bernoulli_chain``, ``_transition_matrix``), beside ``_as_rng``, the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, groupby, islice
-from operator import attrgetter, eq, gt
+from operator import attrgetter, sub
 
 from .errors import DivergenceError, PreconditionError, ValidationError
 
@@ -181,34 +182,52 @@ class BallConfig(_Value):
 
 
 # ---------------------------------------------------------------------------
-# the carrier: loads, records and the image of one sweep
+# the carrier: one sweep writes the image; records and loads are read off it
 # ---------------------------------------------------------------------------
 
-def _loads(bits: bytes, load: int = 0) -> list[int]:
-    """Carrier load before the window and after each of its boxes.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
-    The carrier enters with ``load`` balls, picks up every ball and drops
-    one ball into every empty box it reaches loaded.  Its load is the walk
-    minus its running minimum, so the boxes it reaches empty are the records
-    inside the window (``loads[i] == loads[i + 1]``), the boxes it fills are
-    those where the load drops (``loads[i] > loads[i + 1]``), and
-    ``loads[-1]`` balls are left for the boxes right of the window.
+
+def _sweep(bits: bytes, load: int = 0) -> bytes:
+    """The image of one carrier sweep over the boxes, its spill included.
+
+    The carrier enters with ``load`` balls, picks up every ball, which
+    leaves its box empty, and drops one ball into every empty box it
+    reaches loaded.  Its load is the walk minus its running minimum, so the
+    empty boxes it reaches empty are the records, and they stay empty.  The
+    balls still loaded after the last box follow as ones, so ``len(image) -
+    len(bits)`` is the final load.  This is the one place the carrier rule
+    is written: records (:func:`_records`) and loads (:func:`_loads`) are
+    read off the boxes and their image.
     """
-    out = [load]
+    out = bytearray()
+    append = out.append
     for b in bits:
         if b:
             load += 1
+            append(0)
         elif load:
             load -= 1
-        out.append(load)
-    return out
+            append(1)
+        else:
+            append(0)
+    return bytes(out) + b"\x01" * load
 
 
-def _records(loads: list[int], first: int = 0) -> Iterator[int]:
-    """Positions of the records among the boxes whose :func:`_loads` are
-    ``loads``, the first box at ``first``: the boxes the carrier reaches and
-    leaves empty."""
-    return compress(count(first), map(eq, loads, islice(loads, 1, None)))
+def _records(bits: bytes, image: bytes, first: int = 0) -> Iterator[int]:
+    """Positions of the records among ``bits``, the first box at ``first``,
+    read off their :func:`_sweep` ``image``: the boxes empty before and
+    after, found in C by OR-ing the two as integers."""
+    n = len(bits)
+    either = int.from_bytes(bits, "big") | int.from_bytes(image[:n], "big")
+    return compress(count(first), either.to_bytes(n, "big").translate(_FLIP))
+
+
+def _loads(bits: bytes, image: bytes, load: int = 0) -> list[int]:
+    """Carrier load before the boxes and after each of them, for a carrier
+    that enters with ``load`` balls and whose :func:`_sweep` is ``image``:
+    a ball raises it, a box the carrier fills lowers it, a record leaves it."""
+    return list(accumulate(map(sub, bits, image), initial=load))
 
 
 def record_positions(config: BallConfig) -> tuple[int, ...]:
@@ -218,8 +237,10 @@ def record_positions(config: BallConfig) -> tuple[int, ...]:
     of the last returned position; the returned range is therefore a complete
     description of the record set.
     """
-    loads = _loads(config.bits)
-    return (config.origin - 1, *_records(loads, config.origin), config.end + loads[-1] + 1)
+    bits = config.bits
+    image = _sweep(bits)
+    spill = len(image) - len(bits)
+    return (config.origin - 1, *_records(bits, image, config.origin), config.end + spill + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +250,23 @@ def record_positions(config: BallConfig) -> tuple[int, ...]:
 def evolve(config: BallConfig, steps: int = 1) -> BallConfig:
     """One carrier sweep per step: records stay empty, every other box flips.
 
-    The output window keeps the input origin and grows to the right as far
-    as balls travel.
+    Each step is the :func:`_sweep` image of the last, read as it is, spill
+    included.  The output window keeps the input origin and grows to the
+    right as far as balls travel.
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     bits = config.bits
     for _ in range(steps):
-        loads = _loads(bits)
-        bits = bytes(map(gt, loads, islice(loads, 1, None))) + b"\x01" * loads[-1]
+        bits = _sweep(bits)
     return BallConfig(config.origin, bits)
+
+
+def _trace(bits: bytes, image: bytes) -> tuple[int, ...]:
+    """:func:`carrier_trace` of the boxes ``bits`` whose :func:`_sweep`
+    is ``image``: the loads after each box, then the descent of the spill."""
+    loads = _loads(bits, image)
+    return (*islice(loads, 1, None), *range(loads[-1] - 1, -1, -1))
 
 
 def carrier_trace(config: BallConfig) -> tuple[int, ...]:
@@ -248,8 +276,7 @@ def carrier_trace(config: BallConfig) -> tuple[int, ...]:
     window end, continues until it has deposited everything, so the final
     load is always zero.
     """
-    loads = _loads(config.bits)
-    return (*islice(loads, 1, None), *range(loads[-1] - 1, -1, -1))
+    return _trace(config.bits, _sweep(config.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +295,8 @@ class Excursion(_Value):
 
     def __init__(self, bits: bytes = b""):
         bits = _boxes(bits)
-        loads = _loads(bits)
-        if loads[-1] or next(_records(loads), None) is not None:
+        # no record and no spill: the sweep flips every box
+        if _sweep(bits) != bits.translate(_FLIP):
             raise ValidationError("boxes must hold no record and end with an empty carrier")
         _set(self, "bits", bits)
 
@@ -308,7 +335,8 @@ def _cut(
     earlier cut's tail): the carrier starts after them at their height.
     """
     head = 2 * bits.count(1, 0, start) - start
-    records = list(islice(_records(_loads(bits[start:], head), start), limit))
+    rest = bits[start:]
+    records = list(islice(_records(rest, _sweep(rest, head), start), limit))
     starts = [0, *(r + 1 for r in records)]
     excursions = map_distinct(_trusted_excursion, [bits[a:b] for a, b in zip(starts, records)])
     return records, excursions, bits[starts[-1] :]

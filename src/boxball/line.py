@@ -39,7 +39,7 @@ from itertools import accumulate, repeat
 from random import Random
 
 from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _carrier_ratio
-from .core import _check_budget, _cut, _lay_out, _loads, _records, _transition_matrix, assemble
+from .core import _check_budget, _cut, _lay_out, _records, _sweep, _transition_matrix, assemble
 from .errors import PreconditionError
 
 
@@ -169,18 +169,20 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
     up_from = (q01, q11)
     boxes = _chain(uniform, n_boxes - 1, up_from, box)
     pieces = [bytes(left), boxes]
-    size, load, last = len(left) + len(boxes), _loads(boxes, load)[-1], (boxes or left)[-1]
+    # the load at the window end is the spill of its sweep
+    load = len(_sweep(boxes, load)) - len(boxes)
+    size, last = len(left) + len(boxes), (boxes or left)[-1]
     chunk = 16
     while True:  # on to the first record from box n_boxes on, in doubling chunks
         _check_budget(size + load + 1, "a drawn excursion would lay out")
         boxes = _chain(uniform, min(chunk, BOX_BUDGET - size), up_from, last)
-        loads = _loads(boxes, load)
-        end = next(_records(loads), None)
+        image = _sweep(boxes, load)
+        end = next(_records(boxes, image), None)
         if end is not None:
             pieces.append(boxes[: end + 1])
             return BallConfig(1 - len(left), b"".join(pieces))
         pieces.append(boxes)
-        size, load, last, chunk = size + len(boxes), loads[-1], boxes[-1], 2 * chunk
+        size, load, last, chunk = size + len(boxes), len(image) - len(boxes), boxes[-1], 2 * chunk
 
 
 def sample_anti_palm(

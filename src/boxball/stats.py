@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 
-from .core import BallConfig, _loads, _set, _Value, evolve, record_positions
+from .core import BallConfig, _loads, _set, _sweep, _Value, evolve, record_positions
 from .errors import InsufficientDataError, PreconditionError, ValidationError
 
 _MIN_EXPECTED = 5.0
@@ -248,16 +248,19 @@ def t_invariance_test(config: BallConfig, steps: int, block_len: int, n_boxes: i
     run before it draws the window.
     """
     _check_t_invariance(steps, block_len)
-    evolved = evolve(config, steps)
+    image = _sweep(config.bits)
     max_soliton = 0
     if steps > 1:
         # one evolution step is exact right of the leftmost record; deeper
         # iterations can leak boundary effects inward, so trim a margin.  The
         # largest soliton is the highest carrier load, reached in the window
-        max_soliton = max(_loads(config.bits))
+        # and read off the first step's image
+        max_soliton = max(_loads(config.bits, image))
     margin = steps * max_soliton * 2
     if margin + block_len > n_boxes:
         raise PreconditionError("window too small for the interior margin")
+    # the margin is refused before any sweep past the first
+    evolved = evolve(BallConfig(config.origin, image), steps - 1)
     before = config.segment(margin, n_boxes)
     after = evolved.segment(margin, n_boxes)
     obs_a, n_a = block_frequencies(before, block_len)

@@ -38,8 +38,9 @@ def naive_records(balls, origin=1):
     return out
 
 
-def naive_carrier(balls):
-    load = 0
+def naive_carrier(balls, load=0):
+    """Carrier load after each box, entering with ``load`` balls, then down
+    to 0 one box at a time past the window."""
     out = []
     for b in balls:
         load = load + 1 if b else max(load - 1, 0)

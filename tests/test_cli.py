@@ -38,6 +38,21 @@ def test_evolve_with_trace_shows_all_lines(runner):
     assert lines == [CARRIER_INPUT, CARRIER_LOAD, CARRIER_OUTPUT]
 
 
+def test_evolve_with_trace_sweeps_once_per_step(runner, monkeypatch):
+    # each step's image is both the next state and the source of its trace
+    import boxball.core
+    from boxball.core import BallConfig, carrier_trace, evolve
+
+    sweep, sweeps = boxball.core._sweep, []
+    monkeypatch.setattr(boxball.core, "_sweep", lambda bits, load=0: sweeps.append(1) or sweep(bits, load))
+    result = runner.invoke(main, ["evolve", "--trace", "--steps", "3", "--format", "json", CARRIER_INPUT])
+    assert result.exit_code == 0, result.output
+    assert len(sweeps) == 3
+    monkeypatch.undo()
+    states = [evolve(BallConfig.from_string(CARRIER_INPUT), t) for t in range(3)]
+    assert json.loads(result.output)["traces"] == [list(carrier_trace(state)) for state in states]
+
+
 def test_evolve_multi_step_json(runner):
     result = runner.invoke(main, ["evolve", "--steps", "2", "--format", "json", "1100"])
     doc = json.loads(result.output)
@@ -362,6 +377,21 @@ def test_t_invariance_refuses_its_blocks_before_drawing(runner, monkeypatch, fla
     assert result.exit_code == 4, result.output
     name = flag[2:].replace("-", "_")
     assert result.stderr == f"error: {name} must be >= 1\n"
+
+
+def test_t_invariance_refuses_its_margin_after_one_sweep(runner, monkeypatch):
+    # 100000 steps of a 2000-box window: the margin is read off the first
+    # sweep and refused before the other 99999
+    import boxball.stats
+
+    def evolve(config, steps=1):
+        raise AssertionError("swept past the first step")
+
+    monkeypatch.setattr(boxball.stats, "evolve", evolve)
+    result = runner.invoke(main, ["verify", "t-invariance", "--lambda", "0.25", "--boxes", "2000",
+                                  "--steps", "100000", "--seed", "1"])
+    assert result.exit_code == 4, result.output
+    assert result.stderr == "error: window too small for the interior margin\n"
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from boxball import (
     soliton_decompose,
 )
 from boxball.core import BOX_BUDGET, GAP_BUDGET, AnchoredConfig, Soliton, _cut, assemble, map_distinct
+from boxball.core import _loads, _records, _sweep
 from boxball.measures import SeriesResult, SlotFill, SolitonWeights
 from boxball.slots import ComponentArray, SlotDiagram, _trusted_diagram
 from boxball.stats import GofReport, ShiftReport
@@ -177,6 +178,65 @@ def test_carrier_trace_matches_naive(cfg):
 def test_carrier_trace_ends_empty(cfg):
     trace = carrier_trace(cfg)
     assert not trace or trace[-1] == 0
+
+
+# the carrier enters with 0 to 5 balls, as it does in ``_cut`` after an
+# earlier cut's tail and in ``line.chain_window``'s loaded chunks
+bit_lists = st.lists(st.integers(0, 1), max_size=40)
+entry_loads = st.integers(0, 5)
+
+
+def _naive_image(bits, load):
+    """The image of a sweep entering with ``load`` balls, by the flip rule:
+    the same sweep after ``load`` balls, whose boxes it empties, drops them
+    and keeps the records empty, and every other box flips."""
+    _, image = oracles.naive_evolve([1] * load + bits)
+    return bytes(image[load:])
+
+
+def _naive_window_records(bits, load, first):
+    """The records among ``bits``, the first box at ``first``, after ``load`` balls."""
+    recs = oracles.naive_records([1] * load + bits, first - load)
+    return [r for r in recs if first <= r < first + len(bits)]
+
+
+@given(bit_lists, entry_loads)
+def test_sweep_is_the_naive_image_spill_included(bits, load):
+    assert _sweep(bytes(bits), load) == _naive_image(bits, load)
+
+
+@given(bit_lists, entry_loads, st.integers(-8, 8))
+def test_records_read_off_the_image_are_the_naive_records(bits, load, first):
+    image = _sweep(bytes(bits), load)
+    assert list(_records(bytes(bits), image, first)) == _naive_window_records(bits, load, first)
+
+
+@given(bit_lists, entry_loads)
+def test_loads_read_off_the_image_are_the_naive_carrier(bits, load):
+    loads = _loads(bytes(bits), _sweep(bytes(bits), load), load)
+    assert [*loads[1:], *range(loads[-1] - 1, -1, -1)] == oracles.naive_carrier(bits, load)
+    assert loads[0] == load
+
+
+@pytest.mark.parametrize(
+    "bits, load, image, records",
+    [
+        (b"", 0, b"", []),
+        (b"", 3, b"\x01" * 3, []),
+        (bytes(5), 0, bytes(5), [0, 1, 2, 3, 4]),
+        (bytes(5), 2, b"\x01\x01\x00\x00\x00", [2, 3, 4]),
+        (b"\x01" * 4, 0, bytes(4) + b"\x01" * 4, []),
+        (b"\x01" * 4, 1, bytes(4) + b"\x01" * 5, []),
+        # a load larger than the window: no record, the rest spills
+        (b"\x00\x01\x00", 9, b"\x01\x00\x01" + b"\x01" * 8, []),
+    ],
+    ids=["empty", "empty-loaded", "no-ball", "no-ball-loaded", "all-balls", "all-balls-loaded",
+         "load-past-window"],
+)
+def test_sweep_edge_cases(bits, load, image, records):
+    assert _sweep(bits, load) == image == _naive_image(list(bits), load)
+    assert list(_records(bits, image)) == records == _naive_window_records(list(bits), load, 0)
+    assert _loads(bits, image, load)[-1] == len(image) - len(bits)
 
 
 @given(configs)

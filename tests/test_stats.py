@@ -30,7 +30,7 @@ from boxball import (
     size_biased_excursion,
     t_invariance_test,
 )
-from boxball.core import _loads, carrier_trace
+from boxball.core import _loads, _sweep, carrier_trace
 from boxball.stats import _chi2_sf, _pair_samples
 
 
@@ -258,10 +258,11 @@ def test_block_frequencies_refuse_a_block_length_below_one(block_len):
 
 @given(st.lists(st.integers(0, 1), max_size=60))
 def test_the_margins_largest_soliton_is_the_highest_carrier_load(bits):
-    # t_invariance_test reads it off the loads in the window: the trace's
-    # final descent past the window starts below the last of them
+    # t_invariance_test takes the highest load in the window, read off the
+    # first step's image: the trace's final descent past the window starts
+    # below the last of them
     config = BallConfig(1, bits)
-    assert max(_loads(config.bits)) == max(carrier_trace(config), default=0)
+    assert max(_loads(config.bits, _sweep(config.bits))) == max(carrier_trace(config), default=0)
 
 
 def _window(q, n_boxes: int, seed: int) -> BallConfig:
@@ -299,6 +300,28 @@ def test_t_invariance_window_guard():
             t_invariance_test(window, 1, block_len, 1000)
     with pytest.raises(PreconditionError):
         t_invariance_test(window, 0, 4, 1000)
+
+
+def test_t_invariance_refuses_its_margin_before_any_sweep_past_the_first(monkeypatch):
+    # the margin is read off the first step's image; the other steps are
+    # never swept when it does not fit the window
+    import boxball.stats
+
+    sweeps = []
+
+    def one_sweep(bits, load=0):
+        sweeps.append(len(bits))
+        return _sweep(bits, load)
+
+    def evolve(config, steps=1):
+        raise AssertionError("swept past the first step")
+
+    monkeypatch.setattr(boxball.stats, "_sweep", one_sweep)
+    monkeypatch.setattr(boxball.stats, "evolve", evolve)
+    window = _window(_bernoulli(0.25), 2000, 1)
+    with pytest.raises(PreconditionError, match="interior margin"):
+        t_invariance_test(window, 3000, 4, 2000)
+    assert sweeps == [len(window.bits)]
 
 
 def test_t_invariance_empty_measure_trivial():
