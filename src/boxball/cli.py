@@ -8,7 +8,8 @@ stderr with exit 3 or 4.  All randomized commands require an explicit
 
 The standard library's argparse parses the arguments.  This module imports
 no other boxball module than ``errors``: each command imports the layers it
-runs when it runs, so a process compiles only those.
+runs when it runs, and a measure's samplers are the package's lazy names
+(``boxball.markov_excursions``), so a process compiles only those.
 
 - ``--version`` loads no layer;
 - ``evolve`` and ``render`` load ``core``;
@@ -32,9 +33,15 @@ runs when it runs, so a process compiles only those.
   markov families, and for explicit weights ``line.sample_anti_palm``, whose
   origin block is ``measures.size_biased_excursion`` of the fill.  ``verify
   t-invariance`` refuses its steps and block length before it draws, and
-  hands the window to ``stats``, which draws nothing.  A Palm ``sample`` is
-  refused before it draws when its mean length, ``--excursions`` times the
-  mean record gap, passes the budget.
+  hands the window to ``stats``, which draws nothing.
+- ``sample``, ``verify geometric`` and ``verify independence`` draw through
+  one Palm entry, which refuses before it draws an ``--excursions`` below
+  1, past the budget, or whose mean length, the count times the mean record
+  gap, passes it.
+- ``evolve``, with or without ``--trace``, refuses steps that would sweep
+  more than ``core.SWEEP_BUDGET`` boxes; ``verify bijections`` an
+  ``--n-max`` past 12; and ``verify shift`` a ``--max-boxes`` past the box
+  budget, before it draws.
 
 No layer imports ``json``: the layers take and give parsed documents, and
 this module parses (``_json``) and writes every JSON text, importing ``json``
@@ -49,6 +56,8 @@ import os
 import re
 import sys
 from functools import cache, partial
+
+import boxball
 
 from . import __version__
 from .errors import BoxBallError, PreconditionError, ValidationError
@@ -171,49 +180,41 @@ _TYPES = {"bernoulli": ("a number", lambda lam: type(lam) in (int, float)),
           "explicit": ("a list of numbers", _numbers)}
 
 
-def _walk(chain, size: int, rng) -> list[Excursion]:
-    """``line.markov_excursions``: ``line`` loads only when a command draws."""
-    from .line import markov_excursions
+def _palm_entry(draw: Palm, mean_gap: Callable[[], float]) -> Palm:
+    """The Palm sampler ``draw`` behind the one excursion-count rule, checked
+    before anything is drawn: the count is at least 1, at most
+    ``BOX_BUDGET``, since each excursion lays out at least its record box,
+    and at most ``BOX_BUDGET`` over the mean record gap ``mean_gap()``, since
+    a Palm sample is laid out whole."""
 
-    return markov_excursions(chain, size, rng)
+    def palm(size: int, rng) -> list[Excursion]:
+        from .core import _check_budget
 
+        if size < 1:
+            raise PreconditionError("--excursions must be >= 1")
+        _check_budget(size, "--excursions would lay out")
+        _check_budget(size * mean_gap(), "--excursions at the mean record gap would lay out")
+        return draw(size, rng)
 
-def _chain_window(chain, n_boxes: int, rng) -> BallConfig:
-    """``line.chain_window``, loaded when a command draws it."""
-    from .line import chain_window
-
-    return chain_window(chain, n_boxes, rng)
-
-
-def _anti_palm(origin, palm: Palm, n_boxes: int, rng) -> BallConfig:
-    """``line.sample_anti_palm`` from the origin-block and Palm samplers
-    ``origin`` and ``palm``, loaded when a command draws it."""
-    from .line import sample_anti_palm
-
-    return sample_anti_palm(origin, palm, n_boxes, rng)
-
-
-def _chain_weights(chain) -> SolitonWeights:
-    """``measures.markov_weights``: ``measures`` loads only when a command
-    reads the soliton weights of a chain."""
-    from .measures import markov_weights
-
-    return markov_weights(chain)
+    return palm
 
 
 def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[
-        Callable[[], SolitonWeights], Callable[[int], float], Palm, Window, Callable[[], float]]:
+        Callable[[], SolitonWeights], Callable[[int], float], Palm, Window]:
     """The measure's soliton weights, as a function of no argument; its slot
-    parameter ``k -> q_k``; its Palm sampler ``(size, rng) -> excursions``;
-    its stationary window ``(n_boxes, rng) -> BallConfig``; and its mean
-    record gap kappa, as a function of no argument.  For the bernoulli and
-    markov families q_k and kappa are the chain's closed forms in ``core``,
-    the Palm sampler walks the chain and the window is ``line.chain_window``;
-    none of them builds the slot fill.  For explicit weights q_k and kappa
-    read the fill, the Palm sampler draws diagrams of it, and the window is
-    ``line.sample_anti_palm`` over that sampler and
+    parameter ``k -> q_k``; its Palm entry ``(size, rng) -> excursions``,
+    the family's Palm sampler behind the excursion-count rule of
+    :func:`_palm_entry`; and its stationary window ``(n_boxes, rng) ->
+    BallConfig``.  For the bernoulli and markov families q_k and the mean
+    record gap are the chain's closed forms in ``core``, the Palm sampler is
+    ``line.markov_excursions`` and the window ``line.chain_window``; none of
+    them builds the slot fill.  For explicit weights q_k and the mean record
+    gap read the fill, the Palm sampler is ``measures.sample_excursions`` of
+    it, and the window is ``line.sample_anti_palm`` over that sampler and
     ``measures.size_biased_excursion``; the fill is built once, on the first
-    call that reads it.
+    call that reads it.  The samplers are the package's lazy names
+    (``boxball.markov_excursions``), looked up when they draw, so ``line``
+    and ``measures`` load only then.
 
     The parameter is checked here, before anything is drawn: a parameter
     flag the run would not read, of another family than ``measure`` or
@@ -253,23 +254,23 @@ def _weights_from_flags(measure, lam, q_matrix, alpha, params) -> tuple[
         if not typed(parameter):
             raise ValidationError(f"bad {family} parameter: {_FAMILIES[family][1]} must be {kind}")
         if family == "explicit":
-            from .measures import explicit_weights, fill_from_weights, mean_record_gap
-            from .measures import sample_excursions, size_biased_excursion
-
-            weights = explicit_weights(parameter)
-            fill = cache(partial(fill_from_weights, weights))
-            palm = lambda size, rng: sample_excursions(fill(), size, rng)
-            origin = lambda rng: size_biased_excursion(fill(), rng)
-            return (lambda: weights, lambda k: fill().at(k), palm,
-                    partial(_anti_palm, origin, palm), lambda: mean_record_gap(fill()))
+            weights = boxball.explicit_weights(parameter)
+            fill = cache(partial(boxball.fill_from_weights, weights))
+            draw = lambda size, rng: boxball.sample_excursions(fill(), size, rng)
+            origin = lambda rng: boxball.size_biased_excursion(fill(), rng)
+            return (lambda: weights, lambda k: fill().at(k),
+                    _palm_entry(draw, lambda: boxball.mean_record_gap(fill())),
+                    lambda n_boxes, rng: boxball.sample_anti_palm(origin, draw, n_boxes, rng))
         from .core import _bernoulli_chain, _mean_record_gap, _slot_parameters, _transition_matrix
 
         chain = _transition_matrix(
             _bernoulli_chain(float(parameter)) if family == "bernoulli" else parameter)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {family} parameter: {exc}") from exc
-    return (cache(partial(_chain_weights, chain)), lambda k: _slot_parameters(chain)(k),
-            partial(_walk, chain), partial(_chain_window, chain), partial(_mean_record_gap, chain))
+    return (cache(lambda: boxball.markov_weights(chain)), lambda k: _slot_parameters(chain)(k),
+            _palm_entry(lambda size, rng: boxball.markov_excursions(chain, size, rng),
+                        partial(_mean_record_gap, chain)),
+            lambda n_boxes, rng: boxball.chain_window(chain, n_boxes, rng))
 
 
 def _opt(*flags: str, **kwargs) -> tuple:
@@ -398,7 +399,7 @@ main = _Command("bbs", "Box-ball system toolkit: dynamics, soliton calculus, ran
               _FORMAT, _OUT)
 def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     """Apply the carrier sweep STEPS times to a ball string."""
-    from .core import BallConfig, _sweep, _trace, evolve
+    from .core import BallConfig, _sweeps, _trace, evolve
 
     if steps < 0:
         raise PreconditionError("--steps must be >= 0")
@@ -406,10 +407,8 @@ def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     if trace:
         # one sweep per step gives both the next state and the step's trace
         states, traces = [cfg], []
-        for _ in range(steps):
-            bits = states[-1].bits
-            image = _sweep(bits)
-            traces.append(_trace(bits, image))
+        for image in _sweeps(cfg.bits, steps):
+            traces.append(_trace(states[-1].bits, image))
             states.append(BallConfig(cfg.origin, image))
     else:
         states, traces = [cfg, evolve(cfg, steps)], []
@@ -555,33 +554,19 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
                f"kappa  = {kappa:.12g}\nlambda = {lam_out:.12g}", out)
 
 
-def _excursion_count(total: int) -> int:
-    """``total``, the excursions a Palm sample asks for, refused past
-    ``BOX_BUDGET``: each lays out at least its record box."""
-    from .core import _check_budget
-
-    if total < 1:
-        raise PreconditionError("--excursions must be >= 1")
-    _check_budget(total, "--excursions would lay out")
-    return total
-
-
 @main.command("sample", *_MEASURE, _opt("--excursions", dest="num", type=int, default=1000),
               _opt("--anti-palm", action="store_true",
                    help="stationary window instead of record-anchored"),
               _opt("--boxes", type=int, help="window size for --anti-palm"), _SEED, _FORMAT, _OUT)
 def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, rng, fmt, out):
     """Draw a random configuration; prints the ball string and its records."""
-    from .core import _check_budget, assemble, record_positions
+    from .core import assemble, record_positions
 
-    _, _, palm, window, mean_gap = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    _, _, palm, window = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
         cfg = window(1000 if boxes is None else boxes, rng)
         anchored = None
     else:
-        # the sample is laid out whole: refuse it when its mean length passes the budget
-        _check_budget(_excursion_count(num) * mean_gap(),
-                      "--excursions at the mean record gap would lay out")
         anchored = assemble(palm(num, rng), 0)
         cfg = anchored.config
     if fmt == "json":
@@ -617,9 +602,9 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, rng, signifi
     from .slots import palm_components
     from .stats import geometric_gof
 
-    _, slot, palm, _, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
+    _, slot, palm, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     q_k = slot(k)
-    components = palm_components(palm(_excursion_count(num), rng))
+    components = palm_components(palm(num, rng))
     report = geometric_gof(components, k, 1 - q_k)
     _verify_exit(
         {"check": "geometric", "level": k, "report": report.to_json_dict()},
@@ -635,7 +620,7 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, rng, signifi
     from .stats import independence_test
 
     palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)[2]
-    components = palm_components(palm(_excursion_count(num), rng))
+    components = palm_components(palm(num, rng))
     pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]
     reports = independence_test(components, pairs)
     passed = all(r.p_value > significance for r in reports.values())
@@ -670,13 +655,14 @@ def verify_t_invariance(measure, lam, q_matrix, alpha, params, boxes, steps, blo
                       _opt("--max-boxes", type=int, default=200), _SEED, _OUT)
 def verify_shift(configs, max_boxes, rng, out):
     """Component rows of random configurations shift but never change under evolution."""
-    from .core import BallConfig
+    from .core import BallConfig, _check_budget
     from .stats import component_shift_check
 
     if configs < 0:
         raise PreconditionError("--configs must be >= 0")
     if max_boxes < 1:
         raise PreconditionError("--max-boxes must be >= 1")
+    _check_budget(max_boxes, "--max-boxes would lay out")
     failures = 0
     for _ in range(configs):
         length = rng.randint(1, max_boxes)
@@ -690,6 +676,10 @@ def verify_shift(configs, max_boxes, rng, out):
     )
 
 
+# each level costs three to four times the one before, and 12 takes over ten seconds
+_BIJECTIONS_N_MAX = 12
+
+
 @verify_group.command("bijections", _opt("--n-max", type=int, default=6), _OUT)
 def verify_bijections(n_max, out):
     """Exact excursion <-> diagram round trips over all excursions up to n-max."""
@@ -698,6 +688,8 @@ def verify_bijections(n_max, out):
 
     if n_max < 0:
         raise PreconditionError("--n-max must be >= 0")
+    if n_max > _BIJECTIONS_N_MAX:
+        raise PreconditionError(f"--n-max must be <= {_BIJECTIONS_N_MAX}")
     total = 0
     failures = 0
     for n in range(n_max + 1):

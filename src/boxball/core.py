@@ -34,6 +34,7 @@ from .errors import DivergenceError, PreconditionError, ValidationError
 
 BOX_BUDGET = 1 << 22  # the most boxes a few bytes of input may ask to lay out
 GAP_BUDGET = 1 << 16  # the most boxes box 0 may lie from a window that is cut
+SWEEP_BUDGET = 1 << 26  # the most boxes ``evolve`` may sweep, summed over its steps
 
 
 def _check_budget(boxes: int, what: str) -> None:
@@ -214,13 +215,19 @@ def _sweep(bits: bytes, load: int = 0) -> bytes:
     return bytes(out) + b"\x01" * load
 
 
-def _records(bits: bytes, image: bytes, first: int = 0) -> Iterator[int]:
-    """Positions of the records among ``bits``, the first box at ``first``,
-    read off their :func:`_sweep` ``image``: the boxes empty before and
-    after, found in C by OR-ing the two as integers."""
+def _record_mask(bits: bytes, image: bytes) -> bytes:
+    """1 at each record among ``bits`` and 0 elsewhere, read off their
+    :func:`_sweep` ``image``: the boxes empty before and after, found in C
+    by OR-ing the two as integers."""
     n = len(bits)
     either = int.from_bytes(bits, "big") | int.from_bytes(image[:n], "big")
-    return compress(count(first), either.to_bytes(n, "big").translate(_FLIP))
+    return either.to_bytes(n, "big").translate(_FLIP)
+
+
+def _records(bits: bytes, image: bytes, first: int = 0) -> Iterator[int]:
+    """Positions of the records among ``bits`` (:func:`_record_mask`), the
+    first box at ``first``."""
+    return compress(count(first), _record_mask(bits, image))
 
 
 def _loads(bits: bytes, image: bytes, load: int = 0) -> list[int]:
@@ -247,18 +254,33 @@ def record_positions(config: BallConfig) -> tuple[int, ...]:
 # dynamics
 # ---------------------------------------------------------------------------
 
+def _sweeps(bits: bytes, steps: int) -> Iterator[bytes]:
+    """The :func:`_sweep` images of ``steps`` steps, each swept from the
+    last, refused as soon as the steps left would sweep more than
+    :data:`SWEEP_BUDGET` boxes in all.  A window never shrinks, so each
+    step left sweeps at least as many boxes as the last one did."""
+    swept = 0
+    for left in range(steps, 0, -1):
+        if swept + left * len(bits) > SWEEP_BUDGET:
+            raise PreconditionError(f"evolving would sweep more than {SWEEP_BUDGET} boxes")
+        swept += len(bits)
+        bits = _sweep(bits)
+        yield bits
+
+
 def evolve(config: BallConfig, steps: int = 1) -> BallConfig:
     """One carrier sweep per step: records stay empty, every other box flips.
 
     Each step is the :func:`_sweep` image of the last, read as it is, spill
-    included.  The output window keeps the input origin and grows to the
-    right as far as balls travel.
+    included, and the steps are refused as :func:`_sweeps` refuses them.
+    The output window keeps the input origin and grows to the right as far
+    as balls travel, by up to the largest soliton per step.
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     bits = config.bits
-    for _ in range(steps):
-        bits = _sweep(bits)
+    for bits in _sweeps(bits, steps):
+        pass
     return BallConfig(config.origin, bits)
 
 

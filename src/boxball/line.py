@@ -4,9 +4,11 @@ A configuration with a record at the origin is equivalent to its doubly
 infinite excursion sequence.  A Palm sample is i.i.d. excursions
 concatenated at record 0 (``core.assemble``, also reachable here as
 ``line.assemble``).  The walk sampler draws them for the Markov family, and
-so for Bernoulli, the chain with equal rows: it runs the chain right of a
-record one box per ``random()`` draw, in batches, and cuts the boxes with
-the one record cut, ``core._cut``, until it has the excursions it needs.
+so for Bernoulli, the chain with equal rows: :func:`_walk` runs the chain
+right of a record one box per ``random()`` draw, in batches, and cuts the
+boxes with the one record cut, ``core._cut``, until it has the excursions
+it needs.  It is the one walk right: the chain window goes on through it
+from its last record to the first record past the window.
 
 A stationary (anti-Palm) window tilts the block covering the origin by its
 length and places the origin uniformly inside it.  Each family has one:
@@ -14,8 +16,9 @@ length and places the origin uniformly inside it.  Each family has one:
 - the bernoulli and markov families draw :func:`chain_window`, exact and
   uncapped: the carrier load and the box form a Markov chain with an
   explicit stationary law and a constant-rate time reversal, so it draws
-  the state at box 0, walks the reversal left to a record and the chain
-  right over the window, each box once;
+  the state at box 0, walks the reversal left to a record, the chain
+  right over the window and :func:`_walk` on to the next record, each box
+  once;
 - explicit weights draw :func:`sample_anti_palm`, exact and uncapped too:
   it takes the block covering the origin from a sampler of size-biased
   Palm excursions, ``measures.size_biased_excursion`` of the family's slot
@@ -39,7 +42,7 @@ from itertools import accumulate, repeat
 from random import Random
 
 from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _carrier_ratio
-from .core import _check_budget, _cut, _lay_out, _records, _sweep, _transition_matrix, assemble
+from .core import _check_budget, _cut, _lay_out, _record_mask, _sweep, _transition_matrix, assemble
 from .errors import PreconditionError
 
 
@@ -66,8 +69,11 @@ def _chain(uniform: Callable[[], float], n: int, up_from: tuple[float, float], f
     return bytes(out)
 
 
-def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> list[Excursion]:
-    """Excursions of a two-state chain started empty right of a record.
+def _walk(uniform: Callable[[], float], up_from: tuple[float, float], size: int,
+          tail: bytes = b"", laid: int = 0) -> list[Excursion]:
+    """``size`` excursions of the chain walked right of a record, the first
+    going on from ``tail``, the boxes since that record, after ``laid``
+    boxes laid out before it; the one walk right of both samplers.
 
     Runs the chain (:func:`_chain`) in batches and cuts each batch at its
     records (``core._cut``), carrying the boxes after the last record into
@@ -80,27 +86,31 @@ def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> li
     Each box takes the next draw whatever the batches, so the excursions
     are those of one long cut.  A record is an empty box, so the chain is
     in its empty state there, as it would be restarted: the excursions are
-    i.i.d.  The boxes since the last record never pass ``BOX_BUDGET``: the
-    walk is refused when they reach it.
+    i.i.d.  The walk is refused as soon as the boxes laid out, with the
+    tail's height, the boxes the carrier needs to empty and reach a record,
+    would pass ``BOX_BUDGET``.
     """
-    q = _transition_matrix(q_matrix)
-    uniform = _as_rng(rng).random
-    up_from = (q[0][1], q[1][1])
     out: list[Excursion] = []
-    tail = b""  # boxes since the last record
-    boxes = b"\x00"  # the last box drawn: the empty record left of the first
-    drawn = 0
+    drawn = len(tail)
     n = size
     while len(out) < size:
-        _check_budget(len(tail) + 1, "a drawn excursion would lay out")
-        n = min(n, BOX_BUDGET - len(tail))
-        boxes = _chain(uniform, n, up_from, boxes[-1])
+        height = 2 * tail.count(1) - len(tail)  # the tail holds no record
+        _check_budget(laid + len(tail) + height + 1, "a drawn excursion would lay out")
+        n = min(n, BOX_BUDGET - laid - len(tail))
+        boxes = _chain(uniform, n, up_from, tail[-1] if tail else 0)
         drawn += n
         _, excursions, tail = _cut(tail + boxes, size - len(out), len(tail))
         out += excursions
         missing = size - len(out)
         n = max(missing, len(tail), missing * (drawn - len(tail)) // len(out)) if out else 2 * n
     return out
+
+
+def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> list[Excursion]:
+    """Excursions of a two-state chain started empty right of a record:
+    ``size`` of them, i.i.d., from :func:`_walk`."""
+    (_, q01), (_, q11) = _transition_matrix(q_matrix)
+    return _walk(_as_rng(rng).random, (q01, q11), size)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +136,14 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
     So (L, b) at box 0 is drawn from pi: one draw for the atom (0, 0), one
     for b and a geometric one for l, none when r = 0, where l = 1.  The
     reversal walks left from it to the first record, and :func:`_chain`
-    walks right over the window and on to the first record from box
-    ``n_boxes`` on.  The window spans whole excursions, from a record at or
-    left of box 0 to a record past ``n_boxes - 1``; no draw is rejected and
-    no block is cut short.  A window of more than ``BOX_BUDGET`` boxes is
-    refused before anything is drawn, and the walk as soon as the boxes it
-    has laid out, with those the carrier needs to empty and reach a record,
-    would pass it.
+    walks right over the window.  One sweep of the window finds its last
+    record (``core._record_mask``), and :func:`_walk` goes on from there to
+    the first record from box ``n_boxes`` on.  The window spans whole
+    excursions, from a record at or left of box 0 to a record past
+    ``n_boxes - 1``; no draw is rejected and no block is cut short.  A
+    window of more than ``BOX_BUDGET`` boxes is refused before anything is
+    drawn, and either walk as soon as the boxes it has laid out, with those
+    the carrier needs to empty and reach a record, would pass it.
     """
     if n_boxes < 1:
         raise PreconditionError("n_boxes must be >= 1")
@@ -166,23 +177,11 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
             level += 1
             b = uniform() >= q11
     left.reverse()
-    up_from = (q01, q11)
-    boxes = _chain(uniform, n_boxes - 1, up_from, box)
-    pieces = [bytes(left), boxes]
-    # the load at the window end is the spill of its sweep
-    load = len(_sweep(boxes, load)) - len(boxes)
-    size, last = len(left) + len(boxes), (boxes or left)[-1]
-    chunk = 16
-    while True:  # on to the first record from box n_boxes on, in doubling chunks
-        _check_budget(size + load + 1, "a drawn excursion would lay out")
-        boxes = _chain(uniform, min(chunk, BOX_BUDGET - size), up_from, last)
-        image = _sweep(boxes, load)
-        end = next(_records(boxes, image), None)
-        if end is not None:
-            pieces.append(boxes[: end + 1])
-            return BallConfig(1 - len(left), b"".join(pieces))
-        pieces.append(boxes)
-        size, load, last, chunk = size + len(boxes), len(image) - len(boxes), boxes[-1], 2 * chunk
+    window = bytes(left) + _chain(uniform, n_boxes - 1, (q01, q11), box)
+    # boxes 0 .. end - 1 end at the window's last record; the walk goes on to the next
+    end = _record_mask(window, _sweep(window)).rfind(1) + 1
+    (last,) = _walk(uniform, (q01, q11), 1, window[end:], end)
+    return BallConfig(1 - len(left), window[:end] + last.bits + b"\x00")
 
 
 def sample_anti_palm(

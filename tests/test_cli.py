@@ -53,6 +53,70 @@ def test_evolve_with_trace_sweeps_once_per_step(runner, monkeypatch):
     assert json.loads(result.output)["traces"] == [list(carrier_trace(state)) for state in states]
 
 
+def test_evolve_refuses_steps_past_the_sweep_budget(runner):
+    # a lone ball grows the window a box a step: a million steps would sweep
+    # about 5e11 boxes, refused within the first hundred steps
+    from boxball.core import SWEEP_BUDGET
+
+    start = time.perf_counter()
+    result = runner.invoke(main, ["evolve", "--steps", "1000000", "1"])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: evolving would sweep more than {SWEEP_BUDGET} boxes\n"
+
+
+def test_evolve_with_trace_spends_the_sweep_budget_as_evolve_does(runner, monkeypatch):
+    # ten steps of "1" sweep 1 + 2 + ... + 10 = 55 boxes, eleven 66
+    import boxball.core
+
+    monkeypatch.setattr(boxball.core, "SWEEP_BUDGET", 55)
+    for steps, code in (("10", 0), ("11", 4)):
+        for trace in ([], ["--trace"]):
+            result = runner.invoke(main, ["evolve", *trace, "--steps", steps, "1"])
+            assert result.exit_code == code, (steps, trace, result.output)
+
+
+def test_verify_bijections_refuses_n_max_past_12_before_enumerating(runner, monkeypatch):
+    # each level costs three to four times the last: 12 takes over ten seconds
+    import boxball.core
+
+    def enumerate_excursions(n):
+        enumerated.append(n)
+        return iter(())
+
+    enumerated = []
+    monkeypatch.setattr(boxball.core, "enumerate_excursions", enumerate_excursions)
+    result = runner.invoke(main, ["verify", "bijections", "--n-max", "13"])
+    assert result.exit_code == 4, result.output
+    assert result.stderr == "error: --n-max must be <= 12\n"
+    assert enumerated == []
+    # 12 is enumerated: here into nothing, so the Catalan counts fail
+    result = runner.invoke(main, ["verify", "bijections", "--n-max", "12"])
+    assert result.exit_code == 1, result.output
+    assert enumerated == list(range(13))
+
+
+def test_verify_shift_refuses_max_boxes_past_the_box_budget_before_drawing(runner, monkeypatch):
+    import random
+
+    def randint(self, a, b):
+        drawn.append(b)
+        return 1
+
+    drawn = []
+    monkeypatch.setattr(random.Random, "randint", randint)
+    result = runner.invoke(main, ["verify", "shift", "--configs", "1", "--max-boxes",
+                                  str(BOX_BUDGET + 1), "--seed", "1"])
+    assert result.exit_code == 4, result.output
+    assert result.stderr == f"error: --max-boxes would lay out more than {BOX_BUDGET} boxes\n"
+    assert drawn == []
+    result = runner.invoke(main, ["verify", "shift", "--configs", "1", "--max-boxes",
+                                  str(BOX_BUDGET), "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    assert drawn == [BOX_BUDGET]
+
+
 def test_evolve_multi_step_json(runner):
     result = runner.invoke(main, ["evolve", "--steps", "2", "--format", "json", "1100"])
     doc = json.loads(result.output)
@@ -462,13 +526,13 @@ HUGE_GAP = ["--measure", "markov", "--Q", "[[1e-9,0.999999999],[0.9999999995,5e-
 HUGE_ROW = ["--measure", "explicit", "--alpha", "0,0.999999999"]
 
 
+# the Palm samples of these measures are refused by their mean record gap
+# before they draw (the test after this); a stationary window draws its
+# blocks one by one, and the one past the budget is refused
 @pytest.mark.parametrize(
     "args",
     [
-        ["verify", "independence", *HUGE_ROW],
         ["sample", "--anti-palm", *HUGE_GAP],
-        ["verify", "geometric", *HUGE_GAP],
-        ["verify", "independence", *HUGE_GAP],
         ["verify", "t-invariance", *HUGE_GAP],
         ["sample", "--anti-palm", *HUGE_ROW],
     ],
@@ -493,12 +557,16 @@ def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args):
         # kappa about 4e9 and 4e9: three excursions are too many
         [*HUGE_GAP, "--excursions", "3"],
         [*HUGE_ROW, "--excursions", "3"],
+        # and so is each command's default count
+        HUGE_GAP,
+        HUGE_ROW,
     ],
-    ids=["lambda-0.49", "huge-gap", "huge-row"],
+    ids=["lambda-0.49", "huge-gap", "huge-row", "huge-gap-default", "huge-row-default"],
 )
 def test_sample_refuses_excursions_past_the_box_budget_at_the_mean_record_gap(
         runner, monkeypatch, args):
-    # the sample is laid out whole, so its mean length is refused before the walk
+    # the sample is laid out whole, so its mean length is refused before the
+    # walk, by the one Palm entry that sample and the two Palm checks call
     import boxball.line
     import boxball.measures
 
@@ -507,13 +575,14 @@ def test_sample_refuses_excursions_past_the_box_budget_at_the_mean_record_gap(
 
     monkeypatch.setattr(boxball.line, "markov_excursions", draw)
     monkeypatch.setattr(boxball.measures, "sample_excursions", draw)
-    start = time.perf_counter()
-    result = runner.invoke(main, ["sample", *args, "--seed", "1"])
-    assert time.perf_counter() - start < 1
-    assert result.exit_code == 4, result.output
-    assert result.stdout == ""
-    assert result.stderr == (
-        f"error: --excursions at the mean record gap would lay out more than {BOX_BUDGET} boxes\n")
+    for command in (["sample"], ["verify", "geometric"], ["verify", "independence"]):
+        start = time.perf_counter()
+        result = runner.invoke(main, [*command, *args, "--seed", "1"])
+        assert time.perf_counter() - start < 1, command
+        assert result.exit_code == 4, (command, result.output)
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: --excursions at the mean record gap would lay out more than {BOX_BUDGET} boxes\n")
 
 
 def test_verify_geometric_of_a_chain_reads_only_its_level(runner):

@@ -137,6 +137,29 @@ def test_evolve_free_soliton_speed():
         assert cfg.trimmed().ball_boxes() == (1 + 2 * t, 2 + 2 * t)
 
 
+def test_evolve_refuses_steps_past_the_sweep_budget(monkeypatch):
+    # a lone ball moves one box a step, and the window grows with it: ten
+    # steps of "1" sweep 1 + 2 + ... + 10 = 55 boxes
+    import boxball.core
+
+    cfg = BallConfig.from_string("1")
+    ten = evolve(cfg, 10)
+    sweep, sweeps = boxball.core._sweep, []
+    monkeypatch.setattr(boxball.core, "_sweep", lambda bits, load=0: sweeps.append(1) or sweep(bits, load))
+    monkeypatch.setattr(boxball.core, "SWEEP_BUDGET", 55)
+    assert evolve(cfg, 10) == ten
+    sweeps.clear()
+    # after six sweeps the five steps left sweep at least 7 boxes each: 21 + 35 > 55
+    with pytest.raises(PreconditionError, match="would sweep more than 55 boxes"):
+        evolve(cfg, 11)
+    assert len(sweeps) == 6
+    sweeps.clear()
+    # a window the steps cannot shrink is refused before its first sweep
+    with pytest.raises(PreconditionError, match="would sweep more than 55 boxes"):
+        evolve(BallConfig.from_string("0" * 28), 2)
+    assert sweeps == []
+
+
 @given(configs)
 def test_evolve_matches_naive(cfg):
     origin, bits = oracles.naive_evolve(list(cfg.bits), cfg.origin)

@@ -1,10 +1,14 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product, repeat
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -256,6 +260,31 @@ def test_walk_samplers_draw_pinned_excursions(draw, seed, digest):
     excursions = draw(random.Random(seed))
     assert hashlib.sha256(b"|".join(e.bits for e in excursions)).hexdigest() == digest
     assert all(e == Excursion(e.bits) for e in excursions)  # cut unchecked, checked here
+
+
+# a draw whose first excursion passes the budget: the chain alternates balls
+# and empty boxes, so a record waits about 4e9 boxes; and q_2 near 1 fills
+# row 1 of a drawn diagram with about 2e9 slots
+HUGE_DRAWS = {
+    "walk": "markov_excursions([[1e-9, 0.999999999], [0.9999999995, 5e-10]], 3, Random(1))",
+    "diagrams": "sample_excursions(fill_from_weights(explicit_weights([0, 0.999999999])), 3, Random(1))",
+}
+
+
+@pytest.mark.parametrize("draw", HUGE_DRAWS.values(), ids=HUGE_DRAWS)
+def test_palm_samplers_refuse_an_excursion_past_the_box_budget(draw):
+    # in a process of its own, so that a walk that never ends, or its memory, stops at the timeout
+    code = ("from random import Random\n"
+            "from boxball import PreconditionError, explicit_weights, fill_from_weights\n"
+            "from boxball import markov_excursions, sample_excursions\n"
+            f"try:\n    {draw}\nexcept PreconditionError as exc:\n    print(exc)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"a drawn excursion would lay out more than {BOX_BUDGET} boxes\n"
 
 
 def test_two_samplers_agree_on_excursion_law():
@@ -589,6 +618,37 @@ def test_chain_window_spans_whole_excursions(q):
         assert b"\x01\x01" not in cfg.bits
 
 
+NEAR_CRITICAL_Q = ((0.55, 0.45), (0.46, 0.54))
+
+
+# sha256 of b"ORIGIN|" and the window's boxes, drawn with random.Random(seed);
+# near criticality the walk from the window's last record to the first past
+# it runs 241 to 7854 boxes, over several batches
+WINDOW_PINS = [
+    pytest.param(NEAR_CRITICAL_Q, 1, 8,
+                 "93f4bada5a8ecabe9dc2e29b8a8516d3e0e9c33497a18b36f1cf92a9eed48cfc", id="near-critical-1"),
+    pytest.param(NEAR_CRITICAL_Q, 2000, 4,
+                 "1e5bd464a878cfe66586f892323a7eab9aeda064a2b927268bb18453190ecba3", id="near-critical-2000"),
+    pytest.param(NEAR_CRITICAL_Q, 2000, 8,
+                 "64f74a131915d43be1c300af8024fd2989d0e83d77c1c55e08ddc15916496cb6", id="near-critical-long-tail"),
+    pytest.param(NEAR_CRITICAL_Q, 30_000, 1,
+                 "0f80a6a1f141df06fb624f4ccc22a0d2271e622d4d2acc357036892bd50fe711", id="near-critical-30000"),
+    pytest.param(NEAR_CRITICAL_Q, 30_000, 3,
+                 "c1c698f18215d7e70f2bafcc4a9056b8458710ab4e76961b0349d8beb149a589", id="near-critical-30000-3"),
+    # the window's last box is its last record: the walk past it is one box
+    pytest.param(MARKOV_Q, 30_000, 3,
+                 "edc793999a15fbfd0928cde9b7c2e7236c2e85ba065e3c4d0aa5ca2fbc923c53", id="markov"),
+    pytest.param([[0.7, 0.3], [1.0, 0.0]], 3000, 5,
+                 "4a866cf2a8f39745cb549197199cca2deed5963e9cd940492f9049a8f60f19a0", id="markov-q11-zero"),
+]
+
+
+@pytest.mark.parametrize("q, n_boxes, seed, digest", WINDOW_PINS)
+def test_chain_window_draws_pinned_windows(q, n_boxes, seed, digest):
+    cfg = chain_window(q, n_boxes, random.Random(seed))
+    assert hashlib.sha256(b"%d|" % cfg.origin + cfg.bits).hexdigest() == digest
+
+
 class _Uniforms(random.Random):
     """A random source whose ``random()`` returns ``values``, then fails."""
 
@@ -618,6 +678,24 @@ def test_chain_window_refuses_a_walk_that_never_returns():
     with pytest.raises(PreconditionError, match=f"more than {BOX_BUDGET} boxes"):
         chain_window(MARKOV_Q, 1000, uniforms)
     assert uniforms.calls <= BOX_BUDGET + 2
+
+
+def test_walks_refuse_an_excursion_by_the_boxes_its_tail_still_needs(monkeypatch):
+    # a budget of 100 boxes: 49 balls, 49 empty boxes and the closing record
+    # fit; 50 balls cannot close in time, and each walk right refuses them
+    # from the tail's height, before it has drawn the budget's worth of boxes
+    import boxball.core
+    import boxball.line
+
+    monkeypatch.setattr(boxball.core, "BOX_BUDGET", 100)
+    monkeypatch.setattr(boxball.line, "BOX_BUDGET", 100)
+    (excursion,) = markov_excursions(MARKOV_Q, 1, _Uniforms([0.0] * 49 + [0.99] * 60))
+    assert excursion.bits == bytes([1] * 49 + [0] * 49)
+    for walk in (partial(markov_excursions, MARKOV_Q, 1), partial(chain_window, MARKOV_Q, 10)):
+        uniforms = _Uniforms(repeat(0.0))  # a record at box 0, then balls only
+        with pytest.raises(PreconditionError, match="a drawn excursion would lay out more than 100"):
+            walk(uniforms)
+        assert uniforms.calls < 100, walk
 
 
 def test_chain_window_refuses_before_drawing():
