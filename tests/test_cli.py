@@ -526,18 +526,26 @@ HUGE_GAP = ["--measure", "markov", "--Q", "[[1e-9,0.999999999],[0.9999999995,5e-
 HUGE_ROW = ["--measure", "explicit", "--alpha", "0,0.999999999"]
 
 
-# the Palm samples of these measures are refused by their mean record gap
-# before they draw (the test after this); a stationary window draws its
-# blocks one by one, and the one past the budget is refused
+# a stationary window draws its blocks one by one, and the one past the
+# budget is refused; a Palm sample at its default count is refused by its
+# mean record gap before it draws (the test after this checks no draw)
+DRAWN = "a drawn excursion"
+MEAN_GAP = "--excursions at the mean record gap"
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, refusal",
     [
-        ["sample", "--anti-palm", *HUGE_GAP],
-        ["verify", "t-invariance", *HUGE_GAP],
-        ["sample", "--anti-palm", *HUGE_ROW],
+        (["verify", "independence", *HUGE_ROW], MEAN_GAP),
+        (["sample", "--anti-palm", *HUGE_GAP], DRAWN),
+        (["verify", "geometric", *HUGE_GAP], MEAN_GAP),
+        (["verify", "independence", *HUGE_GAP], MEAN_GAP),
+        (["verify", "t-invariance", *HUGE_GAP], DRAWN),
+        (["sample", "--anti-palm", *HUGE_ROW], DRAWN),
     ],
+    ids=[f"args{i}" for i in range(6)],
 )
-def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args):
+def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args, refusal):
     # in a process of its own, so that a walk that never ends, or its memory, stops at the timeout
     done = subprocess.run(
         [sys.executable, "-m", "boxball.cli", *args, "--seed", "1"],
@@ -546,7 +554,7 @@ def test_palm_samplers_refuse_an_excursion_past_the_box_budget(args):
     )
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
-    assert done.stderr == f"error: a drawn excursion would lay out more than {BOX_BUDGET} boxes\n"
+    assert done.stderr == f"error: {refusal} would lay out more than {BOX_BUDGET} boxes\n"
 
 
 @pytest.mark.parametrize(
