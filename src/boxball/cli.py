@@ -39,7 +39,8 @@ runs when it runs, and a measure's samplers are the package's lazy names
   1, past the budget, or whose mean length, the count times the mean record
   gap, passes it.
 - ``evolve``, with or without ``--trace``, refuses steps that would sweep
-  more than ``core.SWEEP_BUDGET`` boxes; ``verify bijections`` an
+  more than ``core.SWEEP_BUDGET`` boxes, and ``--trace`` the states and
+  traces it holds past ``core.BOX_BUDGET``; ``verify bijections`` an
   ``--n-max`` past 12; and ``verify shift`` a ``--max-boxes`` past the box
   budget, before it draws.
 
@@ -87,16 +88,23 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def _input(text: str | None, path: str | None, what: str) -> str | bytes:
+    """A command's input ``what``, given one way: ``text`` inline, or the
+    bytes of file ``path`` (``--in``) or of stdin (``text`` is ``-``).
+    Neither, or both, exit 3."""
+    if (text is None) == (path is None):
+        raise ValidationError(f"provide {what} either inline or via --in")
+    return _read_bytes(path or "-") if path is not None or text == "-" else text
+
+
 def _read_config(text: str | None, path: str | None, origin: int) -> BallConfig:
     from .core import BallConfig
 
-    if (text is None) == (path is None):
-        raise ValidationError("provide a ball string either inline or via --in")
-    if path is not None or text == "-":
-        try:
-            text = _read_bytes(path or "-").decode()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"ball string is not UTF-8: {exc}") from exc
+    text = _input(text, path, "a ball string")
+    try:
+        text = text.decode() if isinstance(text, bytes) else text
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"ball string is not UTF-8: {exc}") from exc
     return BallConfig.from_string(text, origin)
 
 
@@ -399,17 +407,20 @@ main = _Command("bbs", "Box-ball system toolkit: dynamics, soliton calculus, ran
               _FORMAT, _OUT)
 def evolve_cmd(config, path, origin, steps, trace, fmt, out):
     """Apply the carrier sweep STEPS times to a ball string."""
-    from .core import BallConfig, _sweeps, _trace, evolve
+    from .core import BallConfig, _check_budget, _sweeps, _trace, evolve
 
     if steps < 0:
         raise PreconditionError("--steps must be >= 0")
     cfg = _read_config(config, path, origin)
     if trace:
-        # one sweep per step gives both the next state and the step's trace
-        states, traces = [cfg], []
+        # one sweep per step gives both the next state and the step's trace,
+        # each held until printed and refused as soon as they pass the budget
+        states, traces, held = [cfg], [], len(cfg.bits)
         for image in _sweeps(cfg.bits, steps):
             traces.append(_trace(states[-1].bits, image))
             states.append(BallConfig(cfg.origin, image))
+            held += len(image) + len(traces[-1])
+            _check_budget(held, "--trace would hold")
     else:
         states, traces = [cfg, evolve(cfg, steps)], []
     if fmt == "json":
@@ -473,15 +484,11 @@ def decompose_cmd(config, path, origin, fmt, out):
 @main.command("reconstruct", _opt("source", nargs="?", metavar="SOURCE",
                                   help="decompose JSON document, or - for stdin"), _IN, _FORMAT, _OUT)
 def reconstruct_cmd(source, path, fmt, out):
-    """Rebuild the ball string from a decompose JSON document (or stdin)."""
+    """Rebuild the ball string from a decompose JSON document."""
     from .core import BallConfig
     from .slots import ComponentArray, reconstruct
 
-    if path is not None or source in (None, "-"):
-        text = _read_bytes(path or "-")
-    else:
-        text = source
-    doc = _json(text, "JSON input")
+    doc = _json(_input(source, path, "a decompose document"), "JSON input")
     payload = doc.get("components", doc) if isinstance(doc, dict) else doc
     components = ComponentArray.from_doc(payload)
     full = reconstruct(components)
@@ -562,6 +569,8 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, rng
     """Draw a random configuration; prints the ball string and its records."""
     from .core import assemble, record_positions
 
+    if boxes is not None and not anti_palm:
+        raise ValidationError("--boxes does not apply without --anti-palm")
     _, _, palm, window = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
         cfg = window(1000 if boxes is None else boxes, rng)
@@ -602,6 +611,10 @@ def verify_geometric(measure, lam, q_matrix, alpha, params, num, k, rng, signifi
     from .slots import palm_components
     from .stats import geometric_gof
 
+    if k < 1:
+        raise PreconditionError("--level must be >= 1")
+    if not 0 < significance < 1:
+        raise PreconditionError("--significance must lie in (0, 1)")
     _, slot, palm, _ = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     q_k = slot(k)
     components = palm_components(palm(num, rng))
@@ -619,6 +632,8 @@ def verify_independence(measure, lam, q_matrix, alpha, params, num, rng, signifi
     from .slots import palm_components
     from .stats import independence_test
 
+    if not 0 < significance < 1:
+        raise PreconditionError("--significance must lie in (0, 1)")
     palm = _weights_from_flags(measure, lam, q_matrix, alpha, params)[2]
     components = palm_components(palm(num, rng))
     pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0))]

@@ -189,13 +189,13 @@ class BallConfig(_Value):
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _sweep(bits: bytes, load: int = 0) -> bytes:
+def _sweep(bits: bytes) -> bytes:
     """The image of one carrier sweep over the boxes, its spill included.
 
-    The carrier enters with ``load`` balls, picks up every ball, which
-    leaves its box empty, and drops one ball into every empty box it
-    reaches loaded.  Its load is the walk minus its running minimum, so the
-    empty boxes it reaches empty are the records, and they stay empty.  The
+    The carrier enters empty, picks up every ball, which leaves its box
+    empty, and drops one ball into every empty box it reaches loaded.  Its
+    load is the walk minus its running minimum, so the empty boxes it
+    reaches empty are the records, and they stay empty.  The
     balls still loaded after the last box follow as ones, so ``len(image) -
     len(bits)`` is the final load.  This is the one place the carrier rule
     is written: records (:func:`_records`) and loads (:func:`_loads`) are
@@ -203,6 +203,7 @@ def _sweep(bits: bytes, load: int = 0) -> bytes:
     """
     out = bytearray()
     append = out.append
+    load = 0
     for b in bits:
         if b:
             load += 1
@@ -215,26 +216,20 @@ def _sweep(bits: bytes, load: int = 0) -> bytes:
     return bytes(out) + b"\x01" * load
 
 
-def _record_mask(bits: bytes, image: bytes) -> bytes:
-    """1 at each record among ``bits`` and 0 elsewhere, read off their
-    :func:`_sweep` ``image``: the boxes empty before and after, found in C
-    by OR-ing the two as integers."""
+def _records(bits: bytes, image: bytes, first: int = 0) -> Iterator[int]:
+    """Positions of the records among ``bits``, the first box at ``first``,
+    read off their :func:`_sweep` ``image``: the boxes empty before and
+    after, found in C by OR-ing the two as integers."""
     n = len(bits)
     either = int.from_bytes(bits, "big") | int.from_bytes(image[:n], "big")
-    return either.to_bytes(n, "big").translate(_FLIP)
+    return compress(count(first), either.to_bytes(n, "big").translate(_FLIP))
 
 
-def _records(bits: bytes, image: bytes, first: int = 0) -> Iterator[int]:
-    """Positions of the records among ``bits`` (:func:`_record_mask`), the
-    first box at ``first``."""
-    return compress(count(first), _record_mask(bits, image))
-
-
-def _loads(bits: bytes, image: bytes, load: int = 0) -> list[int]:
+def _loads(bits: bytes, image: bytes) -> list[int]:
     """Carrier load before the boxes and after each of them, for a carrier
-    that enters with ``load`` balls and whose :func:`_sweep` is ``image``:
-    a ball raises it, a box the carrier fills lowers it, a record leaves it."""
-    return list(accumulate(map(sub, bits, image), initial=load))
+    that enters empty and whose :func:`_sweep` is ``image``: a ball raises
+    it, a box the carrier fills lowers it, a record leaves it."""
+    return list(accumulate(map(sub, bits, image), initial=0))
 
 
 def record_positions(config: BallConfig) -> tuple[int, ...]:
@@ -345,23 +340,20 @@ def _trusted_excursion(bits: bytes) -> Excursion:
     return excursion
 
 
-def _cut(
-    bits: bytes, limit: int | None = None, start: int = 0
-) -> tuple[list[int], list[Excursion], bytes]:
-    """The record cut of boxes that start right after a record.
-
-    Returns the first ``limit`` records among the boxes (default: all), as
-    indices into ``bits``; the excursion that ends at each, every distinct
-    shape built once, unchecked since it is one by construction; and the
-    boxes after the last.  The first ``start`` boxes hold no record (an
-    earlier cut's tail): the carrier starts after them at their height.
-    """
-    head = 2 * bits.count(1, 0, start) - start
-    rest = bits[start:]
-    records = list(islice(_records(rest, _sweep(rest, head), start), limit))
+def _between(bits: bytes, records: list[int]) -> list[Excursion]:
+    """The excursions of boxes that start right after a record, one ending
+    at each of ``records``: each distinct one built once, unchecked."""
     starts = [0, *(r + 1 for r in records)]
-    excursions = map_distinct(_trusted_excursion, [bits[a:b] for a, b in zip(starts, records)])
-    return records, excursions, bits[starts[-1] :]
+    return map_distinct(_trusted_excursion, [bits[a:b] for a, b in zip(starts, records)])
+
+
+def _cut(bits: bytes) -> tuple[list[int], list[Excursion], bytes]:
+    """The record cut of boxes that start right after a record, by one
+    sweep: the records, as indices into ``bits``; the excursion that ends at
+    each (:func:`_between`); and the boxes after the last.  The walk of
+    ``line``, which notes records as it draws, is pinned against it."""
+    records = list(_records(bits, _sweep(bits)))
+    return records, _between(bits, records), bits[records[-1] + 1 if records else 0 :]
 
 
 def _cut_window(config: BallConfig) -> tuple[tuple[int, ...], int, tuple[Excursion, ...], list[int]]:

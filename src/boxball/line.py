@@ -5,10 +5,11 @@ infinite excursion sequence.  A Palm sample is i.i.d. excursions
 concatenated at record 0 (``core.assemble``, also reachable here as
 ``line.assemble``).  The walk sampler draws them for the Markov family, and
 so for Bernoulli, the chain with equal rows: :func:`_walk` runs the chain
-right of a record one box per ``random()`` draw, in batches, and cuts the
-boxes with the one record cut, ``core._cut``, until it has the excursions
-it needs.  It is the one walk right: the chain window goes on through it
-from its last record to the first record past the window.
+right of a record one box per ``random()`` draw, keeps the carrier's load
+and notes each record where it lands, so it draws each box once and none
+past the last record it needs; the excursions are sliced out between the
+records.  It is the one walk right: the chain window walks it from box 0
+to the first record past the window.
 
 A stationary (anti-Palm) window tilts the block covering the origin by its
 length and places the origin uniformly inside it.  Each family has one:
@@ -16,9 +17,8 @@ length and places the origin uniformly inside it.  Each family has one:
 - the bernoulli and markov families draw :func:`chain_window`, exact and
   uncapped: the carrier load and the box form a Markov chain with an
   explicit stationary law and a constant-rate time reversal, so it draws
-  the state at box 0, walks the reversal left to a record, the chain
-  right over the window and :func:`_walk` on to the next record, each box
-  once;
+  the state at box 0, walks the reversal left to a record and
+  :func:`_walk` right over the window to the next record, each box once;
 - explicit weights draw :func:`sample_anti_palm`, exact and uncapped too:
   it takes the block covering the origin from a sampler of size-biased
   Palm excursions, ``measures.size_biased_excursion`` of the family's slot
@@ -38,11 +38,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
-from itertools import accumulate, repeat
+from itertools import accumulate
 from random import Random
 
-from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _carrier_ratio
-from .core import _check_budget, _cut, _lay_out, _record_mask, _sweep, _transition_matrix, assemble
+from .core import BOX_BUDGET, BallConfig, Excursion, _as_rng, _bernoulli_chain, _between, _carrier_ratio
+from .core import _check_budget, _lay_out, _transition_matrix, assemble
 from .errors import PreconditionError
 
 
@@ -56,61 +56,53 @@ def bernoulli_excursions(lam: float, size: int, rng) -> list[Excursion]:
     return markov_excursions(_bernoulli_chain(lam), size, rng)
 
 
-def _chain(uniform: Callable[[], float], n: int, up_from: tuple[float, float], first: int) -> bytes:
-    """``n`` boxes of the chain after a box in state ``first``, one draw of
-    ``uniform()`` each: a box is a ball when its draw lies below
-    ``up_from[previous box]``."""
-    out = bytearray()
-    append = out.append
-    box = first
-    for _ in repeat(None, n):
-        box = uniform() < up_from[box]
-        append(box)
-    return bytes(out)
+def _walk(uniform: Callable[[], float], up_from: tuple[float, float], boxes: bytearray,
+          height: int, size: int, until: int = 0) -> list[int]:
+    """Walk the chain on from ``boxes``, after which the carrier holds
+    ``height`` balls, appending one box per ``uniform()`` draw: a ball when
+    the draw lies below ``up_from[previous box]``.
 
-
-def _walk(uniform: Callable[[], float], up_from: tuple[float, float], size: int,
-          tail: bytes = b"", laid: int = 0) -> list[Excursion]:
-    """``size`` excursions of the chain walked right of a record, the first
-    going on from ``tail``, the boxes since that record, after ``laid``
-    boxes laid out before it; the one walk right of both samplers.
-
-    Runs the chain (:func:`_chain`) in batches and cuts each batch at its
-    records (``core._cut``), carrying the boxes after the last record into
-    the next, until ``size`` excursions are out.  The first batch is
-    ``size`` boxes, no more than the excursions take, since each takes its
-    record at least.  The next is the boxes the missing excursions take at
-    the mean so far, at least one each and at least the boxes since the
-    last record, or twice the last while no record has come.  So a call
-    draws few boxes past its last excursion, however few it asks for.
-    Each box takes the next draw whatever the batches, so the excursions
-    are those of one long cut.  A record is an empty box, so the chain is
-    in its empty state there, as it would be restarted: the excursions are
-    i.i.d.  The walk is refused as soon as the boxes laid out, with the
-    tail's height, the boxes the carrier needs to empty and reach a record,
-    would pass ``BOX_BUDGET``.
+    Notes the records from index ``until`` on and returns them at the
+    ``size``-th.  A record is an empty box the carrier reaches empty, so the
+    chain is in its empty state there, as it would be restarted: the
+    excursions between records are i.i.d.  The boxes before ``until`` are
+    one window, and each excursion after it stands alone: the walk is
+    refused at the first ball where the boxes since the last noted record
+    (or all of ``boxes``), the height and the closing record would pass
+    ``BOX_BUDGET``.
     """
-    out: list[Excursion] = []
-    drawn = len(tail)
-    n = size
-    while len(out) < size:
-        height = 2 * tail.count(1) - len(tail)  # the tail holds no record
-        _check_budget(laid + len(tail) + height + 1, "a drawn excursion would lay out")
-        n = min(n, BOX_BUDGET - laid - len(tail))
-        boxes = _chain(uniform, n, up_from, tail[-1] if tail else 0)
-        drawn += n
-        _, excursions, tail = _cut(tail + boxes, size - len(out), len(tail))
-        out += excursions
-        missing = size - len(out)
-        n = max(missing, len(tail), missing * (drawn - len(tail)) // len(out)) if out else 2 * n
-    return out
+    low, high = up_from
+    up = high if boxes and boxes[-1] else low
+    append = boxes.append
+    records: list[int] = []
+    start = 0  # the first box the budget counts
+    while True:
+        if uniform() < up:
+            up = high
+            height += 1
+            append(1)
+            if len(boxes) - start + height >= BOX_BUDGET:
+                _check_budget(len(boxes) - start + height + 1, "a drawn excursion would lay out")
+        else:
+            up = low
+            append(0)
+            if height:
+                height -= 1
+            elif len(boxes) > until:
+                records.append(len(boxes) - 1)
+                if len(records) == size:
+                    return records
+                start = len(boxes)
 
 
 def markov_excursions(q_matrix: Sequence[Sequence[float]], size: int, rng) -> list[Excursion]:
     """Excursions of a two-state chain started empty right of a record:
-    ``size`` of them, i.i.d., from :func:`_walk`."""
+    ``size`` of them, i.i.d., sliced out of one :func:`_walk` between the
+    records it notes, each distinct one built once."""
     (_, q01), (_, q11) = _transition_matrix(q_matrix)
-    return _walk(_as_rng(rng).random, (q01, q11), size)
+    boxes = bytearray()
+    records = _walk(_as_rng(rng).random, (q01, q11), boxes, 0, size) if size > 0 else []
+    return _between(bytes(boxes), records)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +127,9 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
 
     So (L, b) at box 0 is drawn from pi: one draw for the atom (0, 0), one
     for b and a geometric one for l, none when r = 0, where l = 1.  The
-    reversal walks left from it to the first record, and :func:`_chain`
-    walks right over the window.  One sweep of the window finds its last
-    record (``core._record_mask``), and :func:`_walk` goes on from there to
-    the first record from box ``n_boxes`` on.  The window spans whole
+    reversal walks left from it to the first record, and :func:`_walk`
+    walks right from box 0, at load L, to the first record from box
+    ``n_boxes`` on; no box is swept twice.  The window spans whole
     excursions, from a record at or left of box 0 to a record past
     ``n_boxes - 1``; no draw is rejected and no block is cut short.  A
     window of more than ``BOX_BUDGET`` boxes is refused before anything is
@@ -159,12 +150,12 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
         load = 1 + int(math.log(1.0 - uniform()) / math.log(r)) if r else 1
     # boxes 1 .. n_boxes - 1, the carrier's emptying and the closing record
     right = max(n_boxes, load + 1)
-    left = bytearray()  # box 0, then the boxes left of it down to the record
+    boxes = bytearray()  # box 0, then the boxes left of it down to the record
     level, b = load, box
     while True:
-        left.append(b)
+        boxes.append(b)
         # the record lies at least ``level`` boxes further left
-        _check_budget(len(left) + level + right, "a drawn excursion would lay out")
+        _check_budget(len(boxes) + level + right, "a drawn excursion would lay out")
         if not level:  # (0, 0)
             u = uniform()
             if u < q00:
@@ -176,12 +167,10 @@ def chain_window(q_matrix: Sequence[Sequence[float]], n_boxes: int, rng) -> Ball
         else:
             level += 1
             b = uniform() >= q11
-    left.reverse()
-    window = bytes(left) + _chain(uniform, n_boxes - 1, (q01, q11), box)
-    # boxes 0 .. end - 1 end at the window's last record; the walk goes on to the next
-    end = _record_mask(window, _sweep(window)).rfind(1) + 1
-    (last,) = _walk(uniform, (q01, q11), 1, window[end:], end)
-    return BallConfig(1 - len(left), window[:end] + last.bits + b"\x00")
+    boxes.reverse()
+    origin = 1 - len(boxes)  # box z lies at index z - origin
+    _walk(uniform, (q01, q11), boxes, load, 1, n_boxes - origin)
+    return BallConfig(origin, bytes(boxes))
 
 
 def sample_anti_palm(

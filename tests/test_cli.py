@@ -44,7 +44,7 @@ def test_evolve_with_trace_sweeps_once_per_step(runner, monkeypatch):
     from boxball.core import BallConfig, carrier_trace, evolve
 
     sweep, sweeps = boxball.core._sweep, []
-    monkeypatch.setattr(boxball.core, "_sweep", lambda bits, load=0: sweeps.append(1) or sweep(bits, load))
+    monkeypatch.setattr(boxball.core, "_sweep", lambda bits: sweeps.append(1) or sweep(bits))
     result = runner.invoke(main, ["evolve", "--trace", "--steps", "3", "--format", "json", CARRIER_INPUT])
     assert result.exit_code == 0, result.output
     assert len(sweeps) == 3
@@ -75,6 +75,24 @@ def test_evolve_with_trace_spends_the_sweep_budget_as_evolve_does(runner, monkey
         for trace in ([], ["--trace"]):
             result = runner.invoke(main, ["evolve", *trace, "--steps", steps, "1"])
             assert result.exit_code == code, (steps, trace, result.output)
+
+
+def test_evolve_trace_refuses_the_states_and_traces_it_holds_past_the_box_budget(runner, monkeypatch):
+    # after t steps of "1" the states and traces held are 1 + t (t + 3) boxes:
+    # 89 after eight steps, 109 after nine
+    import boxball.core
+
+    monkeypatch.setattr(boxball.core, "BOX_BUDGET", 100)
+    for steps, code in (("8", 0), ("9", 4)):
+        result = runner.invoke(main, ["evolve", "--trace", "--steps", steps, "1"])
+        assert result.exit_code == code, (steps, result.output)
+    assert result.stderr == "error: --trace would hold more than 100 boxes\n"
+    assert runner.invoke(main, ["evolve", "--steps", "9", "1"]).exit_code == 0  # nothing held
+    monkeypatch.undo()
+    result = runner.invoke(main, ["evolve", "--trace", "--steps", "4000", "1"])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: --trace would hold more than {BOX_BUDGET} boxes\n"
 
 
 def test_verify_bijections_refuses_n_max_past_12_before_enumerating(runner, monkeypatch):
@@ -253,6 +271,24 @@ def test_render_color_prints_escapes_off_a_terminal(runner):
     assert len(lines) == 1
     assert "\x1b[34m1\x1b[0m" in lines[0] and "\x1b[35m0\x1b[0m" in lines[0]
     assert re.sub(r"\x1b\[\d+m", "", lines[0]) == f".{FIG_EXCURSION}."
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("decompose", FIG_EXCURSION), ("evolve", "1100"), ("render", "1100"), ("reconstruct", "{}")],
+)
+def test_input_given_inline_and_through_in_exits_3(runner, tmp_path, command, text):
+    # each command reads its input one way: inline, through --in, or - for stdin
+    what = "a decompose document" if command == "reconstruct" else "a ball string"
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    for args in ([text, "--in", str(path)], ["-", "--in", str(path)], []):
+        result = runner.invoke(main, [command, *args], input=text)
+        assert result.exit_code == 3, (args, result.output)
+        assert result.stdout == ""
+        assert result.stderr == f"error: provide {what} either inline or via --in\n"
+    for args in ([text], ["--in", str(path)], ["-"]):
+        assert runner.invoke(main, [command, *args], input=text).exit_code == 0, args
 
 
 @pytest.mark.parametrize(
@@ -918,6 +954,43 @@ def test_measure_beside_params_exits_3(runner, tmp_path, measure):
         assert result.exit_code == 3, (command, result.output)
         assert result.stdout == ""
         assert result.stderr == "error: --measure does not apply beside --params\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["geometric", "--level", "0"], "--level must be >= 1"),
+        (["geometric", "--level", "-3"], "--level must be >= 1"),
+        (["geometric", "--significance", "0"], "--significance must lie in (0, 1)"),
+        (["geometric", "--significance", "1"], "--significance must lie in (0, 1)"),
+        (["independence", "--significance", "2"], "--significance must lie in (0, 1)"),
+        (["independence", "--significance", "-0.1"], "--significance must lie in (0, 1)"),
+        (["independence", "--significance", "nan"], "--significance must lie in (0, 1)"),
+    ],
+    ids=["level-0", "level-negative", "significance-0", "significance-1", "significance-2",
+         "significance-negative", "significance-nan"],
+)
+def test_verify_refuses_a_level_or_significance_before_drawing(runner, monkeypatch, args, message):
+    import boxball
+
+    def markov_excursions(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(boxball, "markov_excursions", markov_excursions, raising=False)
+    result = runner.invoke(main, ["verify", *args, "--lambda", "0.25", "--seed", "1"])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_sample_refuses_boxes_without_anti_palm(runner):
+    # the Palm sample reads --excursions, not --boxes
+    result = runner.invoke(main, ["sample", "--lambda", "0.25", "--boxes", "10", "--seed", "1"])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: --boxes does not apply without --anti-palm\n"
+    anti_palm = ["sample", "--anti-palm", "--lambda", "0.25", "--boxes", "10", "--seed", "1"]
+    assert runner.invoke(main, anti_palm).exit_code == 0
 
 
 @pytest.mark.parametrize(

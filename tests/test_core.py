@@ -145,7 +145,7 @@ def test_evolve_refuses_steps_past_the_sweep_budget(monkeypatch):
     cfg = BallConfig.from_string("1")
     ten = evolve(cfg, 10)
     sweep, sweeps = boxball.core._sweep, []
-    monkeypatch.setattr(boxball.core, "_sweep", lambda bits, load=0: sweeps.append(1) or sweep(bits, load))
+    monkeypatch.setattr(boxball.core, "_sweep", lambda bits: sweeps.append(1) or sweep(bits))
     monkeypatch.setattr(boxball.core, "SWEEP_BUDGET", 55)
     assert evolve(cfg, 10) == ten
     sweeps.clear()
@@ -203,10 +203,18 @@ def test_carrier_trace_ends_empty(cfg):
     assert not trace or trace[-1] == 0
 
 
-# the carrier enters with 0 to 5 balls, as it does in ``_cut`` after an
-# earlier cut's tail and in ``line.chain_window``'s loaded chunks
+# the carrier meets the boxes with 0 to 5 balls, picked up from as many
+# balls before them
 bit_lists = st.lists(st.integers(0, 1), max_size=40)
 entry_loads = st.integers(0, 5)
+
+
+def _loaded(bits, load):
+    """The :func:`_sweep` image of ``bits`` after ``load`` balls, and the
+    boxes and image both with those balls."""
+    boxes = bytes([1] * load + list(bits))
+    image = _sweep(boxes)
+    return image[load:], boxes, image
 
 
 def _naive_image(bits, load):
@@ -225,18 +233,19 @@ def _naive_window_records(bits, load, first):
 
 @given(bit_lists, entry_loads)
 def test_sweep_is_the_naive_image_spill_included(bits, load):
-    assert _sweep(bytes(bits), load) == _naive_image(bits, load)
+    assert _loaded(bits, load)[0] == _naive_image(bits, load)
 
 
 @given(bit_lists, entry_loads, st.integers(-8, 8))
 def test_records_read_off_the_image_are_the_naive_records(bits, load, first):
-    image = _sweep(bytes(bits), load)
-    assert list(_records(bytes(bits), image, first)) == _naive_window_records(bits, load, first)
+    _, boxes, image = _loaded(bits, load)
+    records = [r for r in _records(boxes, image, first - load) if r >= first]
+    assert records == _naive_window_records(bits, load, first)
 
 
 @given(bit_lists, entry_loads)
 def test_loads_read_off_the_image_are_the_naive_carrier(bits, load):
-    loads = _loads(bytes(bits), _sweep(bytes(bits), load), load)
+    loads = _loads(*_loaded(bits, load)[1:])[load:]
     assert [*loads[1:], *range(loads[-1] - 1, -1, -1)] == oracles.naive_carrier(bits, load)
     assert loads[0] == load
 
@@ -257,9 +266,11 @@ def test_loads_read_off_the_image_are_the_naive_carrier(bits, load):
          "load-past-window"],
 )
 def test_sweep_edge_cases(bits, load, image, records):
-    assert _sweep(bits, load) == image == _naive_image(list(bits), load)
-    assert list(_records(bits, image)) == records == _naive_window_records(list(bits), load, 0)
-    assert _loads(bits, image, load)[-1] == len(image) - len(bits)
+    swept, boxes, whole = _loaded(bits, load)
+    assert swept == image == _naive_image(list(bits), load)
+    assert [r for r in _records(boxes, whole, -load) if r >= 0] == records
+    assert records == _naive_window_records(list(bits), load, 0)
+    assert _loads(boxes, whole)[-1] == len(image) - len(bits)
 
 
 @given(configs)
@@ -438,13 +449,12 @@ def test_excursions_of_cuts_at_naive_records(cfg):
 
 @given(st.binary(max_size=60).map(lambda b: bytes(v & 1 for v in b)), st.data())
 def test_cut_in_pieces_is_one_cut(bits, data):
-    """Cutting a prefix, then its tail plus the rest (``start`` past the
-    tail), finds the records and excursions of one cut; ``limit`` keeps the
-    first ones."""
+    """Cutting a prefix, then its tail plus the rest, finds the records and
+    excursions of one cut: the tail starts right after a record."""
     records, excursions, tail = _cut(bits)
     split = data.draw(st.integers(0, len(bits)))
     first, first_excursions, first_tail = _cut(bits[:split])
-    rest, rest_excursions, rest_tail = _cut(first_tail + bits[split:], None, len(first_tail))
+    rest, rest_excursions, rest_tail = _cut(first_tail + bits[split:])
     offset = split - len(first_tail)
     assert first + [offset + r for r in rest] == records
     assert first_excursions + rest_excursions == excursions
@@ -453,8 +463,6 @@ def test_cut_in_pieces_is_one_cut(bits, data):
         bits[a + 1 : b] for a, b in zip([-1, *records], records)
     ]
     assert all(e == Excursion(e.bits) for e in excursions)  # built unchecked, checked here
-    limit = data.draw(st.integers(0, len(records)))
-    assert _cut(bits, limit)[:2] == (records[:limit], excursions[:limit])
 
 
 def test_excursions_of_refuses_box_0_far_from_the_window():

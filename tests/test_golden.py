@@ -120,8 +120,7 @@ GOLDEN = {
          "--excursions", "2000", "--seed", "5", "--format", "json"],
         "ddf8a3bc4a03eb6b46f1c928d2a2d05bae30dcf49479768e61aaa2ed259a0661",
     ),
-    # near-critical walks: the chain runs over several batches and carries a
-    # partial excursion from one batch into the next
+    # near-critical walks, whose excursions run to thousands of boxes
     "sample-json-bernoulli-near-critical": (
         ["sample", "--lambda", "0.49", "--excursions", "1000", "--seed", "5", "--format", "json"],
         "9dcd232193dd75d77a0bbb3efd3598b43cd6b34130349bc9f75b1ae651af12d5",

@@ -7,12 +7,12 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 
 import oracles
 from boxball import (
@@ -45,7 +45,7 @@ from boxball import (
     size_biased_excursion,
 )
 from boxball.core import BOX_BUDGET, _cut
-from boxball.line import _chain
+from boxball.line import _walk
 from boxball.stats import _chi_square
 
 MARKOV_Q = [[0.8, 0.2], [0.6, 0.4]]
@@ -188,56 +188,53 @@ def test_markov_rows_equal_reduces_to_bernoulli():
 @st.composite
 def _chain_runs(draw):
     """Thresholds (Q(0,1), Q(1,1)) with Q(1,1) above, below or equal to
-    Q(0,1), uniforms of which some sit exactly on a threshold, and the state
-    of the box before them."""
+    Q(0,1), and uniforms of which some sit exactly on a threshold."""
     lo, hi = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
     up_from = draw(st.sampled_from([(lo, hi), (hi, lo), (lo, lo)]))
     uniforms = draw(st.lists(
         st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(up_from)), max_size=60
     ))
-    return up_from, uniforms, draw(st.sampled_from([0, 1]))
+    return up_from, uniforms
 
 
-@given(_chain_runs())
-def test_chain_kernel_matches_per_box_rule(run):
-    up_from, uniforms, first = run
-    q = [[1 - p, p] for p in up_from]
-    boxes = _chain(iter(uniforms).__next__, len(uniforms), up_from, first)
-    assert boxes == bytes(oracles.naive_markov_boxes(uniforms, q, first))
-
-
-@pytest.mark.parametrize(
-    "q, seed, covers",
-    [
-        (MARKOV_Q, 1, None),
-        ([[0.75, 0.25], [0.75, 0.25]], 2, None),
-        ([[0.5, 0.5], [0.9, 0.1]], 3, None),
-        # the first batch is one box per excursion asked for, ``first``; the
-        # first record lies past it: no excursion is out until the second,
-        # doubled batch
-        ([[0.55, 0.45], [0.46, 0.54]], 149,
-         lambda boxes, uniforms, first: _cut(boxes[:first])[1] == []),
-        # a sticky chain, whose box copies the one before when its draw lies in
-        # [0.1, 0.85): the first batch ends on a ball and the next draw lies in
-        # that range, so box ``first`` is a ball only if the second batch
-        # starts from the state the first one left
-        ([[0.9, 0.1], [0.15, 0.85]], 1,
-         lambda boxes, uniforms, first: boxes[first - 1] == 1 and 0.1 <= uniforms[first] < 0.85),
-    ],
-)
-def test_cutting_in_batches_is_one_cut(q, seed, covers):
+def _uniforms(seed, n):
     rng = random.Random(seed)
-    uniforms = [rng.random() for _ in range(60_000)]
-    boxes = _chain(iter(uniforms).__next__, len(uniforms), (q[0][1], q[1][1]), 0)
-    _, whole, _ = _cut(boxes)
-    assert covers is None or covers(boxes, uniforms, len(whole))
-    assert markov_excursions(q, len(whole), random.Random(seed)) == whole
+    return [rng.random() for _ in range(n)]
+
+
+@given(_chain_runs(), st.integers(0, 60), st.integers(0, 60), st.integers(1, 60))
+# MARKOV_Q, Bernoulli(1/4), and a chain with Q(1,1) < Q(0,1)
+@example(((0.2, 0.4), _uniforms(1, 60_000)), 0, 0, 60_000)
+@example(((0.25, 0.25), _uniforms(2, 60_000)), 0, 0, 60_000)
+@example(((0.5, 0.1), _uniforms(3, 60_000)), 0, 0, 60_000)
+# near criticality: the first record lies at box 4706, and one excursion spans 14 356 boxes
+@example(((0.45, 0.54), _uniforms(149, 60_000)), 0, 0, 60_000)
+# a sticky chain, whose box copies the one before when its draw lies in [0.1, 0.85)
+@example(((0.1, 0.85), _uniforms(1, 60_000)), 0, 0, 60_000)
+def test_chain_kernel_matches_per_box_rule(run, split, until, size):
+    """``_walk`` on from the chain's first ``split`` boxes after a record,
+    at their height, draws the boxes of ``oracles.naive_markov_boxes`` over
+    the same uniforms, and notes the records of one ``core._cut`` of them
+    from index ``until`` on, at most ``size`` of them, stopping at the last
+    without a draw past it."""
+    up_from, uniforms = run
+    chain = oracles.naive_markov_boxes(uniforms, [[1 - p, p] for p in up_from], 0)
+    split, until = split % (len(chain) + 1), until % (len(chain) + 1)
+    records = [r for r in _cut(bytes(chain))[0] if r >= max(split, until)][:size]
+    assume(records)
+    boxes = bytearray(chain[:split])
+    height = oracles.naive_carrier(chain[:split])[split - 1] if split else 0
+    walked = _walk(iter(uniforms[split:]).__next__, up_from, boxes, height, len(records), until)
+    assert walked == records
+    assert boxes == bytes(chain[: records[-1] + 1])
+    if until == split == 0 and up_from[0] < 1 - up_from[1]:  # a chain markov_excursions takes
+        assert markov_excursions([[1 - p, p] for p in up_from], len(records),
+                                 _Uniforms(uniforms)) == _cut(bytes(chain))[1][: len(records)]
 
 
 # sha256 of the excursions' bits joined by "|", cut from the chain drawn with
 # one random.Random(seed).random() per box; oracles.naive_markov_boxes over
-# the same uniforms, cut once, gives the same digests.  Every draw spans
-# several batches
+# the same uniforms, cut once, gives the same digests
 WALK_PINS = [
     pytest.param(lambda rng: bernoulli_excursions(0.45, 600, rng), 1,
                  "84b075d56871bed58f8c369d9cc9b1bf1e4029b7579d3dcb21a7d137642e17aa",
@@ -623,7 +620,7 @@ NEAR_CRITICAL_Q = ((0.55, 0.45), (0.46, 0.54))
 
 # sha256 of b"ORIGIN|" and the window's boxes, drawn with random.Random(seed);
 # near criticality the walk from the window's last record to the first past
-# it runs 241 to 7854 boxes, over several batches
+# it runs 241 to 7854 boxes
 WINDOW_PINS = [
     pytest.param(NEAR_CRITICAL_Q, 1, 8,
                  "93f4bada5a8ecabe9dc2e29b8a8516d3e0e9c33497a18b36f1cf92a9eed48cfc", id="near-critical-1"),
@@ -696,6 +693,28 @@ def test_walks_refuse_an_excursion_by_the_boxes_its_tail_still_needs(monkeypatch
         with pytest.raises(PreconditionError, match="a drawn excursion would lay out more than 100"):
             walk(uniforms)
         assert uniforms.calls < 100, walk
+
+
+def test_walks_count_the_box_budget_per_palm_excursion_and_over_the_whole_window(monkeypatch):
+    # a budget of 100 boxes; MARKOV_Q draws a ball below 0.2 after an empty
+    # box and below 0.4 after a ball
+    import boxball.core
+    import boxball.line
+
+    monkeypatch.setattr(boxball.core, "BOX_BUDGET", 100)
+    monkeypatch.setattr(boxball.line, "BOX_BUDGET", 100)
+    # three Palm excursions of 49 balls and 49 empty boxes, 99 boxes each with
+    # their records, are laid out one by one: each fits
+    uniforms = _Uniforms(chain(([0.0] * 49 + [0.99] * 50) * 3, repeat(0.99)))
+    excursions = markov_excursions(MARKOV_Q, 3, uniforms)
+    assert excursions == [Excursion(bytes([1] * 49 + [0] * 49))] * 3
+    assert uniforms.calls == 3 * 99  # the walk stops at the record it needs
+    # a window is laid out whole: box 0 a record, five records, then 47 balls
+    # whose excursion fits alone but not after the 6 boxes before it
+    uniforms = _Uniforms(chain([0.0, 0.0], [0.99] * 5, [0.0] * 47, repeat(0.99)))
+    with pytest.raises(PreconditionError, match="a drawn excursion would lay out more than 100"):
+        chain_window(MARKOV_Q, 10, uniforms)
+    assert uniforms.calls == 2 + 5 + 47
 
 
 def test_chain_window_refuses_before_drawing():

@@ -309,9 +309,9 @@ def test_t_invariance_refuses_its_margin_before_any_sweep_past_the_first(monkeyp
 
     sweeps = []
 
-    def one_sweep(bits, load=0):
+    def one_sweep(bits):
         sweeps.append(len(bits))
-        return _sweep(bits, load)
+        return _sweep(bits)
 
     def evolve(config, steps=1):
         raise AssertionError("swept past the first step")
