@@ -12,7 +12,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, given
 
 import oracles
 from boxball import (
@@ -197,20 +197,7 @@ def _chain_runs(draw):
     return up_from, uniforms
 
 
-def _uniforms(seed, n):
-    rng = random.Random(seed)
-    return [rng.random() for _ in range(n)]
-
-
 @given(_chain_runs(), st.integers(0, 60), st.integers(0, 60), st.integers(1, 60))
-# MARKOV_Q, Bernoulli(1/4), and a chain with Q(1,1) < Q(0,1)
-@example(((0.2, 0.4), _uniforms(1, 60_000)), 0, 0, 60_000)
-@example(((0.25, 0.25), _uniforms(2, 60_000)), 0, 0, 60_000)
-@example(((0.5, 0.1), _uniforms(3, 60_000)), 0, 0, 60_000)
-# near criticality: the first record lies at box 4706, and one excursion spans 14 356 boxes
-@example(((0.45, 0.54), _uniforms(149, 60_000)), 0, 0, 60_000)
-# a sticky chain, whose box copies the one before when its draw lies in [0.1, 0.85)
-@example(((0.1, 0.85), _uniforms(1, 60_000)), 0, 0, 60_000)
 def test_chain_kernel_matches_per_box_rule(run, split, until, size):
     """``_walk`` on from the chain's first ``split`` boxes after a record,
     at their height, draws the boxes of ``oracles.naive_markov_boxes`` over
@@ -230,6 +217,36 @@ def test_chain_kernel_matches_per_box_rule(run, split, until, size):
     if until == split == 0 and up_from[0] < 1 - up_from[1]:  # a chain markov_excursions takes
         assert markov_excursions([[1 - p, p] for p in up_from], len(records),
                                  _Uniforms(uniforms)) == _cut(bytes(chain))[1][: len(records)]
+
+
+@pytest.mark.parametrize(
+    "q, seed, covers",
+    [
+        (MARKOV_Q, 1, None),
+        ([[0.75, 0.25], [0.75, 0.25]], 2, None),
+        ([[0.5, 0.5], [0.9, 0.1]], 3, None),
+        # near criticality: the first record lies past box ``first``, one box
+        # per excursion asked for, so the walk draws past that many boxes
+        # before it notes an excursion
+        ([[0.55, 0.45], [0.46, 0.54]], 149,
+         lambda boxes, uniforms, first: _cut(boxes[:first])[1] == []),
+        # a sticky chain, whose box copies the one before when its draw lies in
+        # [0.1, 0.85): box ``first - 1`` is a ball and the next draw lies in
+        # that range, so box ``first`` is a ball only if the walk reads the
+        # state the box before it left
+        ([[0.9, 0.1], [0.15, 0.85]], 1,
+         lambda boxes, uniforms, first: boxes[first - 1] == 1 and 0.1 <= uniforms[first] < 0.85),
+    ],
+)
+def test_cutting_in_batches_is_one_cut(q, seed, covers):
+    """``markov_excursions`` equals one ``core._cut`` of the whole chain
+    ``oracles.naive_markov_boxes`` draws from the same 60 000 uniforms."""
+    rng = random.Random(seed)
+    uniforms = [rng.random() for _ in range(60_000)]
+    boxes = bytes(oracles.naive_markov_boxes(uniforms, q, 0))
+    _, whole, _ = _cut(boxes)
+    assert covers is None or covers(boxes, uniforms, len(whole))
+    assert markov_excursions(q, len(whole), random.Random(seed)) == whole
 
 
 # sha256 of the excursions' bits joined by "|", cut from the chain drawn with
