@@ -109,38 +109,51 @@ def _read_config(text: str | None, path: str | None, origin: int) -> BallConfig:
 
 
 def _indented(doc) -> str:
-    """``json.dumps(doc, indent=2)`` byte for byte, for documents whose dict
-    keys are strings.
+    """``json.dumps(doc, indent=2)`` byte for byte, for string-keyed dicts.
 
-    Any ``indent`` makes ``json`` fall back from its C encoder to one Python
-    generator step per value; here a list of plain ints is one ``join``, and
-    every other scalar goes to ``json.dumps``, which keeps floats, NaN,
-    bools, None and string escapes as they were.  ``json`` is imported once
-    per document, outside the walk that recurses once per value.
+    Any ``indent`` sends ``json`` from its C encoder to a Python generator.
+    Here one walk appends to one list of pieces, joined once.  A list or
+    tuple whose first item is not a container is one call of json's C
+    encoder, items joined by the depth's ``",\\n" + pad``; its text stands if
+    it holds no nested container (no ``[`` past the first character, no
+    ``{``), else the list goes item by item, as all do when
+    ``c_make_encoder`` is None.  Scalars but ints go to ``json.dumps``.
     """
-    import json
+    from json import dumps
+    from json.encoder import c_make_encoder as make, encode_basestring_ascii as encode_str
 
-    encode_str, dumps = json.encoder.encode_basestring_ascii, json.dumps
+    levels, out = {}, []  # pad -> the next pad, item separator, C encoder; the pieces
+    push = out.append
 
-    def indented(obj, pad: str) -> str:
-        inner = pad + "  "
-        sep = "," + inner
+    def walk(obj, pad: str) -> None:
+        if pad not in levels:  # dumps, the C encoder's default, raises json's TypeError
+            sep = "," + pad + "  "
+            levels[pad] = sep[1:], sep, make and make(None, dumps, encode_str, None, ": ", sep,
+                                                      False, False, True)
+        inner, sep, enc = levels[pad]
         if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            return "{" + inner + sep.join([
-                encode_str(k) + ": " + (str(v) if type(v) is int else indented(v, inner))
-                for k, v in obj.items()
-            ]) + pad + "}"
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            if set(map(type, obj)) == {int}:  # bools are not plain ints
-                return "[" + inner + sep.join(map(str, obj)) + pad + "]"
-            return "[" + inner + sep.join([indented(v, inner) for v in obj]) + pad + "]"
-        return str(obj) if type(obj) is int else dumps(obj)
+            lead = "{" + inner
+            for k, v in obj.items():
+                push(lead + encode_str(k) + ": ")
+                push(str(v)) if type(v) is int else walk(v, inner)
+                lead = sep
+            push(pad + "}" if obj else "{}")
+        elif isinstance(obj, (list, tuple)):
+            if enc and obj and not isinstance(obj[0], (list, tuple, dict)):
+                text = "".join(enc(obj, 0))
+                if text.find("[", 1) < 0 and "{" not in text:
+                    return out.extend(("[" + inner, text[1:-1], pad + "]"))
+            lead = "[" + inner
+            for v in obj:
+                push(lead)
+                push(str(v)) if type(v) is int else walk(v, inner)
+                lead = sep
+            push(pad + "]" if obj else "[]")
+        else:
+            push(str(obj) if type(obj) is int else dumps(obj))
 
-    return indented(doc, "\n")
+    walk(doc, "\n")
+    return "".join(out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -561,7 +574,7 @@ def params_cmd(measure, lam, q_matrix, alpha, params, levels, fmt, out):
                f"kappa  = {kappa:.12g}\nlambda = {lam_out:.12g}", out)
 
 
-@main.command("sample", *_MEASURE, _opt("--excursions", dest="num", type=int, default=1000),
+@main.command("sample", *_MEASURE, _opt("--excursions", dest="num", type=int),
               _opt("--anti-palm", action="store_true",
                    help="stationary window instead of record-anchored"),
               _opt("--boxes", type=int, help="window size for --anti-palm"), _SEED, _FORMAT, _OUT)
@@ -571,12 +584,14 @@ def sample_cmd(measure, lam, q_matrix, alpha, params, num, anti_palm, boxes, rng
 
     if boxes is not None and not anti_palm:
         raise ValidationError("--boxes does not apply without --anti-palm")
+    if num is not None and anti_palm:
+        raise ValidationError("--excursions does not apply with --anti-palm")
     _, _, palm, window = _weights_from_flags(measure, lam, q_matrix, alpha, params)
     if anti_palm:
         cfg = window(1000 if boxes is None else boxes, rng)
         anchored = None
     else:
-        anchored = assemble(palm(num, rng), 0)
+        anchored = assemble(palm(1000 if num is None else num, rng), 0)
         cfg = anchored.config
     if fmt == "json":
         doc = (

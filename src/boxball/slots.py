@@ -490,17 +490,18 @@ def diagrams_from_components(
     """Split a component array back into per-excursion slot diagrams.
 
     Each side of label 0 of the trimmed array is split level by level
-    (:func:`_read_diagrams`), the left one on the array reflected about
-    label -1/2 and each diagram there reflected back.  The boxes and diagram
-    entries are counted exactly, and an array that asks for more than
-    :data:`core.BOX_BUDGET` of them is refused before they are laid out.
+    (:func:`_read_diagrams`), the left one on the rows with an entry left of
+    label 0 (with none, it is empty), reflected about label -1/2, and each
+    diagram there reflected back.  The boxes and diagram entries are counted
+    exactly, and an array that asks for more than :data:`core.BOX_BUDGET` of
+    them is refused before they are laid out.
     Returns ``(i_lo, diagrams)`` covering every diagram that consumes a
     nonzero entry; all others are empty.
     """
     rows = components.trimmed().rows
     # the solitons' boxes and the closing record; each side spends the rest
     room = _spend(BOX_BUDGET, 1 + sum(2 * k * sum(v) for k, _, v in rows))
-    left, room = _read_diagrams({k: (-off - len(v), v[::-1]) for k, off, v in rows}, room)
+    left, room = _read_diagrams({k: (-off - len(v), v[::-1]) for k, off, v in rows if off < 0}, room)
     right = _read_diagrams({k: (off, v) for k, off, v in rows}, room)[0]
     return -len(left), (*(d.reflected() for d in reversed(left)), *right)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -233,14 +234,31 @@ _json_scalars = st.one_of(
     st.text(),
     st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "é☃𝄞", "\ud800"]),
 )
+# strings whose encoding holds brackets, quotes or backslashes
+_bracket_texts = st.text(alphabet='[]{}"\\, a', max_size=6)
+
+
+def _nested(value, wraps):
+    """``value`` one level deeper per wrap: in a one-item list, in a list
+    after a scalar, or in a one-key dict."""
+    for wrap in wraps:
+        value = [value] if wrap == "list" else [0, value] if wrap == "after" else {"k": value}
+    return value
+
+
 _json_values = st.recursive(
     _json_scalars,
     lambda inner: st.one_of(
-        st.lists(st.integers()),  # the join path for lists of plain ints
+        st.lists(st.integers()),  # flat lists: one call of json's C encoder
+        st.lists(st.integers(), min_size=1, max_size=1),
         st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(st.one_of(st.integers(), _bracket_texts)),
+        st.tuples(_json_scalars, st.lists(inner), st.dictionaries(st.text(), inner)).map(list),
         st.lists(inner),
         st.lists(inner).map(tuple),
         st.dictionaries(st.text(), inner),
+        st.builds(_nested, inner, st.lists(st.sampled_from(["list", "after", "dict"]),
+                                           min_size=6, max_size=8)),
     ),
 )
 
@@ -248,6 +266,42 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_indented_writer_matches_json_dumps_indent_2(value):
     assert _indented(value) == json.dumps(value, indent=2)
+
+
+@given(_json_values)
+def test_indented_writer_without_the_c_encoder_matches_json_dumps_indent_2(value):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json.encoder, "c_make_encoder", None)
+        assert _indented(value) == json.dumps(value, indent=2)
+
+
+def test_indented_writer_encodes_flat_lists_in_one_c_call(monkeypatch):
+    make, made, calls = json.encoder.c_make_encoder, [], []
+
+    def make_encoder(*args):
+        made.append(args[5])  # the item separator
+        encode = make(*args)
+        return lambda obj, level: calls.append(obj) or encode(obj, level)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", make_encoder)
+    doc = {"a": [1, 2, 3], "b": [4], "c": [[5, 6], [7]], "d": ["[x", 8], "e": [9, [10]]}
+    assert _indented(doc) == json.dumps(doc, indent=2)
+    # one encoder per depth; a list whose text holds a bracket goes item by item
+    assert made == [",\n  ", ",\n    ", ",\n      "]
+    assert calls == [[1, 2, 3], [4], [5, 6], [7], ["[x", 8], [9, [10]], [10]]
+
+
+def test_decompose_document_of_long_near_critical_excursions_is_json_dumps_indent_2(runner):
+    from boxball.core import assemble
+    from boxball.line import bernoulli_excursions
+
+    # the three longest of 200 Bernoulli(0.49) excursions: 2162, 3784 and 6134 boxes
+    excursions = sorted(bernoulli_excursions(0.49, 200, random.Random(7)), key=lambda e: len(e.bits))
+    line = assemble(excursions[-3:], 0).config.to_string()
+    result = runner.invoke(main, ["decompose", "--origin", "0", line])
+    assert result.exit_code == 0, result.output
+    assert max(sol["k"] for sol in json.loads(result.stdout)["solitons"]) > 50
+    assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
 
 
 def test_decompose_precondition_exit_code(runner):
@@ -981,6 +1035,20 @@ def test_verify_refuses_a_level_or_significance_before_drawing(runner, monkeypat
     assert result.exit_code == 4, result.output
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+def test_sample_refuses_excursions_with_anti_palm(runner):
+    # the stationary window reads --boxes, not --excursions
+    args = ["sample", "--anti-palm", "--lambda", "0.25", "--excursions", "5", "--seed", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: --excursions does not apply with --anti-palm\n"
+    # without the flag a Palm sample still draws 1000 excursions
+    default = runner.invoke(main, ["sample", "--lambda", "0.25", "--seed", "1"])
+    named = runner.invoke(main, ["sample", "--lambda", "0.25", "--excursions", "1000", "--seed", "1"])
+    assert default.exit_code == named.exit_code == 0
+    assert default.stdout == named.stdout
 
 
 def test_sample_refuses_boxes_without_anti_palm(runner):

@@ -426,6 +426,21 @@ def test_split_of_decomposed_lines_reads_as_label_by_label():
         _assert_split_reads_as_label_by_label(decompose(BallConfig(1, tuple(map(int, bits)))))
 
 
+def test_split_reflects_only_the_rows_with_entries_left_of_label_0(monkeypatch):
+    read, sides = slots._read_diagrams, []
+    monkeypatch.setattr(slots, "_read_diagrams",
+                        lambda lines, room: sides.append(lines) or read(lines, room))
+    # nothing left of label 0: the left side copies no row and splits nothing
+    diagrams_from_components(ComponentArray.from_dict({2: (0, (1,)), 1: (4, (1,))}))
+    assert sides[0] == {}
+    sides.clear()
+    # row 2 has an entry at label -1, row 1 none left of label 0
+    arr = ComponentArray.from_dict({2: (-1, (1,)), 1: (4, (1,))})
+    i_lo, diagrams = diagrams_from_components(arr)
+    assert (i_lo, diagrams[0]) == (-1, SlotDiagram(((0, 0, 0), (1,))))
+    assert sides[0] == {2: (0, (1,))}
+
+
 def _assert_split_reads_as_label_by_label(arr):
     entries = {(k, off + j): v for k, off, values in arr.rows for j, v in enumerate(values) if v}
     i_lo, diagrams = diagrams_from_components(arr)
